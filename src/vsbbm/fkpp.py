@@ -3,9 +3,10 @@
     du/dt = (1/2) d2u/dx2 + (1 - u) - sum_k p_k (1 - u)^k
 
 with Heaviside initial data and boundary values u(x_min)=1, u(x_max)=0.
-The reaction term is evaluated through expm1/log1p so that the far tail
-(u down to ~1e-300) suffers no cancellation; this replaces the cruder
-log-space fallback one might otherwise need ahead of the front.
+The reaction term is the exact polynomial u v g(v), v = 1 - u, with
+g(v) = sum_j P(K >= j+2) v^j.  g has non-negative coefficients and v lies
+in [0, 1], so Horner's rule suffers no cancellation and the far tail
+(u down to ~1e-300) keeps full relative accuracy.
 """
 
 from __future__ import annotations
@@ -49,45 +50,84 @@ class FkppState:
                 w.writerow([repr(float(xi)), repr(float(ui))])
 
 
-def reaction(u: np.ndarray, offspring: OffspringDistribution) -> np.ndarray:
+def reaction(
+    u: np.ndarray,
+    offspring: OffspringDistribution,
+    out: np.ndarray | None = None,
+    work: np.ndarray | None = None,
+) -> np.ndarray:
     """(1-u) - sum_k p_k (1-u)^k, cancellation-free for tiny u.
 
-    Rewritten as sum_k p_k (1-u) (1 - (1-u)^(k-1)); for u -> 0 this behaves
-    like u (mean 2 offspring), for binary offspring it equals u(1-u).
+    Evaluated as u v g(v) with v = 1-u and g(v) = sum_j P(K >= j+2) v^j, by
+    Horner's rule on the coefficients ``offspring.reaction_coefficients``.
+    For u -> 0 this behaves like u (mean 2 offspring), for binary offspring
+    it equals u(1-u).  ``out`` receives the result and ``work`` holds v;
+    both are allocated when not given.
     """
-    u = np.asarray(u)
-    out = np.zeros_like(u, dtype=np.float64)
-    interior = u < 1.0
-    with np.errstate(invalid="ignore"):
-        log1mu = np.log1p(-u, where=interior, out=np.zeros_like(u, dtype=np.float64))
-    for k, p in zip(offspring.ks, offspring.ps):
-        if k == 1:
-            continue
-        term = -(1.0 - u) * np.expm1((k - 1) * log1mu)
-        out += p * np.where(interior, term, 0.0)
+    u = np.asarray(u, dtype=np.float64)
+    if out is None:
+        out = np.empty_like(u)
+    coef = offspring.reaction_coefficients
+    v = np.subtract(1.0, u, out=work)
+    np.multiply(v, coef[-1], out=out)
+    for c in coef[-2::-1]:
+        out += c
+        out *= v
+    out *= u
     return out
 
 
 def _check_range(u: np.ndarray) -> np.ndarray:
-    if np.any(u > 1.0 + _RANGE_TOL) or np.any(u < -_RANGE_TOL):
+    """Raise if u left [0, 1] by more than rounding; clip it in place."""
+    lo, hi = u.min(), u.max()
+    if hi > 1.0 + _RANGE_TOL or lo < -_RANGE_TOL:
         raise RuntimeError(
-            f"solution left [0,1] by more than {_RANGE_TOL}: "
-            f"min={u.min():.3e}, max={u.max():.3e}"
+            f"solution left [0,1] by more than {_RANGE_TOL}: min={lo:.3e}, max={hi:.3e}"
         )
-    return np.clip(u, 0.0, 1.0)
+    return np.clip(u, 0.0, 1.0, out=u)
+
+
+def _check_stable(dt: float, dx: float) -> None:
+    if dt > dx * dx / 2.0 + 1e-15:
+        raise ValueError(f"explicit step dt={dt} exceeds stability limit dx^2/2={dx * dx / 2}")
+
+
+class _ExplicitStep:
+    """The explicit Euler step, fused and in place, on one solution array.
+
+    Calling it advances the interior u[1:-1] by dt as
+    u_i <- (1 - 2c) u_i + c (u_{i-1} + u_{i+1}) + dt R(u_i), c = dt / (2 dx^2);
+    the boundary values are left as they are.  Every term is non-negative
+    for a stable dt, and the buffers are allocated once.
+    """
+
+    def __init__(self, u: np.ndarray, offspring: OffspringDistribution, dx: float, dt: float):
+        self.offspring = offspring
+        self.dt = dt
+        self.c = 0.5 * dt / (dx * dx)
+        self.inner, self.left, self.right = u[1:-1], u[:-2], u[2:]
+        self.r = np.empty_like(self.inner)
+        self.v = np.empty_like(self.inner)
+        self.w = np.empty_like(self.inner)
+
+    def __call__(self) -> None:
+        inner, r, w = self.inner, self.r, self.w
+        reaction(inner, self.offspring, out=r, work=self.v)
+        r *= self.dt
+        np.add(self.left, self.right, out=w)
+        w *= self.c
+        w += r
+        inner *= 1.0 - 2.0 * self.c
+        inner += w
 
 
 def fkpp_step(state: FkppState, dt: float) -> FkppState:
     """One explicit Euler step; errors out if dt violates dx^2/2 stability."""
-    dx = state.dx
-    if dt > dx * dx / 2.0 + 1e-15:
-        raise ValueError(f"explicit step dt={dt} exceeds stability limit dx^2/2={dx*dx/2}")
-    u = state.u
-    lap = np.zeros_like(u)
-    lap[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (dx * dx)
-    new = u + dt * (0.5 * lap + reaction(u, state.offspring))
-    new[0], new[-1] = 1.0, 0.0
-    return FkppState(x=state.x, u=_check_range(new), t=state.t + dt, offspring=state.offspring)
+    _check_stable(dt, state.dx)
+    u = state.u.astype(np.float64, copy=True)
+    _ExplicitStep(u, state.offspring, state.dx, dt)()
+    u[0], u[-1] = 1.0, 0.0
+    return FkppState(x=state.x, u=_check_range(u), t=state.t + dt, offspring=state.offspring)
 
 
 def front_position(state: FkppState, level: float = 0.5) -> float:
@@ -129,27 +169,31 @@ def solve_heaviside(
     (state, front_track, snapshots) when tracking is requested; the front
     track is a list of (t, front position) pairs.
     """
+    if scheme not in ("explicit", "crank_nicolson"):
+        raise ValueError(f"unknown scheme {scheme!r}")
+    if t_end < 0:
+        raise ValueError(f"t_end={t_end} is negative")
     if x_max is None:
         x_max = SQRT2 * t_end + 40.0
     x = np.arange(x_min, x_max + dx / 2, dx)
     u = (x <= 0.0).astype(np.float64)
+    u[0], u[-1] = 1.0, 0.0
     n = len(x)
     if dt is None:
         dt = dx * dx / 4.0
-    if scheme == "explicit" and dt > dx * dx / 2.0 + 1e-15:
-        raise ValueError("explicit dt exceeds dx^2/2")
-    if scheme not in ("explicit", "crank_nicolson"):
-        raise ValueError(f"unknown scheme {scheme!r}")
-
-    solve = None
-    if scheme == "crank_nicolson":
+    # at least one step for any t_end > 0; dt is re-derived to land on
+    # t_end exactly, so the stability limit is checked on the new value
+    n_steps = max(1, int(round(t_end / dt))) if t_end > 0 else 0
+    if n_steps:
+        dt = t_end / n_steps
+    if scheme == "explicit":
+        _check_stable(dt, dx)
+        step = _ExplicitStep(u, offspring, dx, dt)
+    else:
         solve, r_cn = _cn_solver(n - 2, dx, dt)
 
-    n_steps = int(round(t_end / dt))
-    dt = t_end / n_steps if n_steps > 0 else dt
     buffer_idx = int((x_max - front_buffer - x_min) / dx)
     check_every = max(1, n_steps // 200)
-    inv_dx2 = 1.0 / (dx * dx)
 
     front_track = []
     snapshot_times = sorted(snapshot_times)
@@ -158,25 +202,23 @@ def solve_heaviside(
     t = 0.0
     for step_i in range(n_steps):
         if scheme == "explicit":
-            lap = (u[2:] - 2.0 * u[1:-1] + u[:-2]) * inv_dx2
-            u[1:-1] += dt * (0.5 * lap + reaction(u[1:-1], offspring))
+            step()
         else:
             rhs = u[1:-1] + r_cn * (u[2:] - 2.0 * u[1:-1] + u[:-2]) + dt * reaction(
                 u[1:-1], offspring
             )
             rhs[0] += r_cn * 1.0  # left boundary u=1
             u[1:-1] = solve(rhs)
-        u[0], u[-1] = 1.0, 0.0
         t = (step_i + 1) * dt
         if step_i % check_every == 0 or step_i == n_steps - 1:
-            u = _check_range(u)
+            _check_range(u)
             if u[buffer_idx] > 1e-8:
                 raise FrontTooCloseError(
                     f"front within {front_buffer} of x_max={x_max} at t={t:.3f}; widen the grid"
                 )
             if track_front:
-                state_now = FkppState(x=x, u=u.copy(), t=t, offspring=offspring)
-                front_track.append((t, front_position(state_now)))
+                now = FkppState(x=x, u=u, t=t, offspring=offspring)
+                front_track.append((t, front_position(now)))
         while next_snap < len(snapshot_times) and t >= snapshot_times[next_snap] - dt / 2:
             snapshots[snapshot_times[next_snap]] = FkppState(
                 x=x, u=u.copy(), t=t, offspring=offspring
@@ -208,6 +250,25 @@ def _tail_value(state: FkppState, sigma_e: float, t: float) -> float:
     return math.exp(log_val)
 
 
+def tail_x_max(sigma_e: float, t: float) -> float:
+    """Right edge of a grid wide enough for the tail at end slope sigma_e
+    and horizon t: the evaluation point sqrt2 sigma_e t stays 40 inside."""
+    if sigma_e <= 1:
+        raise ValueError("sigma_e must exceed 1")
+    return max(SQRT2 * t + 40.0 * sigma_e, SQRT2 * sigma_e * t + 40.0)
+
+
+def tail_estimate(
+    state: FkppState, half: FkppState, sigma_e: float, t: float
+) -> tuple[float, dict]:
+    """Tail-constant estimate for end slope sigma_e from a solution at
+    horizon t and its snapshot ``half`` at t/2, with the t/2 value as the
+    diagnostic.  One solve serves every sigma_e its grid is wide enough for."""
+    estimate = _tail_value(state, sigma_e, t)
+    at_half = _tail_value(half, sigma_e, t / 2.0)
+    return estimate, {"value_at_half_horizon": at_half, "abs_change": abs(estimate - at_half)}
+
+
 def tail_constant(
     offspring: OffspringDistribution,
     sigma_e: float,
@@ -222,14 +283,13 @@ def tail_constant(
     diagnostic compares against the value at t/2 (Richardson-style) rather
     than claiming convergence.
     """
-    if sigma_e <= 1:
-        raise ValueError("sigma_e must exceed 1")
-    point = SQRT2 * sigma_e * t
-    if x_max is None:
-        x_max = max(SQRT2 * t + 40.0 * sigma_e, point + 40.0)
+    default_x_max = tail_x_max(sigma_e, t)  # also rejects sigma_e <= 1
     state, _, snaps = solve_heaviside(
-        offspring, t, x_min=x_min, x_max=x_max, dx=dx, snapshot_times=(t / 2.0,)
+        offspring,
+        t,
+        x_min=x_min,
+        x_max=default_x_max if x_max is None else x_max,
+        dx=dx,
+        snapshot_times=(t / 2.0,),
     )
-    estimate = _tail_value(state, sigma_e, t)
-    half = _tail_value(snaps[t / 2.0], sigma_e, t / 2.0)
-    return estimate, {"value_at_half_horizon": half, "abs_change": abs(estimate - half)}
+    return tail_estimate(state, snaps[t / 2.0], sigma_e, t)

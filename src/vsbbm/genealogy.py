@@ -32,6 +32,9 @@ class OffspringDistribution:
     ps: np.ndarray
     mean: float = field(init=False)
     second_factorial_moment: float = field(init=False)
+    # coefficients of g(v) = sum_j P(K >= j+2) v^j, lowest power first: the
+    # F-KPP reaction (1-u) - sum_k p_k (1-u)^k equals u v g(v), v = 1-u
+    reaction_coefficients: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         ks = np.asarray(self.ks, dtype=np.int64)
@@ -55,6 +58,8 @@ class OffspringDistribution:
         object.__setattr__(self, "ps", ps)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "second_factorial_moment", float((ks * (ks - 1)) @ ps))
+        p_at_least = np.cumsum(np.bincount(ks, weights=ps, minlength=3)[::-1])[::-1]
+        object.__setattr__(self, "reaction_coefficients", p_at_least[2:])
 
     @property
     def K(self) -> float:

@@ -307,8 +307,17 @@ def _run_martingale(cfg: ExperimentConfig, out):
 def _run_fkpp(cfg: ExperimentConfig, out):
     t_end = float(cfg.params["t_end"])
     dx = float(cfg.params.get("dx", "0.05"))
-    state, track, _ = fkpp_mod.solve_heaviside(
-        cfg.offspring, t_end, dx=dx, track_front=True
+    sigma_es = _float_list(cfg.params.get("sigma_e_list", ""))
+    # one solve serves the front and every tail: the grid is widened to
+    # what the largest sigma_e needs, which leaves the front unmoved
+    x_max = max((fkpp_mod.tail_x_max(s, t_end) for s in sigma_es), default=None)
+    state, track, snaps = fkpp_mod.solve_heaviside(
+        cfg.offspring,
+        t_end,
+        x_max=x_max,
+        dx=dx,
+        track_front=True,
+        snapshot_times=(t_end / 2.0,),
     )
     _write_csv(
         out("front.csv"), ["t", "front"], [[repr(t), repr(f)] for t, f in track]
@@ -320,10 +329,10 @@ def _run_fkpp(cfg: ExperimentConfig, out):
         "front": fkpp_mod.front_position(state),
         "reference_m_t": centering(t_end, "standard"),
     }
-    if "sigma_e_list" in cfg.params:
+    if sigma_es:
         tails = {}
-        for se_val in _float_list(cfg.params["sigma_e_list"]):
-            est, diag = fkpp_mod.tail_constant(cfg.offspring, se_val, t_end, dx=dx)
+        for se_val in sigma_es:
+            est, diag = fkpp_mod.tail_estimate(state, snaps[t_end / 2.0], se_val, t_end)
             tails[str(se_val)] = {"estimate": est, **diag}
         report["tail_constants"] = tails
     _write_json(out("report.json"), report)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +16,12 @@ from vsbbm.fkpp import (
 from vsbbm.genealogy import OffspringDistribution
 
 BINARY = OffspringDistribution.binary()
+LAWS = {
+    "binary": BINARY,
+    "1,3": OffspringDistribution(np.array([1, 3]), np.array([0.5, 0.5])),
+    "1,4": OffspringDistribution(np.array([1, 4]), np.array([2.0 / 3.0, 1.0 / 3.0])),
+    "1,2,3": OffspringDistribution(np.array([1, 2, 3]), np.array([0.25, 0.5, 0.25])),
+}
 SQRT2 = math.sqrt(2.0)
 
 
@@ -28,17 +35,43 @@ def test_reaction_binary_values():
     assert np.allclose(reaction(u, BINARY), expected, atol=1e-15)
 
 
+def test_reaction_coefficients():
+    assert np.array_equal(BINARY.reaction_coefficients, [1.0])
+    assert np.array_equal(LAWS["1,3"].reaction_coefficients, [0.5, 0.5])
+    assert np.allclose(LAWS["1,4"].reaction_coefficients, [1 / 3, 1 / 3, 1 / 3], rtol=1e-15)
+    assert np.array_equal(LAWS["1,2,3"].reaction_coefficients, [0.75, 0.25])
+    single_lineage = OffspringDistribution(np.array([1]), np.array([1.0]))
+    assert np.array_equal(reaction(np.linspace(0.0, 1.0, 5), single_lineage), np.zeros(5))
+
+
 def test_reaction_general_offspring():
-    off = OffspringDistribution(np.array([1, 3]), np.array([0.5, 0.5]))
-    u = np.linspace(0.0, 1.0, 11)
-    direct = (1 - u) - 0.5 * (1 - u) - 0.5 * (1 - u) ** 3
-    assert np.allclose(reaction(u, off), direct, atol=1e-14)
+    u = np.linspace(0.0, 1.0, 101)
+    for off in LAWS.values():
+        direct = (1 - u) - sum(p * (1 - u) ** k for k, p in zip(off.ks, off.ps))
+        assert np.allclose(reaction(u, off), direct, rtol=0, atol=1e-14)
+        ends = reaction(np.array([0.0, 1.0]), off)
+        assert ends[0] == 0.0 and ends[1] == 0.0
 
 
 def test_reaction_tiny_u_no_cancellation():
+    # against the exact rational value of (1-u) - sum_k p_k (1-u)^k at the
+    # same u, with the law's probabilities as the fractions they round
     u = np.array([1e-300, 1e-30, 1e-12])
-    out = reaction(u, BINARY)
-    assert np.allclose(out / u, 1.0, rtol=1e-9)  # ~ u for u -> 0
+    for off in LAWS.values():
+        ps = [Fraction(p).limit_denominator(100) for p in off.ps.tolist()]
+        out = reaction(u, off)
+        for ui, got in zip(u.tolist(), out.tolist()):
+            v = 1 - Fraction(ui)
+            exact = v - sum(p * v**k for k, p in zip(off.ks.tolist(), ps))
+            assert abs(Fraction(got) / exact - 1) < 1e-13
+
+
+def test_reaction_out_buffers():
+    off = LAWS["1,2,3"]
+    u = np.linspace(0.0, 1.0, 7)
+    out, work = np.empty_like(u), np.empty_like(u)
+    assert reaction(u, off, out=out, work=work) is out
+    assert np.array_equal(out, reaction(u, off))
 
 
 def test_fixed_points():
@@ -55,6 +88,46 @@ def test_step_stability_guard():
     state = FkppState(x=x, u=(x <= 0.5).astype(float), t=0.0, offspring=BINARY)
     with pytest.raises(ValueError):
         fkpp_step(state, 0.01)  # dx^2/2 = 0.005
+
+
+def test_stability_checked_after_dt_rederivation():
+    # round(0.0124 / 0.005) = 2 steps of 0.0062 > dx^2/2 = 0.005
+    with pytest.raises(ValueError, match="stability"):
+        solve_heaviside(
+            BINARY, 0.0124, x_min=-5.0, x_max=5.0, dx=0.1, dt=0.005, front_buffer=1.0
+        )
+
+
+def test_short_horizon_takes_one_step():
+    # t_end far below dt = dx^2/4 still integrates, in one step of t_end
+    kw = dict(x_min=-5.0, x_max=5.0, dx=0.05, front_buffer=1.0)
+    t_end = 1e-4
+    state = solve_heaviside(BINARY, t_end, **kw)
+    start = solve_heaviside(BINARY, 0.0, **kw)
+    assert state.t == t_end
+    assert not np.array_equal(state.u, start.u)
+    assert np.max(np.abs(state.u - fkpp_step(start, t_end).u)) <= 1e-15
+
+
+def test_negative_horizon_rejected():
+    with pytest.raises(ValueError):
+        solve_heaviside(BINARY, -1.0, x_min=-5.0, x_max=5.0, dx=0.1)
+
+
+@pytest.mark.parametrize("law", ["binary", "1,3"])
+def test_one_stepping_path(law):
+    # k fkpp_step calls and one solve to k dt agree; dx = 1/8 makes the
+    # grid, dt = dx^2/4 and k dt exact in binary
+    off, dx, k = LAWS[law], 0.125, 40
+    dt = dx * dx / 4.0
+    kw = dict(x_min=-5.0, x_max=5.0, dx=dx, front_buffer=1.0)
+    state = solve_heaviside(off, 0.0, **kw)
+    for _ in range(k):
+        state = fkpp_step(state, dt)
+    solved = solve_heaviside(off, k * dt, dt=dt, **kw)
+    assert state.t == solved.t
+    assert np.max(np.abs(state.u - solved.u)) <= 1e-15
+    assert 0.0 < state.u[len(state.u) // 2 + 5] < 1.0
 
 
 def test_heaviside_t0():

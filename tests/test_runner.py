@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from vsbbm import fkpp as fkpp_mod
 from vsbbm.runner import (
     ConfigError,
     load_config,
@@ -177,6 +178,41 @@ dir = {out}
     assert (out / "front.csv").exists()
     assert (out / "snapshot.csv").exists()
     assert report["front"] > 1.0
+
+
+def test_run_fkpp_single_solve_tails(tmp_path, monkeypatch):
+    text = """\
+[experiment]
+kind = fkpp
+t_end = 4
+dx = 0.1
+sigma_e_list = 1.5 2
+
+[output]
+dir = {out}
+"""
+    path, out = write_config(tmp_path, text)
+    cfg = load_config(path)
+    calls = []
+    solve = fkpp_mod.solve_heaviside
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(fkpp_mod, "solve_heaviside", counted)
+    report = run(cfg)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    for se_val in (1.5, 2.0):
+        est, diag = fkpp_mod.tail_constant(cfg.offspring, se_val, 4.0, dx=0.1)
+        got = report["tail_constants"][str(se_val)]
+        assert got["estimate"] == pytest.approx(est, rel=1e-9, abs=0)
+        assert got["value_at_half_horizon"] == pytest.approx(
+            diag["value_at_half_horizon"], rel=1e-9, abs=0
+        )
+    front = fkpp_mod.front_position(fkpp_mod.solve_heaviside(cfg.offspring, 4.0, dx=0.1))
+    assert report["front"] == pytest.approx(front, rel=1e-12)
 
 
 def test_run_tube(tmp_path):
