@@ -18,7 +18,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.stats import norm
 
-from vsbbm.genealogy import GenealogyTree, OffspringDistribution, sample_tree, tree_rng
+from vsbbm.genealogy import OffspringDistribution, run_replicates, sample_tree, seed_stream, tree_rng
 from vsbbm.sampler import ParticleConfiguration, sample_leaf_positions
 from vsbbm.speed import identity_profile
 
@@ -200,6 +200,20 @@ def collapse_bound(
     return 2.0 * K * sigma_e**-0.5 + 2.0 * K * val
 
 
+def _collapse_one(sigma_e_list, R, t, offspring, y_mode, seed, rep):
+    """Per sigma_e (index j): 1 if the spine sample of replicate ``rep``
+    puts more than one atom in [-R, inf), else 0."""
+    hits = []
+    for j, sigma_e in enumerate(sigma_e_list):
+        y = 0.0
+        if y_mode == "exponential":
+            y_rng = tree_rng(seed_stream(seed, rep, f"overshoot:{j}"))
+            y = float(y_rng.exponential(1.0 / (SQRT2 * sigma_e)))
+        real = spine_sample(sigma_e, y, t, offspring, seed=seed_stream(seed, rep, f"spine:{j}"))
+        hits.append(int(np.sum(real.atoms >= -R) > 1))
+    return hits
+
+
 def decoration_collapse_study(
     sigma_e_list,
     R: float,
@@ -210,6 +224,7 @@ def decoration_collapse_study(
     gamma: float = 0.75,
     y_mode: str = "zero",
     csv_path=None,
+    workers: int = 1,
 ) -> list[dict]:
     """Estimate P(more than one atom in [-R, inf)) per sigma_e via the spine
     sampler, together with the analytic integrand bound.
@@ -224,19 +239,12 @@ def decoration_collapse_study(
         raise ValueError("sigma_e list must be sorted ascending")
     if y_mode not in ("zero", "exponential"):
         raise ValueError(f"unknown y_mode {y_mode!r}")
+    hits = run_replicates(
+        _collapse_one, (sigma_e_list, R, t, offspring, y_mode, seed), replicates, workers
+    )
     rows = []
     for j, sigma_e in enumerate(sigma_e_list):
-        y_rng = tree_rng((seed << 8) + 2 * j)
-        hits = 0
-        for rep in range(replicates):
-            y = 0.0
-            if y_mode == "exponential":
-                y = float(y_rng.exponential(1.0 / (SQRT2 * sigma_e)))
-            real = spine_sample(
-                sigma_e, y, t, offspring, seed=(seed << 16) + (j << 12) + rep
-            )
-            hits += int(np.sum(real.atoms >= -R) > 1)
-        est = hits / replicates
+        est = sum(h[j] for h in hits) / replicates
         se = math.sqrt(est * (1.0 - est) / replicates)
         rows.append(
             {

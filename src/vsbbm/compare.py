@@ -8,14 +8,20 @@ reported so t-trends can be studied.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from vsbbm.extremal import centering
-from vsbbm.genealogy import GenealogyTree, OffspringDistribution, sample_tree, tree_rng
+from vsbbm.extremal import count_exceedances
+from vsbbm.genealogy import (
+    GenealogyTree,
+    OffspringDistribution,
+    run_replicates,
+    sample_tree,
+    seed_stream,
+    tree_rng,
+)
 from vsbbm.sampler import ParticleConfiguration, sample_leaf_positions
 from vsbbm.speed import EnvelopePair, SpeedProfile, blend
 
@@ -38,16 +44,15 @@ def coupled_sample(
     envelopes: EnvelopePair,
     t: float,
     seed: int,
-    rngs=None,
 ) -> CoupledTriple:
     """Sample the three fields on the same tree with independent Gaussian
-    streams (seed offsets 0/1/2 unless explicit generators are supplied)."""
+    streams: ``gauss:A``, ``gauss:upper`` and ``gauss:lower`` of replicate 0,
+    the keys ``collect_exceedances`` gives profiles of those names."""
     if abs(envelopes.t - t) > 1e-12:
         raise ValueError("envelope pair was built for a different horizon")
-    if rngs is None:
-        rngs = [tree_rng((seed << 2) + i) for i in range(3)]
     configs = []
-    for prof, rng in zip((profile, envelopes.upper, envelopes.lower), rngs):
+    for name, prof in (("A", profile), ("upper", envelopes.upper), ("lower", envelopes.lower)):
+        rng = tree_rng(seed_stream(seed, 0, f"gauss:{name}"))
         pos = sample_leaf_positions(tree, prof, t, rng)
         configs.append(
             ParticleConfiguration(tree=tree, profile=prof, horizon=t, leaf_positions=pos)
@@ -91,6 +96,17 @@ def _laplace_cells(counts_matrix, u_grid, c_grid):
     return out
 
 
+def _exceedances_one(offspring, profiles, t, u_grid, seed, rep):
+    tree = sample_tree(offspring, t, seed=seed_stream(seed, rep, "tree"))
+    rows = []
+    for name, prof in profiles.items():
+        rng = tree_rng(seed_stream(seed, rep, f"gauss:{name}"))
+        pos = sample_leaf_positions(tree, prof, t, rng)
+        config = ParticleConfiguration(tree=tree, profile=prof, horizon=t, leaf_positions=pos)
+        rows.append(count_exceedances(config, u_grid))
+    return rows
+
+
 def collect_exceedances(
     offspring: OffspringDistribution,
     profiles: dict[str, SpeedProfile],
@@ -98,23 +114,17 @@ def collect_exceedances(
     u_grid,
     replicates: int,
     seed: int,
+    workers: int = 1,
 ) -> dict[str, np.ndarray]:
     """Replicate exceedance-count matrices for several profiles coupled on
     shared trees (trees redrawn per replicate, Gaussians independent per
-    profile)."""
+    profile; the stream of profile ``name`` is ``"gauss:<name>"``)."""
     u_grid = np.asarray(u_grid, dtype=np.float64)
-    m = centering(t, "tilde")
-    names = list(profiles)
-    counts = {name: np.empty((replicates, len(u_grid)), dtype=np.int64) for name in names}
-    tree_stream = tree_rng((seed << 3) + 7)
-    gauss_streams = {name: tree_rng((seed << 3) + i) for i, name in enumerate(names)}
-    for rep in range(replicates):
-        tree = sample_tree(offspring, t, seed=0, rng=tree_stream)
-        for name in names:
-            pos = sample_leaf_positions(tree, profiles[name], t, gauss_streams[name])
-            centered = np.sort(pos - m)
-            counts[name][rep] = len(centered) - np.searchsorted(centered, u_grid, side="right")
-    return counts
+    rows = run_replicates(
+        _exceedances_one, (offspring, profiles, t, u_grid, seed), replicates, workers
+    )
+    counts = np.array(rows, dtype=np.int64).reshape(replicates, len(profiles), len(u_grid))
+    return {name: counts[:, i] for i, name in enumerate(profiles)}
 
 
 def sandwich_report(
@@ -172,9 +182,3 @@ def sandwich_report(
         "n_pass": int(n_pass),
         "n_se": n_se,
     }
-
-
-def write_report(report: dict, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -43,8 +43,6 @@ class ReplicateSummary:
     max_centered: float
     exceedance_counts: np.ndarray
     n_leaves: int
-    mckean_value: float | None = None
-    tube_violation: bool = False
 
 
 def count_exceedances(config: ParticleConfiguration, u_grid: np.ndarray) -> np.ndarray:
@@ -63,13 +61,11 @@ def extremal_atoms(config: ParticleConfiguration) -> np.ndarray:
     return np.sort(atoms)[::-1]
 
 
-def summarize(config: ParticleConfiguration, u_grid, mckean_value=None, tube_violation=False):
+def summarize(config: ParticleConfiguration, u_grid):
     return ReplicateSummary(
         max_centered=float(config.leaf_positions.max() - centering(config.horizon, "tilde")),
         exceedance_counts=count_exceedances(config, u_grid),
         n_leaves=config.n_leaves,
-        mckean_value=mckean_value,
-        tube_violation=tube_violation,
     )
 
 

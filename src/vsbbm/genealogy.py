@@ -8,8 +8,9 @@ at time t is e^t.
 
 from __future__ import annotations
 
-import json
+import hashlib
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -100,26 +101,43 @@ class GenealogyTree:
     def n_leaves(self) -> int:
         return len(self.leaf_ids)
 
-    def is_leaf(self, node: int) -> bool:
-        return self.n_offspring[node] == 0
-
-    def dump_jsonl(self, path) -> None:
-        """Debug dump: one JSON record per node."""
-        with open(path, "w") as fh:
-            for i in range(self.n_nodes):
-                rec = {
-                    "id": i,
-                    "parent": int(self.parent[i]),
-                    "birth": float(self.birth[i]),
-                    "death": float(self.death[i]),
-                    "n_children": int(self.n_offspring[i]),
-                }
-                fh.write(json.dumps(rec) + "\n")
-
 
 def tree_rng(seed: int) -> np.random.Generator:
     """Counter-based generator used for all tree and Gaussian draws."""
     return np.random.Generator(np.random.Philox(seed))
+
+
+def seed_stream(master: int, replicate: int, stream: str) -> int:
+    """Collision-resistant derived seed for (master, replicate, stream);
+    stable across versions (pure blake2b of the decimal-rendered triple).
+    Every per-replicate generator is ``tree_rng(seed_stream(...))``."""
+    msg = f"{master}:{replicate}:{stream}".encode()
+    return int.from_bytes(hashlib.blake2b(msg, digest_size=8).digest(), "big")
+
+
+def _run_chunk(fn, common, reps):
+    return [fn(*common, rep) for rep in reps]
+
+
+def run_replicates(fn, common: tuple, replicates: int, workers: int = 1) -> list:
+    """``[fn(*common, rep) for rep in range(replicates)]``, in replicate order.
+
+    With ``workers > 1`` strided chunks of replicate indices run in a
+    process pool, so ``fn`` and ``common`` must pickle.  Each replicate
+    draws only from streams keyed by its own index, which makes the result
+    independent of the worker count.
+    """
+    workers = min(workers, replicates)
+    if workers <= 1:
+        return _run_chunk(fn, common, range(replicates))
+    from concurrent.futures import ProcessPoolExecutor
+
+    out = [None] * replicates
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        chunks = [range(i, replicates, workers) for i in range(workers)]
+        for i, part in enumerate(pool.map(partial(_run_chunk, fn, common), chunks)):
+            out[i::workers] = part
+    return out
 
 
 def sample_tree(

@@ -1,10 +1,12 @@
-"""Experiment runner: config parsing, seed derivation, replicate pools,
-and deterministic artifact emission.
+"""Experiment runner: config parsing, the six experiment kinds, CLI and
+deterministic artifact emission.
 
 Configs are line-oriented ``key = value`` text with sections.  Every output
 carries the config hash and master seed; files are written to a temp path
 and atomically renamed, so an interrupted run never leaves corrupt
-artifacts.  Aggregation is order-fixed (by replicate index, exact
+artifacts.  Every Monte Carlo kind runs its replicates through
+``genealogy.run_replicates`` on streams ``tree_rng(seed_stream(seed,
+replicate, name))``; aggregation is order-fixed (by replicate index, exact
 summation), so results do not depend on the worker count.
 """
 
@@ -19,7 +21,6 @@ import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -30,7 +31,7 @@ from vsbbm import compare as compare_mod
 from vsbbm import fkpp as fkpp_mod
 from vsbbm import tube as tube_mod
 from vsbbm.extremal import centering, mckean_martingale, summarize
-from vsbbm.genealogy import OffspringDistribution, sample_tree, tree_rng
+from vsbbm.genealogy import OffspringDistribution, run_replicates, sample_tree, seed_stream, tree_rng
 from vsbbm.sampler import ParticleConfiguration, sample_leaf_positions
 from vsbbm.speed import (
     SpeedProfile,
@@ -63,13 +64,6 @@ _ALLOWED_KEYS = {
 
 class ConfigError(ValueError):
     pass
-
-
-def seed_stream(master: int, replicate: int, stream: str) -> int:
-    """Collision-resistant derived seed for (master, replicate, stream);
-    stable across versions (pure blake2b of the decimal-rendered triple)."""
-    msg = f"{master}:{replicate}:{stream}".encode()
-    return int.from_bytes(hashlib.blake2b(msg, digest_size=8).digest(), "big")
 
 
 def _float_list(text: str) -> list[float]:
@@ -147,6 +141,9 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
     kind = exp.get("kind")
     if kind not in KINDS:
         raise ConfigError(f"kind must be one of {KINDS}, got {kind!r}")
+    # every kind but fkpp averages replicates and estimates a standard error
+    if kind != "fkpp" and int(exp.get("replicates", "0")) < 2:
+        raise ConfigError(f"{kind} needs replicates >= 2")
     overrides = overrides or {}
 
     def pick(name, default=None, cast=str):
@@ -205,48 +202,20 @@ def _write_csv(path, header, rows) -> None:
 # ---------------------------------------------------------------------------
 # replicate workers (top-level so they pickle)
 
-def _simulate_batch(args):
-    seed, t, profile, offspring, u_grid, reps = args
-    out = []
-    for rep in reps:
-        tree = sample_tree(offspring, t, seed=seed_stream(seed, rep, "tree"))
-        pos = sample_leaf_positions(
-            tree, profile, t, tree_rng(seed_stream(seed, rep, "gauss"))
-        )
-        cfg = ParticleConfiguration(tree=tree, profile=profile, horizon=t, leaf_positions=pos)
-        s = summarize(cfg, u_grid)
-        out.append((rep, s.n_leaves, s.max_centered, s.exceedance_counts.tolist()))
-    return out
+def _simulate_one(seed, t, profile, offspring, u_grid, rep):
+    tree = sample_tree(offspring, t, seed=seed_stream(seed, rep, "tree"))
+    pos = sample_leaf_positions(tree, profile, t, tree_rng(seed_stream(seed, rep, "gauss")))
+    cfg = ParticleConfiguration(tree=tree, profile=profile, horizon=t, leaf_positions=pos)
+    s = summarize(cfg, u_grid)
+    return s.n_leaves, s.max_centered, s.exceedance_counts.tolist()
 
 
-def _martingale_batch(args):
-    seed, s_horizon, sigma_b, offspring, reps = args
+def _martingale_one(seed, s_horizon, sigma_b, offspring, rep):
     profile = identity_profile()
-    out = []
-    for rep in reps:
-        tree = sample_tree(offspring, s_horizon, seed=seed_stream(seed, rep, "tree"))
-        pos = sample_leaf_positions(
-            tree, profile, s_horizon, tree_rng(seed_stream(seed, rep, "gauss"))
-        )
-        cfg = ParticleConfiguration(
-            tree=tree, profile=profile, horizon=s_horizon, leaf_positions=pos
-        )
-        out.append((rep, mckean_martingale(cfg, sigma_b)))
-    return out
-
-
-def _run_batches(worker, common, replicates, workers):
-    """Dispatch replicate index chunks and return results sorted by index."""
-    reps = list(range(replicates))
-    if workers <= 1:
-        results = worker((*common, reps))
-    else:
-        chunks = [reps[i::workers] for i in range(workers)]
-        results = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(worker, [(*common, ch) for ch in chunks]):
-                results.extend(part)
-    return sorted(results, key=lambda r: r[0])
+    tree = sample_tree(offspring, s_horizon, seed=seed_stream(seed, rep, "tree"))
+    pos = sample_leaf_positions(tree, profile, s_horizon, tree_rng(seed_stream(seed, rep, "gauss")))
+    cfg = ParticleConfiguration(tree=tree, profile=profile, horizon=s_horizon, leaf_positions=pos)
+    return mckean_martingale(cfg, sigma_b)
 
 
 # ---------------------------------------------------------------------------
@@ -256,25 +225,25 @@ def _run_simulate(cfg: ExperimentConfig, out):
     t = float(cfg.params["t"])
     replicates = int(cfg.params["replicates"])
     u_grid = np.array(_float_list(cfg.params.get("u_grid", "-2 -1 0 1 2")))
-    rows = _run_batches(
-        _simulate_batch, (cfg.seed, t, cfg.profile, cfg.offspring, u_grid), replicates, cfg.workers
+    rows = run_replicates(
+        _simulate_one, (cfg.seed, t, cfg.profile, cfg.offspring, u_grid), replicates, cfg.workers
     )
     csv_rows = [
-        [rep, n, repr(mx)] + counts for rep, n, mx, counts in rows
+        [rep, n, repr(mx)] + counts for rep, (n, mx, counts) in enumerate(rows)
     ]
     _write_csv(
         out("summaries.csv"),
         ["replicate", "n_leaves", "max_centered"] + [f"N_u[{u}]" for u in u_grid],
         csv_rows,
     )
-    n_vals = [r[1] for r in rows]
-    max_vals = [r[2] for r in rows]
+    n_vals = [r[0] for r in rows]
+    max_vals = [r[1] for r in rows]
     report = {
         "t": t,
         "replicates": replicates,
         "mean_n_leaves": math.fsum(n_vals) / replicates,
         "mean_max_centered": math.fsum(max_vals) / replicates,
-        "centering_tilde": centering(t, "tilde") if t > 1 else None,
+        "centering_tilde": centering(t, "tilde"),
     }
     _write_json(out("report.json"), report)
     return report
@@ -284,14 +253,15 @@ def _run_martingale(cfg: ExperimentConfig, out):
     s_horizon = float(cfg.params["t"])
     sigma_b = float(cfg.params["sigma_b"])
     replicates = int(cfg.params["replicates"])
-    rows = _run_batches(
-        _martingale_batch, (cfg.seed, s_horizon, sigma_b, cfg.offspring), replicates, cfg.workers
+    vals = run_replicates(
+        _martingale_one, (cfg.seed, s_horizon, sigma_b, cfg.offspring), replicates, cfg.workers
     )
-    vals = [v for _, v in rows]
     mean = math.fsum(vals) / replicates
     var = math.fsum((v - mean) ** 2 for v in vals) / (replicates - 1)
     se = math.sqrt(var / replicates)
-    _write_csv(out("martingale.csv"), ["replicate", "Y"], [[r, repr(v)] for r, v in rows])
+    _write_csv(
+        out("martingale.csv"), ["replicate", "Y"], [[r, repr(v)] for r, v in enumerate(vals)]
+    )
     report = {
         "s": s_horizon,
         "sigma_b": sigma_b,
@@ -374,6 +344,7 @@ def _run_compare(cfg: ExperimentConfig, out):
         u_grid,
         replicates,
         cfg.seed,
+        workers=cfg.workers,
     )
     report = compare_mod.sandwich_report(
         counts["A"], counts["upper"], counts["lower"], u_grid, c_grid
@@ -398,6 +369,7 @@ def _run_cluster(cfg: ExperimentConfig, out):
         offspring=cfg.offspring,
         y_mode=cfg.params.get("y_mode", "zero"),
         csv_path=out("collapse.csv"),
+        workers=cfg.workers,
     )
     report = {"t": t, "R": big_r, "replicates": replicates, "rows": rows}
     _write_json(out("report.json"), report)

@@ -225,19 +225,15 @@ def flat_initial_extent(profile: SpeedProfile) -> float:
     return _sup_below(profile, 0.0)
 
 
-def _one_kink(slope0: float, slope1: float, kink: float, clamp: bool):
+def _one_kink_eval(slope0: float, slope1: float, kink: float, clamp: bool, x):
     """Continuous one-kink piecewise-linear function through (0, .) and (1, 1).
 
     First branch slope0*x up to the kink, second branch 1 + slope1*(x-1).
     With clamp=True the whole function is floored at 0, which keeps it
     monotone and in [0,1] when the raw first branch would dip negative.
     """
-
-    def f(x):
-        raw = np.where(x <= kink, slope0 * x, 1.0 + slope1 * (x - 1.0))
-        return np.maximum(raw, 0.0) if clamp else raw
-
-    return f
+    raw = np.where(x <= kink, slope0 * x, 1.0 + slope1 * (x - 1.0))
+    return np.maximum(raw, 0.0) if clamp else raw
 
 
 @dataclass(frozen=True)
@@ -296,13 +292,13 @@ def build_envelopes(profile: SpeedProfile, t: float) -> EnvelopePair:
         )
 
     upper = SpeedProfile(
-        func=_one_kink(slope0_up, slope1_up, kink_up, clamp=False),
+        func=partial(_one_kink_eval, slope0_up, slope1_up, kink_up, False),
         slope_at_0=slope0_up,
         slope_at_1=slope1_up,
         label="envelope_upper",
     )
     lower = SpeedProfile(
-        func=_one_kink(slope0_low, slope1_low, kink_low, clamp=True),
+        func=partial(_one_kink_eval, slope0_low, slope1_low, kink_low, True),
         slope_at_0=max(slope0_low, 0.0),
         slope_at_1=slope1_low,
         label="envelope_lower",
@@ -323,7 +319,7 @@ def build_envelopes_rho(profile: SpeedProfile, rho: float, t: float) -> SpeedPro
     slope0 = profile.slope_at_0 + profile.k1_upper / math.factorial(n) * d_less ** (n - 1)
     kink = (1.0 - rho) / (slope0 - rho)
     return SpeedProfile(
-        func=_one_kink(slope0, rho, kink, clamp=False),
+        func=partial(_one_kink_eval, slope0, rho, kink, False),
         slope_at_0=slope0,
         slope_at_1=rho,
         label="envelope_upper_rho",

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from vsbbm.extremal import centering
-from vsbbm.genealogy import sample_tree, tree_rng, OffspringDistribution
-from vsbbm.sampler import ParticleConfiguration, node_positions, sample_leaf_positions, skeleton_paths
+from vsbbm.genealogy import OffspringDistribution, run_replicates, sample_tree, seed_stream, tree_rng
+from vsbbm.sampler import node_positions, skeleton_paths
 from vsbbm.speed import SpeedProfile, sigma2
 
 SQRT2 = math.sqrt(2.0)
@@ -125,6 +125,25 @@ def first_moment_constant(d: float, t_grid=None) -> float:
     return float(vals.max())
 
 
+def _localization_one(offspring, profile, spec, level, n_steps, seed, rep):
+    """(violated, first violation time or "") for replicate ``rep``."""
+    t = spec.t
+    tree = sample_tree(offspring, t, seed=seed_stream(seed, rep, "tree"))
+    rng = tree_rng(seed_stream(seed, rep, "gauss"))
+    pos = node_positions(tree, profile, t, rng)
+    extreme = tree.leaf_ids[pos[tree.leaf_ids] > level]
+    if len(extreme) == 0:
+        return 0, ""
+    times, paths = skeleton_paths(tree, profile, t, pos, rng, n_steps, leaves=extreme)
+    for path in paths:
+        excess = tube_deviation(times, path, path[-1], spec, profile)
+        if np.any(excess >= 0):
+            sig = np.asarray(sigma2(profile, times, t))
+            window_times = times[(sig >= spec.r) & (sig <= t - spec.r)]
+            return 1, float(window_times[np.argmax(excess >= 0)])
+    return 0, ""
+
+
 def extreme_particle_localization(
     offspring: OffspringDistribution,
     profile: SpeedProfile,
@@ -142,35 +161,15 @@ def extreme_particle_localization(
     conditionally on the branch-time positions; this leaves the joint law
     exact while keeping the sweep cheap.
     """
-    t = spec.t
-    level = centering(t, "tilde") + d
-    rng = tree_rng(seed)
-    hits = 0
-    rows = []
-    for rep in range(replicates):
-        tree = sample_tree(offspring, t, seed=0, rng=rng)
-        pos = node_positions(tree, profile, t, rng)
-        leaf_pos = pos[tree.leaf_ids]
-        extreme = tree.leaf_ids[leaf_pos > level]
-        violated = False
-        first_time = ""
-        if len(extreme) > 0:
-            times, paths = skeleton_paths(tree, profile, t, pos, rng, n_steps, leaves=extreme)
-            for path in paths:
-                excess = tube_deviation(times, path, path[-1], spec, profile)
-                if np.any(excess >= 0):
-                    violated = True
-                    sig = np.asarray(sigma2(profile, times, t))
-                    window_times = times[(sig >= spec.r) & (sig <= t - spec.r)]
-                    first_time = float(window_times[np.argmax(excess >= 0)])
-                    break
-        hits += violated
-        rows.append((rep, int(violated), first_time))
+    level = centering(spec.t, "tilde") + d
+    rows = run_replicates(
+        _localization_one, (offspring, profile, spec, level, n_steps, seed), replicates
+    )
     if report_csv is not None:
         with open(report_csv, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["replicate", "violated", "first_violation_time"])
-            w.writerows(rows)
-    rate = hits / replicates
+            w.writerows((rep, *row) for rep, row in enumerate(rows))
+    rate = sum(v for v, _ in rows) / replicates
     se = math.sqrt(rate * (1.0 - rate) / replicates)
     return rate, se

@@ -1,9 +1,11 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.stats import chisquare, norm
 
+from vsbbm import cluster as cluster_mod
 from vsbbm.cluster import (
     acceptance_estimate,
     collapse_bound,
@@ -149,6 +151,20 @@ def test_decoration_collapse_study(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "sigma_e,estimate,std_error,analytic_bound"
     assert len(lines) == 4
+
+
+def test_decoration_collapse_study_distinct_spine_seeds(monkeypatch):
+    # 4097 replicates cross the 2**12 stride of a shifted-integer seed layout
+    seeds = []
+
+    def stub(sigma_e, y, t, offspring, seed):
+        seeds.append(seed)
+        return SimpleNamespace(atoms=np.array([y]))
+
+    monkeypatch.setattr(cluster_mod, "spine_sample", stub)
+    decoration_collapse_study([1.2, 1.5], R=2.0, t=3.0, replicates=4097, seed=0)
+    assert len(seeds) == 2 * 4097
+    assert len(set(seeds)) == 2 * 4097
 
 
 def test_decoration_collapse_study_validation():

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -9,9 +8,9 @@ from vsbbm.compare import (
     coupled_sample,
     interpolate,
     sandwich_report,
-    write_report,
 )
-from vsbbm.genealogy import OffspringDistribution, mrca, sample_tree
+from vsbbm.extremal import count_exceedances
+from vsbbm.genealogy import OffspringDistribution, mrca, sample_tree, seed_stream
 from vsbbm.speed import build_envelopes, from_function, identity_profile, two_speed
 
 BINARY = OffspringDistribution.binary()
@@ -121,6 +120,22 @@ def test_collect_exceedances_shapes_and_determinism():
         assert np.all(np.diff(c1[name], axis=1) <= 0)
 
 
+def test_coupled_sample_keys_match_collect_exceedances():
+    # replicate 0 of collect_exceedances draws what coupled_sample draws
+    t, u = 5.0, [-1.0, 0.0, 1.0]
+    prof = power2_profile()
+    env = build_envelopes(prof, t)
+    counts = collect_exceedances(
+        BINARY, {"A": prof, "upper": env.upper, "lower": env.lower}, t, u, 1, seed=42
+    )
+    tree = sample_tree(BINARY, t, seed=seed_stream(42, 0, "tree"))
+    triple = coupled_sample(tree, prof, env, t, seed=42)
+    for name, config in (
+        ("A", triple.config_a), ("upper", triple.config_upper), ("lower", triple.config_lower)
+    ):
+        assert np.array_equal(counts[name][0], count_exceedances(config, u))
+
+
 def test_sandwich_report_identical_inputs():
     u, c = [-1.0, 0.0], [0.5, 2.0]
     counts = collect_exceedances(BINARY, {"a": identity_profile()}, 4.0, u, 200, seed=3)["a"]
@@ -154,14 +169,3 @@ def test_sandwich_report_validation():
     counts = collect_exceedances(BINARY, {"a": identity_profile()}, 4.0, u, 50, seed=3)["a"]
     with pytest.raises(ValueError):
         sandwich_report(counts, counts[:20], counts, u, [1.0])
-
-
-def test_write_report_roundtrip(tmp_path):
-    u = [0.0]
-    counts = collect_exceedances(BINARY, {"a": identity_profile()}, 4.0, u, 50, seed=3)["a"]
-    report = sandwich_report(counts, counts, counts, u, [1.0])
-    path = tmp_path / "report.json"
-    write_report(report, path)
-    again = json.loads(path.read_text())
-    assert again["n_cells"] == report["n_cells"]
-    assert again["cells"][0]["L_A"] == report["cells"][0]["L_A"]

@@ -193,9 +193,7 @@ def test_mckean_domain_checks():
 def test_summarize_fields():
     u = np.array([-1.0, 0.0])
     cfg = make_config(seed=33)
-    s = summarize(cfg, u, mckean_value=0.9, tube_violation=True)
+    s = summarize(cfg, u)
     m = centering(cfg.horizon, "tilde")
     assert s.max_centered == pytest.approx(float(cfg.leaf_positions.max() - m))
     assert s.n_leaves == cfg.n_leaves
-    assert s.mckean_value == 0.9
-    assert s.tube_violation is True

@@ -181,15 +181,3 @@ def test_yule_law_chisquare():
     probs.append(1.0 - sum(probs))
     stat, pval = chisquare(observed, [reps * q for q in probs])
     assert pval > 0.01
-
-
-def test_dump_jsonl(tmp_path):
-    import json
-
-    tree = sample_tree(BINARY, 2.0, seed=9)
-    path = tmp_path / "tree.jsonl"
-    tree.dump_jsonl(path)
-    recs = [json.loads(line) for line in path.read_text().splitlines()]
-    assert len(recs) == tree.n_nodes
-    assert recs[0]["parent"] == -1
-    assert all(r["n_children"] in (0, 2) for r in recs)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -35,6 +36,38 @@ t = 3
 sigma_b = 0.3
 replicates = 300
 seed = 11
+
+[output]
+dir = {out}
+"""
+
+
+COMPARE_CONFIG = """\
+[experiment]
+kind = compare
+t = 5
+replicates = 30
+u_grid = -2 0 2
+c_grid = 0.5 2
+seed = 3
+
+[profile]
+kind = power
+exponent = 2
+
+[output]
+dir = {out}
+"""
+
+CLUSTER_CONFIG = """\
+[experiment]
+kind = cluster
+t = 3
+replicates = 30
+sigma_e_list = 1.2 1.5
+R = 2
+y_mode = exponential
+seed = 4
 
 [output]
 dir = {out}
@@ -141,18 +174,20 @@ def test_run_simulate_artifacts_and_determinism(tmp_path):
     assert set(manifest["files"]) == {"report.json", "summaries.csv"}
 
 
-def test_run_worker_count_independence(tmp_path):
+@pytest.mark.parametrize(
+    "text",
+    [SIM_CONFIG, COMPARE_CONFIG, CLUSTER_CONFIG],
+    ids=["simulate", "compare", "cluster"],
+)
+def test_run_worker_count_independence(tmp_path, text):
     outs = []
     for name, workers in (("w1", 1), ("w2", 2)):
         out = tmp_path / name
-        path, _ = write_config(tmp_path, SIM_CONFIG, name=f"{name}.ini", out=out)
+        path, _ = write_config(tmp_path, text, name=f"{name}.ini", out=out)
         cfg = load_config(path, overrides={"workers": workers})
         run(cfg)
-        outs.append(json.loads((out / "report.json").read_text()))
-    assert outs[0]["mean_n_leaves"] == pytest.approx(outs[1]["mean_n_leaves"], abs=1e-12)
-    assert outs[0]["mean_max_centered"] == pytest.approx(
-        outs[1]["mean_max_centered"], abs=1e-12
-    )
+        outs.append((out / "report.json").read_bytes())
+    assert outs[0] == outs[1]
 
 
 def test_run_martingale_mean_near_one(tmp_path):
@@ -291,6 +326,21 @@ def test_main_structured_error_on_bad_config(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigError"
     assert "wat" in err["message"]
+
+
+@pytest.mark.parametrize(
+    "kind,text,replicates",
+    [("simulate", SIM_CONFIG, 0), ("martingale", MART_CONFIG, 1)],
+    ids=["simulate", "martingale"],
+)
+def test_main_rejects_too_few_replicates(tmp_path, capsys, kind, text, replicates):
+    text = re.sub(r"replicates = \d+", f"replicates = {replicates}", text)
+    path, out = write_config(tmp_path, text)
+    assert main([kind, "--config", str(path)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert "replicates" in err["message"]
+    assert not out.exists()
 
 
 def test_main_out_override(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -210,6 +211,15 @@ def test_envelopes_pure():
     assert np.array_equal(a.upper(x), b.upper(x))
     assert np.array_equal(a.lower(x), b.lower(x))
     assert a.kink_upper == b.kink_upper
+
+
+def test_envelopes_pickle():
+    # envelope profiles cross process pools (compare with workers > 1)
+    pair = build_envelopes(power2_profile(), 10.0)
+    again = pickle.loads(pickle.dumps(pair))
+    x = np.linspace(0, 1, 777)
+    assert np.array_equal(again.upper(x), pair.upper(x))
+    assert np.array_equal(again.lower(x), pair.lower(x))
 
 
 def test_monotonicity_check_rejects_wiggle():
