@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.stats import norm
 
 from vsbbm.genealogy import OffspringDistribution, run_replicates, sample_tree, seed_stream, tree_rng
 from vsbbm.sampler import ParticleConfiguration, sample_leaf_positions
@@ -48,7 +46,7 @@ def acceptance_estimate(sigma_e: float, t: float) -> float:
     """First-moment estimate e^t P(N(0,t) > sqrt2 sigma_e t) of the
     rejection acceptance probability."""
     level = SQRT2 * sigma_e * t
-    return math.exp(t) * float(norm.sf(level / math.sqrt(t)))
+    return math.exp(t) * 0.5 * math.erfc(level / math.sqrt(2.0 * t))
 
 
 def conditioned_sample(
@@ -190,6 +188,8 @@ def collapse_bound(
 ) -> float:
     """Analytic bound 2K sigma_e^{-1/2} + 2K int e^{(1-sigma_e^2)s +
     sqrt2 sigma_e (R + (sigma_e s)^gamma)} ds on the multi-atom probability."""
+    from scipy.integrate import quad
+
     a = 1.0 - sigma_e**2
     b = SQRT2 * sigma_e
 
@@ -212,6 +212,10 @@ def _collapse_one(sigma_e_list, R, t, offspring, y_mode, seed, rep):
         real = spine_sample(sigma_e, y, t, offspring, seed=seed_stream(seed, rep, f"spine:{j}"))
         hits.append(int(np.sum(real.atoms >= -R) > 1))
     return hits
+
+
+def _collapse(sigma_e_list, R, t, offspring, y_mode, seed, reps):
+    return [_collapse_one(sigma_e_list, R, t, offspring, y_mode, seed, rep) for rep in reps]
 
 
 def decoration_collapse_study(
@@ -240,7 +244,7 @@ def decoration_collapse_study(
     if y_mode not in ("zero", "exponential"):
         raise ValueError(f"unknown y_mode {y_mode!r}")
     hits = run_replicates(
-        _collapse_one, (sigma_e_list, R, t, offspring, y_mode, seed), replicates, workers
+        _collapse, (sigma_e_list, R, t, offspring, y_mode, seed), replicates, workers
     )
     rows = []
     for j, sigma_e in enumerate(sigma_e_list):

@@ -107,6 +107,10 @@ def _exceedances_one(offspring, profiles, t, u_grid, seed, rep):
     return rows
 
 
+def _exceedances(offspring, profiles, t, u_grid, seed, reps):
+    return [_exceedances_one(offspring, profiles, t, u_grid, seed, rep) for rep in reps]
+
+
 def collect_exceedances(
     offspring: OffspringDistribution,
     profiles: dict[str, SpeedProfile],
@@ -121,7 +125,7 @@ def collect_exceedances(
     profile; the stream of profile ``name`` is ``"gauss:<name>"``)."""
     u_grid = np.asarray(u_grid, dtype=np.float64)
     rows = run_replicates(
-        _exceedances_one, (offspring, profiles, t, u_grid, seed), replicates, workers
+        _exceedances, (offspring, profiles, t, u_grid, seed), replicates, workers
     )
     counts = np.array(rows, dtype=np.int64).reshape(replicates, len(profiles), len(u_grid))
     return {name: counts[:, i] for i, name in enumerate(profiles)}

@@ -12,9 +12,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from vsbbm.sampler import ParticleConfiguration
+from vsbbm.speed import SpeedProfile
 
 SQRT2 = math.sqrt(2.0)
 
@@ -93,21 +93,69 @@ def empirical_laplace(
     return mean, math.sqrt(var / n)
 
 
+def forest_summaries(
+    leaf_tree: np.ndarray, leaf_positions: np.ndarray, n_trees: int, t: float, u_grid
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-tree statistics of the leaves of a forest, by segmented
+    reductions: n_leaves and max_centered of shape (n_trees,), and the
+    exceedance counts N_u of shape (n_trees, len(u_grid)).  ``leaf_tree``
+    gives the tree of each leaf; row r equals ``summarize`` of tree r
+    alone, bit for bit."""
+    u_grid = np.asarray(u_grid, dtype=np.float64)
+    if np.any(np.diff(u_grid) < 0):
+        raise ValueError("u_grid must be sorted ascending")
+    n_leaves = np.bincount(leaf_tree, minlength=n_trees)
+    top = np.full(n_trees, -np.inf)
+    np.maximum.at(top, leaf_tree, leaf_positions)
+    m = centering(t, "tilde")
+    centered = leaf_positions - m
+    counts = np.empty((n_trees, len(u_grid)), dtype=np.int64)
+    for j, u in enumerate(u_grid):
+        counts[:, j] = np.bincount(leaf_tree[centered > u], minlength=n_trees)
+    return n_leaves, top - m, counts
+
+
+def _check_identity(profile: SpeedProfile) -> None:
+    """The martingale is one of standard BBM: the profile must equal x on
+    [0, 1], whatever its label."""
+    grid = np.linspace(0.0, 1.0, 257)
+    if not np.allclose(profile(grid), grid, rtol=0.0, atol=1e-12):
+        raise ValueError("McKean martingale is defined for standard BBM (identity profile)")
+
+
+def forest_mckean(
+    leaf_tree: np.ndarray,
+    leaf_positions: np.ndarray,
+    n_trees: int,
+    profile: SpeedProfile,
+    s: float,
+    sigma_b: float,
+) -> np.ndarray:
+    """``mckean_martingale`` of every tree of a forest at time s: a segmented
+    max and log-sum-exp over the leaves, ``leaf_tree`` giving each leaf's
+    tree.  ``profile`` is the one the positions were sampled with."""
+    _check_identity(profile)
+    if sigma_b < 0:
+        raise ValueError("sigma_b must be nonnegative")
+    if sigma_b >= 1:
+        warnings.warn("sigma_b >= 1: martingale is not uniformly integrable", stacklevel=3)
+    exponents = -s * (1.0 + sigma_b**2) + SQRT2 * sigma_b * leaf_positions
+    top = np.full(n_trees, -np.inf)
+    np.maximum.at(top, leaf_tree, exponents)
+    total = np.bincount(leaf_tree, weights=np.exp(exponents - top[leaf_tree]), minlength=n_trees)
+    return np.exp(top + np.log(total))
+
+
 def mckean_martingale(config: ParticleConfiguration, sigma_b: float) -> float:
     """Exponential additive martingale of standard BBM at time s:
 
         Y = sum_i exp(-s (1 + sigma_b^2) + sqrt(2) sigma_b x_i(s)),
 
-    computed with log-sum-exp.  Requires a configuration sampled with the
-    identity profile; sigma_b >= 1 is allowed but flagged (the martingale
-    is not uniformly integrable there).
+    computed with log-sum-exp.  Requires a configuration sampled with a
+    profile equal to the identity; sigma_b >= 1 is allowed but flagged (the
+    martingale is not uniformly integrable there).
     """
-    if config.profile.label != "identity":
-        raise ValueError("McKean martingale is defined for standard BBM (identity profile)")
-    if sigma_b < 0:
-        raise ValueError("sigma_b must be nonnegative")
-    if sigma_b >= 1:
-        warnings.warn("sigma_b >= 1: martingale is not uniformly integrable", stacklevel=2)
-    s = config.horizon
-    exponents = -s * (1.0 + sigma_b**2) + SQRT2 * sigma_b * config.leaf_positions
-    return float(np.exp(logsumexp(exponents)))
+    one_tree = np.zeros(config.n_leaves, dtype=np.intp)
+    return float(
+        forest_mckean(one_tree, config.leaf_positions, 1, config.profile, config.horizon, sigma_b)[0]
+    )

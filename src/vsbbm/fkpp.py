@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import diags
-from scipy.sparse.linalg import factorized
 
 from vsbbm.genealogy import OffspringDistribution
 
@@ -143,6 +141,9 @@ def front_position(state: FkppState, level: float = 0.5) -> float:
 
 def _cn_solver(n: int, dx: float, dt: float):
     """Factorized Crank-Nicolson diffusion operator on the interior."""
+    from scipy.sparse import diags
+    from scipy.sparse.linalg import factorized
+
     r = dt / (2.0 * dx * dx) * 0.5  # 0.5 from the 1/2 diffusion coefficient
     main = np.full(n, 1.0 + 2.0 * r)
     off = np.full(n - 1, -r)

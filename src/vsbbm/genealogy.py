@@ -1,9 +1,10 @@
 """Continuous-time Galton-Watson trees.
 
 Trees are sampled generation by generation into flat numpy arrays so that
-populations of ~1e7 nodes stay cheap to build and to query.  The branching
-rate is fixed at 1 and the offspring mean at 2, so the expected population
-at time t is e^t.
+populations of ~1e7 nodes stay cheap to build and to query.  Many small
+trees grow together as a forest, one wave loop for all of them, each on
+its own generator.  The branching rate is fixed at 1 and the offspring mean
+at 2, so the expected population at time t is e^t.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ class OffspringDistribution:
     # coefficients of g(v) = sum_j P(K >= j+2) v^j, lowest power first: the
     # F-KPP reaction (1-u) - sum_k p_k (1-u)^k equals u v g(v), v = 1-u
     reaction_coefficients: np.ndarray = field(init=False, repr=False)
+    cdf: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         ks = np.asarray(self.ks, dtype=np.int64)
@@ -61,6 +63,8 @@ class OffspringDistribution:
         object.__setattr__(self, "second_factorial_moment", float((ks * (ks - 1)) @ ps))
         p_at_least = np.cumsum(np.bincount(ks, weights=ps, minlength=3)[::-1])[::-1]
         object.__setattr__(self, "reaction_coefficients", p_at_least[2:])
+        cdf = ps.cumsum()
+        object.__setattr__(self, "cdf", cdf / cdf[-1])
 
     @property
     def K(self) -> float:
@@ -71,9 +75,10 @@ class OffspringDistribution:
         return cls(np.array([2]), np.array([1.0]))
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        if len(self.ks) == 1:
-            return np.full(size, self.ks[0], dtype=np.int64)
-        return rng.choice(self.ks, size=size, p=self.ps)
+        """``size`` offspring counts, by inverse CDF on ``rng.random(size)``:
+        the draws and arithmetic of ``rng.choice(ks, size, p=ps)`` without
+        its per-call validation of p."""
+        return self.ks[self.cdf.searchsorted(rng.random(size), side="right")]
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,29 +120,149 @@ def seed_stream(master: int, replicate: int, stream: str) -> int:
     return int.from_bytes(hashlib.blake2b(msg, digest_size=8).digest(), "big")
 
 
-def _run_chunk(fn, common, reps):
-    return [fn(*common, rep) for rep in reps]
-
-
 def run_replicates(fn, common: tuple, replicates: int, workers: int = 1) -> list:
-    """``[fn(*common, rep) for rep in range(replicates)]``, in replicate order.
+    """``fn(*common, range(replicates))``: one result per replicate, in
+    replicate order.
 
-    With ``workers > 1`` strided chunks of replicate indices run in a
-    process pool, so ``fn`` and ``common`` must pickle.  Each replicate
-    draws only from streams keyed by its own index, which makes the result
-    independent of the worker count.
+    ``fn`` takes a range of replicate indices and returns a list with one
+    result per index.  With ``workers > 1`` strided ranges run in a process
+    pool, so ``fn`` and ``common`` must pickle.  Each replicate draws only
+    from streams keyed by its own index, which makes the result independent
+    of the worker count and of how ``fn`` groups the indices it is given.
     """
     workers = min(workers, replicates)
     if workers <= 1:
-        return _run_chunk(fn, common, range(replicates))
+        return fn(*common, range(replicates))
     from concurrent.futures import ProcessPoolExecutor
 
     out = [None] * replicates
     with ProcessPoolExecutor(max_workers=workers) as pool:
         chunks = [range(i, replicates, workers) for i in range(workers)]
-        for i, part in enumerate(pool.map(partial(_run_chunk, fn, common), chunks)):
+        for i, part in enumerate(pool.map(partial(fn, *common), chunks)):
             out[i::workers] = part
     return out
+
+
+@dataclass(frozen=True, eq=False)
+class Forest:
+    """Trees of several replicates, grown in one wave loop.
+
+    ``nodes`` holds the nodes of every tree, wave-major: wave w of all trees
+    is ``nodes.wave_starts[w]:nodes.wave_starts[w + 1]``, nodes
+    ``0..n_trees-1`` are the roots and parents are global node indices.
+    Within a wave the nodes of tree r are contiguous and precede those of
+    tree r + 1, so tree r's nodes in index order are the breadth-first
+    order ``sample_tree`` gives that tree alone.
+    """
+
+    nodes: GenealogyTree
+    wave_sizes: np.ndarray  # (waves, n_trees): nodes of each tree per wave
+
+    @property
+    def n_trees(self) -> int:
+        return self.wave_sizes.shape[1]
+
+    @property
+    def tree_sizes(self) -> np.ndarray:
+        return self.wave_sizes.sum(axis=0)
+
+    @property
+    def tree_id(self) -> np.ndarray:
+        """The tree of every node."""
+        waves = len(self.wave_sizes)
+        return np.tile(np.arange(self.n_trees), waves).repeat(self.wave_sizes.ravel())
+
+
+def sample_forest(
+    offspring: OffspringDistribution,
+    t: float,
+    rngs: list,
+    node_cap: int = DEFAULT_NODE_CAP,
+) -> Forest:
+    """Grow one Galton-Watson tree with Exp(1) lifetimes up to horizon t per
+    generator in ``rngs``, all in one wave loop.
+
+    Tree r draws only from ``rngs[r]`` and makes the calls of a tree grown
+    alone: per wave, the lifetimes of its nodes, then, for a law with more
+    than one support point, the offspring counts of those that die before
+    t.  Its draws therefore do not depend on the other trees.  Raises
+    PopulationCapError instead of silently truncating when any one tree
+    would exceed node_cap nodes.
+    """
+    if t <= 0:
+        raise ValueError("horizon t must be positive")
+    n_trees = len(rngs)
+    # a single-support law fixes every offspring count and draws none
+    fixed_k = int(offspring.ks[0]) if len(offspring.ks) == 1 else 0
+
+    births: list[np.ndarray] = []
+    deaths: list[np.ndarray] = []
+    parents: list[np.ndarray] = []
+    internal_ids: list[np.ndarray] = []
+    offspring_counts: list[np.ndarray] = []
+    wave_sizes: list[list[int]] = []  # nodes of each tree, per wave
+    wave_starts = [0]
+
+    birth = np.zeros(n_trees)
+    parent = np.full(n_trees, -1, dtype=np.int64)
+    # the nodes of tree r in the current wave are bounds[r]:bounds[r + 1]
+    bounds = np.arange(n_trees + 1)
+    while len(birth):
+        b = bounds.tolist()
+        sizes = [hi - lo for lo, hi in zip(b, b[1:])]
+        wave_sizes.append(sizes)
+        offset = wave_starts[-1]
+        wave_starts.append(offset + b[-1])
+        # the forest's node count bounds every tree's
+        if wave_starts[-1] > node_cap:
+            per_tree = np.sum(wave_sizes, axis=0)
+            if per_tree.max() > node_cap:
+                raise PopulationCapError(
+                    f"population of tree {int(per_tree.argmax())} exceeded "
+                    f"node cap {node_cap} at horizon {t}"
+                )
+        death = _join([rng.exponential(size=m) for rng, m in zip(rngs, sizes) if m])
+        death += birth
+        idx = (death < t).nonzero()[0]
+        np.minimum(death, t, out=death)
+        int_bounds = idx.searchsorted(bounds)
+        if fixed_k:
+            k = fixed_k
+            bounds = fixed_k * int_bounds
+        else:
+            c = int_bounds.tolist()
+            draws = [offspring.sample(rng, hi - lo) for rng, lo, hi in zip(rngs, c, c[1:]) if hi > lo]
+            k = _join(draws) if draws else idx  # idx is empty here
+            csum = np.zeros(len(k) + 1, dtype=np.int64)
+            k.cumsum(out=csum[1:])
+            bounds = csum[int_bounds]
+            offspring_counts.append(k)
+        births.append(birth)
+        deaths.append(death)
+        parents.append(parent)
+
+        # spawn the next wave
+        birth = death[idx].repeat(k)
+        idx += offset
+        parent = idx.repeat(k)
+        internal_ids.append(idx)
+
+    n_off = np.zeros(wave_starts[-1], dtype=np.int64)
+    n_off[np.concatenate(internal_ids)] = fixed_k if fixed_k else _join(offspring_counts)
+    nodes = GenealogyTree(
+        horizon=t,
+        birth=_join(births),
+        death=_join(deaths),
+        parent=_join(parents),
+        n_offspring=n_off,
+        wave_starts=np.asarray(wave_starts, dtype=np.int64),
+        leaf_ids=(n_off == 0).nonzero()[0],
+    )
+    return Forest(nodes=nodes, wave_sizes=np.array(wave_sizes))
+
+
+def _join(parts: list[np.ndarray]) -> np.ndarray:
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def sample_tree(
@@ -147,70 +272,16 @@ def sample_tree(
     node_cap: int = DEFAULT_NODE_CAP,
     rng: np.random.Generator | None = None,
 ) -> GenealogyTree:
-    """Sample a Galton-Watson tree with Exp(1) lifetimes up to horizon t.
+    """Sample a Galton-Watson tree with Exp(1) lifetimes up to horizon t:
+    the forest of the one generator ``rng``, or ``tree_rng(seed)`` when
+    ``rng`` is not given.
 
     Deterministic given the seed: lifetimes and offspring counts are drawn
     wave by wave in node-index order.  Raises PopulationCapError instead of
     silently truncating when node_cap is exceeded.
     """
-    if t <= 0:
-        raise ValueError("horizon t must be positive")
-    if rng is None:
-        rng = tree_rng(seed)
-
-    births: list[np.ndarray] = []
-    deaths: list[np.ndarray] = []
-    parents: list[np.ndarray] = []
-    offspring_counts: list[np.ndarray] = []
-    wave_starts = [0]
-
-    cur_birth = np.zeros(1)
-    cur_parent = np.full(1, -1, dtype=np.int64)
-    total = 0
-    while len(cur_birth) > 0:
-        m = len(cur_birth)
-        total += m
-        if total > node_cap:
-            raise PopulationCapError(
-                f"population exceeded node cap {node_cap} at horizon {t}"
-            )
-        lifetime = rng.exponential(size=m)
-        death = cur_birth + lifetime
-        survives = death >= t
-        death = np.where(survives, t, death)
-        k = np.zeros(m, dtype=np.int64)
-        n_internal = int((~survives).sum())
-        if n_internal:
-            k[~survives] = offspring.sample(rng, n_internal)
-
-        births.append(cur_birth)
-        deaths.append(death)
-        parents.append(cur_parent)
-        offspring_counts.append(k)
-
-        # spawn the next wave
-        wave_offset = wave_starts[-1]
-        internal_idx = np.nonzero(~survives)[0] + wave_offset
-        child_parent = np.repeat(internal_idx, k[~survives])
-        child_birth = np.repeat(death[~survives], k[~survives])
-        wave_starts.append(wave_offset + m)
-        cur_birth = child_birth
-        cur_parent = child_parent
-
-    birth = np.concatenate(births)
-    death = np.concatenate(deaths)
-    parent = np.concatenate(parents)
-    n_off = np.concatenate(offspring_counts)
-    leaf_ids = np.nonzero(n_off == 0)[0]
-    return GenealogyTree(
-        horizon=t,
-        birth=birth,
-        death=death,
-        parent=parent,
-        n_offspring=n_off,
-        wave_starts=np.asarray(wave_starts, dtype=np.int64),
-        leaf_ids=leaf_ids,
-    )
+    rngs = [tree_rng(seed) if rng is None else rng]
+    return sample_forest(offspring, t, rngs, node_cap).nodes
 
 
 def _check_leaf(tree: GenealogyTree, node: int) -> None:

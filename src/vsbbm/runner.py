@@ -30,9 +30,18 @@ from vsbbm import cluster as cluster_mod
 from vsbbm import compare as compare_mod
 from vsbbm import fkpp as fkpp_mod
 from vsbbm import tube as tube_mod
-from vsbbm.extremal import centering, mckean_martingale, summarize
-from vsbbm.genealogy import OffspringDistribution, run_replicates, sample_tree, seed_stream, tree_rng
-from vsbbm.sampler import ParticleConfiguration, sample_leaf_positions
+from vsbbm.extremal import centering, forest_mckean, forest_summaries
+# sample_tree is not called here; the benchmark's trace (perfbench/) patches
+# and calls it as ``vsbbm.runner.sample_tree``
+from vsbbm.genealogy import (  # noqa: F401
+    OffspringDistribution,
+    run_replicates,
+    sample_forest,
+    sample_tree,
+    seed_stream,
+    tree_rng,
+)
+from vsbbm.sampler import forest_leaf_positions
 from vsbbm.speed import (
     SpeedProfile,
     build_envelopes,
@@ -202,20 +211,39 @@ def _write_csv(path, header, rows) -> None:
 # ---------------------------------------------------------------------------
 # replicate workers (top-level so they pickle)
 
-def _simulate_one(seed, t, profile, offspring, u_grid, rep):
-    tree = sample_tree(offspring, t, seed=seed_stream(seed, rep, "tree"))
-    pos = sample_leaf_positions(tree, profile, t, tree_rng(seed_stream(seed, rep, "gauss")))
-    cfg = ParticleConfiguration(tree=tree, profile=profile, horizon=t, leaf_positions=pos)
-    s = summarize(cfg, u_grid)
-    return s.n_leaves, s.max_centered, s.exceedance_counts.tolist()
+# Nodes per forest batch.  A tree has 2e^t - 1 nodes on average, so a batch
+# holds about 55 trees at t = 5 and one from t = 9.1 on.  The budget bounds
+# memory only: every replicate draws from its own streams.
+FOREST_NODE_BUDGET = 2**14
 
 
-def _martingale_one(seed, s_horizon, sigma_b, offspring, rep):
+def _forests(seed, t, profile, offspring, reps):
+    """Per batch of the replicates ``reps``: the tree of each leaf, the leaf
+    positions and the batch size, on each replicate's ``tree`` and
+    ``gauss`` streams."""
+    size = max(1, int(FOREST_NODE_BUDGET / (2.0 * math.exp(t))))
+    for i in range(0, len(reps), size):
+        batch = reps[i : i + size]
+        forest = sample_forest(offspring, t, [tree_rng(seed_stream(seed, r, "tree")) for r in batch])
+        gauss = [tree_rng(seed_stream(seed, r, "gauss")) for r in batch]
+        pos = forest_leaf_positions(forest, profile, t, gauss)
+        yield forest.tree_id[forest.nodes.leaf_ids], pos, len(batch)
+
+
+def _simulate_replicates(seed, t, profile, offspring, u_grid, reps):
+    rows = []
+    for leaf_tree, pos, n in _forests(seed, t, profile, offspring, reps):
+        n_leaves, top, counts = forest_summaries(leaf_tree, pos, n, t, u_grid)
+        rows += zip(n_leaves.tolist(), top.tolist(), counts.tolist())
+    return rows
+
+
+def _martingale_replicates(seed, s_horizon, sigma_b, offspring, reps):
     profile = identity_profile()
-    tree = sample_tree(offspring, s_horizon, seed=seed_stream(seed, rep, "tree"))
-    pos = sample_leaf_positions(tree, profile, s_horizon, tree_rng(seed_stream(seed, rep, "gauss")))
-    cfg = ParticleConfiguration(tree=tree, profile=profile, horizon=s_horizon, leaf_positions=pos)
-    return mckean_martingale(cfg, sigma_b)
+    vals = []
+    for leaf_tree, pos, n in _forests(seed, s_horizon, profile, offspring, reps):
+        vals += forest_mckean(leaf_tree, pos, n, profile, s_horizon, sigma_b).tolist()
+    return vals
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +254,7 @@ def _run_simulate(cfg: ExperimentConfig, out):
     replicates = int(cfg.params["replicates"])
     u_grid = np.array(_float_list(cfg.params.get("u_grid", "-2 -1 0 1 2")))
     rows = run_replicates(
-        _simulate_one, (cfg.seed, t, cfg.profile, cfg.offspring, u_grid), replicates, cfg.workers
+        _simulate_replicates, (cfg.seed, t, cfg.profile, cfg.offspring, u_grid), replicates, cfg.workers
     )
     csv_rows = [
         [rep, n, repr(mx)] + counts for rep, (n, mx, counts) in enumerate(rows)
@@ -254,7 +282,7 @@ def _run_martingale(cfg: ExperimentConfig, out):
     sigma_b = float(cfg.params["sigma_b"])
     replicates = int(cfg.params["replicates"])
     vals = run_replicates(
-        _martingale_one, (cfg.seed, s_horizon, sigma_b, cfg.offspring), replicates, cfg.workers
+        _martingale_replicates, (cfg.seed, s_horizon, sigma_b, cfg.offspring), replicates, cfg.workers
     )
     mean = math.fsum(vals) / replicates
     var = math.fsum((v - mean) ** 2 for v in vals) / (replicates - 1)

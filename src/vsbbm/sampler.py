@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from vsbbm.genealogy import GenealogyTree, mrca, tree_rng
+from vsbbm.genealogy import Forest, GenealogyTree, mrca, tree_rng
 from vsbbm.speed import SpeedProfile, sigma2
 
 
@@ -74,6 +74,17 @@ def _edge_std(tree: GenealogyTree, profile: SpeedProfile, t: float) -> np.ndarra
     return np.sqrt(np.maximum(var, 0.0))
 
 
+def _descend(tree: GenealogyTree, pos: np.ndarray) -> np.ndarray:
+    """Turn per-edge increments into positions in place, wave by wave: a
+    node adds its parent's position.  Parents sit in earlier waves, so one
+    pass suffices; roots keep their own increment."""
+    starts = tree.wave_starts
+    for w in range(1, len(starts) - 1):
+        sl = slice(starts[w], starts[w + 1])
+        pos[..., sl] += pos[..., tree.parent[sl]]
+    return pos
+
+
 def node_positions(
     tree: GenealogyTree,
     profile: SpeedProfile,
@@ -87,17 +98,30 @@ def node_positions(
     Vectorized wave by wave: a child's position is its parent's death
     position plus an independent Gaussian edge increment.
     """
-    sd = _edge_std(tree, profile, t)
     shape = (tree.n_nodes,) if n_draws is None else (n_draws, tree.n_nodes)
-    z = rng.standard_normal(shape)
-    pos = np.empty(shape)
-    starts = tree.wave_starts
-    pos[..., 0] = sd[0] * z[..., 0]
-    for w in range(1, len(starts) - 1):
-        sl = slice(starts[w], starts[w + 1])
-        par = tree.parent[sl]
-        pos[..., sl] = pos[..., par] + sd[sl] * z[..., sl]
-    return pos
+    return _descend(tree, _edge_std(tree, profile, t) * rng.standard_normal(shape))
+
+
+def forest_leaf_positions(
+    forest: Forest,
+    profile: SpeedProfile,
+    t: float,
+    rngs: list,
+) -> np.ndarray:
+    """Leaf positions of every tree of the forest, in ``forest.nodes.leaf_ids``
+    order.  Tree r takes one ``rngs[r].standard_normal`` draw over its nodes
+    in its own breadth-first order, as ``sample_leaf_positions`` does for
+    that tree alone, so each tree's positions are those it gets alone."""
+    nodes = forest.nodes
+    z = np.concatenate([rng.standard_normal(n) for rng, n in zip(rngs, forest.tree_sizes.tolist())])
+    if forest.n_trees > 1:
+        # z is tree-major; a stable sort by tree lists the forest's nodes
+        # tree-major too, each tree's in its breadth-first order
+        scattered = np.empty_like(z)
+        scattered[forest.tree_id.argsort(kind="stable")] = z
+        z = scattered
+    z *= _edge_std(nodes, profile, t)
+    return _descend(nodes, z)[nodes.leaf_ids]
 
 
 def sample_leaf_positions(

@@ -144,6 +144,10 @@ def _localization_one(offspring, profile, spec, level, n_steps, seed, rep):
     return 0, ""
 
 
+def _localization(offspring, profile, spec, level, n_steps, seed, reps):
+    return [_localization_one(offspring, profile, spec, level, n_steps, seed, rep) for rep in reps]
+
+
 def extreme_particle_localization(
     offspring: OffspringDistribution,
     profile: SpeedProfile,
@@ -163,7 +167,7 @@ def extreme_particle_localization(
     """
     level = centering(spec.t, "tilde") + d
     rows = run_replicates(
-        _localization_one, (offspring, profile, spec, level, n_steps, seed), replicates
+        _localization, (offspring, profile, spec, level, n_steps, seed), replicates
     )
     if report_csv is not None:
         with open(report_csv, "w", newline="") as fh:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,12 +10,14 @@ from vsbbm.extremal import (
     count_exceedances,
     empirical_laplace,
     extremal_atoms,
+    forest_mckean,
+    forest_summaries,
     mckean_martingale,
     summarize,
 )
-from vsbbm.genealogy import OffspringDistribution, sample_tree, tree_rng
-from vsbbm.sampler import ParticleConfiguration, sample_leaf_positions
-from vsbbm.speed import identity_profile, two_speed
+from vsbbm.genealogy import OffspringDistribution, sample_forest, sample_tree, tree_rng
+from vsbbm.sampler import ParticleConfiguration, forest_leaf_positions, sample_leaf_positions
+from vsbbm.speed import identity_profile, piecewise_linear, two_speed
 
 BINARY = OffspringDistribution.binary()
 SQRT2 = math.sqrt(2.0)
@@ -180,6 +183,43 @@ def test_mckean_requires_identity_profile():
     cfg = make_config(profile=two_speed(0.5, 2.0, 2.0 / 3.0))
     with pytest.raises(ValueError):
         mckean_martingale(cfg, 0.3)
+
+
+def test_mckean_checks_profile_values_not_label():
+    cfg = make_config(seed=5)
+    same = ParticleConfiguration(
+        tree=cfg.tree,
+        profile=piecewise_linear([0.0, 1.0], [0.0, 1.0]),
+        horizon=cfg.horizon,
+        leaf_positions=cfg.leaf_positions,
+    )
+    assert same.profile.label != "identity"
+    assert mckean_martingale(same, 0.3) == mckean_martingale(cfg, 0.3)
+    relabelled = make_config(profile=replace(two_speed(0.5, 2.0, 2.0 / 3.0), label="identity"))
+    with pytest.raises(ValueError, match="identity"):
+        mckean_martingale(relabelled, 0.3)
+    n = relabelled.n_leaves
+    with pytest.raises(ValueError, match="identity"):
+        forest_mckean(np.zeros(n, dtype=int), relabelled.leaf_positions, 1, relabelled.profile, 4.0, 0.3)
+
+
+def test_forest_reductions_match_trees_alone():
+    t, seeds, u = 4.0, range(30), np.array([-2.0, -0.5, 0.0, 1.0])
+    prof = identity_profile()
+    forest = sample_forest(BINARY, t, [tree_rng(s) for s in seeds])
+    pos = forest_leaf_positions(forest, prof, t, [tree_rng(s + 1000) for s in seeds])
+    leaf_tree = forest.tree_id[forest.nodes.leaf_ids]
+    n_leaves, top, counts = forest_summaries(leaf_tree, pos, len(seeds), t, u)
+    mart = forest_mckean(leaf_tree, pos, len(seeds), prof, t, 0.4)
+    for r, s in enumerate(seeds):
+        cfg = make_config(t=t, seed=s)
+        alone = summarize(cfg, u)
+        assert n_leaves[r] == alone.n_leaves
+        assert top[r] == alone.max_centered
+        assert np.array_equal(counts[r], alone.exceedance_counts)
+        assert mart[r] == pytest.approx(mckean_martingale(cfg, 0.4), rel=1e-13)
+    with pytest.raises(ValueError, match="sorted"):
+        forest_summaries(leaf_tree, pos, len(seeds), t, u[::-1])
 
 
 def test_mckean_domain_checks():

@@ -10,12 +10,18 @@ from vsbbm.genealogy import (
     PopulationCapError,
     leaves_at,
     mrca,
+    sample_forest,
     sample_tree,
     tree_rng,
 )
 
 BINARY = OffspringDistribution.binary()
 CHAIN = OffspringDistribution(np.array([1]), np.array([1.0]))
+LAWS = {
+    "binary": BINARY,
+    "1,3": OffspringDistribution(np.array([1, 3]), np.array([0.5, 0.5])),
+    "1,2,3": OffspringDistribution(np.array([1, 2, 3]), np.array([0.25, 0.5, 0.25])),
+}
 
 
 def test_offspring_validation():
@@ -79,6 +85,70 @@ def test_sample_tree_deterministic():
 def test_population_cap():
     with pytest.raises(PopulationCapError):
         sample_tree(BINARY, 12.0, seed=0, node_cap=50)
+
+
+def _reference_tree(offspring, t, rng):
+    """Oracle: one tree grown alone, wave by wave, drawing the lifetimes of
+    a wave and then ``rng.choice`` offspring counts for its nodes that die
+    before t; returns (birth, death, parent, n_offspring, wave_starts)."""
+    births, deaths, parents, kids, starts = [], [], [], [], [0]
+    birth, parent = np.zeros(1), np.full(1, -1)
+    while len(birth):
+        death = birth + rng.exponential(size=len(birth))
+        internal = death < t
+        death[~internal] = t
+        k = np.zeros(len(birth), dtype=np.int64)
+        if internal.any():
+            if len(offspring.ks) == 1:
+                k[internal] = offspring.ks[0]
+            else:
+                k[internal] = rng.choice(offspring.ks, size=int(internal.sum()), p=offspring.ps)
+        for store, arr in zip((births, deaths, parents, kids), (birth, death, parent, k)):
+            store.append(arr)
+        parent = np.repeat(np.arange(starts[-1], starts[-1] + len(birth)), k)
+        birth = np.repeat(death, k)
+        starts.append(starts[-1] + len(death))
+    return [np.concatenate(a) for a in (births, deaths, parents, kids)] + [np.array(starts)]
+
+
+@pytest.mark.parametrize("law", list(LAWS), ids=list(LAWS))
+def test_sample_forest_matches_trees_grown_alone(law):
+    offspring, t = LAWS[law], 3.5
+    seeds = range(40)
+    forest = sample_forest(offspring, t, [tree_rng(s) for s in seeds])
+    nodes, tree_id = forest.nodes, forest.tree_id
+    assert forest.n_trees == 40
+    for r, s in enumerate(seeds):
+        birth, death, parent, kids, starts = _reference_tree(offspring, t, tree_rng(s))
+        alone = sample_tree(offspring, t, seed=s)
+        for got, want in zip(
+            (alone.birth, alone.death, alone.parent, alone.n_offspring, alone.wave_starts),
+            (birth, death, parent, kids, starts),
+        ):
+            assert np.array_equal(got, want)
+        # tree r's nodes, in forest index order, are its breadth-first order
+        sel = np.flatnonzero(tree_id == r)
+        assert forest.tree_sizes[r] == len(sel) == alone.n_nodes
+        local = np.full(nodes.n_nodes, -1)
+        local[sel] = np.arange(len(sel))
+        assert np.array_equal(nodes.birth[sel], birth)
+        assert np.array_equal(nodes.death[sel], death)
+        assert np.array_equal(nodes.n_offspring[sel], kids)
+        assert np.array_equal(np.where(nodes.parent[sel] < 0, -1, local[nodes.parent[sel]]), parent)
+    assert np.array_equal(nodes.leaf_ids, np.flatnonzero(nodes.n_offspring == 0))
+
+
+def test_sample_forest_population_cap_is_per_tree():
+    def rngs():
+        return [tree_rng(s) for s in range(30)]
+
+    sizes = sample_forest(BINARY, 3.0, rngs()).tree_sizes
+    largest = int(sizes.max())
+    assert sizes.sum() > largest
+    # the forest may hold more nodes than the cap, as long as no tree does
+    sample_forest(BINARY, 3.0, rngs(), node_cap=largest)
+    with pytest.raises(PopulationCapError, match=f"tree {int(sizes.argmax())} "):
+        sample_forest(BINARY, 3.0, rngs(), node_cap=largest - 1)
 
 
 def _lineage(tree, leaf):

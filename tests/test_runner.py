@@ -1,12 +1,19 @@
+import csv
 import hashlib
 import json
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import vsbbm
 from vsbbm import fkpp as fkpp_mod
+from vsbbm import runner as runner_mod
+from vsbbm.extremal import summarize
+from vsbbm.genealogy import sample_tree, tree_rng
 from vsbbm.runner import (
     ConfigError,
     load_config,
@@ -14,6 +21,7 @@ from vsbbm.runner import (
     run,
     seed_stream,
 )
+from vsbbm.sampler import ParticleConfiguration, sample_leaf_positions
 
 SIM_CONFIG = """\
 [experiment]
@@ -176,8 +184,8 @@ def test_run_simulate_artifacts_and_determinism(tmp_path):
 
 @pytest.mark.parametrize(
     "text",
-    [SIM_CONFIG, COMPARE_CONFIG, CLUSTER_CONFIG],
-    ids=["simulate", "compare", "cluster"],
+    [SIM_CONFIG, MART_CONFIG, COMPARE_CONFIG, CLUSTER_CONFIG],
+    ids=["simulate", "martingale", "compare", "cluster"],
 )
 def test_run_worker_count_independence(tmp_path, text):
     outs = []
@@ -188,6 +196,71 @@ def test_run_worker_count_independence(tmp_path, text):
         run(cfg)
         outs.append((out / "report.json").read_bytes())
     assert outs[0] == outs[1]
+
+
+FOREST_SIM_CONFIG = """\
+[experiment]
+kind = simulate
+t = 4
+replicates = 60
+u_grid = -2 -0.5 0 1
+seed = 13
+
+[profile]
+kind = two_speed
+sigma1_sq = 0.5
+sigma2_sq = 2.0
+b = 0.6666666666666666
+
+[offspring]
+ks = 1 3
+ps = 0.5 0.5
+
+[output]
+dir = {out}
+"""
+
+
+def test_run_simulate_matches_trees_alone(tmp_path):
+    path, out = write_config(tmp_path, FOREST_SIM_CONFIG)
+    cfg = load_config(path)
+    run(cfg)
+    t, u_grid = 4.0, np.array([-2.0, -0.5, 0.0, 1.0])
+    with open(out / "summaries.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert len(rows) == 60
+    for rep, row in enumerate(rows):
+        tree = sample_tree(cfg.offspring, t, seed=seed_stream(13, rep, "tree"))
+        gauss = tree_rng(seed_stream(13, rep, "gauss"))
+        pos = sample_leaf_positions(tree, cfg.profile, t, gauss)
+        config = ParticleConfiguration(tree=tree, profile=cfg.profile, horizon=t, leaf_positions=pos)
+        s = summarize(config, u_grid)
+        want = [str(rep), str(s.n_leaves), repr(s.max_centered)]
+        assert row == want + [str(c) for c in s.exceedance_counts]
+
+
+@pytest.mark.parametrize("budget", [1, 700])
+def test_forest_batch_size_does_not_change_results(tmp_path, monkeypatch, budget):
+    files = {"sim": "summaries.csv", "mart": "martingale.csv"}
+    texts = {"sim": FOREST_SIM_CONFIG, "mart": MART_CONFIG}
+    outs = {}
+    for label in ("default", "small"):
+        if label == "small":
+            # 1: a batch of one tree; 700 nodes: a few trees per batch
+            monkeypatch.setattr(runner_mod, "FOREST_NODE_BUDGET", budget)
+        for name, text in texts.items():
+            path, out = write_config(tmp_path, text, name=f"{label}-{name}.ini", out=tmp_path / label / name)
+            run(load_config(path))
+            outs[label, name] = (out / files[name]).read_bytes()
+    for name in texts:
+        assert outs["default", name] == outs["small", name]
+
+
+def test_import_loads_no_scipy():
+    code = "import sys, vsbbm.runner; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(vsbbm.__file__)))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_run_martingale_mean_near_one(tmp_path):

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from vsbbm.genealogy import GenealogyTree, OffspringDistribution, mrca, sample_tree, tree_rng
+from vsbbm.genealogy import GenealogyTree, OffspringDistribution, mrca, sample_forest, sample_tree, tree_rng
 from vsbbm.sampler import (
     ParticleConfiguration,
     SkeletonGrid,
     covariance_oracle,
+    forest_leaf_positions,
     node_positions,
     sample_bbm,
     sample_leaf_positions,
@@ -41,6 +42,18 @@ def test_single_lineage_is_brownian_motion():
     se = t * math.sqrt(2.0 / (10**4 - 1))
     assert abs(var - t) < 3 * se
     assert abs(pos.mean()) < 3 * math.sqrt(t / 10**4)
+
+
+def test_forest_leaf_positions_match_trees_alone():
+    law = OffspringDistribution(np.array([1, 3]), np.array([0.5, 0.5]))
+    prof, t, seeds = two_speed(0.5, 2.0, 2.0 / 3.0), 3.0, range(25)
+    forest = sample_forest(law, t, [tree_rng(s) for s in seeds])
+    pos = forest_leaf_positions(forest, prof, t, [tree_rng(100 + s) for s in seeds])
+    leaf_tree = forest.tree_id[forest.nodes.leaf_ids]
+    for r, s in enumerate(seeds):
+        tree = sample_tree(law, t, seed=s)
+        alone = sample_leaf_positions(tree, prof, t, tree_rng(100 + s))
+        assert np.array_equal(pos[leaf_tree == r], alone)
 
 
 def test_flat_speed_segment_freezes_particles():
