@@ -13,10 +13,18 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from vsbbm.genealogy import OffspringDistribution, run_replicates, sample_tree, seed_stream, tree_rng
+from vsbbm.genealogy import (
+    OffspringDistribution,
+    each_replicate,
+    run_replicates,
+    sample_tree,
+    seed_stream,
+    tree_rng,
+)
 from vsbbm.sampler import ParticleConfiguration, sample_leaf_positions
 from vsbbm.speed import identity_profile
 
@@ -200,7 +208,7 @@ def collapse_bound(
     return 2.0 * K * sigma_e**-0.5 + 2.0 * K * val
 
 
-def _collapse_one(sigma_e_list, R, t, offspring, y_mode, seed, rep):
+def _collapse(sigma_e_list, R, t, offspring, y_mode, seed, rep):
     """Per sigma_e (index j): 1 if the spine sample of replicate ``rep``
     puts more than one atom in [-R, inf), else 0."""
     hits = []
@@ -212,10 +220,6 @@ def _collapse_one(sigma_e_list, R, t, offspring, y_mode, seed, rep):
         real = spine_sample(sigma_e, y, t, offspring, seed=seed_stream(seed, rep, f"spine:{j}"))
         hits.append(int(np.sum(real.atoms >= -R) > 1))
     return hits
-
-
-def _collapse(sigma_e_list, R, t, offspring, y_mode, seed, reps):
-    return [_collapse_one(sigma_e_list, R, t, offspring, y_mode, seed, rep) for rep in reps]
 
 
 def decoration_collapse_study(
@@ -244,7 +248,7 @@ def decoration_collapse_study(
     if y_mode not in ("zero", "exponential"):
         raise ValueError(f"unknown y_mode {y_mode!r}")
     hits = run_replicates(
-        _collapse, (sigma_e_list, R, t, offspring, y_mode, seed), replicates, workers
+        partial(each_replicate, _collapse), (sigma_e_list, R, t, offspring, y_mode, seed), replicates, workers
     )
     rows = []
     for j, sigma_e in enumerate(sigma_e_list):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -17,6 +18,7 @@ from vsbbm.extremal import count_exceedances
 from vsbbm.genealogy import (
     GenealogyTree,
     OffspringDistribution,
+    each_replicate,
     run_replicates,
     sample_tree,
     seed_stream,
@@ -96,7 +98,7 @@ def _laplace_cells(counts_matrix, u_grid, c_grid):
     return out
 
 
-def _exceedances_one(offspring, profiles, t, u_grid, seed, rep):
+def _exceedances(offspring, profiles, t, u_grid, seed, rep):
     tree = sample_tree(offspring, t, seed=seed_stream(seed, rep, "tree"))
     rows = []
     for name, prof in profiles.items():
@@ -105,10 +107,6 @@ def _exceedances_one(offspring, profiles, t, u_grid, seed, rep):
         config = ParticleConfiguration(tree=tree, profile=prof, horizon=t, leaf_positions=pos)
         rows.append(count_exceedances(config, u_grid))
     return rows
-
-
-def _exceedances(offspring, profiles, t, u_grid, seed, reps):
-    return [_exceedances_one(offspring, profiles, t, u_grid, seed, rep) for rep in reps]
 
 
 def collect_exceedances(
@@ -125,7 +123,7 @@ def collect_exceedances(
     profile; the stream of profile ``name`` is ``"gauss:<name>"``)."""
     u_grid = np.asarray(u_grid, dtype=np.float64)
     rows = run_replicates(
-        _exceedances, (offspring, profiles, t, u_grid, seed), replicates, workers
+        partial(each_replicate, _exceedances), (offspring, profiles, t, u_grid, seed), replicates, workers
     )
     counts = np.array(rows, dtype=np.int64).reshape(replicates, len(profiles), len(u_grid))
     return {name: counts[:, i] for i, name in enumerate(profiles)}

@@ -61,11 +61,14 @@ def extremal_atoms(config: ParticleConfiguration) -> np.ndarray:
     return np.sort(atoms)[::-1]
 
 
-def summarize(config: ParticleConfiguration, u_grid):
+def summarize(config: ParticleConfiguration, u_grid) -> ReplicateSummary:
+    """``forest_summaries`` of the one tree of ``config``."""
+    one_tree = np.zeros(config.n_leaves, dtype=np.intp)
+    n_leaves, top, counts = forest_summaries(
+        one_tree, config.leaf_positions, 1, config.horizon, u_grid
+    )
     return ReplicateSummary(
-        max_centered=float(config.leaf_positions.max() - centering(config.horizon, "tilde")),
-        exceedance_counts=count_exceedances(config, u_grid),
-        n_leaves=config.n_leaves,
+        max_centered=float(top[0]), exceedance_counts=counts[0], n_leaves=int(n_leaves[0])
     )
 
 
@@ -99,8 +102,7 @@ def forest_summaries(
     """Per-tree statistics of the leaves of a forest, by segmented
     reductions: n_leaves and max_centered of shape (n_trees,), and the
     exceedance counts N_u of shape (n_trees, len(u_grid)).  ``leaf_tree``
-    gives the tree of each leaf; row r equals ``summarize`` of tree r
-    alone, bit for bit."""
+    gives the tree of each leaf."""
     u_grid = np.asarray(u_grid, dtype=np.float64)
     if np.any(np.diff(u_grid) < 0):
         raise ValueError("u_grid must be sorted ascending")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -125,7 +125,8 @@ def run_replicates(fn, common: tuple, replicates: int, workers: int = 1) -> list
     replicate order.
 
     ``fn`` takes a range of replicate indices and returns a list with one
-    result per index.  With ``workers > 1`` strided ranges run in a process
+    result per index; ``partial(each_replicate, f)`` is such an ``fn`` for a
+    per-replicate ``f(*common, rep)``.  With ``workers > 1`` strided ranges run in a process
     pool, so ``fn`` and ``common`` must pickle.  Each replicate draws only
     from streams keyed by its own index, which makes the result independent
     of the worker count and of how ``fn`` groups the indices it is given.
@@ -141,6 +142,14 @@ def run_replicates(fn, common: tuple, replicates: int, workers: int = 1) -> list
         for i, part in enumerate(pool.map(partial(fn, *common), chunks)):
             out[i::workers] = part
     return out
+
+
+def each_replicate(fn, *args) -> list:
+    """``[fn(*common, rep) for rep in reps]`` where ``args`` is ``(*common,
+    reps)``: ``partial(each_replicate, fn)`` hands a per-replicate ``fn`` to
+    ``run_replicates``."""
+    *common, reps = args
+    return [fn(*common, rep) for rep in reps]
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,9 +175,9 @@ class Forest:
     def tree_sizes(self) -> np.ndarray:
         return self.wave_sizes.sum(axis=0)
 
-    @property
+    @cached_property
     def tree_id(self) -> np.ndarray:
-        """The tree of every node."""
+        """The tree of every node, computed once per forest."""
         waves = len(self.wave_sizes)
         return np.tile(np.arange(self.n_trees), waves).repeat(self.wave_sizes.ravel())
 

@@ -11,11 +11,19 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from vsbbm.extremal import centering
-from vsbbm.genealogy import OffspringDistribution, run_replicates, sample_tree, seed_stream, tree_rng
+from vsbbm.genealogy import (
+    OffspringDistribution,
+    each_replicate,
+    run_replicates,
+    sample_tree,
+    seed_stream,
+    tree_rng,
+)
 from vsbbm.sampler import node_positions, skeleton_paths
 from vsbbm.speed import SpeedProfile, sigma2
 
@@ -125,7 +133,7 @@ def first_moment_constant(d: float, t_grid=None) -> float:
     return float(vals.max())
 
 
-def _localization_one(offspring, profile, spec, level, n_steps, seed, rep):
+def _localization(offspring, profile, spec, level, n_steps, seed, rep):
     """(violated, first violation time or "") for replicate ``rep``."""
     t = spec.t
     tree = sample_tree(offspring, t, seed=seed_stream(seed, rep, "tree"))
@@ -142,10 +150,6 @@ def _localization_one(offspring, profile, spec, level, n_steps, seed, rep):
             window_times = times[(sig >= spec.r) & (sig <= t - spec.r)]
             return 1, float(window_times[np.argmax(excess >= 0)])
     return 0, ""
-
-
-def _localization(offspring, profile, spec, level, n_steps, seed, reps):
-    return [_localization_one(offspring, profile, spec, level, n_steps, seed, rep) for rep in reps]
 
 
 def extreme_particle_localization(
@@ -167,7 +171,7 @@ def extreme_particle_localization(
     """
     level = centering(spec.t, "tilde") + d
     rows = run_replicates(
-        _localization, (offspring, profile, spec, level, n_steps, seed), replicates
+        partial(each_replicate, _localization), (offspring, profile, spec, level, n_steps, seed), replicates
     )
     if report_csv is not None:
         with open(report_csv, "w", newline="") as fh:

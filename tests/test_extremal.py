@@ -211,13 +211,14 @@ def test_forest_reductions_match_trees_alone():
     leaf_tree = forest.tree_id[forest.nodes.leaf_ids]
     n_leaves, top, counts = forest_summaries(leaf_tree, pos, len(seeds), t, u)
     mart = forest_mckean(leaf_tree, pos, len(seeds), prof, t, 0.4)
+    m = centering(t, "tilde")
     for r, s in enumerate(seeds):
         cfg = make_config(t=t, seed=s)
-        alone = summarize(cfg, u)
-        assert n_leaves[r] == alone.n_leaves
-        assert top[r] == alone.max_centered
-        assert np.array_equal(counts[r], alone.exceedance_counts)
-        assert mart[r] == pytest.approx(mckean_martingale(cfg, 0.4), rel=1e-13)
+        assert n_leaves[r] == cfg.n_leaves
+        assert top[r] == cfg.leaf_positions.max() - m
+        assert np.array_equal(counts[r], count_exceedances(cfg, u))
+        direct = math.fsum(np.exp(-t * (1 + 0.4**2) + math.sqrt(2) * 0.4 * cfg.leaf_positions))
+        assert mart[r] == pytest.approx(direct, rel=1e-13)
     with pytest.raises(ValueError, match="sorted"):
         forest_summaries(leaf_tree, pos, len(seeds), t, u[::-1])
 
@@ -237,3 +238,4 @@ def test_summarize_fields():
     m = centering(cfg.horizon, "tilde")
     assert s.max_centered == pytest.approx(float(cfg.leaf_positions.max() - m))
     assert s.n_leaves == cfg.n_leaves
+    assert np.array_equal(s.exceedance_counts, count_exceedances(cfg, u))
