@@ -1,11 +1,13 @@
 """Decoration clusters thin out as the end slope grows.
 
-Conditions branching Brownian motion on an atypically high maximum
-(rejection sampling at level sqrt(2) sigma_e t), records the atoms of the
-recentered configuration, and estimates the probability that more than
-one atom lands in a fixed window below the top.  Larger sigma_e should
-push that probability down; the analytic first-moment bound is printed
-alongside.
+Describes branching Brownian motion with a particle at the atypically
+high level sqrt(2) sigma_e t by the spine sampler: a Brownian bridge to
+that level with size-biased BBM subtrees immigrating along it.  It records
+the atoms of the recentered configuration and estimates the probability
+that more than one atom lands in a fixed window below the top.  Larger
+sigma_e should push that probability down; the analytic first-moment
+bound is printed alongside.  The first-moment acceptance rate printed
+first shows why plain rejection sampling is not used at these levels.
 
     python3 demos/cluster_collapse.py --replicates 300
 """

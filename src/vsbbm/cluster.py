@@ -21,11 +21,12 @@ from vsbbm.genealogy import (
     OffspringDistribution,
     each_replicate,
     run_replicates,
+    sample_forest,
     sample_tree,
     seed_stream,
     tree_rng,
 )
-from vsbbm.sampler import ParticleConfiguration, sample_leaf_positions
+from vsbbm.sampler import ParticleConfiguration, node_positions, sample_leaf_positions
 from vsbbm.speed import identity_profile
 
 SQRT2 = math.sqrt(2.0)
@@ -41,13 +42,6 @@ class RejectionBudgetError(RuntimeError):
             f"no acceptance in {attempts} attempts "
             f"(first-moment acceptance estimate {acceptance_estimate:.3e})"
         )
-
-
-def gaussian_tail_bound(u: float) -> float:
-    """u^-1 e^{-u^2/2} upper bound on the (unnormalized) Gaussian tail."""
-    if u <= 0:
-        raise ValueError("bound valid for u > 0")
-    return math.exp(-u * u / 2.0) / u
 
 
 def acceptance_estimate(sigma_e: float, t: float) -> float:
@@ -118,7 +112,7 @@ class SpineRealization:
     branch_times: np.ndarray
     spine_values: np.ndarray
     offspring_counts: np.ndarray
-    subtree_configs: list
+    subtree_configs: list  # leaf positions of each immigrant subtree, in birth order
     atoms: np.ndarray  # all particle positions minus sqrt2 sigma_e t, descending
 
 
@@ -146,7 +140,9 @@ def spine_sample(
     The spine is a Brownian bridge to that endpoint; branch points follow a
     Poisson process of intensity 2 on [0, t]; at each, a size-biased number
     of independent standard BBMs of the remaining duration immigrate at the
-    spine position.
+    spine position.  All immigrants grow as one forest, rooted at their
+    branch times, and take their positions from one Gaussian draw, both on
+    the generator of ``seed``.
     """
     if sigma_e <= 1:
         raise ValueError("sigma_e must exceed 1")
@@ -162,23 +158,22 @@ def spine_sample(
         rng.choice(nus, size=n_branch, p=probs) if len(nus) > 1
         else np.full(n_branch, nus[0], dtype=np.int64)
     )
-    profile = identity_profile()
+    starts = branch_times.repeat(counts)
+    shifts = spine_values.repeat(counts)
+    keep = starts < t
+    starts, shifts = starts[keep], shifts[keep]
     subtrees = []
-    atom_chunks = [np.array([y])]  # the spine endpoint itself
-    for p, x_p, nu in zip(branch_times, spine_values, counts):
-        duration = t - p
-        for _ in range(int(nu)):
-            if duration <= 0:
-                continue
-            tree = sample_tree(offspring, duration, seed=0, node_cap=node_cap, rng=rng)
-            pos = x_p + sample_leaf_positions(tree, profile, duration, rng)
-            subtrees.append(
-                ParticleConfiguration(
-                    tree=tree, profile=profile, horizon=duration, leaf_positions=pos
-                )
-            )
-            atom_chunks.append(pos - SQRT2 * sigma_e * t)
-    atoms = np.sort(np.concatenate(atom_chunks))[::-1]
+    leaf_pos = np.empty(0)
+    if len(starts):
+        forest = sample_forest(offspring, t, rng, node_cap, starts=starts)
+        nodes = forest.nodes
+        leaf_tree = forest.tree_id[nodes.leaf_ids]
+        pos = node_positions(nodes, identity_profile(), t, rng)
+        leaf_pos = pos[nodes.leaf_ids] + shifts[leaf_tree]
+        ends = np.bincount(leaf_tree, minlength=len(starts)).cumsum()
+        subtrees = np.split(leaf_pos[leaf_tree.argsort(kind="stable")], ends[:-1])
+    # the spine endpoint itself is the atom y
+    atoms = np.sort(np.concatenate([[y], leaf_pos - SQRT2 * sigma_e * t]))[::-1]
     return SpineRealization(
         horizon=t,
         sigma_e=sigma_e,

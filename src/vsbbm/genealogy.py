@@ -3,7 +3,8 @@
 Trees are sampled generation by generation into flat numpy arrays so that
 populations of ~1e7 nodes stay cheap to build and to query.  Many small
 trees grow together as a forest, one wave loop for all of them, each on
-its own generator.  The branching rate is fixed at 1 and the offspring mean
+its own generator or all on one shared generator, each from its own
+start time.  The branching rate is fixed at 1 and the offspring mean
 at 2, so the expected population at time t is e^t.
 """
 
@@ -185,22 +186,39 @@ class Forest:
 def sample_forest(
     offspring: OffspringDistribution,
     t: float,
-    rngs: list,
+    rngs: list | np.random.Generator,
     node_cap: int = DEFAULT_NODE_CAP,
+    starts: np.ndarray | None = None,
 ) -> Forest:
-    """Grow one Galton-Watson tree with Exp(1) lifetimes up to horizon t per
-    generator in ``rngs``, all in one wave loop.
+    """Grow Galton-Watson trees with Exp(1) lifetimes up to the shared
+    horizon t, all in one wave loop.  The root of tree r is born at
+    ``starts[r]`` (default 0), which must lie in [0, t).
 
-    Tree r draws only from ``rngs[r]`` and makes the calls of a tree grown
-    alone: per wave, the lifetimes of its nodes, then, for a law with more
-    than one support point, the offspring counts of those that die before
-    t.  Its draws therefore do not depend on the other trees.  Raises
+    ``rngs`` is either one generator per tree or one generator shared by
+    all of them.  With one per tree, tree r draws only from ``rngs[r]`` and
+    makes the calls of a tree grown alone: per wave, the lifetimes of its
+    nodes, then, for a law with more than one support point, the offspring
+    counts of those that die before t.  Its draws therefore do not depend
+    on the other trees.  A shared generator makes one lifetime call and one
+    offspring call per wave for the whole forest, so on one tree it draws
+    exactly as a list of that one generator does.  Raises
     PopulationCapError instead of silently truncating when any one tree
     would exceed node_cap nodes.
     """
     if t <= 0:
         raise ValueError("horizon t must be positive")
-    n_trees = len(rngs)
+    shared = isinstance(rngs, np.random.Generator)
+    if starts is None:
+        birth = np.zeros(1 if shared else len(rngs))
+    else:
+        birth = np.array(starts, dtype=np.float64)
+        if birth.ndim != 1 or not shared and len(birth) != len(rngs):
+            raise ValueError("starts must be 1-d with one entry per generator")
+    n_trees = len(birth)
+    if n_trees == 0:
+        raise ValueError("a forest needs at least one tree")
+    if starts is not None and (birth.min() < 0 or birth.max() >= t):
+        raise ValueError(f"start times must lie in [0, {t})")
     # a single-support law fixes every offspring count and draws none
     fixed_k = int(offspring.ks[0]) if len(offspring.ks) == 1 else 0
 
@@ -212,7 +230,6 @@ def sample_forest(
     wave_sizes: list[list[int]] = []  # nodes of each tree, per wave
     wave_starts = [0]
 
-    birth = np.zeros(n_trees)
     parent = np.full(n_trees, -1, dtype=np.int64)
     # the nodes of tree r in the current wave are bounds[r]:bounds[r + 1]
     bounds = np.arange(n_trees + 1)
@@ -230,7 +247,10 @@ def sample_forest(
                     f"population of tree {int(per_tree.argmax())} exceeded "
                     f"node cap {node_cap} at horizon {t}"
                 )
-        death = _join([rng.exponential(size=m) for rng, m in zip(rngs, sizes) if m])
+        if shared:
+            death = rngs.exponential(size=len(birth))
+        else:
+            death = _join([rng.exponential(size=m) for rng, m in zip(rngs, sizes) if m])
         death += birth
         idx = (death < t).nonzero()[0]
         np.minimum(death, t, out=death)
@@ -239,9 +259,12 @@ def sample_forest(
             k = fixed_k
             bounds = fixed_k * int_bounds
         else:
-            c = int_bounds.tolist()
-            draws = [offspring.sample(rng, hi - lo) for rng, lo, hi in zip(rngs, c, c[1:]) if hi > lo]
-            k = _join(draws) if draws else idx  # idx is empty here
+            if shared:
+                k = offspring.sample(rngs, len(idx))
+            else:
+                c = int_bounds.tolist()
+                draws = [offspring.sample(rng, hi - lo) for rng, lo, hi in zip(rngs, c, c[1:]) if hi > lo]
+                k = _join(draws) if draws else idx  # idx is empty here
             csum = np.zeros(len(k) + 1, dtype=np.int64)
             k.cumsum(out=csum[1:])
             bounds = csum[int_bounds]
@@ -289,8 +312,7 @@ def sample_tree(
     wave by wave in node-index order.  Raises PopulationCapError instead of
     silently truncating when node_cap is exceeded.
     """
-    rngs = [tree_rng(seed) if rng is None else rng]
-    return sample_forest(offspring, t, rngs, node_cap).nodes
+    return sample_forest(offspring, t, tree_rng(seed) if rng is None else rng, node_cap).nodes
 
 
 def _check_leaf(tree: GenealogyTree, node: int) -> None:

@@ -68,7 +68,15 @@ class ParticleConfiguration:
 
 
 def _edge_std(tree: GenealogyTree, profile: SpeedProfile, t: float) -> np.ndarray:
-    var = sigma2(profile, tree.death, t) - sigma2(profile, tree.birth, t)
+    """Edge deviations sqrt(S(death) - S(birth)), S = Sigma^2.  A child is
+    born when its parent dies (``birth`` copies the parent's ``death``), so
+    S(birth) is S(death) of the parent; only the roots, the first wave,
+    need S at their own birth times."""
+    s_death = sigma2(profile, tree.death, t)
+    s_birth = s_death[tree.parent]
+    roots = slice(0, tree.wave_starts[1])
+    s_birth[roots] = sigma2(profile, tree.birth[roots], t)
+    var = s_death - s_birth
     if np.any(var < -1e-12):
         raise ValueError("negative edge variance; speed function is not monotone")
     return np.sqrt(np.maximum(var, 0.0))

@@ -78,7 +78,7 @@ class SpeedProfile:
 def sigma2(profile: SpeedProfile, s, t: float):
     """Time change Sigma^2(s) = t*A(s/t) for 0 <= s <= t."""
     s_arr = np.asarray(s, dtype=np.float64)
-    if np.any(s_arr < 0) or np.any(s_arr > t):
+    if s_arr.size and (s_arr.min() < 0 or s_arr.max() > t):
         raise ValueError(f"s outside [0, {t}]")
     out = t * profile(s_arr / t)
     return out if out.ndim else float(out)

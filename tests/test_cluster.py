@@ -12,7 +12,6 @@ from vsbbm.cluster import (
     conditioned_sample,
     decoration_atoms,
     decoration_collapse_study,
-    gaussian_tail_bound,
     size_biased_offspring_probs,
     spine_sample,
 )
@@ -23,15 +22,6 @@ from vsbbm.speed import identity_profile
 BINARY = OffspringDistribution.binary()
 MIXED = OffspringDistribution(np.array([1, 2, 3]), np.array([0.3, 0.4, 0.3]))
 SQRT2 = math.sqrt(2.0)
-
-
-def test_gaussian_tail_bound():
-    for u in (0.5, 1.0, 3.0):
-        assert gaussian_tail_bound(u) == pytest.approx(math.exp(-u * u / 2) / u, rel=1e-12)
-        # dominates the actual (unnormalized) tail integral
-        assert gaussian_tail_bound(u) >= math.sqrt(2 * math.pi) * norm.sf(u)
-    with pytest.raises(ValueError):
-        gaussian_tail_bound(0.0)
 
 
 def test_acceptance_estimate_formula():
@@ -110,6 +100,22 @@ def test_spine_sample_structure():
         spine_sample(0.9, 0.0, t, BINARY, seed=1)
     with pytest.raises(ValueError):
         spine_sample(1.5, -1.0, t, BINARY, seed=1)
+
+
+def test_spine_sample_atoms_are_endpoint_plus_immigrant_leaves():
+    t = 3.0
+    for seed in range(20):
+        real = spine_sample(1.5, 0.4, t, MIXED, seed=seed)
+        leaves = sum(len(pos) for pos in real.subtree_configs)
+        assert len(real.subtree_configs) == real.offspring_counts.sum()
+        assert all(len(pos) >= 1 for pos in real.subtree_configs)
+        assert len(real.atoms) == 1 + leaves
+        immigrants = np.concatenate([[real.endpoint], *real.subtree_configs])
+        assert np.allclose(np.sort(immigrants)[::-1] - SQRT2 * 1.5 * t, real.atoms)
+    # the single-lineage law has size-biased nu = 0: no immigrants at all
+    chain = OffspringDistribution(np.array([1]), np.array([1.0]))
+    real = spine_sample(1.5, 0.4, t, chain, seed=0)
+    assert real.subtree_configs == [] and real.atoms.tolist() == [0.4]
 
 
 def test_spine_branch_count_poisson_mean():

@@ -151,6 +151,56 @@ def test_sample_forest_population_cap_is_per_tree():
         sample_forest(BINARY, 3.0, rngs(), node_cap=largest - 1)
 
 
+@pytest.mark.parametrize("law", list(LAWS), ids=list(LAWS))
+def test_shared_generator_forest_of_one_is_sample_tree(law):
+    offspring, t = LAWS[law], 4.0
+    for s in range(10):
+        shared = sample_forest(offspring, t, tree_rng(s), starts=[0.0]).nodes
+        listed = sample_forest(offspring, t, [tree_rng(s)]).nodes
+        alone = sample_tree(offspring, t, seed=0, rng=tree_rng(s))
+        for field in ("birth", "death", "parent", "n_offspring", "wave_starts", "leaf_ids"):
+            assert np.array_equal(getattr(shared, field), getattr(alone, field))
+            assert np.array_equal(getattr(listed, field), getattr(alone, field))
+
+
+def test_forest_roots_start_at_their_birth_times():
+    t, starts = 4.0, np.array([0.0, 0.5, 2.0, 3.9, 2.0])
+    forest = sample_forest(LAWS["1,3"], t, tree_rng(8), starts=starts)
+    nodes = forest.nodes
+    assert np.array_equal(nodes.birth[: len(starts)], starts)
+    assert np.all(nodes.death <= t)
+    assert np.all(nodes.birth[forest.tree_id] >= starts[forest.tree_id])
+    assert np.all(nodes.death[nodes.leaf_ids] == t)
+    with pytest.raises(ValueError):
+        sample_forest(BINARY, t, tree_rng(8), starts=[1.0, t])
+    with pytest.raises(ValueError):
+        sample_forest(BINARY, t, [tree_rng(8)], starts=[1.0, 2.0])
+
+
+@pytest.mark.parametrize("law", ["binary", "1,3"])
+def test_forest_started_late_has_mean_leaf_count(law):
+    # E n(t) of a tree rooted at p is e^(t - p)
+    t, n = 4.0, 1500
+    starts = np.repeat([0.5, 2.5], n)
+    forest = sample_forest(LAWS[law], t, tree_rng(21), starts=starts)
+    leaves = np.bincount(forest.tree_id[forest.nodes.leaf_ids], minlength=2 * n)
+    for p, counts in zip((0.5, 2.5), (leaves[:n], leaves[n:])):
+        se = counts.std(ddof=1) / math.sqrt(n)
+        assert abs(counts.mean() - math.exp(t - p)) < 4 * se
+
+
+def test_shared_generator_population_cap_is_per_tree():
+    def grow(cap=10**8):
+        return sample_forest(BINARY, 3.0, tree_rng(4), node_cap=cap, starts=np.linspace(0.0, 2.0, 30))
+
+    sizes = grow().tree_sizes
+    largest = int(sizes.max())
+    assert sizes.sum() > largest
+    grow(largest)
+    with pytest.raises(PopulationCapError, match=f"tree {int(sizes.argmax())} "):
+        grow(largest - 1)
+
+
 def _lineage(tree, leaf):
     """Oracle helper: the full ancestor chain of a leaf, root first."""
     chain = []

@@ -7,6 +7,7 @@ from vsbbm.genealogy import GenealogyTree, OffspringDistribution, mrca, sample_f
 from vsbbm.sampler import (
     ParticleConfiguration,
     SkeletonGrid,
+    _edge_std,
     covariance_oracle,
     forest_leaf_positions,
     node_positions,
@@ -14,7 +15,15 @@ from vsbbm.sampler import (
     sample_leaf_positions,
     skeleton_paths,
 )
-from vsbbm.speed import SpeedProfile, from_function, identity_profile, piecewise_linear, two_speed
+from vsbbm.speed import (
+    SpeedProfile,
+    build_envelopes,
+    from_function,
+    identity_profile,
+    piecewise_linear,
+    sigma2,
+    two_speed,
+)
 
 BINARY = OffspringDistribution.binary()
 CHAIN = OffspringDistribution(np.array([1]), np.array([1.0]))
@@ -54,6 +63,23 @@ def test_forest_leaf_positions_match_trees_alone():
         tree = sample_tree(law, t, seed=s)
         alone = sample_leaf_positions(tree, prof, t, tree_rng(100 + s))
         assert np.array_equal(pos[leaf_tree == r], alone)
+
+
+def test_edge_std_equals_two_evaluation_formula():
+    # S(birth) is read off the parent's S(death); roots, here born at
+    # p = 0, 0.7 and 2.5, are evaluated at their own births
+    law = OffspringDistribution(np.array([1, 3]), np.array([0.5, 0.5]))
+    t = 4.0
+    nodes = sample_forest(law, t, tree_rng(3), starts=[0.0, 0.7, 2.5]).nodes
+    power2 = from_function(
+        lambda x: np.asarray(x) ** 2, slope_at_0=0.0, slope_at_1=2.0,
+        k1_upper=2.0, k1_lower=2.0, k2_upper=2.0, k2_lower=2.0,
+    )
+    pair = build_envelopes(power2, t)
+    profiles = (identity_profile(), two_speed(0.5, 2.0, 2.0 / 3.0), power2, pair.upper, pair.lower)
+    for prof in profiles:
+        var = sigma2(prof, nodes.death, t) - sigma2(prof, nodes.birth, t)
+        assert np.array_equal(_edge_std(nodes, prof, t), np.sqrt(np.maximum(var, 0.0)))
 
 
 def test_flat_speed_segment_freezes_particles():

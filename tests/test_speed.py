@@ -59,6 +59,9 @@ def test_sigma2_endpoint_and_range():
         sigma2(identity_profile(), 9.0, 8.0)
     with pytest.raises(ValueError):
         sigma2(identity_profile(), -0.5, 8.0)
+    with pytest.raises(ValueError, match=r"outside \[0, 8.0\]"):
+        sigma2(identity_profile(), np.array([0.0, 8.5, 3.0]), 8.0)
+    assert sigma2(identity_profile(), np.empty(0), 8.0).shape == (0,)
 
 
 def test_sigma2_vectorized_monotone():
