@@ -133,7 +133,6 @@ def spine_sample(
     t: float,
     offspring: OffspringDistribution,
     seed: int,
-    node_cap: int = 10**8,
 ) -> SpineRealization:
     """Palm-style description of BBM with a particle at sqrt2 sigma_e t + y.
 
@@ -165,7 +164,7 @@ def spine_sample(
     subtrees = []
     leaf_pos = np.empty(0)
     if len(starts):
-        forest = sample_forest(offspring, t, rng, node_cap, starts=starts)
+        forest = sample_forest(offspring, t, rng, starts=starts)
         nodes = forest.nodes
         leaf_tree = forest.tree_id[nodes.leaf_ids]
         pos = node_positions(nodes, identity_profile(), t, rng)

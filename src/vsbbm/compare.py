@@ -14,7 +14,7 @@ from functools import partial
 
 import numpy as np
 
-from vsbbm.extremal import count_exceedances
+from vsbbm.extremal import count_exceedances, empirical_laplace
 from vsbbm.genealogy import (
     GenealogyTree,
     OffspringDistribution,
@@ -40,6 +40,19 @@ class CoupledTriple:
     horizon: float
 
 
+def _coupled_configs(tree, profiles, t, seed, rep) -> list[ParticleConfiguration]:
+    """One configuration per named profile on ``tree``, the profile ``name``
+    drawing from stream ``gauss:<name>`` of replicate ``rep``."""
+    configs = []
+    for name, prof in profiles.items():
+        rng = tree_rng(seed_stream(seed, rep, f"gauss:{name}"))
+        pos = sample_leaf_positions(tree, prof, t, rng)
+        configs.append(
+            ParticleConfiguration(tree=tree, profile=prof, horizon=t, leaf_positions=pos)
+        )
+    return configs
+
+
 def coupled_sample(
     tree: GenealogyTree,
     profile: SpeedProfile,
@@ -52,18 +65,13 @@ def coupled_sample(
     the keys ``collect_exceedances`` gives profiles of those names."""
     if abs(envelopes.t - t) > 1e-12:
         raise ValueError("envelope pair was built for a different horizon")
-    configs = []
-    for name, prof in (("A", profile), ("upper", envelopes.upper), ("lower", envelopes.lower)):
-        rng = tree_rng(seed_stream(seed, 0, f"gauss:{name}"))
-        pos = sample_leaf_positions(tree, prof, t, rng)
-        configs.append(
-            ParticleConfiguration(tree=tree, profile=prof, horizon=t, leaf_positions=pos)
-        )
+    profiles = {"A": profile, "upper": envelopes.upper, "lower": envelopes.lower}
+    config_a, config_upper, config_lower = _coupled_configs(tree, profiles, t, seed, 0)
     return CoupledTriple(
         tree=tree,
-        config_a=configs[0],
-        config_upper=configs[1],
-        config_lower=configs[2],
+        config_a=config_a,
+        config_upper=config_upper,
+        config_lower=config_lower,
         horizon=t,
     )
 
@@ -83,30 +91,10 @@ def interpolate(triple: CoupledTriple, h: float) -> ParticleConfiguration:
     )
 
 
-def _laplace_cells(counts_matrix, u_grid, c_grid):
-    """Per-(u, c) mean and SE of exp(-c N_u) from per-replicate exceedance
-    count matrices (replicates x len(u_grid))."""
-    counts = np.asarray(counts_matrix)
-    out = {}
-    n = counts.shape[0]
-    for iu, u in enumerate(u_grid):
-        for c in c_grid:
-            vals = np.exp(-c * counts[:, iu])
-            mean = math.fsum(vals.tolist()) / n
-            var = math.fsum(((vals - mean) ** 2).tolist()) / (n - 1)
-            out[(u, c)] = (mean, math.sqrt(var / n))
-    return out
-
-
 def _exceedances(offspring, profiles, t, u_grid, seed, rep):
     tree = sample_tree(offspring, t, seed=seed_stream(seed, rep, "tree"))
-    rows = []
-    for name, prof in profiles.items():
-        rng = tree_rng(seed_stream(seed, rep, f"gauss:{name}"))
-        pos = sample_leaf_positions(tree, prof, t, rng)
-        config = ParticleConfiguration(tree=tree, profile=prof, horizon=t, leaf_positions=pos)
-        rows.append(count_exceedances(config, u_grid))
-    return rows
+    configs = _coupled_configs(tree, profiles, t, seed, rep)
+    return [count_exceedances(config, u_grid) for config in configs]
 
 
 def collect_exceedances(
@@ -147,16 +135,13 @@ def sandwich_report(
     c_grid = list(np.asarray(c_grid, dtype=np.float64))
     if not (counts_a.shape == counts_upper.shape == counts_lower.shape):
         raise ValueError("mismatched replicate count matrices")
-    cells_a = _laplace_cells(counts_a, u_grid, c_grid)
-    cells_up = _laplace_cells(counts_upper, u_grid, c_grid)
-    cells_low = _laplace_cells(counts_lower, u_grid, c_grid)
     cells = []
     n_pass = 0
-    for u in u_grid:
+    for i, u in enumerate(u_grid):
         for c in c_grid:
-            la, se_a = cells_a[(u, c)]
-            lu, se_u = cells_up[(u, c)]
-            ll, se_l = cells_low[(u, c)]
+            la, se_a = empirical_laplace(counts_a[:, [i]], [c])
+            lu, se_u = empirical_laplace(counts_upper[:, [i]], [c])
+            ll, se_l = empirical_laplace(counts_lower[:, [i]], [c])
             se_up = math.hypot(se_a, se_u)
             se_lo = math.hypot(se_a, se_l)
             pass_upper = la <= lu + n_se * se_up

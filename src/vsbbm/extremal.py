@@ -72,27 +72,24 @@ def summarize(config: ParticleConfiguration, u_grid) -> ReplicateSummary:
     )
 
 
-def empirical_laplace(
-    summaries: list[ReplicateSummary], u: np.ndarray, c: np.ndarray
-) -> tuple[float, float]:
+def empirical_laplace(counts, c) -> tuple[float, float]:
     """Sample mean and standard error of exp(-sum_l c_l N_{u_l}) across
-    replicates.  The summaries must have been built on the u-grid ``u``."""
-    if len(summaries) == 0:
-        raise ValueError("no replicates")
+    replicates, from a (replicates x len(u)) matrix of exceedance counts
+    N_{u_l} and weights ``c`` of matching length."""
+    counts = np.asarray(counts)
     c = np.asarray(c, dtype=np.float64)
-    u = np.asarray(u, dtype=np.float64)
+    if len(counts) == 0:
+        raise ValueError("no replicates")
+    if counts.ndim != 2:
+        raise ValueError("counts must be a (replicates x len(c)) matrix")
     if np.any(c < 0):
         raise ValueError("Laplace weights c must be nonnegative")
-    if len(c) != len(u):
-        raise ValueError("u and c must have matching length")
-    vals = []
-    for s in summaries:
-        if len(s.exceedance_counts) != len(u):
-            raise ValueError("summary u-grid does not match requested u")
-        vals.append(math.exp(-float(c @ s.exceedance_counts)))
+    if counts.shape[1] != len(c):
+        raise ValueError("counts and c must have matching length")
+    vals = np.exp(-(counts @ c))
     n = len(vals)
-    mean = math.fsum(vals) / n
-    var = math.fsum((v - mean) ** 2 for v in vals) / (n - 1) if n > 1 else 0.0
+    mean = math.fsum(vals.tolist()) / n
+    var = math.fsum(((vals - mean) ** 2).tolist()) / (n - 1) if n > 1 else 0.0
     return mean, math.sqrt(var / n)
 
 

@@ -6,7 +6,9 @@ with Heaviside initial data and boundary values u(x_min)=1, u(x_max)=0.
 The reaction term is the exact polynomial u v g(v), v = 1 - u, with
 g(v) = sum_j P(K >= j+2) v^j.  g has non-negative coefficients and v lies
 in [0, 1], so Horner's rule suffers no cancellation and the far tail
-(u down to ~1e-300) keeps full relative accuracy.
+(u down to ~1e-300) keeps full relative accuracy.  Time stepping is
+explicit Euler only: one kernel, ``_ExplicitStep``, advances both
+``solve_heaviside`` and ``fkpp_step``.
 """
 
 from __future__ import annotations
@@ -139,18 +141,6 @@ def front_position(state: FkppState, level: float = 0.5) -> float:
     return float(x[i] + frac * (x[i + 1] - x[i]))
 
 
-def _cn_solver(n: int, dx: float, dt: float):
-    """Factorized Crank-Nicolson diffusion operator on the interior."""
-    from scipy.sparse import diags
-    from scipy.sparse.linalg import factorized
-
-    r = dt / (2.0 * dx * dx) * 0.5  # 0.5 from the 1/2 diffusion coefficient
-    main = np.full(n, 1.0 + 2.0 * r)
-    off = np.full(n - 1, -r)
-    lhs = diags([off, main, off], [-1, 0, 1], format="csc")
-    return factorized(lhs), r
-
-
 def solve_heaviside(
     offspring: OffspringDistribution,
     t_end: float,
@@ -158,20 +148,18 @@ def solve_heaviside(
     x_max: float | None = None,
     dx: float = 0.05,
     dt: float | None = None,
-    scheme: str = "explicit",
     front_buffer: float = 20.0,
     track_front: bool = False,
     snapshot_times=(),
 ):
-    """Integrate from u(0, x) = 1_{x <= 0} to t_end.
+    """Integrate from u(0, x) = 1_{x <= 0} to t_end by explicit Euler steps
+    (dt = dx^2/4 unless given, then shrunk to land on t_end).
 
     Fails loudly (FrontTooCloseError) if the u=1/2 front comes within
     ``front_buffer`` of the right edge.  Returns the final state, or
     (state, front_track, snapshots) when tracking is requested; the front
     track is a list of (t, front position) pairs.
     """
-    if scheme not in ("explicit", "crank_nicolson"):
-        raise ValueError(f"unknown scheme {scheme!r}")
     if t_end < 0:
         raise ValueError(f"t_end={t_end} is negative")
     if x_max is None:
@@ -179,7 +167,6 @@ def solve_heaviside(
     x = np.arange(x_min, x_max + dx / 2, dx)
     u = (x <= 0.0).astype(np.float64)
     u[0], u[-1] = 1.0, 0.0
-    n = len(x)
     if dt is None:
         dt = dx * dx / 4.0
     # at least one step for any t_end > 0; dt is re-derived to land on
@@ -187,11 +174,8 @@ def solve_heaviside(
     n_steps = max(1, int(round(t_end / dt))) if t_end > 0 else 0
     if n_steps:
         dt = t_end / n_steps
-    if scheme == "explicit":
-        _check_stable(dt, dx)
-        step = _ExplicitStep(u, offspring, dx, dt)
-    else:
-        solve, r_cn = _cn_solver(n - 2, dx, dt)
+    _check_stable(dt, dx)
+    step = _ExplicitStep(u, offspring, dx, dt)
 
     buffer_idx = int((x_max - front_buffer - x_min) / dx)
     check_every = max(1, n_steps // 200)
@@ -202,14 +186,7 @@ def solve_heaviside(
     next_snap = 0
     t = 0.0
     for step_i in range(n_steps):
-        if scheme == "explicit":
-            step()
-        else:
-            rhs = u[1:-1] + r_cn * (u[2:] - 2.0 * u[1:-1] + u[:-2]) + dt * reaction(
-                u[1:-1], offspring
-            )
-            rhs[0] += r_cn * 1.0  # left boundary u=1
-            u[1:-1] = solve(rhs)
+        step()
         t = (step_i + 1) * dt
         if step_i % check_every == 0 or step_i == n_steps - 1:
             _check_range(u)

@@ -63,7 +63,7 @@ _ALLOWED_KEYS = {
     "experiment": {
         "kind", "t", "replicates", "seed", "workers",
         "sigma_b", "u_grid", "c_grid", "r", "gamma", "n_steps",
-        "dx", "t_end", "sigma_e", "sigma_e_list", "R", "y_mode",
+        "dx", "t_end", "sigma_e_list", "R", "y_mode",
     },
     "profile": {"kind", "sigma1_sq", "sigma2_sq", "b", "xs", "ys", "path", "exponent"},
     "offspring": {"ks", "ps"},

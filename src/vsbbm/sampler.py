@@ -20,13 +20,6 @@ from vsbbm.speed import SpeedProfile, sigma2
 
 
 @dataclass(frozen=True, eq=False)
-class SkeletonGrid:
-    """Uniform time grid spec for path skeletons; default step t/512."""
-
-    n_steps: int = 512
-
-
-@dataclass(frozen=True, eq=False)
 class ParticleConfiguration:
     """Leaf positions at the horizon for one tree and one speed profile.
 
@@ -237,10 +230,12 @@ def sample_bbm(
     profile: SpeedProfile,
     t: float,
     seed: int,
-    skeleton: SkeletonGrid | None = None,
+    n_steps: int | None = None,
     rng: np.random.Generator | None = None,
 ) -> ParticleConfiguration:
-    """One exact realization of variable-speed BBM on the given tree."""
+    """One exact realization of variable-speed BBM on the given tree; with
+    ``n_steps``, also every leaf's skeleton path on the uniform grid of
+    n_steps + 1 times in [0, t] (no skeleton when None)."""
     if abs(tree.horizon - t) > 1e-12:
         raise ValueError(f"tree horizon {tree.horizon} does not match t={t}")
     if rng is None:
@@ -248,8 +243,8 @@ def sample_bbm(
     pos = node_positions(tree, profile, t, rng)
     leaf_positions = pos[tree.leaf_ids]
     times = paths = stored_nodes = None
-    if skeleton is not None:
-        times, paths = skeleton_paths(tree, profile, t, pos, rng, skeleton.n_steps)
+    if n_steps is not None:
+        times, paths = skeleton_paths(tree, profile, t, pos, rng, n_steps)
         stored_nodes = pos
     return ParticleConfiguration(
         tree=tree,

@@ -184,17 +184,6 @@ def test_grid_refinement_stability():
     assert abs(f_coarse - f_fine) < 0.1
 
 
-def test_crank_nicolson_matches_explicit():
-    t = 10.0
-    f_exp = front_position(solve_heaviside(BINARY, t, dx=0.05))
-    f_cn = front_position(
-        solve_heaviside(BINARY, t, dx=0.05, dt=0.002, scheme="crank_nicolson")
-    )
-    assert abs(f_exp - f_cn) < 0.05
-    with pytest.raises(ValueError):
-        solve_heaviside(BINARY, 1.0, scheme="dg")
-
-
 def test_front_buffer_error():
     with pytest.raises(FrontTooCloseError):
         solve_heaviside(BINARY, 20.0, x_min=-10.0, x_max=15.0, dx=0.1)
@@ -206,10 +195,6 @@ def test_front_offset_from_log_corrected_centering():
     t = 25.0
     offset = front_position(solve_heaviside(BINARY, t, dx=0.05)) - m_standard(t)
     assert -1.8 < offset < -1.3
-
-
-def test_tail_constant_reference_value():
-    assert 1.0 / math.sqrt(4.0 * math.pi) == pytest.approx(0.2820948, abs=1e-7)
 
 
 def test_tail_constant_trend():

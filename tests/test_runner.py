@@ -107,6 +107,15 @@ def test_load_config_rejects_unknown_key(tmp_path):
         load_config(path)
 
 
+def test_load_config_rejects_scalar_sigma_e(tmp_path):
+    # fkpp reads tail slopes from sigma_e_list only; a lone sigma_e would
+    # otherwise run silently with no tail constants
+    cfg = "[experiment]\nkind = fkpp\nt_end = 5\ndx = 0.1\nsigma_e = 2\n\n[output]\ndir = {out}\n"
+    path, _ = write_config(tmp_path, cfg)
+    with pytest.raises(ConfigError, match="sigma_e"):
+        load_config(path)
+
+
 def test_load_config_rejects_unknown_section(tmp_path):
     path, _ = write_config(tmp_path, SIM_CONFIG + "\n[mystery]\na = 1\n")
     with pytest.raises(ConfigError, match="mystery"):

@@ -6,7 +6,6 @@ import pytest
 from vsbbm.genealogy import GenealogyTree, OffspringDistribution, mrca, sample_forest, sample_tree, tree_rng
 from vsbbm.sampler import (
     ParticleConfiguration,
-    SkeletonGrid,
     _edge_std,
     covariance_oracle,
     forest_leaf_positions,
@@ -148,7 +147,7 @@ def test_sample_bbm_horizon_mismatch():
 def test_skeleton_consistency():
     t = 4.0
     tree = sample_tree(BINARY, t, seed=30)
-    cfg = sample_bbm(tree, two_speed(0.5, 2.0, 2.0 / 3.0), t, seed=31, skeleton=SkeletonGrid(256))
+    cfg = sample_bbm(tree, two_speed(0.5, 2.0, 2.0 / 3.0), t, seed=31, n_steps=256)
     assert cfg.skeleton_paths.shape == (tree.n_leaves, 257)
     # grid endpoint equals the leaf position exactly; paths start at the root
     assert np.array_equal(cfg.skeleton_paths[:, -1], cfg.leaf_positions)
@@ -222,7 +221,7 @@ def test_mean_max_standard_bbm_and_tightness():
 
 def test_export_csv(tmp_path):
     tree = sample_tree(BINARY, 2.0, seed=70)
-    cfg = sample_bbm(tree, identity_profile(), 2.0, seed=71, skeleton=SkeletonGrid(16))
+    cfg = sample_bbm(tree, identity_profile(), 2.0, seed=71, n_steps=16)
     leaf_csv = tmp_path / "leaves.csv"
     skel_csv = tmp_path / "skel.csv"
     cfg.export_csv(leaf_csv)
