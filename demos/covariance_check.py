@@ -10,9 +10,7 @@ t * A(d/t), where d is the time the two lineages spent together.  Run as
 import argparse
 import math
 
-import numpy as np
-
-from vsbbm.genealogy import OffspringDistribution, sample_tree, tree_rng
+from vsbbm.genealogy import OffspringDistribution, sample_tree, seed_stream, tree_rng
 from vsbbm.sampler import covariance_oracle, sample_leaf_positions
 from vsbbm.speed import identity_profile, two_speed
 
@@ -25,14 +23,15 @@ def main():
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
-    tree = sample_tree(OffspringDistribution.binary(), args.t, seed=args.seed)
+    # one named stream each for the tree, the leaf pairs and the Gaussian
+    # redraws; both profiles redraw from the same gauss stream
+    tree = sample_tree(OffspringDistribution.binary(), args.t, seed=seed_stream(args.seed, 0, "tree"))
     print(f"frozen tree: {tree.n_leaves} leaves at t = {args.t}")
 
-    pair_rng = np.random.default_rng(args.seed + 1)
+    pair_rng = tree_rng(seed_stream(args.seed, 0, "pairs"))
     for prof in (identity_profile(), two_speed(0.5, 2.0, 2.0 / 3.0)):
-        pos = sample_leaf_positions(
-            tree, prof, args.t, tree_rng(args.seed + 2), n_draws=args.redraws
-        )
+        gauss = tree_rng(seed_stream(args.seed, 0, "gauss"))
+        pos = sample_leaf_positions(tree, prof, args.t, gauss, n_draws=args.redraws)
         print(f"\nprofile {prof.label}: pair  empirical  model  z-score")
         for _ in range(args.pairs):
             i, j = pair_rng.choice(tree.n_leaves, size=2, replace=False)

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.stats import kstest
 
 from vsbbm.extremal import mckean_martingale
-from vsbbm.genealogy import OffspringDistribution, sample_tree, tree_rng
+from vsbbm.genealogy import OffspringDistribution, sample_tree, seed_stream, tree_rng
 from vsbbm.sampler import ParticleConfiguration, sample_leaf_positions
 from vsbbm.speed import identity_profile
 
@@ -36,11 +36,11 @@ def main():
 
     print("horizon  sigma_b  mean(Y)  std_err")
     for s in (4.0, 6.0, 8.0):
-        rng = tree_rng(args.seed + int(10 * s))
+        rng = tree_rng(seed_stream(args.seed, 0, f"horizon:{s:g}"))
         vals = {sb: np.empty(args.replicates) for sb in tilts}
         leaf_counts = np.empty(args.replicates)
         for i in range(args.replicates):
-            tree = sample_tree(offspring, s, seed=0, rng=rng)
+            tree = sample_tree(offspring, s, rng=rng)
             pos = sample_leaf_positions(tree, prof, s, rng)
             cfg = ParticleConfiguration(
                 tree=tree, profile=prof, horizon=s, leaf_positions=pos

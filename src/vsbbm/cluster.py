@@ -13,17 +13,16 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from functools import partial
+from itertools import repeat
 
 import numpy as np
 
 from vsbbm.genealogy import (
     OffspringDistribution,
-    each_replicate,
+    replicate_rngs,
     run_replicates,
     sample_forest,
     sample_tree,
-    seed_stream,
     tree_rng,
 )
 from vsbbm.sampler import ParticleConfiguration, node_positions, sample_leaf_positions
@@ -76,7 +75,7 @@ def conditioned_sample(
     level = SQRT2 * sigma_e * t
     rng = tree_rng(seed)
     for attempt in range(1, max_attempts + 1):
-        tree = sample_tree(offspring, t, seed=0, rng=rng)
+        tree = sample_tree(offspring, t, rng=rng)
         pos = sample_leaf_positions(tree, profile, t, rng)
         if pos.max() > level:
             config = ParticleConfiguration(
@@ -132,7 +131,8 @@ def spine_sample(
     y: float,
     t: float,
     offspring: OffspringDistribution,
-    seed: int,
+    seed: int | None = None,
+    rng: np.random.Generator | None = None,
 ) -> SpineRealization:
     """Palm-style description of BBM with a particle at sqrt2 sigma_e t + y.
 
@@ -140,14 +140,15 @@ def spine_sample(
     Poisson process of intensity 2 on [0, t]; at each, a size-biased number
     of independent standard BBMs of the remaining duration immigrate at the
     spine position.  All immigrants grow as one forest, rooted at their
-    branch times, and take their positions from one Gaussian draw, both on
-    the generator of ``seed``.
+    branch times, and take their positions from one Gaussian draw, all on
+    the generator ``rng``, or ``tree_rng(seed)`` when ``rng`` is not given.
     """
     if sigma_e <= 1:
         raise ValueError("sigma_e must exceed 1")
     if y < 0:
         raise ValueError("y must be nonnegative")
-    rng = tree_rng(seed)
+    if rng is None:
+        rng = tree_rng(seed)
     z = SQRT2 * sigma_e * t + y
     n_branch = rng.poisson(2.0 * t)
     branch_times = np.sort(rng.uniform(0.0, t, size=n_branch))
@@ -202,18 +203,25 @@ def collapse_bound(
     return 2.0 * K * sigma_e**-0.5 + 2.0 * K * val
 
 
-def _collapse(sigma_e_list, R, t, offspring, y_mode, seed, rep):
-    """Per sigma_e (index j): 1 if the spine sample of replicate ``rep``
-    puts more than one atom in [-R, inf), else 0."""
-    hits = []
-    for j, sigma_e in enumerate(sigma_e_list):
-        y = 0.0
-        if y_mode == "exponential":
-            y_rng = tree_rng(seed_stream(seed, rep, f"overshoot:{j}"))
-            y = float(y_rng.exponential(1.0 / (SQRT2 * sigma_e)))
-        real = spine_sample(sigma_e, y, t, offspring, seed=seed_stream(seed, rep, f"spine:{j}"))
-        hits.append(int(np.sum(real.atoms >= -R) > 1))
-    return hits
+def _collapse(sigma_e_list, R, t, offspring, y_mode, seed, reps):
+    """Per replicate of ``reps``, per sigma_e (index j): 1 if the spine
+    sample on stream ``spine:<j>`` puts more than one atom in [-R, inf),
+    else 0."""
+    streams = range(len(sigma_e_list))
+    spines = zip(*[replicate_rngs(seed, reps, f"spine:{j}") for j in streams])
+    if y_mode == "exponential":
+        overshoots = zip(*[replicate_rngs(seed, reps, f"overshoot:{j}") for j in streams])
+    else:
+        overshoots = repeat([None] * len(sigma_e_list))
+    rows = []
+    for spine_rngs, y_rngs in zip(spines, overshoots):
+        hits = []
+        for sigma_e, rng, y_rng in zip(sigma_e_list, spine_rngs, y_rngs):
+            y = 0.0 if y_rng is None else float(y_rng.exponential(1.0 / (SQRT2 * sigma_e)))
+            real = spine_sample(sigma_e, y, t, offspring, rng=rng)
+            hits.append(int(np.sum(real.atoms >= -R) > 1))
+        rows.append(hits)
+    return rows
 
 
 def decoration_collapse_study(
@@ -241,9 +249,7 @@ def decoration_collapse_study(
         raise ValueError("sigma_e list must be sorted ascending")
     if y_mode not in ("zero", "exponential"):
         raise ValueError(f"unknown y_mode {y_mode!r}")
-    hits = run_replicates(
-        partial(each_replicate, _collapse), (sigma_e_list, R, t, offspring, y_mode, seed), replicates, workers
-    )
+    hits = run_replicates(_collapse, (sigma_e_list, R, t, offspring, y_mode, seed), replicates, workers)
     rows = []
     for j, sigma_e in enumerate(sigma_e_list):
         est = sum(h[j] for h in hits) / replicates

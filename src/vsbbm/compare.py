@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -18,11 +17,9 @@ from vsbbm.extremal import count_exceedances, empirical_laplace
 from vsbbm.genealogy import (
     GenealogyTree,
     OffspringDistribution,
-    each_replicate,
+    replicate_rngs,
     run_replicates,
     sample_tree,
-    seed_stream,
-    tree_rng,
 )
 from vsbbm.sampler import ParticleConfiguration, sample_leaf_positions
 from vsbbm.speed import EnvelopePair, SpeedProfile, blend
@@ -40,12 +37,17 @@ class CoupledTriple:
     horizon: float
 
 
-def _coupled_configs(tree, profiles, t, seed, rep) -> list[ParticleConfiguration]:
-    """One configuration per named profile on ``tree``, the profile ``name``
-    drawing from stream ``gauss:<name>`` of replicate ``rep``."""
+def _gauss_streams(profiles, seed, reps):
+    """Per replicate of ``reps``: one generator per named profile, the
+    profile ``name`` drawing from stream ``gauss:<name>``."""
+    return zip(*[replicate_rngs(seed, reps, f"gauss:{name}") for name in profiles])
+
+
+def _coupled_configs(tree, profiles, t, rngs) -> list[ParticleConfiguration]:
+    """One configuration per named profile on ``tree``, each on its own
+    generator of ``rngs``."""
     configs = []
-    for name, prof in profiles.items():
-        rng = tree_rng(seed_stream(seed, rep, f"gauss:{name}"))
+    for prof, rng in zip(profiles.values(), rngs):
         pos = sample_leaf_positions(tree, prof, t, rng)
         configs.append(
             ParticleConfiguration(tree=tree, profile=prof, horizon=t, leaf_positions=pos)
@@ -66,7 +68,8 @@ def coupled_sample(
     if abs(envelopes.t - t) > 1e-12:
         raise ValueError("envelope pair was built for a different horizon")
     profiles = {"A": profile, "upper": envelopes.upper, "lower": envelopes.lower}
-    config_a, config_upper, config_lower = _coupled_configs(tree, profiles, t, seed, 0)
+    rngs = next(_gauss_streams(profiles, seed, range(1)))
+    config_a, config_upper, config_lower = _coupled_configs(tree, profiles, t, rngs)
     return CoupledTriple(
         tree=tree,
         config_a=config_a,
@@ -91,10 +94,14 @@ def interpolate(triple: CoupledTriple, h: float) -> ParticleConfiguration:
     )
 
 
-def _exceedances(offspring, profiles, t, u_grid, seed, rep):
-    tree = sample_tree(offspring, t, seed=seed_stream(seed, rep, "tree"))
-    configs = _coupled_configs(tree, profiles, t, seed, rep)
-    return [count_exceedances(config, u_grid) for config in configs]
+def _exceedances(offspring, profiles, t, u_grid, seed, reps):
+    """Per replicate of ``reps``: the exceedance counts of every profile on
+    one tree from its ``tree`` stream."""
+    rows = []
+    for tree_gen, rngs in zip(replicate_rngs(seed, reps, "tree"), _gauss_streams(profiles, seed, reps)):
+        tree = sample_tree(offspring, t, rng=tree_gen)
+        rows.append([count_exceedances(config, u_grid) for config in _coupled_configs(tree, profiles, t, rngs)])
+    return rows
 
 
 def collect_exceedances(
@@ -110,9 +117,7 @@ def collect_exceedances(
     shared trees (trees redrawn per replicate, Gaussians independent per
     profile; the stream of profile ``name`` is ``"gauss:<name>"``)."""
     u_grid = np.asarray(u_grid, dtype=np.float64)
-    rows = run_replicates(
-        partial(each_replicate, _exceedances), (offspring, profiles, t, u_grid, seed), replicates, workers
-    )
+    rows = run_replicates(_exceedances, (offspring, profiles, t, u_grid, seed), replicates, workers)
     counts = np.array(rows, dtype=np.int64).reshape(replicates, len(profiles), len(u_grid))
     return {name: counts[:, i] for i, name in enumerate(profiles)}
 

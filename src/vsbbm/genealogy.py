@@ -11,8 +11,9 @@ at 2, so the expected population at time t is e^t.
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Iterator
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 
 import numpy as np
 
@@ -110,15 +111,106 @@ class GenealogyTree:
 
 def tree_rng(seed: int) -> np.random.Generator:
     """Counter-based generator used for all tree and Gaussian draws."""
+    if seed is None:
+        raise TypeError("tree_rng needs an integer seed, not None")
     return np.random.Generator(np.random.Philox(seed))
 
 
 def seed_stream(master: int, replicate: int, stream: str) -> int:
     """Collision-resistant derived seed for (master, replicate, stream);
     stable across versions (pure blake2b of the decimal-rendered triple).
-    Every per-replicate generator is ``tree_rng(seed_stream(...))``."""
+    A stream's generator is ``tree_rng`` of this seed; ``replicate_rngs``
+    builds those of many replicates at once."""
     msg = f"{master}:{replicate}:{stream}".encode()
     return int.from_bytes(hashlib.blake2b(msg, digest_size=8).digest(), "big")
+
+
+# numpy.random.SeedSequence's hash constants, for its pool of four 32-bit words
+_M32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _powers(init: int, mult: int, n: int) -> np.ndarray:
+    out = [init]
+    for _ in range(n):
+        out.append(out[-1] * mult & _M32)
+    return np.array(out, dtype=np.uint32)
+
+
+# the hash constant runs through the same values for every seed: 16 pool
+# hashes (4 to fill the pool, 12 to cross-mix it), then 4 output hashes
+_HASH_A = _powers(_INIT_A, _MULT_A, 16)
+_HASH_B = _powers(_INIT_B, _MULT_B, 4)
+
+
+def _hash(v: np.ndarray, consts: np.ndarray, i: int) -> np.ndarray:
+    v = (v ^ consts[i]) * consts[i + 1]
+    return v ^ (v >> 16)
+
+
+def philox_keys(seeds) -> np.ndarray:
+    """The Philox key of every seed in [0, 2**64): row i equals
+    ``np.random.SeedSequence(seeds[i]).generate_state(2, np.uint64)``, the
+    key ``Philox(seeds[i])`` runs on.  A vectorised port of SeedSequence's
+    pool mixing; a seed below 2**64 fills at most two pool words and the
+    rest hash as zeros, so every seed takes the same path."""
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    zero = np.zeros(len(seeds), dtype=np.uint32)
+    words = [(seeds & _M32).astype(np.uint32), (seeds >> 32).astype(np.uint32), zero, zero]
+    pool = [_hash(w, _HASH_A, i) for i, w in enumerate(words)]
+    i = len(pool)
+    for src in range(len(pool)):
+        for dst in range(len(pool)):
+            if src != dst:
+                mixed = pool[dst] * np.uint32(_MIX_L) - _hash(pool[src], _HASH_A, i) * np.uint32(_MIX_R)
+                pool[dst] = mixed ^ (mixed >> 16)
+                i += 1
+    state = np.stack([_hash(w, _HASH_B, k) for k, w in enumerate(pool)], axis=1)
+    return state.view("<u8")
+
+
+class _PhiloxKey:
+    """A seed sequence that hands ``Philox`` a key derived beforehand."""
+
+    __slots__ = ("key",)
+
+    def __init__(self, key: np.ndarray):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+        return self.key
+
+
+@cache
+def _keyed_philox():
+    # loads numpy.random on first use only; ``Philox`` takes any registered
+    # ``ISeedSequence`` and asks it for its key
+    from numpy.random import Generator, Philox
+    from numpy.random.bit_generator import ISeedSequence
+
+    ISeedSequence.register(_PhiloxKey)
+    return Generator, Philox
+
+
+def tree_rngs(seeds) -> Iterator[np.random.Generator]:
+    """``tree_rng(s)`` for every s in ``seeds`` (each in [0, 2**64)), in
+    order and bit-identical to it.
+
+    The keys of all the seeds are derived now, in one vectorised pass; each
+    generator is built from its key only when the iterator reaches it, so a
+    caller that takes them a batch at a time holds one batch of them.
+    """
+    keys = philox_keys(seeds)
+    generator, philox = _keyed_philox()
+    return (generator(philox(_PhiloxKey(key))) for key in keys)
+
+
+def replicate_rngs(master: int, reps, stream: str) -> Iterator[np.random.Generator]:
+    """The generator of stream ``stream`` of every replicate in ``reps``:
+    ``tree_rngs`` of their ``seed_stream(master, r, stream)`` seeds."""
+    return tree_rngs([seed_stream(master, r, stream) for r in reps])
 
 
 def run_replicates(fn, common: tuple, replicates: int, workers: int = 1) -> list:
@@ -126,11 +218,12 @@ def run_replicates(fn, common: tuple, replicates: int, workers: int = 1) -> list
     replicate order.
 
     ``fn`` takes a range of replicate indices and returns a list with one
-    result per index; ``partial(each_replicate, f)`` is such an ``fn`` for a
-    per-replicate ``f(*common, rep)``.  With ``workers > 1`` strided ranges run in a process
-    pool, so ``fn`` and ``common`` must pickle.  Each replicate draws only
-    from streams keyed by its own index, which makes the result independent
-    of the worker count and of how ``fn`` groups the indices it is given.
+    result per index, each replicate drawing from the generators
+    ``replicate_rngs`` gives its index.  With ``workers > 1`` strided ranges
+    run in a process pool, so ``fn`` and ``common`` must pickle.  Each
+    replicate draws only from streams keyed by its own index, which makes
+    the result independent of the worker count and of how ``fn`` groups the
+    indices it is given.
     """
     workers = min(workers, replicates)
     if workers <= 1:
@@ -143,14 +236,6 @@ def run_replicates(fn, common: tuple, replicates: int, workers: int = 1) -> list
         for i, part in enumerate(pool.map(partial(fn, *common), chunks)):
             out[i::workers] = part
     return out
-
-
-def each_replicate(fn, *args) -> list:
-    """``[fn(*common, rep) for rep in reps]`` where ``args`` is ``(*common,
-    reps)``: ``partial(each_replicate, fn)`` hands a per-replicate ``fn`` to
-    ``run_replicates``."""
-    *common, reps = args
-    return [fn(*common, rep) for rep in reps]
 
 
 @dataclass(frozen=True, eq=False)
@@ -300,7 +385,7 @@ def _join(parts: list[np.ndarray]) -> np.ndarray:
 def sample_tree(
     offspring: OffspringDistribution,
     t: float,
-    seed: int,
+    seed: int | None = None,
     node_cap: int = DEFAULT_NODE_CAP,
     rng: np.random.Generator | None = None,
 ) -> GenealogyTree:

@@ -5,9 +5,11 @@ Configs are line-oriented ``key = value`` text with sections.  Every output
 carries the config hash and master seed; files are written to a temp path
 and atomically renamed, so an interrupted run never leaves corrupt
 artifacts.  Every Monte Carlo kind runs its replicates through
-``genealogy.run_replicates`` on streams ``tree_rng(seed_stream(seed,
-replicate, name))``; aggregation is order-fixed (by replicate index, exact
-summation), so results do not depend on the worker count.
+``genealogy.run_replicates``, each replicate on its own named streams,
+whose generators ``genealogy.replicate_rngs`` builds for a whole chunk of
+replicates from one vectorised key derivation; aggregation is order-fixed
+(by replicate index, exact summation), so results do not depend on the
+worker count.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import sys
 import tempfile
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import islice
 
 import numpy as np
 
@@ -35,11 +38,10 @@ from vsbbm.extremal import centering, forest_mckean, forest_summaries
 # and calls it as ``vsbbm.runner.sample_tree``
 from vsbbm.genealogy import (  # noqa: F401
     OffspringDistribution,
+    replicate_rngs,
     run_replicates,
     sample_forest,
     sample_tree,
-    seed_stream,
-    tree_rng,
 )
 from vsbbm.sampler import forest_leaf_positions
 from vsbbm.speed import (
@@ -153,6 +155,10 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
     # every kind but fkpp averages replicates and estimates a standard error
     if kind != "fkpp" and int(exp.get("replicates", "0")) < 2:
         raise ConfigError(f"{kind} needs replicates >= 2")
+    # simulate centers by extremal.centering and compare builds envelopes;
+    # both are defined for t > 1 only, so fail here, before any sampling
+    if kind in ("simulate", "compare") and not float(exp.get("t", "nan")) > 1:
+        raise ConfigError(f"{kind} needs t > 1")
     overrides = overrides or {}
 
     def pick(name, default=None, cast=str):
@@ -222,12 +228,13 @@ def _forests(seed, t, profile, offspring, reps):
     positions and the batch size, on each replicate's ``tree`` and
     ``gauss`` streams."""
     size = max(1, int(FOREST_NODE_BUDGET / (2.0 * math.exp(t))))
+    trees = replicate_rngs(seed, reps, "tree")
+    gauss = replicate_rngs(seed, reps, "gauss")
     for i in range(0, len(reps), size):
-        batch = reps[i : i + size]
-        forest = sample_forest(offspring, t, [tree_rng(seed_stream(seed, r, "tree")) for r in batch])
-        gauss = [tree_rng(seed_stream(seed, r, "gauss")) for r in batch]
-        pos = forest_leaf_positions(forest, profile, t, gauss)
-        yield forest.tree_id[forest.nodes.leaf_ids], pos, len(batch)
+        n = len(reps[i : i + size])
+        forest = sample_forest(offspring, t, list(islice(trees, n)))
+        pos = forest_leaf_positions(forest, profile, t, list(islice(gauss, n)))
+        yield forest.tree_id[forest.nodes.leaf_ids], pos, n
 
 
 def _simulate_replicates(seed, t, profile, offspring, u_grid, reps):

@@ -114,13 +114,17 @@ def forest_leaf_positions(
     in its own breadth-first order, as ``sample_leaf_positions`` does for
     that tree alone, so each tree's positions are those it gets alone."""
     nodes = forest.nodes
-    z = np.concatenate([rng.standard_normal(n) for rng, n in zip(rngs, forest.tree_sizes.tolist())])
+    tree_sizes = forest.tree_sizes
+    z = np.concatenate([rng.standard_normal(n) for rng, n in zip(rngs, tree_sizes.tolist())])
     if forest.n_trees > 1:
-        # z is tree-major; a stable sort by tree lists the forest's nodes
-        # tree-major too, each tree's in its breadth-first order
-        scattered = np.empty_like(z)
-        scattered[forest.tree_id.argsort(kind="stable")] = z
-        z = scattered
+        # z is tree-major: the nodes tree r has in wave w start at z offset
+        # (tree r's start) + (its nodes in earlier waves), and in the forest
+        # at the wave-major offset of block (w, r); shift each block across
+        sizes = forest.wave_sizes
+        in_z = (sizes.cumsum(axis=0) - sizes + (tree_sizes.cumsum() - tree_sizes)).ravel()
+        flat = sizes.ravel()
+        in_forest = flat.cumsum() - flat
+        z = z[(in_z - in_forest).repeat(flat) + np.arange(len(z))]
     z *= _edge_std(nodes, profile, t)
     return _descend(nodes, z)[nodes.leaf_ids]
 

@@ -11,17 +11,15 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from vsbbm.extremal import centering
 from vsbbm.genealogy import (
     OffspringDistribution,
-    each_replicate,
+    replicate_rngs,
     run_replicates,
     sample_tree,
-    seed_stream,
     tree_rng,
 )
 from vsbbm.sampler import node_positions, skeleton_paths
@@ -133,11 +131,20 @@ def first_moment_constant(d: float, t_grid=None) -> float:
     return float(vals.max())
 
 
-def _localization(offspring, profile, spec, level, n_steps, seed, rep):
-    """(violated, first violation time or "") for replicate ``rep``."""
+def _localizations(offspring, profile, spec, level, n_steps, seed, reps):
+    """``_localization`` of every replicate of ``reps``, each on its own
+    ``tree`` and ``gauss`` streams."""
+    rows = []
+    for tree_gen, rng in zip(replicate_rngs(seed, reps, "tree"), replicate_rngs(seed, reps, "gauss")):
+        tree = sample_tree(offspring, spec.t, rng=tree_gen)
+        rows.append(_localization(tree, profile, spec, level, n_steps, rng))
+    return rows
+
+
+def _localization(tree, profile, spec, level, n_steps, rng):
+    """(violated, first violation time or "") on one tree, its positions
+    and skeleton paths drawn from ``rng``."""
     t = spec.t
-    tree = sample_tree(offspring, t, seed=seed_stream(seed, rep, "tree"))
-    rng = tree_rng(seed_stream(seed, rep, "gauss"))
     pos = node_positions(tree, profile, t, rng)
     extreme = tree.leaf_ids[pos[tree.leaf_ids] > level]
     if len(extreme) == 0:
@@ -170,9 +177,7 @@ def extreme_particle_localization(
     exact while keeping the sweep cheap.
     """
     level = centering(spec.t, "tilde") + d
-    rows = run_replicates(
-        partial(each_replicate, _localization), (offspring, profile, spec, level, n_steps, seed), replicates
-    )
+    rows = run_replicates(_localizations, (offspring, profile, spec, level, n_steps, seed), replicates)
     if report_csv is not None:
         with open(report_csv, "w", newline="") as fh:
             w = csv.writer(fh)

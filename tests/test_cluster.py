@@ -160,11 +160,12 @@ def test_decoration_collapse_study(tmp_path):
 
 
 def test_decoration_collapse_study_distinct_spine_seeds(monkeypatch):
-    # 4097 replicates cross the 2**12 stride of a shifted-integer seed layout
+    # 4097 replicates cross the 2**12 stride of a shifted-integer seed layout;
+    # a spine's stream is its generator's Philox key
     seeds = []
 
-    def stub(sigma_e, y, t, offspring, seed):
-        seeds.append(seed)
+    def stub(sigma_e, y, t, offspring, seed=None, rng=None):
+        seeds.append(tuple(rng.bit_generator.state["state"]["key"].tolist()))
         return SimpleNamespace(atoms=np.array([y]))
 
     monkeypatch.setattr(cluster_mod, "spine_sample", stub)

@@ -10,9 +10,13 @@ from vsbbm.genealogy import (
     PopulationCapError,
     leaves_at,
     mrca,
+    philox_keys,
+    replicate_rngs,
     sample_forest,
     sample_tree,
+    seed_stream,
     tree_rng,
+    tree_rngs,
 )
 
 BINARY = OffspringDistribution.binary()
@@ -216,6 +220,44 @@ def _mrca_oracle(tree, k, l):
     lines separate when that node dies."""
     shared = set(_lineage(tree, k)) & set(_lineage(tree, l))
     return float(max(tree.death[n] for n in shared)) if k != l else tree.horizon
+
+
+def _key_test_seeds():
+    rng = np.random.default_rng(2024)
+    edges = np.array([0, 1, 2, 2**31, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 1], dtype=np.uint64)
+    below_2_32 = rng.integers(0, 2**32, size=20_000, dtype=np.uint64)
+    full = rng.integers(0, 2**64 - 1, size=90_000, dtype=np.uint64, endpoint=True)
+    return np.concatenate([edges, below_2_32, full])
+
+
+def test_philox_keys_match_seed_sequence():
+    seeds = _key_test_seeds()
+    assert len(seeds) >= 10**5
+    with np.errstate(all="raise"):
+        keys = philox_keys(seeds)
+    want = np.array([np.random.SeedSequence(s).generate_state(2, np.uint64) for s in seeds.tolist()])
+    assert keys.dtype == np.uint64 and keys.shape == (len(seeds), 2)
+    np.testing.assert_array_equal(keys, want)
+
+
+def test_tree_rngs_draw_as_tree_rng():
+    seeds = _key_test_seeds()
+    seeds = np.concatenate([seeds[:9], seeds[9::37]]).tolist()  # every edge seed, then a sample
+    with np.errstate(all="raise"):
+        rngs = list(tree_rngs(seeds))
+    assert len(rngs) == len(seeds)
+    for seed, ours in zip(seeds, rngs):
+        ref = tree_rng(seed)
+        for draw in ("standard_normal", "exponential", "random"):
+            assert getattr(ours, draw)(size=3).tolist() == getattr(ref, draw)(size=3).tolist()
+
+
+@pytest.mark.parametrize("reps", [range(50), range(3, 200, 7), range(0)], ids=["range", "strided", "empty"])
+def test_replicate_rngs_are_tree_rng_of_seed_stream(reps):
+    for stream in ("tree", "gauss:upper"):
+        got = [rng.standard_normal(4).tolist() for rng in replicate_rngs(11, reps, stream)]
+        want = [tree_rng(seed_stream(11, r, stream)).standard_normal(4).tolist() for r in reps]
+        assert got == want
 
 
 def test_mrca_same_leaf():

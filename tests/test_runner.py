@@ -13,13 +13,12 @@ import vsbbm
 from vsbbm import fkpp as fkpp_mod
 from vsbbm import runner as runner_mod
 from vsbbm.extremal import summarize
-from vsbbm.genealogy import sample_tree, tree_rng
+from vsbbm.genealogy import sample_tree, seed_stream, tree_rng
 from vsbbm.runner import (
     ConfigError,
     load_config,
     main,
     run,
-    seed_stream,
 )
 from vsbbm.sampler import ParticleConfiguration, sample_leaf_positions
 
@@ -113,6 +112,17 @@ def test_load_config_rejects_scalar_sigma_e(tmp_path):
     cfg = "[experiment]\nkind = fkpp\nt_end = 5\ndx = 0.1\nsigma_e = 2\n\n[output]\ndir = {out}\n"
     path, _ = write_config(tmp_path, cfg)
     with pytest.raises(ConfigError, match="sigma_e"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("kind", ["simulate", "compare"])
+@pytest.mark.parametrize("t", ["1", "0.5"])
+def test_load_config_rejects_t_at_most_one(tmp_path, kind, t):
+    # the centering and the envelopes need t > 1; without this check the
+    # run samples a whole forest batch before centering raises ValueError
+    text = SIM_CONFIG.replace("kind = simulate", f"kind = {kind}").replace("t = 3", f"t = {t}")
+    path, _ = write_config(tmp_path, text)
+    with pytest.raises(ConfigError, match="t > 1"):
         load_config(path)
 
 
@@ -266,7 +276,11 @@ def test_forest_batch_size_does_not_change_results(tmp_path, monkeypatch, budget
 
 
 def test_import_loads_no_scipy():
-    code = "import sys, vsbbm.runner; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    # neither scipy nor numpy.random is needed until a run draws or fits
+    code = (
+        "import sys, vsbbm.runner; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m.startswith('numpy.random')))"
+    )
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(vsbbm.__file__)))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]"
