@@ -1,5 +1,7 @@
 """Gaussian-comparison experiment: couple a profile with its envelopes on a
 shared genealogy and test the Laplace-transform sandwich empirically.
+``collect_exceedances`` runs on ``sampler.forest_batches``, as ``simulate``
+does, with one Gaussian stream per profile.
 
 The o(1) corrections of the limit statement are untestable at fixed t; the
 acceptance band is three combined standard errors, and raw gaps are always
@@ -13,15 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from vsbbm.extremal import count_exceedances, empirical_laplace
-from vsbbm.genealogy import (
-    GenealogyTree,
-    OffspringDistribution,
-    replicate_rngs,
-    run_replicates,
-    sample_tree,
-)
-from vsbbm.sampler import ParticleConfiguration, sample_leaf_positions
+from vsbbm.extremal import empirical_laplace, forest_exceedances
+from vsbbm.genealogy import GenealogyTree, OffspringDistribution, run_replicates, seed_stream, tree_rng
+from vsbbm.sampler import ParticleConfiguration, forest_batches, sample_leaf_positions
 from vsbbm.speed import EnvelopePair, SpeedProfile, blend
 
 
@@ -37,24 +33,6 @@ class CoupledTriple:
     horizon: float
 
 
-def _gauss_streams(profiles, seed, reps):
-    """Per replicate of ``reps``: one generator per named profile, the
-    profile ``name`` drawing from stream ``gauss:<name>``."""
-    return zip(*[replicate_rngs(seed, reps, f"gauss:{name}") for name in profiles])
-
-
-def _coupled_configs(tree, profiles, t, rngs) -> list[ParticleConfiguration]:
-    """One configuration per named profile on ``tree``, each on its own
-    generator of ``rngs``."""
-    configs = []
-    for prof, rng in zip(profiles.values(), rngs):
-        pos = sample_leaf_positions(tree, prof, t, rng)
-        configs.append(
-            ParticleConfiguration(tree=tree, profile=prof, horizon=t, leaf_positions=pos)
-        )
-    return configs
-
-
 def coupled_sample(
     tree: GenealogyTree,
     profile: SpeedProfile,
@@ -65,18 +43,15 @@ def coupled_sample(
     """Sample the three fields on the same tree with independent Gaussian
     streams: ``gauss:A``, ``gauss:upper`` and ``gauss:lower`` of replicate 0,
     the keys ``collect_exceedances`` gives profiles of those names."""
+    if abs(tree.horizon - t) > 1e-12:
+        raise ValueError(f"tree horizon {tree.horizon} does not match t={t}")
     if abs(envelopes.t - t) > 1e-12:
         raise ValueError("envelope pair was built for a different horizon")
-    profiles = {"A": profile, "upper": envelopes.upper, "lower": envelopes.lower}
-    rngs = next(_gauss_streams(profiles, seed, range(1)))
-    config_a, config_upper, config_lower = _coupled_configs(tree, profiles, t, rngs)
-    return CoupledTriple(
-        tree=tree,
-        config_a=config_a,
-        config_upper=config_upper,
-        config_lower=config_lower,
-        horizon=t,
-    )
+    configs = []
+    for name, prof in {"A": profile, "upper": envelopes.upper, "lower": envelopes.lower}.items():
+        pos = sample_leaf_positions(tree, prof, t, tree_rng(seed_stream(seed, 0, f"gauss:{name}")))
+        configs.append(ParticleConfiguration(tree=tree, profile=prof, horizon=t, leaf_positions=pos))
+    return CoupledTriple(tree, *configs, horizon=t)
 
 
 def interpolate(triple: CoupledTriple, h: float) -> ParticleConfiguration:
@@ -97,10 +72,11 @@ def interpolate(triple: CoupledTriple, h: float) -> ParticleConfiguration:
 def _exceedances(offspring, profiles, t, u_grid, seed, reps):
     """Per replicate of ``reps``: the exceedance counts of every profile on
     one tree from its ``tree`` stream."""
+    streams = {f"gauss:{name}": prof for name, prof in profiles.items()}
     rows = []
-    for tree_gen, rngs in zip(replicate_rngs(seed, reps, "tree"), _gauss_streams(profiles, seed, reps)):
-        tree = sample_tree(offspring, t, rng=tree_gen)
-        rows.append([count_exceedances(config, u_grid) for config in _coupled_configs(tree, profiles, t, rngs)])
+    for leaf_tree, positions, n in forest_batches(seed, t, offspring, streams, reps):
+        counts = [forest_exceedances(leaf_tree, pos, n, t, u_grid) for pos in positions]
+        rows += np.stack(counts, axis=1).tolist()
     return rows
 
 

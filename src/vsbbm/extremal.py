@@ -93,25 +93,41 @@ def empirical_laplace(counts, c) -> tuple[float, float]:
     return mean, math.sqrt(var / n)
 
 
+def forest_exceedances(
+    leaf_tree: np.ndarray, leaf_positions: np.ndarray, n_trees: int, t: float, u_grid
+) -> np.ndarray:
+    """``count_exceedances`` of every tree of a forest, shape (n_trees,
+    len(u_grid)), ``leaf_tree`` giving each leaf's tree.  A leaf falls in
+    cell (tree, number of u below its centered position); N_u of the j-th
+    u counts the leaves of the tree's cells above j."""
+    u_grid = np.asarray(u_grid, dtype=np.float64)
+    if np.any(np.diff(u_grid) < 0):
+        raise ValueError("u_grid must be sorted ascending")
+    width = len(u_grid) + 1
+    centered = leaf_positions - centering(t, "tilde")
+    # a leaf at or below the lowest u counts for no N_u; on the grids in
+    # use that is nearly every leaf, so drop those first
+    keep = (centered > u_grid.min(initial=np.inf)).nonzero()[0]
+    centered = centered[keep]
+    # the smallest integer type that counts to len(u_grid) adds fastest
+    below = np.zeros(len(keep), np.min_scalar_type(len(u_grid)))
+    for u in u_grid.tolist():
+        below += centered > u
+    cells = np.bincount(leaf_tree[keep] * width + below, minlength=n_trees * width).reshape(n_trees, width)
+    return cells[:, :0:-1].cumsum(axis=1)[:, ::-1]
+
+
 def forest_summaries(
     leaf_tree: np.ndarray, leaf_positions: np.ndarray, n_trees: int, t: float, u_grid
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-tree statistics of the leaves of a forest, by segmented
     reductions: n_leaves and max_centered of shape (n_trees,), and the
-    exceedance counts N_u of shape (n_trees, len(u_grid)).  ``leaf_tree``
-    gives the tree of each leaf."""
-    u_grid = np.asarray(u_grid, dtype=np.float64)
-    if np.any(np.diff(u_grid) < 0):
-        raise ValueError("u_grid must be sorted ascending")
+    ``forest_exceedances``.  ``leaf_tree`` gives the tree of each leaf."""
+    counts = forest_exceedances(leaf_tree, leaf_positions, n_trees, t, u_grid)
     n_leaves = np.bincount(leaf_tree, minlength=n_trees)
     top = np.full(n_trees, -np.inf)
     np.maximum.at(top, leaf_tree, leaf_positions)
-    m = centering(t, "tilde")
-    centered = leaf_positions - m
-    counts = np.empty((n_trees, len(u_grid)), dtype=np.int64)
-    for j, u in enumerate(u_grid):
-        counts[:, j] = np.bincount(leaf_tree[centered > u], minlength=n_trees)
-    return n_leaves, top - m, counts
+    return n_leaves, top - centering(t, "tilde"), counts
 
 
 def _check_identity(profile: SpeedProfile) -> None:

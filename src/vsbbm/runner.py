@@ -7,9 +7,10 @@ and atomically renamed, so an interrupted run never leaves corrupt
 artifacts.  Every Monte Carlo kind runs its replicates through
 ``genealogy.run_replicates``, each replicate on its own named streams,
 whose generators ``genealogy.replicate_rngs`` builds for a whole chunk of
-replicates from one vectorised key derivation; aggregation is order-fixed
-(by replicate index, exact summation), so results do not depend on the
-worker count.
+replicates from one vectorised key derivation; ``simulate``, ``martingale``
+and ``compare`` grow and place them in ``sampler.forest_batches``.
+Aggregation is order-fixed (by replicate index, exact summation), so
+results do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import sys
 import tempfile
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import islice
 
 import numpy as np
 
@@ -36,14 +36,8 @@ from vsbbm import tube as tube_mod
 from vsbbm.extremal import centering, forest_mckean, forest_summaries
 # sample_tree is not called here; the benchmark's trace (perfbench/) patches
 # and calls it as ``vsbbm.runner.sample_tree``
-from vsbbm.genealogy import (  # noqa: F401
-    OffspringDistribution,
-    replicate_rngs,
-    run_replicates,
-    sample_forest,
-    sample_tree,
-)
-from vsbbm.sampler import forest_leaf_positions
+from vsbbm.genealogy import OffspringDistribution, run_replicates, sample_tree  # noqa: F401
+from vsbbm.sampler import forest_batches
 from vsbbm.speed import (
     SpeedProfile,
     build_envelopes,
@@ -156,9 +150,14 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
     if kind != "fkpp" and int(exp.get("replicates", "0")) < 2:
         raise ConfigError(f"{kind} needs replicates >= 2")
     # simulate centers by extremal.centering and compare builds envelopes;
-    # both are defined for t > 1 only, so fail here, before any sampling
-    if kind in ("simulate", "compare") and not float(exp.get("t", "nan")) > 1:
-        raise ConfigError(f"{kind} needs t > 1")
+    # both are defined for t > 1 only, so fail here, before any sampling;
+    # both count exceedances, which needs an ascending u_grid
+    if kind in ("simulate", "compare"):
+        if not float(exp.get("t", "nan")) > 1:
+            raise ConfigError(f"{kind} needs t > 1")
+        u = _float_list(exp.get("u_grid", ""))
+        if any(b < a for a, b in zip(u, u[1:])):
+            raise ConfigError(f"{kind} needs an ascending u_grid")
     overrides = overrides or {}
 
     def pick(name, default=None, cast=str):
@@ -217,29 +216,9 @@ def _write_csv(path, header, rows) -> None:
 # ---------------------------------------------------------------------------
 # replicate workers (top-level so they pickle)
 
-# Nodes per forest batch.  A tree has 2e^t - 1 nodes on average, so a batch
-# holds about 55 trees at t = 5 and one from t = 9.1 on.  The budget bounds
-# memory only: every replicate draws from its own streams.
-FOREST_NODE_BUDGET = 2**14
-
-
-def _forests(seed, t, profile, offspring, reps):
-    """Per batch of the replicates ``reps``: the tree of each leaf, the leaf
-    positions and the batch size, on each replicate's ``tree`` and
-    ``gauss`` streams."""
-    size = max(1, int(FOREST_NODE_BUDGET / (2.0 * math.exp(t))))
-    trees = replicate_rngs(seed, reps, "tree")
-    gauss = replicate_rngs(seed, reps, "gauss")
-    for i in range(0, len(reps), size):
-        n = len(reps[i : i + size])
-        forest = sample_forest(offspring, t, list(islice(trees, n)))
-        pos = forest_leaf_positions(forest, profile, t, list(islice(gauss, n)))
-        yield forest.tree_id[forest.nodes.leaf_ids], pos, n
-
-
 def _simulate_replicates(seed, t, profile, offspring, u_grid, reps):
     rows = []
-    for leaf_tree, pos, n in _forests(seed, t, profile, offspring, reps):
+    for leaf_tree, (pos,), n in forest_batches(seed, t, offspring, {"gauss": profile}, reps):
         n_leaves, top, counts = forest_summaries(leaf_tree, pos, n, t, u_grid)
         rows += zip(n_leaves.tolist(), top.tolist(), counts.tolist())
     return rows
@@ -248,7 +227,7 @@ def _simulate_replicates(seed, t, profile, offspring, u_grid, reps):
 def _martingale_replicates(seed, s_horizon, sigma_b, offspring, reps):
     profile = identity_profile()
     vals = []
-    for leaf_tree, pos, n in _forests(seed, s_horizon, profile, offspring, reps):
+    for leaf_tree, (pos,), n in forest_batches(seed, s_horizon, offspring, {"gauss": profile}, reps):
         vals += forest_mckean(leaf_tree, pos, n, profile, s_horizon, sigma_b).tolist()
     return vals
 

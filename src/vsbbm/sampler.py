@@ -11,11 +11,13 @@ keeps the joint law exact at every grid point.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
-from vsbbm.genealogy import Forest, GenealogyTree, mrca, tree_rng
+from vsbbm.genealogy import Forest, GenealogyTree, mrca, replicate_rngs, sample_forest, tree_rng
 from vsbbm.speed import SpeedProfile, sigma2
 
 
@@ -115,6 +117,7 @@ def forest_leaf_positions(
     that tree alone, so each tree's positions are those it gets alone."""
     nodes = forest.nodes
     tree_sizes = forest.tree_sizes
+    std = _edge_std(nodes, profile, t)
     z = np.concatenate([rng.standard_normal(n) for rng, n in zip(rngs, tree_sizes.tolist())])
     if forest.n_trees > 1:
         # z is tree-major: the nodes tree r has in wave w start at z offset
@@ -125,8 +128,33 @@ def forest_leaf_positions(
         flat = sizes.ravel()
         in_forest = flat.cumsum() - flat
         z = z[(in_z - in_forest).repeat(flat) + np.arange(len(z))]
-    z *= _edge_std(nodes, profile, t)
+    z *= std
     return _descend(nodes, z)[nodes.leaf_ids]
+
+
+# Nodes per forest batch.  A tree has 2e^t - 1 nodes on average, so a batch
+# holds about 55 trees at t = 5 and one from t = 9.1 on.  The budget bounds
+# memory only: every replicate draws from its own streams.
+FOREST_NODE_BUDGET = 2**14
+
+
+def forest_batches(seed, t, offspring, streams, reps):
+    """The replicates ``reps`` in forest batches.  Per batch: the tree of
+    each leaf, one leaf-position array per entry of ``streams`` and the
+    batch size.  Each replicate grows its tree on its ``tree`` stream and
+    places the leaves with profile ``streams[name]`` on its stream
+    ``name``, so every array holds the positions it gets alone."""
+    size = max(1, int(FOREST_NODE_BUDGET / (2.0 * math.exp(t))))
+    trees = replicate_rngs(seed, reps, "tree")
+    gauss = {name: replicate_rngs(seed, reps, name) for name in streams}
+    for i in range(0, len(reps), size):
+        n = len(reps[i : i + size])
+        forest = sample_forest(offspring, t, list(islice(trees, n)))
+        positions = [
+            forest_leaf_positions(forest, profile, t, list(islice(gauss[name], n)))
+            for name, profile in streams.items()
+        ]
+        yield forest.tree_id[forest.nodes.leaf_ids], positions, n
 
 
 def sample_leaf_positions(

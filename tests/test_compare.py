@@ -51,8 +51,11 @@ def test_coupled_sample_horizon_check():
     prof = power2_profile()
     env = build_envelopes(prof, 6.0)
     tree = sample_tree(BINARY, 5.0, seed=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="envelope"):
         coupled_sample(tree, prof, env, 5.0, seed=2)
+    # envelopes for t = 6, but a tree grown to 5
+    with pytest.raises(ValueError, match="tree horizon"):
+        coupled_sample(tree, prof, env, 6.0, seed=2)
 
 
 def test_cross_config_independence():

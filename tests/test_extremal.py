@@ -217,9 +217,14 @@ def test_forest_reductions_match_trees_alone():
     forest = sample_forest(BINARY, t, [tree_rng(s) for s in seeds])
     pos = forest_leaf_positions(forest, prof, t, [tree_rng(s + 1000) for s in seeds])
     leaf_tree = forest.tree_id[forest.nodes.leaf_ids]
+    m = centering(t, "tilde")
+    # a u equal to the top leaf's centered position, above the lowest u:
+    # N_u counts strictly above it
+    tie = pos.max() - m
+    assert tie > u[0]
+    u = np.sort(np.append(u, tie))
     n_leaves, top, counts = forest_summaries(leaf_tree, pos, len(seeds), t, u)
     mart = forest_mckean(leaf_tree, pos, len(seeds), prof, t, 0.4)
-    m = centering(t, "tilde")
     for r, s in enumerate(seeds):
         cfg = make_config(t=t, seed=s)
         assert n_leaves[r] == cfg.n_leaves

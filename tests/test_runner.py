@@ -11,7 +11,7 @@ import pytest
 
 import vsbbm
 from vsbbm import fkpp as fkpp_mod
-from vsbbm import runner as runner_mod
+from vsbbm import sampler as sampler_mod
 from vsbbm.extremal import summarize
 from vsbbm.genealogy import sample_tree, seed_stream, tree_rng
 from vsbbm.runner import (
@@ -123,6 +123,17 @@ def test_load_config_rejects_t_at_most_one(tmp_path, kind, t):
     text = SIM_CONFIG.replace("kind = simulate", f"kind = {kind}").replace("t = 3", f"t = {t}")
     path, _ = write_config(tmp_path, text)
     with pytest.raises(ConfigError, match="t > 1"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("kind", ["simulate", "compare"])
+@pytest.mark.parametrize("u_grid", ["1 0", "-2 0 -1 2"])
+def test_load_config_rejects_unsorted_u_grid(tmp_path, kind, u_grid):
+    # exceedance counts need an ascending grid; without this check the run
+    # samples a whole forest batch before counting raises ValueError
+    text = SIM_CONFIG.replace("kind = simulate", f"kind = {kind}").replace("t = 3", f"t = 3\nu_grid = {u_grid}")
+    path, _ = write_config(tmp_path, text)
+    with pytest.raises(ConfigError, match="ascending u_grid"):
         load_config(path)
 
 
@@ -260,13 +271,13 @@ def test_run_simulate_matches_trees_alone(tmp_path):
 
 @pytest.mark.parametrize("budget", [1, 700])
 def test_forest_batch_size_does_not_change_results(tmp_path, monkeypatch, budget):
-    files = {"sim": "summaries.csv", "mart": "martingale.csv"}
-    texts = {"sim": FOREST_SIM_CONFIG, "mart": MART_CONFIG}
+    files = {"sim": "summaries.csv", "mart": "martingale.csv", "compare": "report.json"}
+    texts = {"sim": FOREST_SIM_CONFIG, "mart": MART_CONFIG, "compare": COMPARE_CONFIG}
     outs = {}
     for label in ("default", "small"):
         if label == "small":
             # 1: a batch of one tree; 700 nodes: a few trees per batch
-            monkeypatch.setattr(runner_mod, "FOREST_NODE_BUDGET", budget)
+            monkeypatch.setattr(sampler_mod, "FOREST_NODE_BUDGET", budget)
         for name, text in texts.items():
             path, out = write_config(tmp_path, text, name=f"{label}-{name}.ini", out=tmp_path / label / name)
             run(load_config(path))
