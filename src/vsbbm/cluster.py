@@ -10,7 +10,6 @@ conditions on a particle AT the level and scales to larger parameters.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from itertools import repeat
@@ -233,7 +232,6 @@ def decoration_collapse_study(
     offspring: OffspringDistribution | None = None,
     gamma: float = 0.75,
     y_mode: str = "zero",
-    csv_path=None,
     workers: int = 1,
 ) -> list[dict]:
     """Estimate P(more than one atom in [-R, inf)) per sigma_e via the spine
@@ -262,10 +260,4 @@ def decoration_collapse_study(
                 "analytic_bound": collapse_bound(sigma_e, R, offspring.K, gamma),
             }
         )
-    if csv_path is not None:
-        with open(csv_path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["sigma_e", "estimate", "std_error", "analytic_bound"])
-            for r in rows:
-                w.writerow([r["sigma_e"], repr(r["estimate"]), repr(r["std_error"]), repr(r["analytic_bound"])])
     return rows

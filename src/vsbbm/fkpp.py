@@ -13,7 +13,6 @@ explicit Euler only: one kernel, ``_ExplicitStep``, advances both
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -41,13 +40,6 @@ class FkppState:
     @property
     def dx(self) -> float:
         return float(self.x[1] - self.x[0])
-
-    def export_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["x", "u"])
-            for xi, ui in zip(self.x, self.u):
-                w.writerow([repr(float(xi)), repr(float(ui))])
 
 
 def reaction(

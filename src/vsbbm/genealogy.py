@@ -17,11 +17,11 @@ from functools import cache, cached_property, partial
 
 import numpy as np
 
-DEFAULT_NODE_CAP = 10**8
+NODE_CAP = 10**8  # nodes of the largest tree sample_forest grows
 
 
 class PopulationCapError(RuntimeError):
-    """Raised when a tree would exceed the configured node limit."""
+    """Raised when a tree would exceed ``NODE_CAP`` nodes."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,7 +272,6 @@ def sample_forest(
     offspring: OffspringDistribution,
     t: float,
     rngs: list | np.random.Generator,
-    node_cap: int = DEFAULT_NODE_CAP,
     starts: np.ndarray | None = None,
 ) -> Forest:
     """Grow Galton-Watson trees with Exp(1) lifetimes up to the shared
@@ -288,7 +287,7 @@ def sample_forest(
     offspring call per wave for the whole forest, so on one tree it draws
     exactly as a list of that one generator does.  Raises
     PopulationCapError instead of silently truncating when any one tree
-    would exceed node_cap nodes.
+    would exceed ``NODE_CAP`` nodes, read at call time.
     """
     if t <= 0:
         raise ValueError("horizon t must be positive")
@@ -325,12 +324,12 @@ def sample_forest(
         offset = wave_starts[-1]
         wave_starts.append(offset + b[-1])
         # the forest's node count bounds every tree's
-        if wave_starts[-1] > node_cap:
+        if wave_starts[-1] > NODE_CAP:
             per_tree = np.sum(wave_sizes, axis=0)
-            if per_tree.max() > node_cap:
+            if per_tree.max() > NODE_CAP:
                 raise PopulationCapError(
                     f"population of tree {int(per_tree.argmax())} exceeded "
-                    f"node cap {node_cap} at horizon {t}"
+                    f"node cap {NODE_CAP} at horizon {t}"
                 )
         if shared:
             death = rngs.exponential(size=len(birth))
@@ -386,7 +385,6 @@ def sample_tree(
     offspring: OffspringDistribution,
     t: float,
     seed: int | None = None,
-    node_cap: int = DEFAULT_NODE_CAP,
     rng: np.random.Generator | None = None,
 ) -> GenealogyTree:
     """Sample a Galton-Watson tree with Exp(1) lifetimes up to horizon t:
@@ -395,9 +393,9 @@ def sample_tree(
 
     Deterministic given the seed: lifetimes and offspring counts are drawn
     wave by wave in node-index order.  Raises PopulationCapError instead of
-    silently truncating when node_cap is exceeded.
+    silently truncating when ``NODE_CAP`` is exceeded.
     """
-    return sample_forest(offspring, t, tree_rng(seed) if rng is None else rng, node_cap).nodes
+    return sample_forest(offspring, t, tree_rng(seed) if rng is None else rng).nodes
 
 
 def _check_leaf(tree: GenealogyTree, node: int) -> None:

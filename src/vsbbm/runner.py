@@ -1,16 +1,23 @@
 """Experiment runner: config parsing, the six experiment kinds, CLI and
 deterministic artifact emission.
 
-Configs are line-oriented ``key = value`` text with sections.  Every output
-carries the config hash and master seed; files are written to a temp path
-and atomically renamed, so an interrupted run never leaves corrupt
-artifacts.  Every Monte Carlo kind runs its replicates through
+Configs are line-oriented ``key = value`` text with sections.
+``EXPERIMENTS`` declares each kind once: its driver, the sections it reads
+and its ``[experiment]`` keys, each with a parser and a default or
+``REQUIRED``; ``PROFILES`` does the same per ``[profile]`` kind.
+``load_config`` alone reads raw strings: a section or key the kind never
+reads, a missing key and a value its parser rejects raise ``ConfigError``
+before anything is written.  ``--seed``, ``--workers`` and ``--out`` are
+the only overrides of the file.  ``run`` writes every artifact to a temp
+path that is atomically renamed, so an interrupted run never leaves
+corrupt artifacts; the manifest carries the config hash and master seed.
+Every Monte Carlo kind runs its replicates through
 ``genealogy.run_replicates``, each replicate on its own named streams,
 whose generators ``genealogy.replicate_rngs`` builds for a whole chunk of
-replicates from one vectorised key derivation; ``simulate``, ``martingale``
-and ``compare`` grow and place them in ``sampler.forest_batches``.
-Aggregation is order-fixed (by replicate index, exact summation), so
-results do not depend on the worker count.
+replicates from one vectorised key derivation; ``simulate``,
+``martingale`` and ``compare`` grow and place them in
+``sampler.forest_batches``.  Aggregation is order-fixed (by replicate
+index, exact summation), so results do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -24,8 +31,9 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 
 import numpy as np
 
@@ -48,31 +56,66 @@ from vsbbm.speed import (
     two_speed,
 )
 
-def _power_eval(p, x):
-    return np.asarray(x) ** p
-
-
-ENV_PREFIX = "VSBBM_"
-KINDS = ("simulate", "fkpp", "compare", "cluster", "tube", "martingale")
-
-_ALLOWED_KEYS = {
-    "experiment": {
-        "kind", "t", "replicates", "seed", "workers",
-        "sigma_b", "u_grid", "c_grid", "r", "gamma", "n_steps",
-        "dx", "t_end", "sigma_e_list", "R", "y_mode",
-    },
-    "profile": {"kind", "sigma1_sq", "sigma2_sq", "b", "xs", "ys", "path", "exponent"},
-    "offspring": {"ks", "ps"},
-    "output": {"dir"},
-}
-
 
 class ConfigError(ValueError):
     pass
 
 
-def _float_list(text: str) -> list[float]:
-    return [float(x) for x in text.replace(",", " ").split()]
+# value parsers take the raw string and raise ValueError on a value they
+# cannot parse or that is out of range
+REQUIRED = None  # the default of a key that the config must set
+
+
+def _numbers(cast):
+    return lambda text: [cast(x) for x in text.replace(",", " ").split()]
+
+
+_floats, _ints = _numbers(float), _numbers(int)
+
+
+def _checked(parse, ok, need: str):
+    """``parse``, then a ValueError naming ``need`` unless ``ok(value)``."""
+
+    def parser(text):
+        if not ok(value := parse(text)):
+            raise ValueError(f"needs {need}")
+        return value
+
+    return parser
+
+
+def _power_eval(p, x):
+    return np.asarray(x) ** p
+
+
+def _power_profile(exponent: float) -> SpeedProfile:
+    p = exponent
+    k = p * (p - 1.0)  # |A''| bound on [0,1] for 1 < p <= 2
+    return from_function(
+        partial(_power_eval, p),
+        slope_at_0=0.0 if p > 1 else None,
+        slope_at_1=p,
+        k1_upper=k,
+        k1_lower=k,
+        k2_upper=k,
+        k2_lower=k,
+        label=f"power{p}",
+    )
+
+
+# [profile] kind -> (builder, its keys); every profile key is required
+PROFILES = {
+    "identity": (identity_profile, {}),
+    "two_speed": (
+        two_speed,
+        {"sigma1_sq": (float, REQUIRED), "sigma2_sq": (float, REQUIRED), "b": (float, REQUIRED)},
+    ),
+    "piecewise": (piecewise_linear, {"xs": (_floats, REQUIRED), "ys": (_floats, REQUIRED)}),
+    "table": (from_table_csv, {"path": (str, REQUIRED)}),
+    "power": (_power_profile, {"exponent": (float, REQUIRED)}),
+}
+_OFFSPRING_KEYS = {"ks": (_ints, REQUIRED), "ps": (_floats, REQUIRED)}
+_OUTPUT_KEYS = {"dir": (str, "out")}
 
 
 @dataclass
@@ -82,109 +125,13 @@ class ExperimentConfig:
     workers: int
     out_dir: str
     raw_text: str
-    params: dict = field(default_factory=dict)
-    profile: SpeedProfile | None = None
-    offspring: OffspringDistribution | None = None
+    params: dict
+    profile: SpeedProfile | None
+    offspring: OffspringDistribution | None
 
     @property
     def config_hash(self) -> str:
         return hashlib.sha256(self.raw_text.encode()).hexdigest()[:16]
-
-
-def _parse_profile(section) -> SpeedProfile:
-    kind = section.get("kind", "identity")
-    if kind == "identity":
-        return identity_profile()
-    if kind == "two_speed":
-        return two_speed(
-            float(section["sigma1_sq"]), float(section["sigma2_sq"]), float(section["b"])
-        )
-    if kind == "piecewise":
-        return piecewise_linear(_float_list(section["xs"]), _float_list(section["ys"]))
-    if kind == "table":
-        return from_table_csv(section["path"])
-    if kind == "power":
-        p = float(section["exponent"])
-        k = p * (p - 1.0)  # |A''| bound on [0,1] for 1 < p <= 2
-        return from_function(
-            partial(_power_eval, p),
-            slope_at_0=0.0 if p > 1 else None,
-            slope_at_1=p,
-            k1_upper=k,
-            k1_lower=k,
-            k2_upper=k,
-            k2_lower=k,
-            label=f"power{p}",
-        )
-    raise ConfigError(f"unknown profile kind {kind!r}")
-
-
-def _parse_offspring(section) -> OffspringDistribution:
-    if section is None or ("ks" not in section and "ps" not in section):
-        return OffspringDistribution.binary()
-    ks = [int(x) for x in section["ks"].replace(",", " ").split()]
-    ps = _float_list(section["ps"])
-    return OffspringDistribution(np.array(ks), np.array(ps))
-
-
-def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
-    """Parse and fully validate a config file; unknown keys are errors."""
-    with open(path) as fh:
-        text = fh.read()
-    parser = configparser.ConfigParser()
-    parser.optionxform = str
-    parser.read_string(text)
-    for section in parser.sections():
-        if section not in _ALLOWED_KEYS:
-            raise ConfigError(f"unknown section [{section}]")
-        for key in parser[section]:
-            if key not in _ALLOWED_KEYS[section]:
-                raise ConfigError(f"unknown key {key!r} in [{section}]")
-    if "experiment" not in parser:
-        raise ConfigError("missing [experiment] section")
-    exp = parser["experiment"]
-    kind = exp.get("kind")
-    if kind not in KINDS:
-        raise ConfigError(f"kind must be one of {KINDS}, got {kind!r}")
-    # every kind but fkpp averages replicates and estimates a standard error
-    if kind != "fkpp" and int(exp.get("replicates", "0")) < 2:
-        raise ConfigError(f"{kind} needs replicates >= 2")
-    # simulate centers by extremal.centering and compare builds envelopes;
-    # both are defined for t > 1 only, so fail here, before any sampling;
-    # both count exceedances, which needs an ascending u_grid
-    if kind in ("simulate", "compare"):
-        if not float(exp.get("t", "nan")) > 1:
-            raise ConfigError(f"{kind} needs t > 1")
-        u = _float_list(exp.get("u_grid", ""))
-        if any(b < a for a, b in zip(u, u[1:])):
-            raise ConfigError(f"{kind} needs an ascending u_grid")
-    overrides = overrides or {}
-
-    def pick(name, default=None, cast=str):
-        if name in overrides and overrides[name] is not None:
-            return overrides[name]
-        env = os.environ.get(ENV_PREFIX + name.upper())
-        if env is not None:
-            return cast(env)
-        return default
-
-    seed = int(pick("seed", exp.get("seed", "0"), int))
-    workers = int(pick("workers", exp.get("workers", "1"), int))
-    out_dir = pick("out", parser.get("output", "dir", fallback="out"))
-
-    params = {k: v for k, v in exp.items() if k not in ("kind", "seed", "workers")}
-    profile = _parse_profile(parser["profile"]) if "profile" in parser else identity_profile()
-    offspring = _parse_offspring(parser["offspring"] if "offspring" in parser else None)
-    return ExperimentConfig(
-        kind=kind,
-        seed=seed,
-        workers=workers,
-        out_dir=out_dir,
-        raw_text=text,
-        params=params,
-        profile=profile,
-        offspring=offspring,
-    )
 
 
 def _atomic_write(path, writer) -> None:
@@ -205,12 +152,7 @@ def _write_json(path, obj) -> None:
 
 
 def _write_csv(path, header, rows) -> None:
-    def writer(fh):
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
-
-    _atomic_write(path, writer)
+    _atomic_write(path, lambda fh: csv.writer(fh).writerows(chain([header], rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -233,68 +175,48 @@ def _martingale_replicates(seed, s_horizon, sigma_b, offspring, reps):
 
 
 # ---------------------------------------------------------------------------
-# experiment drivers
+# experiment drivers: each takes its kind's typed keys as keyword arguments
+# and returns its report and CSV tables, name -> (header, rows), to ``run``
 
-def _run_simulate(cfg: ExperimentConfig, out):
-    t = float(cfg.params["t"])
-    replicates = int(cfg.params["replicates"])
-    u_grid = np.array(_float_list(cfg.params.get("u_grid", "-2 -1 0 1 2")))
+def _run_simulate(cfg: ExperimentConfig, t, replicates, u_grid):
+    u_grid = np.array(u_grid)
     rows = run_replicates(
         _simulate_replicates, (cfg.seed, t, cfg.profile, cfg.offspring, u_grid), replicates, cfg.workers
     )
-    csv_rows = [
-        [rep, n, repr(mx)] + counts for rep, (n, mx, counts) in enumerate(rows)
-    ]
-    _write_csv(
-        out("summaries.csv"),
-        ["replicate", "n_leaves", "max_centered"] + [f"N_u[{u}]" for u in u_grid],
-        csv_rows,
-    )
-    n_vals = [r[0] for r in rows]
-    max_vals = [r[1] for r in rows]
+    header = ["replicate", "n_leaves", "max_centered"] + [f"N_u[{u}]" for u in u_grid]
+    csv_rows = [[rep, n, repr(mx)] + counts for rep, (n, mx, counts) in enumerate(rows)]
     report = {
         "t": t,
         "replicates": replicates,
-        "mean_n_leaves": math.fsum(n_vals) / replicates,
-        "mean_max_centered": math.fsum(max_vals) / replicates,
+        "mean_n_leaves": math.fsum(r[0] for r in rows) / replicates,
+        "mean_max_centered": math.fsum(r[1] for r in rows) / replicates,
         "centering_tilde": centering(t, "tilde"),
     }
-    _write_json(out("report.json"), report)
-    return report
+    return report, {"summaries.csv": (header, csv_rows)}
 
 
-def _run_martingale(cfg: ExperimentConfig, out):
-    s_horizon = float(cfg.params["t"])
-    sigma_b = float(cfg.params["sigma_b"])
-    replicates = int(cfg.params["replicates"])
+def _run_martingale(cfg: ExperimentConfig, t, sigma_b, replicates):
     vals = run_replicates(
-        _martingale_replicates, (cfg.seed, s_horizon, sigma_b, cfg.offspring), replicates, cfg.workers
+        _martingale_replicates, (cfg.seed, t, sigma_b, cfg.offspring), replicates, cfg.workers
     )
     mean = math.fsum(vals) / replicates
     var = math.fsum((v - mean) ** 2 for v in vals) / (replicates - 1)
     se = math.sqrt(var / replicates)
-    _write_csv(
-        out("martingale.csv"), ["replicate", "Y"], [[r, repr(v)] for r, v in enumerate(vals)]
-    )
     report = {
-        "s": s_horizon,
+        "s": t,
         "sigma_b": sigma_b,
         "replicates": replicates,
         "mean": mean,
         "std_error": se,
         "deviation_in_se": abs(mean - 1.0) / se if se > 0 else 0.0,
     }
-    _write_json(out("report.json"), report)
-    return report
+    return report, {"martingale.csv": (["replicate", "Y"], [[r, repr(v)] for r, v in enumerate(vals)])}
 
 
-def _run_fkpp(cfg: ExperimentConfig, out):
-    t_end = float(cfg.params["t_end"])
-    dx = float(cfg.params.get("dx", "0.05"))
-    sigma_es = _float_list(cfg.params.get("sigma_e_list", ""))
+def _run_fkpp(cfg: ExperimentConfig, t_end, dx, sigma_e_list):
     # one solve serves the front and every tail: the grid is widened to
     # what the largest sigma_e needs, which leaves the front unmoved
-    x_max = max((fkpp_mod.tail_x_max(s, t_end) for s in sigma_es), default=None)
+    x_max = max((fkpp_mod.tail_x_max(s, t_end) for s in sigma_e_list), default=None)
     state, track, snaps = fkpp_mod.solve_heaviside(
         cfg.offspring,
         t_end,
@@ -303,35 +225,26 @@ def _run_fkpp(cfg: ExperimentConfig, out):
         track_front=True,
         snapshot_times=(t_end / 2.0,),
     )
-    _write_csv(
-        out("front.csv"), ["t", "front"], [[repr(t), repr(f)] for t, f in track]
-    )
-    state.export_csv(out("snapshot.csv"))
     report = {
         "t_end": t_end,
         "dx": dx,
         "front": fkpp_mod.front_position(state),
         "reference_m_t": centering(t_end, "standard"),
     }
-    if sigma_es:
+    if sigma_e_list:
         tails = {}
-        for se_val in sigma_es:
+        for se_val in sigma_e_list:
             est, diag = fkpp_mod.tail_estimate(state, snaps[t_end / 2.0], se_val, t_end)
             tails[str(se_val)] = {"estimate": est, **diag}
         report["tail_constants"] = tails
-    _write_json(out("report.json"), report)
-    return report
+    return report, {
+        "front.csv": (["t", "front"], [[repr(t), repr(f)] for t, f in track]),
+        "snapshot.csv": (["x", "u"], ([repr(float(x)), repr(float(u))] for x, u in zip(state.x, state.u))),
+    }
 
 
-def _run_tube(cfg: ExperimentConfig, out):
-    t = float(cfg.params["t"])
-    r = float(cfg.params["r"])
-    gamma = float(cfg.params["gamma"])
-    replicates = int(cfg.params["replicates"])
-    n_steps = int(cfg.params.get("n_steps", "512"))
-    rate, se = tube_mod.empirical_bridge_violation(
-        t, r, gamma, replicates, cfg.seed, n_steps
-    )
+def _run_tube(cfg: ExperimentConfig, t, r, gamma, replicates, n_steps):
+    rate, se = tube_mod.empirical_bridge_violation(t, r, gamma, replicates, cfg.seed, n_steps)
     report = {
         "t": t,
         "r": r,
@@ -341,15 +254,10 @@ def _run_tube(cfg: ExperimentConfig, out):
         "std_error": se,
         "series_bound": tube_mod.bridge_violation_bound(r, gamma),
     }
-    _write_json(out("report.json"), report)
-    return report
+    return report, {}
 
 
-def _run_compare(cfg: ExperimentConfig, out):
-    t = float(cfg.params["t"])
-    replicates = int(cfg.params["replicates"])
-    u_grid = _float_list(cfg.params.get("u_grid", "-1 0 1 2 3"))
-    c_grid = _float_list(cfg.params.get("c_grid", "0.1 0.5 2"))
+def _run_compare(cfg: ExperimentConfig, t, replicates, u_grid, c_grid):
     envelopes = build_envelopes(cfg.profile, t)
     counts = compare_mod.collect_exceedances(
         cfg.offspring,
@@ -360,74 +268,182 @@ def _run_compare(cfg: ExperimentConfig, out):
         cfg.seed,
         workers=cfg.workers,
     )
-    report = compare_mod.sandwich_report(
-        counts["A"], counts["upper"], counts["lower"], u_grid, c_grid
-    )
+    report = compare_mod.sandwich_report(counts["A"], counts["upper"], counts["lower"], u_grid, c_grid)
     report["t"] = t
     report["replicates"] = replicates
-    _write_json(out("report.json"), report)
-    return report
+    return report, {}
 
 
-def _run_cluster(cfg: ExperimentConfig, out):
-    t = float(cfg.params["t"])
-    replicates = int(cfg.params["replicates"])
-    sigma_e_list = _float_list(cfg.params.get("sigma_e_list", "1.2 1.5 2"))
-    big_r = float(cfg.params.get("R", "2"))
+def _run_cluster(cfg: ExperimentConfig, t, replicates, sigma_e_list, R, y_mode):
     rows = cluster_mod.decoration_collapse_study(
         sigma_e_list,
-        big_r,
+        R,
         t,
         replicates,
         cfg.seed,
         offspring=cfg.offspring,
-        y_mode=cfg.params.get("y_mode", "zero"),
-        csv_path=out("collapse.csv"),
+        y_mode=y_mode,
         workers=cfg.workers,
     )
-    report = {"t": t, "R": big_r, "replicates": replicates, "rows": rows}
-    _write_json(out("report.json"), report)
-    return report
+    header = ["sigma_e", "estimate", "std_error", "analytic_bound"]
+    csv_rows = [[r["sigma_e"]] + [repr(r[key]) for key in header[1:]] for r in rows]
+    return {"t": t, "R": R, "replicates": replicates, "rows": rows}, {"collapse.csv": (header, csv_rows)}
 
 
-_DRIVERS = {
-    "simulate": _run_simulate,
-    "martingale": _run_martingale,
-    "fkpp": _run_fkpp,
-    "tube": _run_tube,
-    "compare": _run_compare,
-    "cluster": _run_cluster,
+# ---------------------------------------------------------------------------
+# kind -> (driver, sections read besides [experiment] and [output], key ->
+# (parser, default string or REQUIRED)); every kind also takes _COMMON_KEYS
+
+_COMMON_KEYS = {
+    "seed": (_checked(int, lambda v: v >= 0, "seed >= 0"), "0"),
+    "workers": (_checked(int, lambda v: v >= 1, "workers >= 1"), "1"),
+}
+# every kind but fkpp averages replicates and estimates a standard error
+_REPLICATES = (_checked(int, lambda v: v >= 2, "replicates >= 2"), REQUIRED)
+# extremal.centering (simulate, and fkpp's reference_m_t) and the envelopes
+# of compare are defined for t > 1 only; simulate and compare count
+# exceedances over an ascending u_grid
+_T_ABOVE_ONE = (_checked(float, lambda v: v > 1, "t > 1"), REQUIRED)
+_U_GRID = _checked(_floats, lambda v: v == sorted(v), "an ascending u_grid")
+# a tail constant exists for an end slope sigma_e > 1 only
+_SIGMA_ES = _checked(_floats, lambda v: all(s > 1 for s in v), "every entry > 1")
+
+EXPERIMENTS = {
+    "simulate": (_run_simulate, ("profile", "offspring"), {
+        "t": _T_ABOVE_ONE, "replicates": _REPLICATES, "u_grid": (_U_GRID, "-2 -1 0 1 2"),
+    }),
+    "fkpp": (_run_fkpp, ("offspring",), {
+        "t_end": _T_ABOVE_ONE, "dx": (float, "0.05"), "sigma_e_list": (_SIGMA_ES, ""),
+    }),
+    "compare": (_run_compare, ("profile", "offspring"), {
+        "t": _T_ABOVE_ONE, "replicates": _REPLICATES, "u_grid": (_U_GRID, "-1 0 1 2 3"),
+        "c_grid": (_floats, "0.1 0.5 2"),
+    }),
+    "cluster": (_run_cluster, ("offspring",), {
+        "t": (float, REQUIRED), "replicates": _REPLICATES,
+        "sigma_e_list": (_checked(_SIGMA_ES, lambda v: v == sorted(v), "an ascending list"), "1.2 1.5 2"),
+        "R": (float, "2"),
+        "y_mode": (_checked(str, lambda v: v in ("zero", "exponential"), "zero or exponential"), "zero"),
+    }),
+    "tube": (_run_tube, (), {
+        "t": (float, REQUIRED), "r": (float, REQUIRED), "gamma": (float, REQUIRED),
+        "replicates": _REPLICATES, "n_steps": (int, "512"),
+    }),
+    "martingale": (_run_martingale, ("offspring",), {
+        "t": (float, REQUIRED), "sigma_b": (float, REQUIRED), "replicates": _REPLICATES,
+    }),
 }
 
 
+def _parse_keys(section: str, raw: dict, keys: dict) -> dict:
+    """Typed values of ``keys`` from the raw strings of one section."""
+    values = {}
+    for key, (parse, default) in keys.items():
+        text = raw.get(key, default)
+        if text is REQUIRED:
+            raise ConfigError(f"missing key {key!r} in [{section}]")
+        try:
+            values[key] = parse(text)
+        except ValueError as exc:
+            raise ConfigError(f"[{section}] {key} = {text!r}: {exc}") from None
+    return values
+
+
+def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
+    """Parse and fully validate a config file.  ``overrides`` maps seed,
+    workers or out (the output directory) to a value, or None, for the file's."""
+    with open(path) as fh:
+        text = fh.read()
+    parser = configparser.ConfigParser()
+    parser.optionxform = str
+    parser.read_string(text)
+    raw = {name: dict(parser[name]) for name in parser.sections()}
+    if "experiment" not in raw:
+        raise ConfigError("missing [experiment] section")
+    raw.setdefault("output", {})
+    for name, value in (overrides or {}).items():
+        if value is not None:
+            section, key = ("output", "dir") if name == "out" else ("experiment", name)
+            raw[section][key] = str(value)
+    kind = raw["experiment"].pop("kind", None)
+    if kind not in EXPERIMENTS:
+        raise ConfigError(f"kind must be one of {tuple(EXPERIMENTS)}, got {kind!r}")
+    _, sections, keys = EXPERIMENTS[kind]
+    schemas = {"experiment": {**keys, **_COMMON_KEYS}, "output": _OUTPUT_KEYS, "offspring": _OFFSPRING_KEYS}
+    for name in raw:
+        if name not in ("experiment", "output", *sections):
+            raise ConfigError(f"{kind} reads no [{name}] section")
+    if "profile" in sections:
+        profile_kind = raw.setdefault("profile", {}).pop("kind", "identity")
+        if profile_kind not in PROFILES:
+            raise ConfigError(f"[profile] kind must be one of {tuple(PROFILES)}, got {profile_kind!r}")
+        build_profile, schemas["profile"] = PROFILES[profile_kind]
+    # every unknown key is reported before any missing or malformed one
+    for name, section in raw.items():
+        if unknown := sorted(section.keys() - schemas[name].keys()):
+            raise ConfigError(f"unknown key {unknown[0]!r} in [{name}] of {kind}")
+    typed = {name: _parse_keys(name, section, schemas[name]) for name, section in raw.items()}
+    try:
+        profile = build_profile(**typed["profile"]) if "profile" in sections else None
+        law = typed.get("offspring", {"ks": [2], "ps": [1.0]})  # binary by default
+        offspring = OffspringDistribution(np.array(law["ks"]), np.array(law["ps"]))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    params = typed["experiment"]
+    return ExperimentConfig(
+        kind=kind,
+        seed=params.pop("seed"),
+        workers=params.pop("workers"),
+        out_dir=typed["output"]["dir"],
+        raw_text=text,
+        params=params,
+        profile=profile,
+        offspring=offspring if "offspring" in sections else None,
+    )
+
+
 def run(cfg: ExperimentConfig) -> dict:
-    """Run the configured experiment; returns the report and writes a
-    manifest listing every artifact plus the config hash."""
+    """Run the configured experiment; writes its CSV tables, its
+    ``report.json`` and a manifest listing every artifact plus the config
+    hash, and returns the report."""
+    report, tables = EXPERIMENTS[cfg.kind][0](cfg, **cfg.params)
     os.makedirs(cfg.out_dir, exist_ok=True)
-    produced = []
-
-    def out(name):
-        path = os.path.join(cfg.out_dir, name)
-        produced.append(name)
-        return path
-
-    report = _DRIVERS[cfg.kind](cfg, out)
+    for name, (header, rows) in tables.items():
+        _write_csv(os.path.join(cfg.out_dir, name), header, rows)
+    _write_json(os.path.join(cfg.out_dir, "report.json"), report)
     manifest = {
         "kind": cfg.kind,
         "seed": cfg.seed,
         "config_hash": cfg.config_hash,
-        "files": sorted(produced),
+        "files": sorted([*tables, "report.json"]),
         "version": "0.1.0",
     }
     _write_json(os.path.join(cfg.out_dir, "manifest.json"), manifest)
     return report
 
 
+def _describe(kind: str) -> str:
+    """Help text of one subcommand: its keys, defaults and sections."""
+    _, sections, keys = EXPERIMENTS[kind]
+
+    def listing(schema):
+        return [
+            f"  {key} = {'(required)' if default is REQUIRED else default or '(empty)'}"
+            for key, (_, default) in schema.items()
+        ]
+
+    lines = [f"[experiment] kind = {kind}", *listing({**keys, **_COMMON_KEYS})]
+    lines += ["[output]", *listing(_OUTPUT_KEYS), *(f"[{s}] (optional)" for s in sections)]
+    return "\n".join(lines)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="vsbbm", description=__doc__)
     sub = parser.add_subparsers(dest="kind", required=True)
-    for kind in KINDS:
-        p = sub.add_parser(kind)
+    for kind in EXPERIMENTS:
+        p = sub.add_parser(
+            kind, description=_describe(kind), formatter_class=argparse.RawDescriptionHelpFormatter
+        )
         p.add_argument("--config", required=True)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--workers", type=int, default=None)

@@ -16,6 +16,7 @@ from vsbbm.cluster import (
     spine_sample,
 )
 from vsbbm.genealogy import OffspringDistribution, sample_tree, tree_rng
+from vsbbm.runner import load_config, run
 from vsbbm.sampler import sample_leaf_positions
 from vsbbm.speed import identity_profile
 
@@ -145,18 +146,24 @@ def test_collapse_bound_properties():
 
 
 def test_decoration_collapse_study(tmp_path):
-    path = tmp_path / "collapse.csv"
-    rows = decoration_collapse_study(
-        [1.2, 1.5, 2.0], R=2.0, t=3.0, replicates=150, seed=5, csv_path=path
+    # the cluster kind runs the study and writes its rows to collapse.csv
+    cfg = tmp_path / "cluster.ini"
+    cfg.write_text(
+        "[experiment]\nkind = cluster\nt = 3\nreplicates = 150\nsigma_e_list = 1.2 1.5 2\nR = 2\n"
+        f"seed = 5\n\n[output]\ndir = {tmp_path / 'out'}\n"
     )
+    rows = run(load_config(cfg))["rows"]
+    assert rows == decoration_collapse_study([1.2, 1.5, 2.0], R=2.0, t=3.0, replicates=150, seed=5)
     ests = [r["estimate"] for r in rows]
     ses = [r["std_error"] for r in rows]
     for a, b, sa, sb in zip(ests, ests[1:], ses, ses[1:]):
         assert b <= a + 2 * math.hypot(sa, sb)
     assert all(r["analytic_bound"] > 0 for r in rows)
-    lines = path.read_text().splitlines()
+    lines = (tmp_path / "out" / "collapse.csv").read_text().splitlines()
     assert lines[0] == "sigma_e,estimate,std_error,analytic_bound"
-    assert len(lines) == 4
+    assert lines[1:] == [
+        f"{r['sigma_e']},{r['estimate']!r},{r['std_error']!r},{r['analytic_bound']!r}" for r in rows
+    ]
 
 
 def test_decoration_collapse_study_distinct_spine_seeds(monkeypatch):

@@ -1,3 +1,4 @@
+import csv
 import math
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from vsbbm.fkpp import (
     tail_constant,
 )
 from vsbbm.genealogy import OffspringDistribution
+from vsbbm.runner import load_config, run
 
 BINARY = OffspringDistribution.binary()
 LAWS = {
@@ -215,9 +217,12 @@ def test_tail_constant_validation():
 
 
 def test_export_csv(tmp_path):
-    state = solve_heaviside(BINARY, 1.0, x_min=-5.0, dx=0.1)
-    path = tmp_path / "u.csv"
-    state.export_csv(path)
-    rows = path.read_text().splitlines()
-    assert rows[0] == "x,u"
-    assert len(rows) == 1 + len(state.x)
+    # the fkpp kind's snapshot.csv holds the final state, value for value
+    cfg = tmp_path / "fkpp.ini"
+    cfg.write_text(f"[experiment]\nkind = fkpp\nt_end = 2\ndx = 0.1\n\n[output]\ndir = {tmp_path / 'out'}\n")
+    run(load_config(cfg))
+    with open(tmp_path / "out" / "snapshot.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    state = solve_heaviside(BINARY, 2.0, dx=0.1)
+    assert rows[0] == ["x", "u"]
+    assert rows[1:] == [[repr(float(x)), repr(float(u))] for x, u in zip(state.x, state.u)]

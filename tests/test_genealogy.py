@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
+from vsbbm import genealogy
 from vsbbm.genealogy import (
     GenealogyTree,
     OffspringDistribution,
@@ -86,9 +87,10 @@ def test_sample_tree_deterministic():
     assert not np.array_equal(a.death, c.death)
 
 
-def test_population_cap():
+def test_population_cap(monkeypatch):
+    monkeypatch.setattr(genealogy, "NODE_CAP", 50)
     with pytest.raises(PopulationCapError):
-        sample_tree(BINARY, 12.0, seed=0, node_cap=50)
+        sample_tree(BINARY, 12.0, seed=0)
 
 
 def _reference_tree(offspring, t, rng):
@@ -142,7 +144,7 @@ def test_sample_forest_matches_trees_grown_alone(law):
     assert np.array_equal(nodes.leaf_ids, np.flatnonzero(nodes.n_offspring == 0))
 
 
-def test_sample_forest_population_cap_is_per_tree():
+def test_sample_forest_population_cap_is_per_tree(monkeypatch):
     def rngs():
         return [tree_rng(s) for s in range(30)]
 
@@ -150,9 +152,11 @@ def test_sample_forest_population_cap_is_per_tree():
     largest = int(sizes.max())
     assert sizes.sum() > largest
     # the forest may hold more nodes than the cap, as long as no tree does
-    sample_forest(BINARY, 3.0, rngs(), node_cap=largest)
+    monkeypatch.setattr(genealogy, "NODE_CAP", largest)
+    sample_forest(BINARY, 3.0, rngs())
+    monkeypatch.setattr(genealogy, "NODE_CAP", largest - 1)
     with pytest.raises(PopulationCapError, match=f"tree {int(sizes.argmax())} "):
-        sample_forest(BINARY, 3.0, rngs(), node_cap=largest - 1)
+        sample_forest(BINARY, 3.0, rngs())
 
 
 @pytest.mark.parametrize("law", list(LAWS), ids=list(LAWS))
@@ -193,16 +197,18 @@ def test_forest_started_late_has_mean_leaf_count(law):
         assert abs(counts.mean() - math.exp(t - p)) < 4 * se
 
 
-def test_shared_generator_population_cap_is_per_tree():
-    def grow(cap=10**8):
-        return sample_forest(BINARY, 3.0, tree_rng(4), node_cap=cap, starts=np.linspace(0.0, 2.0, 30))
+def test_shared_generator_population_cap_is_per_tree(monkeypatch):
+    def grow():
+        return sample_forest(BINARY, 3.0, tree_rng(4), starts=np.linspace(0.0, 2.0, 30))
 
     sizes = grow().tree_sizes
     largest = int(sizes.max())
     assert sizes.sum() > largest
-    grow(largest)
+    monkeypatch.setattr(genealogy, "NODE_CAP", largest)
+    grow()
+    monkeypatch.setattr(genealogy, "NODE_CAP", largest - 1)
     with pytest.raises(PopulationCapError, match=f"tree {int(sizes.argmax())} "):
-        grow(largest - 1)
+        grow()
 
 
 def _lineage(tree, leaf):

@@ -15,6 +15,7 @@ from vsbbm import sampler as sampler_mod
 from vsbbm.extremal import summarize
 from vsbbm.genealogy import sample_tree, seed_stream, tree_rng
 from vsbbm.runner import (
+    EXPERIMENTS,
     ConfigError,
     load_config,
     main,
@@ -160,13 +161,15 @@ def test_config_hash_matches_text(tmp_path):
 
 
 def test_override_precedence(tmp_path, monkeypatch):
+    # command-line flags beat the file; the environment is never read
     path, _ = write_config(tmp_path, SIM_CONFIG)
-    assert load_config(path).seed == 7
     monkeypatch.setenv("VSBBM_SEED", "99")
-    assert load_config(path).seed == 99
-    assert load_config(path, overrides={"seed": 123}).seed == 123
     monkeypatch.setenv("VSBBM_WORKERS", "4")
-    assert load_config(path).workers == 4
+    cfg = load_config(path)
+    assert (cfg.seed, cfg.workers) == (7, 1)
+    cfg = load_config(path, overrides={"seed": 123, "workers": 2, "out": str(tmp_path / "x")})
+    assert (cfg.seed, cfg.workers, cfg.out_dir) == (123, 2, str(tmp_path / "x"))
+    assert load_config(path, overrides={"seed": None}).seed == 7
 
 
 def test_profile_and_offspring_parsing(tmp_path):
@@ -456,3 +459,91 @@ def test_main_out_override(tmp_path):
     assert main(["simulate", "--config", str(path), "--out", str(other), "--seed", "9"]) == 0
     manifest = json.loads((other / "manifest.json").read_text())
     assert manifest["seed"] == 9
+
+
+# per kind: the [experiment] lines of a valid config, the first of them a
+# required key, its other sections, a key of another kind, and a section
+# the kind never reads
+KIND_CASES = {
+    "simulate": ("t = 3\nreplicates = 4", "[profile]\nkind = identity\n", "sigma_b = 0.3", "[mystery]\n"),
+    "compare": ("t = 3\nreplicates = 4", "[profile]\nkind = power\nexponent = 2\n", "n_steps = 8", "[tube]\n"),
+    "martingale": ("sigma_b = 0.3\nt = 3\nreplicates = 4", "", "u_grid = 0 1", "[profile]\nkind = two_speed\n"),
+    "fkpp": ("t_end = 2\ndx = 0.1", "[offspring]\nks = 1 3\nps = 0.5 0.5\n", "replicates = 4", "[profile]\n"),
+    "cluster": ("t = 3\nreplicates = 4", "", "gamma = 0.5", "[profile]\nkind = identity\n"),
+    "tube": ("r = 10\nt = 30\ngamma = 0.75\nreplicates = 20", "", "R = 2", "[offspring]\nks = 2\nps = 1\n"),
+}
+
+
+def _kind_config(kind, lines, sections=""):
+    return f"[experiment]\nkind = {kind}\n{lines}\n\n{sections}\n[output]\ndir = {{out}}\n"
+
+
+def _bad_configs():
+    """pytest params (kind, config text, extra argv, a word the error names)."""
+    for kind, (lines, sections, foreign, unread) in KIND_CASES.items():
+        first = lines.split("\n")[0]
+        key = first.split(" = ")[0]
+        cases = {
+            "missing-key": (lines.replace(first + "\n", ""), sections, [], key),
+            "foreign-key": (f"{lines}\n{foreign}", sections, [], foreign.split(" = ")[0]),
+            "unread-section": (lines, sections + unread, [], unread.split("]")[0][1:]),
+            "unparsable": (lines.replace(first, f"{key} = soon"), sections, [], key),
+            "seed": (f"{lines}\nseed = -3", sections, [], "seed"),
+            "seed-flag": (lines, sections, ["--seed", "-3"], "seed"),
+            "workers": (f"{lines}\nworkers = 0", sections, [], "workers"),
+        }
+        for name, (exp, secs, argv, word) in cases.items():
+            yield pytest.param(kind, _kind_config(kind, exp, secs), argv, word, id=f"{kind}-{name}")
+    extra = [
+        ("cluster", "t = 3\nreplicates = 4\nsigma_e_list = 2 1.5", "", "ascending"),
+        ("cluster", "t = 3\nreplicates = 4\nsigma_e_list = 1 1.5", "", "> 1"),
+        ("cluster", "t = 3\nreplicates = 4\ny_mode = uniform", "", "y_mode"),
+        ("fkpp", "t_end = 2\nsigma_e_list = 1 2", "", "> 1"),
+        ("simulate", "t = 3\nreplicates = 4", "[profile]\nkind = identity\nexponent = 2\n", "exponent"),
+        ("simulate", "t = 3\nreplicates = 4", "[profile]\nkind = two_speed\nsigma1_sq = 0.5\nsigma2_sq = 2\n", "'b'"),
+        ("simulate", "t = 3\nreplicates = 4", "[profile]\nkind = spiral\n", "spiral"),
+        ("simulate", "t = 3\nreplicates = 4", "[profile]\nkind = two_speed\nsigma1_sq = 0.5\n"
+         "sigma2_sq = 0.5\nb = 0.5\n", "normalization"),
+        ("simulate", "t = 3\nreplicates = 4", "[offspring]\nks = 1 3\n", "ps"),
+    ]
+    for i, (kind, lines, sections, word) in enumerate(extra):
+        yield pytest.param(kind, _kind_config(kind, lines, sections), [], word, id=f"{kind}-value-{i}")
+
+
+@pytest.mark.parametrize("kind", list(KIND_CASES))
+def test_kind_cases_are_valid(tmp_path, kind):
+    lines, sections = KIND_CASES[kind][:2]
+    path, out = write_config(tmp_path, _kind_config(kind, lines, sections))
+    assert load_config(path).kind == kind
+
+
+@pytest.mark.parametrize("kind,text,argv,word", _bad_configs())
+def test_main_rejects_bad_config_before_any_output(tmp_path, capsys, kind, text, argv, word):
+    path, out = write_config(tmp_path, text)
+    assert main([kind, "--config", str(path), *argv]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert word in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", list(KIND_CASES))
+def test_help_lists_keys_defaults_and_sections(capsys, kind):
+    with pytest.raises(SystemExit) as done:
+        main([kind, "--help"])
+    assert done.value.code == 0
+    text = capsys.readouterr().out
+    _, sections, keys = EXPERIMENTS[kind]
+    for key, (_, default) in keys.items():
+        assert f"  {key} = {'(required)' if default is None else default or '(empty)'}" in text
+    assert "  seed = 0" in text and "  workers = 1" in text and "[output]\n  dir = out" in text
+    assert all(f"[{s}] (optional)" in text for s in sections)
+
+
+def test_readme_lists_every_key_and_default():
+    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+    section = readme.split("## Command line")[1].split("\n## ")[0]
+    for kind, (_, _, keys) in EXPERIMENTS.items():
+        row = next(line for line in section.splitlines() if line.startswith(f"| `{kind}` |"))
+        for key, (_, default) in keys.items():
+            assert f"`{key} = {default}`" in row if default else f"`{key}`" in row, (kind, key)
