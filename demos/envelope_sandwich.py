@@ -1,9 +1,11 @@
 """Gaussian-comparison sandwich for exceedance Laplace functionals.
 
 Builds one-kink two-speed envelopes around the profile A(x) = x^2, couples
-all three fields on shared genealogies, and checks cell by cell that the
-empirical Laplace functional of exceedance counts above the centered level
-u sits between the envelope values (up to Monte Carlo error).
+all three fields on shared genealogies and one shared Gaussian draw, and
+checks cell by cell that the empirical Laplace functional of exceedance
+counts above the centered level u sits between the envelope values (up to
+Monte Carlo error).  The coupling pairs the gaps, whose paired standard
+errors are printed beside them.
 
     python3 demos/envelope_sandwich.py --replicates 1000
 """
@@ -51,12 +53,14 @@ def main():
         seed=args.seed,
     )
     report = sandwich_report(counts["a"], counts["up"], counts["low"], u_grid, c_grid)
-    print("u      c     L_lower  L_A     L_upper  verdict")
+    print("u      c     L_lower  L_A     L_upper  gap_up (SE)        gap_low (SE)       verdict")
     for cell in report["cells"]:
         ok = cell["pass_upper"] and cell["pass_lower"]
         print(
             f"{cell['u']:5.1f}  {cell['c']:4.1f}  {cell['L_low']:.4f}   "
             f"{cell['L_A']:.4f}  {cell['L_up']:.4f}   "
+            f"{cell['gap_upper']:+.4f} ({cell['SE_gap_upper']:.4f})  "
+            f"{cell['gap_lower']:+.4f} ({cell['SE_gap_lower']:.4f})  "
             f"{'ok' if ok else 'VIOLATED'}"
         )
     print(f"\n{report['n_pass']}/{report['n_cells']} cells consistent")

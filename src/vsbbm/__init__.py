@@ -30,7 +30,7 @@ from vsbbm.extremal import (
 )
 from vsbbm.tube import TubeSpec, bridge_violation_bound, empirical_bridge_violation, in_tube
 from vsbbm.fkpp import FkppState, fkpp_step, front_position, solve_heaviside, tail_constant
-from vsbbm.compare import CoupledTriple, coupled_sample, interpolate, sandwich_report
+from vsbbm.compare import CoupledTriple, coupled_sample, sandwich_report
 from vsbbm.cluster import SpineRealization, conditioned_sample, decoration_atoms, spine_sample
 
 __all__ = [
@@ -69,7 +69,6 @@ __all__ = [
     "tail_constant",
     "CoupledTriple",
     "coupled_sample",
-    "interpolate",
     "sandwich_report",
     "SpineRealization",
     "conditioned_sample",

@@ -1,7 +1,8 @@
 """Gaussian-comparison experiment: couple a profile with its envelopes on a
 shared genealogy and test the Laplace-transform sandwich empirically.
 ``collect_exceedances`` runs on ``sampler.forest_batches``, as ``simulate``
-does, with one Gaussian stream per profile.
+does: every profile is placed on the replicate's tree from one draw of
+its ``gauss`` stream, so the sandwich differences are paired.
 
 The o(1) corrections of the limit statement are untestable at fixed t; the
 acceptance band is three combined standard errors, and raw gaps are always
@@ -15,16 +16,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from vsbbm.extremal import empirical_laplace, forest_exceedances
+from vsbbm.extremal import empirical_laplace, forest_exceedances, mean_and_se
 from vsbbm.genealogy import GenealogyTree, OffspringDistribution, run_replicates, seed_stream, tree_rng
 from vsbbm.sampler import ParticleConfiguration, forest_batches, sample_leaf_positions
-from vsbbm.speed import EnvelopePair, SpeedProfile, blend
+from vsbbm.speed import EnvelopePair, SpeedProfile
 
 
 @dataclass(frozen=True, eq=False)
 class CoupledTriple:
-    """Three independent Gaussian draws (A, upper envelope, lower envelope)
-    on one shared tree."""
+    """The fields of A, the upper and the lower envelope on one shared tree,
+    each scaling the same standard normal draw over its edges."""
 
     tree: GenealogyTree
     config_a: ParticleConfiguration
@@ -40,42 +41,28 @@ def coupled_sample(
     t: float,
     seed: int,
 ) -> CoupledTriple:
-    """Sample the three fields on the same tree with independent Gaussian
-    streams: ``gauss:A``, ``gauss:upper`` and ``gauss:lower`` of replicate 0,
-    the keys ``collect_exceedances`` gives profiles of those names."""
+    """Sample the three fields on the same tree from one draw of the
+    ``gauss`` stream of replicate 0, as ``collect_exceedances`` places the
+    profiles of its replicate 0."""
     if abs(tree.horizon - t) > 1e-12:
         raise ValueError(f"tree horizon {tree.horizon} does not match t={t}")
     if abs(envelopes.t - t) > 1e-12:
         raise ValueError("envelope pair was built for a different horizon")
     configs = []
-    for name, prof in {"A": profile, "upper": envelopes.upper, "lower": envelopes.lower}.items():
-        pos = sample_leaf_positions(tree, prof, t, tree_rng(seed_stream(seed, 0, f"gauss:{name}")))
+    for prof in (profile, envelopes.upper, envelopes.lower):
+        # a fresh generator of the one key repeats the draw for each profile
+        pos = sample_leaf_positions(tree, prof, t, tree_rng(seed_stream(seed, 0, "gauss")))
         configs.append(ParticleConfiguration(tree=tree, profile=prof, horizon=t, leaf_positions=pos))
     return CoupledTriple(tree, *configs, horizon=t)
 
 
-def interpolate(triple: CoupledTriple, h: float) -> ParticleConfiguration:
-    """Leafwise sqrt(h) x + sqrt(1-h) y-bar; its speed function is the
-    h-blend of the two speed functions."""
-    if not 0.0 <= h <= 1.0:
-        raise ValueError("h must lie in [0, 1]")
-    pos = (
-        math.sqrt(h) * triple.config_a.leaf_positions
-        + math.sqrt(1.0 - h) * triple.config_upper.leaf_positions
-    )
-    prof = blend(triple.config_a.profile, triple.config_upper.profile, h)
-    return ParticleConfiguration(
-        tree=triple.tree, profile=prof, horizon=triple.horizon, leaf_positions=pos
-    )
-
-
 def _exceedances(offspring, profiles, t, u_grid, seed, reps):
     """Per replicate of ``reps``: the exceedance counts of every profile on
-    one tree from its ``tree`` stream."""
-    streams = {f"gauss:{name}": prof for name, prof in profiles.items()}
+    one tree from its ``tree`` stream, placed from one ``gauss`` draw."""
+    streams = {"gauss": tuple(profiles.values())}
     rows = []
-    for leaf_tree, positions, n in forest_batches(seed, t, offspring, streams, reps):
-        counts = [forest_exceedances(leaf_tree, pos, n, t, u_grid) for pos in positions]
+    for leaf_tree, (stacked,), n in forest_batches(seed, t, offspring, streams, reps):
+        counts = [forest_exceedances(leaf_tree, pos, n, t, u_grid) for pos in stacked]
         rows += np.stack(counts, axis=1).tolist()
     return rows
 
@@ -90,8 +77,9 @@ def collect_exceedances(
     workers: int = 1,
 ) -> dict[str, np.ndarray]:
     """Replicate exceedance-count matrices for several profiles coupled on
-    shared trees (trees redrawn per replicate, Gaussians independent per
-    profile; the stream of profile ``name`` is ``"gauss:<name>"``)."""
+    shared trees (trees redrawn per replicate) and on one shared standard
+    normal draw per tree (the replicate's ``gauss`` stream), so each
+    profile's counts have their own law and differences are paired."""
     u_grid = np.asarray(u_grid, dtype=np.float64)
     rows = run_replicates(_exceedances, (offspring, profiles, t, u_grid, seed), replicates, workers)
     counts = np.array(rows, dtype=np.int64).reshape(replicates, len(profiles), len(u_grid))
@@ -110,7 +98,10 @@ def sandwich_report(
 
     The SE in each one-sided check combines both estimators in quadrature.
     Returns a JSON-ready report with per-cell estimates, gaps, and
-    PASS/FAIL flags plus an aggregate count.
+    PASS/FAIL flags plus an aggregate count.  Each cell also reports
+    ``SE_gap_upper`` and ``SE_gap_lower``, the SE of the per-replicate
+    difference behind each gap: the gap's own noise when the three count
+    matrices come from the same replicates.  It does not enter the check.
     """
     u_grid = list(np.asarray(u_grid, dtype=np.float64))
     c_grid = list(np.asarray(c_grid, dtype=np.float64))
@@ -123,6 +114,8 @@ def sandwich_report(
             la, se_a = empirical_laplace(counts_a[:, [i]], [c])
             lu, se_u = empirical_laplace(counts_upper[:, [i]], [c])
             ll, se_l = empirical_laplace(counts_lower[:, [i]], [c])
+            # exp(-c N_u) per replicate, for the paired SE of each gap
+            e_a, e_up, e_low = (np.exp(-c * m[:, i]) for m in (counts_a, counts_upper, counts_lower))
             se_up = math.hypot(se_a, se_u)
             se_lo = math.hypot(se_a, se_l)
             pass_upper = la <= lu + n_se * se_up
@@ -140,6 +133,8 @@ def sandwich_report(
                     "SE_low": se_l,
                     "gap_upper": lu - la,
                     "gap_lower": la - ll,
+                    "SE_gap_upper": mean_and_se(e_up - e_a)[1],
+                    "SE_gap_lower": mean_and_se(e_a - e_low)[1],
                     "pass_upper": bool(pass_upper),
                     "pass_lower": bool(pass_lower),
                 }

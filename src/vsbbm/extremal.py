@@ -86,7 +86,12 @@ def empirical_laplace(counts, c) -> tuple[float, float]:
         raise ValueError("Laplace weights c must be nonnegative")
     if counts.shape[1] != len(c):
         raise ValueError("counts and c must have matching length")
-    vals = np.exp(-(counts @ c))
+    return mean_and_se(np.exp(-(counts @ c)))
+
+
+def mean_and_se(vals: np.ndarray) -> tuple[float, float]:
+    """Sample mean and standard error of ``vals``, by exact summation so
+    that they do not depend on how the replicates were batched."""
     n = len(vals)
     mean = math.fsum(vals.tolist()) / n
     var = math.fsum(((vals - mean) ** 2).tolist()) / (n - 1) if n > 1 else 0.0

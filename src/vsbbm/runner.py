@@ -6,18 +6,20 @@ Configs are line-oriented ``key = value`` text with sections.
 and its ``[experiment]`` keys, each with a parser and a default or
 ``REQUIRED``; ``PROFILES`` does the same per ``[profile]`` kind.
 ``load_config`` alone reads raw strings: a section or key the kind never
-reads, a missing key and a value its parser rejects raise ``ConfigError``
-before anything is written.  ``--seed``, ``--workers`` and ``--out`` are
-the only overrides of the file.  ``run`` writes every artifact to a temp
-path that is atomically renamed, so an interrupted run never leaves
-corrupt artifacts; the manifest carries the config hash and master seed.
-Every Monte Carlo kind runs its replicates through
-``genealogy.run_replicates``, each replicate on its own named streams,
-whose generators ``genealogy.replicate_rngs`` builds for a whole chunk of
-replicates from one vectorised key derivation; ``simulate``,
-``martingale`` and ``compare`` grow and place them in
-``sampler.forest_batches``.  Aggregation is order-fixed (by replicate
-index, exact summation), so results do not depend on the worker count.
+reads, a missing key, a value its parser rejects and a ``compare`` profile
+with no envelopes raise ``ConfigError`` before anything is written.
+``--seed``, ``--workers`` and ``--out`` are the only overrides of the
+file.  ``run`` writes every artifact to a temp path that is atomically
+renamed, so an interrupted run never leaves corrupt artifacts; the
+manifest carries the config hash and master seed.  Every Monte Carlo kind
+runs its replicates through ``genealogy.run_replicates``, each replicate
+on its own named streams, whose generators ``genealogy.replicate_rngs``
+builds for a whole chunk of replicates from one vectorised key
+derivation; ``simulate``, ``martingale`` and ``compare`` grow and place
+them in ``sampler.forest_batches``, ``compare`` placing its profile and
+both envelopes from one draw of the ``gauss`` stream.  Aggregation is
+order-fixed (by replicate index, exact summation), so results do not
+depend on the worker count.
 """
 
 from __future__ import annotations
@@ -160,7 +162,7 @@ def _write_csv(path, header, rows) -> None:
 
 def _simulate_replicates(seed, t, profile, offspring, u_grid, reps):
     rows = []
-    for leaf_tree, (pos,), n in forest_batches(seed, t, offspring, {"gauss": profile}, reps):
+    for leaf_tree, ((pos,),), n in forest_batches(seed, t, offspring, {"gauss": (profile,)}, reps):
         n_leaves, top, counts = forest_summaries(leaf_tree, pos, n, t, u_grid)
         rows += zip(n_leaves.tolist(), top.tolist(), counts.tolist())
     return rows
@@ -169,7 +171,7 @@ def _simulate_replicates(seed, t, profile, offspring, u_grid, reps):
 def _martingale_replicates(seed, s_horizon, sigma_b, offspring, reps):
     profile = identity_profile()
     vals = []
-    for leaf_tree, (pos,), n in forest_batches(seed, s_horizon, offspring, {"gauss": profile}, reps):
+    for leaf_tree, ((pos,),), n in forest_batches(seed, s_horizon, offspring, {"gauss": (profile,)}, reps):
         vals += forest_mckean(leaf_tree, pos, n, profile, s_horizon, sigma_b).tolist()
     return vals
 
@@ -383,13 +385,16 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
         if unknown := sorted(section.keys() - schemas[name].keys()):
             raise ConfigError(f"unknown key {unknown[0]!r} in [{name}] of {kind}")
     typed = {name: _parse_keys(name, section, schemas[name]) for name, section in raw.items()}
+    params = typed["experiment"]
     try:
         profile = build_profile(**typed["profile"]) if "profile" in sections else None
         law = typed.get("offspring", {"ks": [2], "ps": [1.0]})  # binary by default
         offspring = OffspringDistribution(np.array(law["ks"]), np.array(law["ps"]))
+        if kind == "compare":
+            # compare needs the envelopes, which exist only where (A1) holds
+            build_envelopes(profile, params["t"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    params = typed["experiment"]
     return ExperimentConfig(
         kind=kind,
         seed=params.pop("seed"),

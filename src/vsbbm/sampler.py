@@ -62,19 +62,21 @@ class ParticleConfiguration:
                     w.writerow([int(lid), repr(float(s)), repr(float(x))])
 
 
-def _edge_std(tree: GenealogyTree, profile: SpeedProfile, t: float) -> np.ndarray:
-    """Edge deviations sqrt(S(death) - S(birth)), S = Sigma^2.  A child is
-    born when its parent dies (``birth`` copies the parent's ``death``), so
-    S(birth) is S(death) of the parent; only the roots, the first wave,
-    need S at their own birth times."""
-    s_death = sigma2(profile, tree.death, t)
-    s_birth = s_death[tree.parent]
+def _edge_std(tree: GenealogyTree, profiles: tuple, t: float) -> np.ndarray:
+    """Edge deviations sqrt(S(death) - S(birth)) under each of ``profiles``,
+    S = Sigma^2, shape (len(profiles), n_nodes).  A child is born when its
+    parent dies (``birth`` copies the parent's ``death``), so S(birth) is
+    S(death) of the parent; only the roots, the first wave, need S at
+    their own birth times."""
+    s_death = np.stack([sigma2(profile, tree.death, t) for profile in profiles])
+    s_birth = s_death.take(tree.parent, axis=1)
     roots = slice(0, tree.wave_starts[1])
-    s_birth[roots] = sigma2(profile, tree.birth[roots], t)
-    var = s_death - s_birth
+    for row, profile in zip(s_birth, profiles):
+        row[roots] = sigma2(profile, tree.birth[roots], t)
+    var = np.subtract(s_death, s_birth, out=s_death)
     if np.any(var < -1e-12):
         raise ValueError("negative edge variance; speed function is not monotone")
-    return np.sqrt(np.maximum(var, 0.0))
+    return np.sqrt(np.maximum(var, 0.0, out=var), out=var)
 
 
 def _descend(tree: GenealogyTree, pos: np.ndarray) -> np.ndarray:
@@ -84,7 +86,7 @@ def _descend(tree: GenealogyTree, pos: np.ndarray) -> np.ndarray:
     starts = tree.wave_starts
     for w in range(1, len(starts) - 1):
         sl = slice(starts[w], starts[w + 1])
-        pos[..., sl] += pos[..., tree.parent[sl]]
+        pos[..., sl] += pos.take(tree.parent[sl], axis=-1)
     return pos
 
 
@@ -102,22 +104,23 @@ def node_positions(
     position plus an independent Gaussian edge increment.
     """
     shape = (tree.n_nodes,) if n_draws is None else (n_draws, tree.n_nodes)
-    return _descend(tree, _edge_std(tree, profile, t) * rng.standard_normal(shape))
+    return _descend(tree, _edge_std(tree, (profile,), t)[0] * rng.standard_normal(shape))
 
 
 def forest_leaf_positions(
     forest: Forest,
-    profile: SpeedProfile,
+    profiles: tuple,
     t: float,
     rngs: list,
 ) -> np.ndarray:
-    """Leaf positions of every tree of the forest, in ``forest.nodes.leaf_ids``
+    """Leaf positions of every tree of the forest under each of ``profiles``,
+    shape (len(profiles), n_leaves), leaves in ``forest.nodes.leaf_ids``
     order.  Tree r takes one ``rngs[r].standard_normal`` draw over its nodes
     in its own breadth-first order, as ``sample_leaf_positions`` does for
-    that tree alone, so each tree's positions are those it gets alone."""
+    that tree alone, and every profile scales that one draw: row p holds
+    the positions tree r gets alone under ``profiles[p]``."""
     nodes = forest.nodes
     tree_sizes = forest.tree_sizes
-    std = _edge_std(nodes, profile, t)
     z = np.concatenate([rng.standard_normal(n) for rng, n in zip(rngs, tree_sizes.tolist())])
     if forest.n_trees > 1:
         # z is tree-major: the nodes tree r has in wave w start at z offset
@@ -128,8 +131,9 @@ def forest_leaf_positions(
         flat = sizes.ravel()
         in_forest = flat.cumsum() - flat
         z = z[(in_z - in_forest).repeat(flat) + np.arange(len(z))]
-    z *= std
-    return _descend(nodes, z)[nodes.leaf_ids]
+    std = _edge_std(nodes, profiles, t)
+    std *= z
+    return _descend(nodes, std)[:, nodes.leaf_ids]
 
 
 # Nodes per forest batch.  A tree has 2e^t - 1 nodes on average, so a batch
@@ -140,10 +144,11 @@ FOREST_NODE_BUDGET = 2**14
 
 def forest_batches(seed, t, offspring, streams, reps):
     """The replicates ``reps`` in forest batches.  Per batch: the tree of
-    each leaf, one leaf-position array per entry of ``streams`` and the
-    batch size.  Each replicate grows its tree on its ``tree`` stream and
-    places the leaves with profile ``streams[name]`` on its stream
-    ``name``, so every array holds the positions it gets alone."""
+    each leaf, one (len(profiles), n_leaves) position array per entry
+    ``name: profiles`` of ``streams`` and the batch size.  Each replicate
+    grows its tree on its ``tree`` stream and places the leaves under
+    every profile of ``streams[name]`` with one draw from its stream
+    ``name``, so every row holds the positions it gets alone."""
     size = max(1, int(FOREST_NODE_BUDGET / (2.0 * math.exp(t))))
     trees = replicate_rngs(seed, reps, "tree")
     gauss = {name: replicate_rngs(seed, reps, name) for name in streams}
@@ -151,8 +156,8 @@ def forest_batches(seed, t, offspring, streams, reps):
         n = len(reps[i : i + size])
         forest = sample_forest(offspring, t, list(islice(trees, n)))
         positions = [
-            forest_leaf_positions(forest, profile, t, list(islice(gauss[name], n)))
-            for name, profile in streams.items()
+            forest_leaf_positions(forest, profiles, t, list(islice(gauss[name], n)))
+            for name, profiles in streams.items()
         ]
         yield forest.tree_id[forest.nodes.leaf_ids], positions, n
 

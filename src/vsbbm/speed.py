@@ -353,23 +353,3 @@ def estimate_envelope_constants(
     k2 = max_abs_deriv(1.0 - delta_e, 1.0, 2)
     return {"k1": k1, "k2": k2, "taylor_order": n, "approximate": True}
 
-
-def blend(profile_a: SpeedProfile, profile_b: SpeedProfile, h: float) -> SpeedProfile:
-    """Convex combination h*A + (1-h)*B; the speed function of the
-    interpolating Gaussian field."""
-    if not 0 <= h <= 1:
-        raise ValueError("h must lie in [0, 1]")
-    fa, fb = profile_a.func, profile_b.func
-
-    def f(x):
-        return h * np.asarray(fa(x)) + (1.0 - h) * np.asarray(fb(x))
-
-    def mix(u, v):
-        return h * u + (1 - h) * v
-
-    return SpeedProfile(
-        func=f,
-        slope_at_0=mix(profile_a.slope_at_0, profile_b.slope_at_0),
-        slope_at_1=mix(profile_a.slope_at_1, profile_b.slope_at_1),
-        label=f"blend({profile_a.label},{profile_b.label},{h})",
-    )

@@ -98,6 +98,12 @@ def sample_bridge(t: float, n_steps: int, rng, n_draws: int) -> tuple[np.ndarray
     return times, xi
 
 
+# Bridges per chunk in empirical_bridge_violation.  ``standard_normal``
+# fills rows in order, so chunking leaves every draw as it is in one call
+# and bounds the working arrays at a chunk's rows.
+BRIDGE_CHUNK = 1024
+
+
 def empirical_bridge_violation(
     t: float,
     r: float,
@@ -110,14 +116,17 @@ def empirical_bridge_violation(
     for a standard Brownian bridge, with its standard error.
 
     An empty window (r >= t/2) gives rate 0 by convention."""
-    rng = tree_rng(seed)
-    times, xi = sample_bridge(t, n_steps, rng, replicates)
+    times = np.linspace(0.0, t, n_steps + 1)
     window = (times >= r) & (times <= t - r)
     if not window.any():
         return 0.0, 0.0
     bound = np.minimum(times, t - times)[window] ** gamma
-    violated = np.any(np.abs(xi[:, window]) > bound, axis=1)
-    rate = float(violated.mean())
+    rng = tree_rng(seed)
+    violated = 0
+    for start in range(0, replicates, BRIDGE_CHUNK):
+        _, xi = sample_bridge(t, n_steps, rng, min(BRIDGE_CHUNK, replicates - start))
+        violated += int(np.count_nonzero(np.any(np.abs(xi[:, window]) > bound, axis=1)))
+    rate = violated / replicates
     se = math.sqrt(rate * (1.0 - rate) / replicates)
     return rate, se
 

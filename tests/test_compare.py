@@ -3,15 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from vsbbm.compare import (
-    collect_exceedances,
-    coupled_sample,
-    interpolate,
-    sandwich_report,
-)
+from vsbbm.compare import collect_exceedances, coupled_sample, sandwich_report
 from vsbbm.extremal import count_exceedances
 from vsbbm.genealogy import OffspringDistribution, mrca, sample_tree, seed_stream
-from vsbbm.speed import build_envelopes, from_function, identity_profile, two_speed
+from vsbbm.sampler import _edge_std
+from vsbbm.speed import build_envelopes, from_function, identity_profile, piecewise_linear
 
 BINARY = OffspringDistribution.binary()
 
@@ -58,55 +54,46 @@ def test_coupled_sample_horizon_check():
         coupled_sample(tree, prof, env, 6.0, seed=2)
 
 
-def test_cross_config_independence():
+def test_coupled_fields_cross_covariance():
+    # A and upper scale one standard normal draw, so a leaf's positions
+    # under the two have covariance sum(std_A * std_up) over its lineage
     t = 4.0
     prof = power2_profile()
     env = build_envelopes(prof, t)
     tree = sample_tree(BINARY, t, seed=9)
-    n = 600
-    a = np.empty(n)
-    b = np.empty(n)
-    for s in range(n):
-        triple = coupled_sample(tree, prof, env, t, seed=s)
-        a[s] = triple.config_a.leaf_positions[0]
-        b[s] = triple.config_upper.leaf_positions[0]
-    rho = np.corrcoef(a, b)[0, 1]
-    assert abs(rho) <= 3.0 / math.sqrt(n)
-
-
-def test_interpolate_endpoints():
-    _, triple, _ = make_triple()
-    assert np.array_equal(
-        interpolate(triple, 1.0).leaf_positions, triple.config_a.leaf_positions
-    )
-    assert np.array_equal(
-        interpolate(triple, 0.0).leaf_positions, triple.config_upper.leaf_positions
-    )
-    with pytest.raises(ValueError):
-        interpolate(triple, 1.2)
-
-
-def test_interpolate_half_variance():
-    # at the horizon every profile has Sigma^2(t) = t, so the h-blend does too
-    t = 4.0
-    prof = power2_profile()
-    env = build_envelopes(prof, t)
-    tree = sample_tree(BINARY, t, seed=12)
+    leaf = int(tree.leaf_ids[0])
+    lineage = []
+    while leaf >= 0:
+        lineage.append(leaf)
+        leaf = int(tree.parent[leaf])
+    std = _edge_std(tree, (prof, env.upper), t)
+    want = float(np.sum(std[0, lineage] * std[1, lineage]))
     n = 2000
-    vals = np.empty(n)
+    prod = np.empty(n)
     for s in range(n):
         triple = coupled_sample(tree, prof, env, t, seed=s)
-        vals[s] = interpolate(triple, 0.5).leaf_positions[0]
-    se = t * math.sqrt(2.0 / (n - 1))
-    assert abs(vals.var(ddof=1) - t) < 3 * se
+        prod[s] = triple.config_a.leaf_positions[0] * triple.config_upper.leaf_positions[0]
+    se = prod.std(ddof=1) / math.sqrt(n)
+    # both fields have mean 0, so the mean product estimates the covariance
+    assert abs(prod.mean() - want) <= 3 * se
+    assert want > 10 * se  # independent fields (covariance 0) would fail
 
 
-def test_interpolate_blended_profile():
-    _, triple, env = make_triple()
-    half = interpolate(triple, 0.5)
-    x = np.linspace(0, 1, 31)
-    expected = 0.5 * power2_profile()(x) + 0.5 * env.upper(x)
-    assert np.allclose(half.profile(x), expected, atol=1e-12)
+def test_relabelled_copy_gives_zero_gaps():
+    # a piecewise profile rebuilt from its own knots is the same profile
+    # under another label: on one shared draw every count and gap agrees
+    xs = np.array([0.0, 0.4, 0.8, 1.0])
+    prof = piecewise_linear(xs, [0.0, 0.2, 0.6, 1.0])
+    copy = piecewise_linear(xs, prof(xs), label="copy")
+    u, c = [-2.0, 0.0, 1.0], [0.3, 2.0]
+    counts = collect_exceedances(BINARY, {"A": prof, "upper": copy, "lower": prof}, 4.0, u, 200, seed=21)
+    assert np.array_equal(counts["A"], counts["upper"])
+    assert counts["A"][:, 0].any()
+    report = sandwich_report(counts["A"], counts["upper"], counts["lower"], u, c)
+    assert report["n_pass"] == report["n_cells"] == 6
+    for cell in report["cells"]:
+        assert cell["gap_upper"] == cell["gap_lower"] == 0.0
+        assert cell["SE_gap_upper"] == cell["SE_gap_lower"] == 0.0
 
 
 def test_collect_exceedances_shapes_and_determinism():
@@ -147,6 +134,19 @@ def test_sandwich_report_identical_inputs():
     for cell in report["cells"]:
         assert cell["gap_upper"] == 0.0
         assert cell["gap_lower"] == 0.0
+        assert cell["SE_gap_upper"] == cell["SE_gap_lower"] == 0.0
+
+
+def test_sandwich_report_paired_se():
+    # the paired SE is that of the per-replicate difference of exp(-c N)
+    rng = np.random.default_rng(4)
+    a, up, low = (rng.poisson(lam, size=(300, 2)) for lam in (1.0, 1.5, 0.5))
+    u, c = [0.0, 1.0], [0.5]
+    report = sandwich_report(a, up, low, u, c)
+    for i, cell in enumerate(report["cells"]):
+        for key, x, y in (("SE_gap_upper", up, a), ("SE_gap_lower", a, low)):
+            diff = np.exp(-0.5 * x[:, i]) - np.exp(-0.5 * y[:, i])
+            assert cell[key] == pytest.approx(diff.std(ddof=1) / math.sqrt(300), rel=1e-12)
 
 
 def test_sandwich_report_zero_weights():
@@ -159,11 +159,14 @@ def test_sandwich_report_zero_weights():
 
 
 def test_sandwich_report_same_law_triple():
-    # three independent draws of the same (identity) law agree cell by cell
+    # three independent draws (three seeds) of the same (identity) law
+    # agree cell by cell
     u, c = [-1.0, 1.0], [0.3, 1.0]
-    profs = {"x": identity_profile(), "y": identity_profile(), "z": identity_profile()}
-    counts = collect_exceedances(BINARY, profs, 4.0, u, 800, seed=17)
-    report = sandwich_report(counts["x"], counts["y"], counts["z"], u, c, n_se=3.0)
+    x, y, z = (
+        collect_exceedances(BINARY, {"a": identity_profile()}, 4.0, u, 800, seed=seed)["a"]
+        for seed in (17, 18, 19)
+    )
+    report = sandwich_report(x, y, z, u, c, n_se=3.0)
     assert report["n_pass"] == report["n_cells"]
 
 

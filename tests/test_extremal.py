@@ -215,7 +215,7 @@ def test_forest_reductions_match_trees_alone():
     t, seeds, u = 4.0, range(30), np.array([-2.0, -0.5, 0.0, 1.0])
     prof = identity_profile()
     forest = sample_forest(BINARY, t, [tree_rng(s) for s in seeds])
-    pos = forest_leaf_positions(forest, prof, t, [tree_rng(s + 1000) for s in seeds])
+    (pos,) = forest_leaf_positions(forest, (prof,), t, [tree_rng(s + 1000) for s in seeds])
     leaf_tree = forest.tree_id[forest.nodes.leaf_ids]
     m = centering(t, "tilde")
     # a u equal to the top leaf's centered position, above the lowest u:

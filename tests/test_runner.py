@@ -12,6 +12,7 @@ import pytest
 import vsbbm
 from vsbbm import fkpp as fkpp_mod
 from vsbbm import sampler as sampler_mod
+from vsbbm.compare import collect_exceedances
 from vsbbm.extremal import summarize
 from vsbbm.genealogy import sample_tree, seed_stream, tree_rng
 from vsbbm.runner import (
@@ -22,6 +23,7 @@ from vsbbm.runner import (
     run,
 )
 from vsbbm.sampler import ParticleConfiguration, sample_leaf_positions
+from vsbbm.speed import build_envelopes
 
 SIM_CONFIG = """\
 [experiment]
@@ -287,6 +289,41 @@ def test_forest_batch_size_does_not_change_results(tmp_path, monkeypatch, budget
             outs[label, name] = (out / files[name]).read_bytes()
     for name in texts:
         assert outs["default", name] == outs["small", name]
+
+
+def test_compare_a_counts_match_simulate(tmp_path):
+    # compare and simulate both place the profile from the tree and gauss
+    # streams, so compare's A counts are simulate's N_u columns
+    text = FOREST_SIM_CONFIG.replace(
+        "kind = two_speed\nsigma1_sq = 0.5\nsigma2_sq = 2.0\nb = 0.6666666666666666", "kind = power\nexponent = 2"
+    )
+    path, out = write_config(tmp_path, text)
+    cfg = load_config(path)
+    run(cfg)
+    with open(out / "summaries.csv", newline="") as fh:
+        n_u = np.array([row[3:] for row in list(csv.reader(fh))[1:]], dtype=np.int64)
+    t, u_grid = 4.0, [-2.0, -0.5, 0.0, 1.0]
+    env = build_envelopes(cfg.profile, t)
+    profiles = {"A": cfg.profile, "upper": env.upper, "lower": env.lower}
+    counts = collect_exceedances(cfg.offspring, profiles, t, u_grid, 60, seed=13)
+    assert n_u.shape == (60, 4) and n_u[:, 0].any()
+    assert np.array_equal(counts["A"], n_u)
+
+
+@pytest.mark.parametrize(
+    "sections",
+    ["", "[profile]\nkind = piecewise\nxs = 0 0.5 1\nys = 0 0.6 1\n"],
+    ids=["no-profile", "above-diagonal"],
+)
+def test_load_config_rejects_compare_profile_without_envelopes(tmp_path, capsys, sections):
+    # the identity default and a profile above the diagonal fail (A1), so
+    # build_envelopes could never run; the load says so as a ConfigError
+    path, out = write_config(tmp_path, _kind_config("compare", "t = 3\nreplicates = 4", sections))
+    with pytest.raises(ConfigError, match="A1"):
+        load_config(path)
+    assert main(["compare", "--config", str(path)]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+    assert not out.exists()
 
 
 def test_import_loads_no_scipy():

@@ -56,12 +56,30 @@ def test_forest_leaf_positions_match_trees_alone():
     law = OffspringDistribution(np.array([1, 3]), np.array([0.5, 0.5]))
     prof, t, seeds = two_speed(0.5, 2.0, 2.0 / 3.0), 3.0, range(25)
     forest = sample_forest(law, t, [tree_rng(s) for s in seeds])
-    pos = forest_leaf_positions(forest, prof, t, [tree_rng(100 + s) for s in seeds])
+    (pos,) = forest_leaf_positions(forest, (prof,), t, [tree_rng(100 + s) for s in seeds])
     leaf_tree = forest.tree_id[forest.nodes.leaf_ids]
     for r, s in enumerate(seeds):
         tree = sample_tree(law, t, seed=s)
         alone = sample_leaf_positions(tree, prof, t, tree_rng(100 + s))
         assert np.array_equal(pos[leaf_tree == r], alone)
+
+
+def test_forest_leaf_positions_stacked_rows_match_single_profile():
+    # row p of a stacked call is the 1-tuple call for profile p, bit for bit
+    law = OffspringDistribution(np.array([1, 3]), np.array([0.5, 0.5]))
+    t, seeds = 4.0, range(12)
+    power2 = from_function(
+        lambda x: np.asarray(x) ** 2, slope_at_0=0.0, slope_at_1=2.0,
+        k1_upper=2.0, k1_lower=2.0, k2_upper=2.0, k2_lower=2.0,
+    )
+    pair = build_envelopes(power2, t)
+    profiles = (power2, pair.upper, pair.lower, two_speed(0.5, 2.0, 2.0 / 3.0))
+    forest = sample_forest(law, t, [tree_rng(s) for s in seeds])
+    stacked = forest_leaf_positions(forest, profiles, t, [tree_rng(50 + s) for s in seeds])
+    assert stacked.shape == (len(profiles), forest.nodes.n_leaves)
+    for row, prof in zip(stacked, profiles):
+        (alone,) = forest_leaf_positions(forest, (prof,), t, [tree_rng(50 + s) for s in seeds])
+        assert np.array_equal(row, alone)
 
 
 def test_edge_std_equals_two_evaluation_formula():
@@ -76,9 +94,11 @@ def test_edge_std_equals_two_evaluation_formula():
     )
     pair = build_envelopes(power2, t)
     profiles = (identity_profile(), two_speed(0.5, 2.0, 2.0 / 3.0), power2, pair.upper, pair.lower)
-    for prof in profiles:
+    stacked = _edge_std(nodes, profiles, t)
+    assert stacked.shape == (len(profiles), nodes.n_nodes)
+    for row, prof in zip(stacked, profiles):
         var = sigma2(prof, nodes.death, t) - sigma2(prof, nodes.birth, t)
-        assert np.array_equal(_edge_std(nodes, prof, t), np.sqrt(np.maximum(var, 0.0)))
+        assert np.array_equal(row, np.sqrt(np.maximum(var, 0.0)))
 
 
 def test_flat_speed_segment_freezes_particles():

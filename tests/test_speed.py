@@ -7,7 +7,6 @@ import pytest
 from vsbbm.speed import (
     AssumptionError,
     SpeedProfile,
-    blend,
     build_envelopes,
     build_envelopes_rho,
     delta_thresholds,
@@ -260,13 +259,3 @@ def test_estimate_envelope_constants():
     assert est["k1"] == pytest.approx(2.0, rel=1e-3)
     assert est["k2"] == pytest.approx(2.0, rel=1e-3)
 
-
-def test_blend():
-    a, b = power2_profile(), identity_profile()
-    h = 0.3
-    mix = blend(a, b, h)
-    x = np.linspace(0, 1, 101)
-    assert np.allclose(mix(x), h * a(x) + (1 - h) * b(x), atol=1e-12)
-    assert mix.slope_at_1 == pytest.approx(h * 2.0 + (1 - h) * 1.0)
-    with pytest.raises(ValueError):
-        blend(a, b, 1.5)

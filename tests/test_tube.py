@@ -6,6 +6,7 @@ import pytest
 from vsbbm.genealogy import OffspringDistribution, tree_rng
 from vsbbm.speed import identity_profile, sigma2, two_speed
 from vsbbm.tube import (
+    BRIDGE_CHUNK,
     TubeSpec,
     bridge_violation_bound,
     empirical_bridge_violation,
@@ -100,6 +101,18 @@ def test_sample_bridge_pinned_and_variance():
     target = s * (t - s) / t
     var = xi[:, j].var(ddof=1)
     assert abs(var - target) < 3 * target * math.sqrt(2.0 / 3999)
+
+
+def test_empirical_bridge_violation_chunks_match_one_draw():
+    # 2.5 chunks: the chunked rate and SE are those of one sample_bridge call
+    t, r, gamma, n_steps, seed = 30.0, 4.0, 0.55, 64, 8
+    reps = 5 * BRIDGE_CHUNK // 2
+    times, xi = sample_bridge(t, n_steps, tree_rng(seed), reps)
+    window = (times >= r) & (times <= t - r)
+    rate = np.any(np.abs(xi[:, window]) > np.minimum(times, t - times)[window] ** gamma, axis=1).mean()
+    se = math.sqrt(rate * (1.0 - rate) / reps)
+    assert 0.0 < rate < 1.0
+    assert empirical_bridge_violation(t, r, gamma, reps, seed, n_steps) == (rate, se)
 
 
 def test_empirical_bridge_violation_bounded_by_series():
