@@ -6,7 +6,7 @@ events, F-KPP front behaviour, and Gaussian-comparison sandwiches that
 constrain them at finite horizon.
 """
 
-from vsbbm.genealogy import GenealogyTree, OffspringDistribution, leaves_at, mrca, sample_tree
+from vsbbm.genealogy import GenealogyTree, OffspringDistribution, mrca, sample_tree
 from vsbbm.speed import (
     EnvelopePair,
     SpeedProfile,
@@ -25,7 +25,6 @@ from vsbbm.extremal import (
     centering,
     count_exceedances,
     empirical_laplace,
-    extremal_atoms,
     mckean_martingale,
 )
 from vsbbm.tube import TubeSpec, bridge_violation_bound, empirical_bridge_violation, in_tube
@@ -38,7 +37,6 @@ __all__ = [
     "OffspringDistribution",
     "sample_tree",
     "mrca",
-    "leaves_at",
     "SpeedProfile",
     "EnvelopePair",
     "identity_profile",
@@ -56,7 +54,6 @@ __all__ = [
     "centering",
     "count_exceedances",
     "empirical_laplace",
-    "extremal_atoms",
     "mckean_martingale",
     "TubeSpec",
     "in_tube",

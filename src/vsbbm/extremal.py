@@ -55,12 +55,6 @@ def count_exceedances(config: ParticleConfiguration, u_grid: np.ndarray) -> np.n
     return len(centered) - np.searchsorted(centered, u_grid, side="right")
 
 
-def extremal_atoms(config: ParticleConfiguration) -> np.ndarray:
-    """All centered leaf positions, descending."""
-    atoms = config.leaf_positions - centering(config.horizon, "tilde")
-    return np.sort(atoms)[::-1]
-
-
 def summarize(config: ParticleConfiguration, u_grid) -> ReplicateSummary:
     """``forest_summaries`` of the one tree of ``config``."""
     one_tree = np.zeros(config.n_leaves, dtype=np.intp)

@@ -423,11 +423,3 @@ def mrca(tree: GenealogyTree, k: int, l: int) -> float:
     # the lines separate when their common ancestor branches
     return float(tree.death[a])
 
-
-def leaves_at(tree: GenealogyTree, s: float) -> np.ndarray:
-    """Ids of all lineages alive at time s; len() gives n(s)."""
-    if s < 0 or s > tree.horizon:
-        raise ValueError(f"s={s} outside [0, {tree.horizon}]")
-    if s == tree.horizon:
-        return tree.leaf_ids.copy()
-    return np.nonzero((tree.birth <= s) & (tree.death > s))[0]

@@ -3,11 +3,12 @@ deterministic artifact emission.
 
 Configs are line-oriented ``key = value`` text with sections.
 ``EXPERIMENTS`` declares each kind once: its driver, the sections it reads
-and its ``[experiment]`` keys, each with a parser and a default or
-``REQUIRED``; ``PROFILES`` does the same per ``[profile]`` kind.
+and its ``[experiment]`` keys, each with a default or ``REQUIRED``, the
+keys with a parser too; ``PROFILES`` does the same per ``[profile]`` kind.
 ``load_config`` alone reads raw strings: a section or key the kind never
-reads, a missing key, a value its parser rejects and a ``compare`` profile
-with no envelopes raise ``ConfigError`` before anything is written.
+reads, a missing section or key, a value its parser rejects and a
+``compare`` profile with no envelopes raise ``ConfigError`` before
+anything is written.
 ``--seed``, ``--workers`` and ``--out`` are the only overrides of the
 file.  ``run`` writes every artifact to a temp path that is atomically
 renamed, so an interrupted run never leaves corrupt artifacts; the
@@ -293,8 +294,9 @@ def _run_cluster(cfg: ExperimentConfig, t, replicates, sigma_e_list, R, y_mode):
 
 
 # ---------------------------------------------------------------------------
-# kind -> (driver, sections read besides [experiment] and [output], key ->
-# (parser, default string or REQUIRED)); every kind also takes _COMMON_KEYS
+# kind -> (driver, section read besides [experiment] and [output] -> the raw
+# keys an absent one reads as or REQUIRED, key -> (parser, default string or
+# REQUIRED)); every kind also takes _COMMON_KEYS
 
 _COMMON_KEYS = {
     "seed": (_checked(int, lambda v: v >= 0, "seed >= 0"), "0"),
@@ -309,29 +311,30 @@ _T_ABOVE_ONE = (_checked(float, lambda v: v > 1, "t > 1"), REQUIRED)
 _U_GRID = _checked(_floats, lambda v: v == sorted(v), "an ascending u_grid")
 # a tail constant exists for an end slope sigma_e > 1 only
 _SIGMA_ES = _checked(_floats, lambda v: all(s > 1 for s in v), "every entry > 1")
+_IDENTITY, _BINARY = {"kind": "identity"}, {"ks": "2", "ps": "1"}
 
 EXPERIMENTS = {
-    "simulate": (_run_simulate, ("profile", "offspring"), {
+    "simulate": (_run_simulate, {"profile": _IDENTITY, "offspring": _BINARY}, {
         "t": _T_ABOVE_ONE, "replicates": _REPLICATES, "u_grid": (_U_GRID, "-2 -1 0 1 2"),
     }),
-    "fkpp": (_run_fkpp, ("offspring",), {
+    "fkpp": (_run_fkpp, {"offspring": _BINARY}, {
         "t_end": _T_ABOVE_ONE, "dx": (float, "0.05"), "sigma_e_list": (_SIGMA_ES, ""),
     }),
-    "compare": (_run_compare, ("profile", "offspring"), {
+    "compare": (_run_compare, {"profile": REQUIRED, "offspring": _BINARY}, {
         "t": _T_ABOVE_ONE, "replicates": _REPLICATES, "u_grid": (_U_GRID, "-1 0 1 2 3"),
         "c_grid": (_floats, "0.1 0.5 2"),
     }),
-    "cluster": (_run_cluster, ("offspring",), {
+    "cluster": (_run_cluster, {"offspring": _BINARY}, {
         "t": (float, REQUIRED), "replicates": _REPLICATES,
         "sigma_e_list": (_checked(_SIGMA_ES, lambda v: v == sorted(v), "an ascending list"), "1.2 1.5 2"),
         "R": (float, "2"),
         "y_mode": (_checked(str, lambda v: v in ("zero", "exponential"), "zero or exponential"), "zero"),
     }),
-    "tube": (_run_tube, (), {
+    "tube": (_run_tube, {}, {
         "t": (float, REQUIRED), "r": (float, REQUIRED), "gamma": (float, REQUIRED),
         "replicates": _REPLICATES, "n_steps": (int, "512"),
     }),
-    "martingale": (_run_martingale, ("offspring",), {
+    "martingale": (_run_martingale, {"offspring": _BINARY}, {
         "t": (float, REQUIRED), "sigma_b": (float, REQUIRED), "replicates": _REPLICATES,
     }),
 }
@@ -375,8 +378,13 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
     for name in raw:
         if name not in ("experiment", "output", *sections):
             raise ConfigError(f"{kind} reads no [{name}] section")
+    for name, default in sections.items():
+        if name not in raw:
+            if default is REQUIRED:
+                raise ConfigError(f"{kind} needs a [{name}] section")
+            raw[name] = dict(default)
     if "profile" in sections:
-        profile_kind = raw.setdefault("profile", {}).pop("kind", "identity")
+        profile_kind = raw["profile"].pop("kind", "identity")
         if profile_kind not in PROFILES:
             raise ConfigError(f"[profile] kind must be one of {tuple(PROFILES)}, got {profile_kind!r}")
         build_profile, schemas["profile"] = PROFILES[profile_kind]
@@ -388,8 +396,8 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
     params = typed["experiment"]
     try:
         profile = build_profile(**typed["profile"]) if "profile" in sections else None
-        law = typed.get("offspring", {"ks": [2], "ps": [1.0]})  # binary by default
-        offspring = OffspringDistribution(np.array(law["ks"]), np.array(law["ps"]))
+        law = typed.get("offspring")
+        offspring = OffspringDistribution(np.array(law["ks"]), np.array(law["ps"])) if law else None
         if kind == "compare":
             # compare needs the envelopes, which exist only where (A1) holds
             build_envelopes(profile, params["t"])
@@ -403,7 +411,7 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
         raw_text=text,
         params=params,
         profile=profile,
-        offspring=offspring if "offspring" in sections else None,
+        offspring=offspring,
     )
 
 
@@ -438,7 +446,8 @@ def _describe(kind: str) -> str:
         ]
 
     lines = [f"[experiment] kind = {kind}", *listing({**keys, **_COMMON_KEYS})]
-    lines += ["[output]", *listing(_OUTPUT_KEYS), *(f"[{s}] (optional)" for s in sections)]
+    lines += ["[output]", *listing(_OUTPUT_KEYS)]
+    lines += [f"[{s}] {'(required)' if d is REQUIRED else '(optional)'}" for s, d in sections.items()]
     return "\n".join(lines)
 
 

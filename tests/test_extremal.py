@@ -9,7 +9,6 @@ from vsbbm.extremal import (
     centering,
     count_exceedances,
     empirical_laplace,
-    extremal_atoms,
     forest_mckean,
     forest_summaries,
     mckean_martingale,
@@ -67,15 +66,6 @@ def test_count_exceedances_bruteforce():
         count_exceedances(cfg, np.array([1.0, 0.0]))
 
 
-def test_extremal_atoms():
-    cfg = make_config(seed=9)
-    atoms = extremal_atoms(cfg)
-    m = centering(cfg.horizon, "tilde")
-    assert np.array_equal(atoms, np.sort(cfg.leaf_positions - m)[::-1])
-    u = -2.0
-    assert int((atoms > u).sum()) == count_exceedances(cfg, np.array([u]))[0]
-
-
 def test_monotone_coupling_under_shift():
     cfg = make_config(seed=13)
     shift = 1.7
@@ -85,7 +75,6 @@ def test_monotone_coupling_under_shift():
         horizon=cfg.horizon,
         leaf_positions=cfg.leaf_positions + shift,
     )
-    assert np.allclose(extremal_atoms(shifted), extremal_atoms(cfg) + shift)
     u = np.array([-1.0, 0.0, 1.0])
     assert np.array_equal(
         count_exceedances(shifted, u), count_exceedances(cfg, u - shift)

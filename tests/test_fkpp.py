@@ -8,6 +8,7 @@ import pytest
 from vsbbm.fkpp import (
     FkppState,
     FrontTooCloseError,
+    _ExplicitStep,
     fkpp_step,
     front_position,
     reaction,
@@ -109,6 +110,26 @@ def test_short_horizon_takes_one_step():
     assert state.t == t_end
     assert not np.array_equal(state.u, start.u)
     assert np.max(np.abs(state.u - fkpp_step(start, t_end).u)) <= 1e-15
+
+
+@pytest.mark.parametrize("dt_over_dx2", [0.25, 0.5])
+@pytest.mark.parametrize(
+    "off",
+    [BINARY, LAWS["1,3"], OffspringDistribution(np.array([1, 2, 6]), np.array([0.4, 0.5, 0.1]))],
+    ids=["binary", "1,3", "1,2,6"],
+)
+def test_fused_step_matches_formula(off, dt_over_dx2):
+    # one step equals u + c (u_- - 2u + u_+) + dt R(u) on every cell, to
+    # relative rounding, from u = 1 - 1e-16 down to 1e-290
+    dx = 0.05
+    dt = dt_over_dx2 * dx * dx
+    c = 0.5 * dt / (dx * dx)
+    u = np.concatenate([[1.0], 1.0 - np.geomspace(1e-16, 0.5, 60), np.geomspace(0.4, 1e-290, 300), [0.0]])
+    left, mid, right = u[:-2], u[1:-1], u[2:]
+    expected = mid + c * (left - 2.0 * mid + right) + dt * reaction(mid, off)
+    _ExplicitStep(u, off, dx, dt)()
+    assert np.all(expected > 0.0)
+    assert np.max(np.abs(u[1:-1] / expected - 1.0)) <= 1e-14
 
 
 def test_negative_horizon_rejected():

@@ -9,7 +9,6 @@ from vsbbm.genealogy import (
     GenealogyTree,
     OffspringDistribution,
     PopulationCapError,
-    leaves_at,
     mrca,
     philox_keys,
     replicate_rngs,
@@ -316,23 +315,13 @@ def test_mrca_invalid_leaf():
         mrca(tree, -1, int(tree.leaf_ids[0]))
 
 
-def test_leaves_at_endpoints():
-    tree = sample_tree(BINARY, 3.0, seed=2)
-    assert list(leaves_at(tree, 0.0)) == [0]
-    assert np.array_equal(leaves_at(tree, 3.0), tree.leaf_ids)
-    with pytest.raises(ValueError):
-        leaves_at(tree, 3.5)
-    with pytest.raises(ValueError):
-        leaves_at(tree, -0.1)
-
-
 def test_leaves_at_mean_population():
     rng = tree_rng(31)
     reps = 3000
     counts = np.empty(reps)
     for i in range(reps):
         tree = sample_tree(BINARY, 4.0, seed=0, rng=rng)
-        counts[i] = len(leaves_at(tree, 3.0))
+        counts[i] = np.count_nonzero((tree.birth <= 3.0) & (tree.death > 3.0))
     se = counts.std(ddof=1) / math.sqrt(reps)
     assert abs(counts.mean() - math.exp(3.0)) < 3 * se
 
@@ -341,7 +330,8 @@ def test_yule_law_chisquare():
     # binary offspring: n(s) is geometric with success prob e^{-s}
     s, reps = 2.0, 10**4
     rng = tree_rng(1001)
-    n = np.array([len(leaves_at(sample_tree(BINARY, 3.0, seed=0, rng=rng), s)) for _ in range(reps)])
+    trees = [sample_tree(BINARY, 3.0, seed=0, rng=rng) for _ in range(reps)]
+    n = np.array([np.count_nonzero((tree.birth <= s) & (tree.death > s)) for tree in trees])
     p = math.exp(-s)
     edges = list(range(1, 16))
     observed = [int((n == k).sum()) for k in edges] + [int((n >= 16).sum())]

@@ -311,15 +311,19 @@ def test_compare_a_counts_match_simulate(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "sections",
-    ["", "[profile]\nkind = piecewise\nxs = 0 0.5 1\nys = 0 0.6 1\n"],
+    "sections, word",
+    [
+        ("", r"needs a \[profile\]"),
+        ("[profile]\nkind = piecewise\nxs = 0 0.5 1\nys = 0 0.6 1\n", "A1"),
+    ],
     ids=["no-profile", "above-diagonal"],
 )
-def test_load_config_rejects_compare_profile_without_envelopes(tmp_path, capsys, sections):
-    # the identity default and a profile above the diagonal fail (A1), so
-    # build_envelopes could never run; the load says so as a ConfigError
+def test_load_config_rejects_compare_profile_without_envelopes(tmp_path, capsys, sections, word):
+    # the identity profile and a profile above the diagonal fail (A1), so
+    # build_envelopes could never run; compare's [profile] is required, and
+    # the load says so as a ConfigError
     path, out = write_config(tmp_path, _kind_config("compare", "t = 3\nreplicates = 4", sections))
-    with pytest.raises(ConfigError, match="A1"):
+    with pytest.raises(ConfigError, match=word):
         load_config(path)
     assert main(["compare", "--config", str(path)]) == 1
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
@@ -574,7 +578,19 @@ def test_help_lists_keys_defaults_and_sections(capsys, kind):
     for key, (_, default) in keys.items():
         assert f"  {key} = {'(required)' if default is None else default or '(empty)'}" in text
     assert "  seed = 0" in text and "  workers = 1" in text and "[output]\n  dir = out" in text
-    assert all(f"[{s}] (optional)" in text for s in sections)
+    for s, default in sections.items():
+        assert f"[{s}] {'(required)' if default is None else '(optional)'}" in text
+
+
+def test_help_marks_compare_profile_required(capsys):
+    texts = {}
+    for kind in ("compare", "simulate"):
+        with pytest.raises(SystemExit):
+            main([kind, "--help"])
+        texts[kind] = capsys.readouterr().out
+    assert "[profile] (required)" in texts["compare"] and "[profile] (optional)" not in texts["compare"]
+    assert "[profile] (optional)" in texts["simulate"] and "[profile] (required)" not in texts["simulate"]
+    assert "[offspring] (optional)" in texts["compare"]
 
 
 def test_readme_lists_every_key_and_default():
