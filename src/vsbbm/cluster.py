@@ -6,16 +6,21 @@ Two distinct samplers are kept side by side on purpose: exact rejection
 (conditioning on max > level, feasible only at small t) and the spine
 description (a bridge to the high point with rate-2 immigration), which
 conditions on a particle AT the level and scales to larger parameters.
+``decoration_collapse_study`` draws each spine's skeleton on its own
+generator, then grows the immigrants of many spines as one forest, one
+generator per spine, so each spine draws what ``spine_sample`` draws for
+it alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, cycle, islice, repeat
 
 import numpy as np
 
+from vsbbm import sampler
 from vsbbm.genealogy import (
     OffspringDistribution,
     replicate_rngs,
@@ -24,10 +29,11 @@ from vsbbm.genealogy import (
     sample_tree,
     tree_rng,
 )
-from vsbbm.sampler import ParticleConfiguration, node_positions, sample_leaf_positions
+from vsbbm.sampler import ParticleConfiguration, forest_leaf_positions, sample_leaf_positions
 from vsbbm.speed import identity_profile
 
 SQRT2 = math.sqrt(2.0)
+IDENTITY = identity_profile()
 
 
 class RejectionBudgetError(RuntimeError):
@@ -125,6 +131,42 @@ def _bridge_at(times: np.ndarray, t: float, z: float, rng) -> np.ndarray:
     return times / t * z + (w - times / t * w_t)
 
 
+def _spine_skeleton(sigma_e: float, y: float, t: float, offspring: OffspringDistribution, rng):
+    """The spine's draws before its immigrants grow: the Poisson(2t) branch
+    times, the bridge to sqrt2 sigma_e t + y at them and the size-biased
+    immigrant count of each; returns (branch_times, spine_values, counts)."""
+    if sigma_e <= 1:
+        raise ValueError("sigma_e must exceed 1")
+    if y < 0:
+        raise ValueError("y must be nonnegative")
+    z = SQRT2 * sigma_e * t + y
+    n_branch = rng.poisson(2.0 * t)
+    branch_times = np.sort(rng.uniform(0.0, t, size=n_branch))
+    spine_values = _bridge_at(branch_times, t, z, rng)
+    nus, probs = size_biased_offspring_probs(offspring)
+    counts = (
+        rng.choice(nus, size=n_branch, p=probs) if len(nus) > 1
+        else np.full(n_branch, nus[0], dtype=np.int64)
+    )
+    return branch_times, spine_values, counts
+
+
+def _immigrant_leaves(skeletons, t, offspring, rngs) -> tuple[np.ndarray, np.ndarray]:
+    """Leaves of the immigrant trees of several spines, grown as one forest
+    with one generator per spine: spine i's immigrants are a run of trees
+    rooted at their branch times on ``rngs[i]``, placed by one
+    ``standard_normal`` draw over the run's nodes and shifted by the spine
+    value at their root.  Each spine draws what it draws alone.  Returns
+    the leaf positions and the tree of each leaf, trees in spine order."""
+    # uniform(0, t) lies in [0, t), so every immigrant is born before t
+    starts = np.concatenate([times.repeat(counts) for times, _, counts in skeletons])
+    shifts = np.concatenate([values.repeat(counts) for _, values, counts in skeletons])
+    n_trees = [int(counts.sum()) for _, _, counts in skeletons]
+    forest = sample_forest(offspring, t, rngs, starts=starts, trees_per_rng=n_trees)
+    leaf_tree = forest.tree_id[forest.nodes.leaf_ids]
+    return forest_leaf_positions(forest, (IDENTITY,), t, rngs)[0] + shifts[leaf_tree], leaf_tree
+
+
 def spine_sample(
     sigma_e: float,
     y: float,
@@ -141,42 +183,24 @@ def spine_sample(
     spine position.  All immigrants grow as one forest, rooted at their
     branch times, and take their positions from one Gaussian draw, all on
     the generator ``rng``, or ``tree_rng(seed)`` when ``rng`` is not given.
+    It is the one-spine case of the spines ``decoration_collapse_study``
+    grows together, and draws as each of them does.
     """
-    if sigma_e <= 1:
-        raise ValueError("sigma_e must exceed 1")
-    if y < 0:
-        raise ValueError("y must be nonnegative")
     if rng is None:
         rng = tree_rng(seed)
-    z = SQRT2 * sigma_e * t + y
-    n_branch = rng.poisson(2.0 * t)
-    branch_times = np.sort(rng.uniform(0.0, t, size=n_branch))
-    spine_values = _bridge_at(branch_times, t, z, rng)
-    nus, probs = size_biased_offspring_probs(offspring)
-    counts = (
-        rng.choice(nus, size=n_branch, p=probs) if len(nus) > 1
-        else np.full(n_branch, nus[0], dtype=np.int64)
-    )
-    starts = branch_times.repeat(counts)
-    shifts = spine_values.repeat(counts)
-    keep = starts < t
-    starts, shifts = starts[keep], shifts[keep]
+    skeleton = branch_times, spine_values, counts = _spine_skeleton(sigma_e, y, t, offspring, rng)
     subtrees = []
     leaf_pos = np.empty(0)
-    if len(starts):
-        forest = sample_forest(offspring, t, rng, starts=starts)
-        nodes = forest.nodes
-        leaf_tree = forest.tree_id[nodes.leaf_ids]
-        pos = node_positions(nodes, identity_profile(), t, rng)
-        leaf_pos = pos[nodes.leaf_ids] + shifts[leaf_tree]
-        ends = np.bincount(leaf_tree, minlength=len(starts)).cumsum()
+    if counts.sum():
+        leaf_pos, leaf_tree = _immigrant_leaves([skeleton], t, offspring, [rng])
+        ends = np.bincount(leaf_tree, minlength=counts.sum()).cumsum()
         subtrees = np.split(leaf_pos[leaf_tree.argsort(kind="stable")], ends[:-1])
     # the spine endpoint itself is the atom y
     atoms = np.sort(np.concatenate([[y], leaf_pos - SQRT2 * sigma_e * t]))[::-1]
     return SpineRealization(
         horizon=t,
         sigma_e=sigma_e,
-        endpoint=z,
+        endpoint=SQRT2 * sigma_e * t + y,
         branch_times=branch_times,
         spine_values=spine_values,
         offspring_counts=counts,
@@ -205,22 +229,42 @@ def collapse_bound(
 def _collapse(sigma_e_list, R, t, offspring, y_mode, seed, reps):
     """Per replicate of ``reps``, per sigma_e (index j): 1 if the spine
     sample on stream ``spine:<j>`` puts more than one atom in [-R, inf),
-    else 0."""
-    streams = range(len(sigma_e_list))
-    spines = zip(*[replicate_rngs(seed, reps, f"spine:{j}") for j in streams])
-    if y_mode == "exponential":
-        overshoots = zip(*[replicate_rngs(seed, reps, f"overshoot:{j}") for j in streams])
-    else:
-        overshoots = repeat([None] * len(sigma_e_list))
-    rows = []
-    for spine_rngs, y_rngs in zip(spines, overshoots):
-        hits = []
-        for sigma_e, rng, y_rng in zip(sigma_e_list, spine_rngs, y_rngs):
-            y = 0.0 if y_rng is None else float(y_rng.exponential(1.0 / (SQRT2 * sigma_e)))
-            real = spine_sample(sigma_e, y, t, offspring, rng=rng)
-            hits.append(int(np.sum(real.atoms >= -R) > 1))
-        rows.append(hits)
-    return rows
+    else 0.
+
+    Each spine draws its skeleton from its own generator, then the spines
+    grow their immigrants as one forest per batch of about
+    ``sampler.FOREST_NODE_BUDGET`` expected nodes, one generator per spine,
+    so every spine draws what ``spine_sample`` draws for it alone."""
+    n_sigma = len(sigma_e_list)
+
+    def replicate_major(stream):
+        gens = [replicate_rngs(seed, reps, f"{stream}:{j}") for j in range(n_sigma)]
+        return chain.from_iterable(zip(*gens))
+
+    ys = repeat(None) if y_mode == "zero" else replicate_major("overshoot")
+    spines = zip(cycle(sigma_e_list), replicate_major("spine"), ys)
+    # expected immigrant nodes of a spine: branch points at rate 2 with K/2
+    # immigrants each on average, and a tree rooted at s has 2e^(t-s) - 1
+    # nodes on average, so K (2(e^t - 1) - t) in all
+    nodes = offspring.K * (2.0 * math.expm1(t) - t)
+    size = max(1, int(sampler.FOREST_NODE_BUDGET / max(nodes, 1.0)))
+    hits = []
+    for batch in iter(lambda: list(islice(spines, size)), []):
+        sigma_e, rngs, _ = zip(*batch)
+        y, skeletons = [], []
+        for sig, rng, y_rng in batch:
+            y.append(0.0 if y_rng is None else float(y_rng.exponential(1.0 / (SQRT2 * sig))))
+            skeletons.append(_spine_skeleton(sig, y[-1], t, offspring, rng))
+        # the endpoint atom y, then every immigrant leaf at or above -R
+        atoms = (np.array(y) >= -R).astype(np.int64)
+        trees = [int(counts.sum()) for _, _, counts in skeletons]
+        if sum(trees):
+            leaf_pos, leaf_tree = _immigrant_leaves(skeletons, t, offspring, rngs)
+            spine = np.arange(len(batch)).repeat(trees)[leaf_tree]
+            level = SQRT2 * np.array(sigma_e) * t
+            atoms += np.bincount(spine[leaf_pos - level[spine] >= -R], minlength=len(batch))
+        hits += (atoms > 1).astype(int).tolist()
+    return [hits[i : i + n_sigma] for i in range(0, len(hits), n_sigma)]
 
 
 def decoration_collapse_study(

@@ -2,9 +2,11 @@
 
 Trees are sampled generation by generation into flat numpy arrays so that
 populations of ~1e7 nodes stay cheap to build and to query.  Many small
-trees grow together as a forest, one wave loop for all of them, each on
-its own generator or all on one shared generator, each from its own
-start time.  The branching rate is fixed at 1 and the offspring mean
+trees grow together as a forest, one wave loop for all of them, each from
+its own start time.  Each generator of a forest serves a run of
+consecutive trees: one tree per generator for the replicates of
+``sampler.forest_batches``, the immigrant trees of one spine per generator
+in ``cluster``.  The branching rate is fixed at 1 and the offspring mean
 at 2, so the expected population at time t is e^t.
 """
 
@@ -240,18 +242,21 @@ def run_replicates(fn, common: tuple, replicates: int, workers: int = 1) -> list
 
 @dataclass(frozen=True, eq=False)
 class Forest:
-    """Trees of several replicates, grown in one wave loop.
+    """Trees grown in one wave loop, in runs of consecutive trees that
+    share a generator.
 
     ``nodes`` holds the nodes of every tree, wave-major: wave w of all trees
     is ``nodes.wave_starts[w]:nodes.wave_starts[w + 1]``, nodes
     ``0..n_trees-1`` are the roots and parents are global node indices.
     Within a wave the nodes of tree r are contiguous and precede those of
     tree r + 1, so tree r's nodes in index order are the breadth-first
-    order ``sample_tree`` gives that tree alone.
+    order ``sample_tree`` gives that tree alone, and a run's nodes in index
+    order are those of the forest of its trees grown alone.
     """
 
     nodes: GenealogyTree
     wave_sizes: np.ndarray  # (waves, n_trees): nodes of each tree per wave
+    trees_per_rng: np.ndarray  # trees of each generator's run, in tree order
 
     @property
     def n_trees(self) -> int:
@@ -273,32 +278,42 @@ def sample_forest(
     t: float,
     rngs: list | np.random.Generator,
     starts: np.ndarray | None = None,
+    trees_per_rng: list | np.ndarray | None = None,
 ) -> Forest:
     """Grow Galton-Watson trees with Exp(1) lifetimes up to the shared
     horizon t, all in one wave loop.  The root of tree r is born at
     ``starts[r]`` (default 0), which must lie in [0, t).
 
-    ``rngs`` is either one generator per tree or one generator shared by
-    all of them.  With one per tree, tree r draws only from ``rngs[r]`` and
-    makes the calls of a tree grown alone: per wave, the lifetimes of its
-    nodes, then, for a law with more than one support point, the offspring
-    counts of those that die before t.  Its draws therefore do not depend
-    on the other trees.  A shared generator makes one lifetime call and one
-    offspring call per wave for the whole forest, so on one tree it draws
-    exactly as a list of that one generator does.  Raises
+    Generator ``rngs[g]`` serves a run of ``trees_per_rng[g]`` consecutive
+    trees (default one tree each); a single ``Generator`` serves one run of
+    all the trees, one tree when ``starts`` is not given.  Per wave, each
+    generator draws the lifetimes of its run's nodes in one call, then, for
+    a law with more than one support point, the offspring counts of those
+    that die before t in one call.  A run's draws therefore do not depend
+    on the other runs: it grows as the forest of its own trees on its
+    generator alone, and a run of one tree as that tree alone.  Raises
     PopulationCapError instead of silently truncating when any one tree
     would exceed ``NODE_CAP`` nodes, read at call time.
     """
     if t <= 0:
         raise ValueError("horizon t must be positive")
-    shared = isinstance(rngs, np.random.Generator)
+    if isinstance(rngs, np.random.Generator):
+        rngs = [rngs]
+        if trees_per_rng is None:
+            trees_per_rng = [1 if starts is None else len(starts)]
+    runs = np.ones(len(rngs), dtype=np.int64) if trees_per_rng is None else np.asarray(trees_per_rng)
+    if runs.shape != (len(rngs),) or np.any(runs < 0):
+        raise ValueError("trees_per_rng needs one non-negative count per generator")
+    # the trees of generator g are edges[g]:edges[g + 1]
+    edges = np.zeros(len(runs) + 1, dtype=np.int64)
+    runs.cumsum(out=edges[1:])
+    n_trees = int(edges[-1])
     if starts is None:
-        birth = np.zeros(1 if shared else len(rngs))
+        birth = np.zeros(n_trees)
     else:
         birth = np.array(starts, dtype=np.float64)
-        if birth.ndim != 1 or not shared and len(birth) != len(rngs):
-            raise ValueError("starts must be 1-d with one entry per generator")
-    n_trees = len(birth)
+        if birth.ndim != 1 or len(birth) != n_trees:
+            raise ValueError("starts must be 1-d with one entry per tree")
     if n_trees == 0:
         raise ValueError("a forest needs at least one tree")
     if starts is not None and (birth.min() < 0 or birth.max() >= t):
@@ -311,30 +326,26 @@ def sample_forest(
     parents: list[np.ndarray] = []
     internal_ids: list[np.ndarray] = []
     offspring_counts: list[np.ndarray] = []
-    wave_sizes: list[list[int]] = []  # nodes of each tree, per wave
+    wave_bounds: list[np.ndarray] = []  # bounds of each wave
     wave_starts = [0]
 
     parent = np.full(n_trees, -1, dtype=np.int64)
     # the nodes of tree r in the current wave are bounds[r]:bounds[r + 1]
     bounds = np.arange(n_trees + 1)
     while len(birth):
-        b = bounds.tolist()
-        sizes = [hi - lo for lo, hi in zip(b, b[1:])]
-        wave_sizes.append(sizes)
+        wave_bounds.append(bounds)
         offset = wave_starts[-1]
-        wave_starts.append(offset + b[-1])
+        wave_starts.append(offset + len(birth))
         # the forest's node count bounds every tree's
         if wave_starts[-1] > NODE_CAP:
-            per_tree = np.sum(wave_sizes, axis=0)
+            per_tree = np.diff(wave_bounds, axis=1).sum(axis=0)
             if per_tree.max() > NODE_CAP:
                 raise PopulationCapError(
                     f"population of tree {int(per_tree.argmax())} exceeded "
                     f"node cap {NODE_CAP} at horizon {t}"
                 )
-        if shared:
-            death = rngs.exponential(size=len(birth))
-        else:
-            death = _join([rng.exponential(size=m) for rng, m in zip(rngs, sizes) if m])
+        c = bounds[edges].tolist()
+        death = _join([rng.exponential(size=hi - lo) for rng, lo, hi in zip(rngs, c, c[1:]) if hi > lo])
         death += birth
         idx = (death < t).nonzero()[0]
         np.minimum(death, t, out=death)
@@ -343,12 +354,9 @@ def sample_forest(
             k = fixed_k
             bounds = fixed_k * int_bounds
         else:
-            if shared:
-                k = offspring.sample(rngs, len(idx))
-            else:
-                c = int_bounds.tolist()
-                draws = [offspring.sample(rng, hi - lo) for rng, lo, hi in zip(rngs, c, c[1:]) if hi > lo]
-                k = _join(draws) if draws else idx  # idx is empty here
+            c = int_bounds[edges].tolist()
+            draws = [offspring.sample(rng, hi - lo) for rng, lo, hi in zip(rngs, c, c[1:]) if hi > lo]
+            k = _join(draws) if draws else idx  # idx is empty here
             csum = np.zeros(len(k) + 1, dtype=np.int64)
             k.cumsum(out=csum[1:])
             bounds = csum[int_bounds]
@@ -374,7 +382,7 @@ def sample_forest(
         wave_starts=np.asarray(wave_starts, dtype=np.int64),
         leaf_ids=(n_off == 0).nonzero()[0],
     )
-    return Forest(nodes=nodes, wave_sizes=np.array(wave_sizes))
+    return Forest(nodes=nodes, wave_sizes=np.diff(wave_bounds, axis=1), trees_per_rng=runs)
 
 
 def _join(parts: list[np.ndarray]) -> np.ndarray:

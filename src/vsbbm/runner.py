@@ -16,9 +16,12 @@ manifest carries the config hash and master seed.  Every Monte Carlo kind
 runs its replicates through ``genealogy.run_replicates``, each replicate
 on its own named streams, whose generators ``genealogy.replicate_rngs``
 builds for a whole chunk of replicates from one vectorised key
-derivation; ``simulate``, ``martingale`` and ``compare`` grow and place
-them in ``sampler.forest_batches``, ``compare`` placing its profile and
-both envelopes from one draw of the ``gauss`` stream.  Aggregation is
+derivation.  ``simulate``, ``martingale`` and ``compare`` grow and place
+their trees in ``sampler.forest_batches``, ``compare`` placing its profile
+and both envelopes from one draw of the ``gauss`` stream; ``cluster``
+grows the immigrants of a chunk's spines as one forest per batch, one
+generator per spine.  ``tube`` draws its bridges in row chunks and
+``fkpp`` is deterministic.  Aggregation is
 order-fixed (by replicate index, exact summation), so results do not
 depend on the worker count.
 """

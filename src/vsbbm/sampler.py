@@ -115,19 +115,25 @@ def forest_leaf_positions(
 ) -> np.ndarray:
     """Leaf positions of every tree of the forest under each of ``profiles``,
     shape (len(profiles), n_leaves), leaves in ``forest.nodes.leaf_ids``
-    order.  Tree r takes one ``rngs[r].standard_normal`` draw over its nodes
-    in its own breadth-first order, as ``sample_leaf_positions`` does for
-    that tree alone, and every profile scales that one draw: row p holds
-    the positions tree r gets alone under ``profiles[p]``."""
+    order.  Generator ``rngs[g]`` makes one ``standard_normal`` draw over
+    the nodes of its run of ``forest.trees_per_rng[g]`` trees, in the order
+    they have in the forest of that run grown alone, and every profile
+    scales that one draw: row p holds the positions each run gets alone
+    under ``profiles[p]``, and with one tree per generator the positions
+    ``sample_leaf_positions`` gives each tree alone."""
     nodes = forest.nodes
-    tree_sizes = forest.tree_sizes
-    z = np.concatenate([rng.standard_normal(n) for rng, n in zip(rngs, tree_sizes.tolist())])
-    if forest.n_trees > 1:
-        # z is tree-major: the nodes tree r has in wave w start at z offset
-        # (tree r's start) + (its nodes in earlier waves), and in the forest
-        # at the wave-major offset of block (w, r); shift each block across
-        sizes = forest.wave_sizes
-        in_z = (sizes.cumsum(axis=0) - sizes + (tree_sizes.cumsum() - tree_sizes)).ravel()
+    # nodes of each run per wave: differences of the per-tree cumulative
+    # counts at the runs' tree boundaries, so a run of no trees has none
+    cum = np.zeros((len(forest.wave_sizes), forest.n_trees + 1), dtype=np.int64)
+    forest.wave_sizes.cumsum(axis=1, out=cum[:, 1:])
+    sizes = np.diff(cum[:, np.concatenate([[0], forest.trees_per_rng.cumsum()])], axis=1)
+    run_sizes = sizes.sum(axis=0)
+    z = np.concatenate([rng.standard_normal(n) for rng, n in zip(rngs, run_sizes.tolist()) if n])
+    if np.count_nonzero(run_sizes) > 1:
+        # z is run-major: the nodes run g has in wave w start at z offset
+        # (run g's start) + (its nodes in earlier waves), and in the forest
+        # at the wave-major offset of block (w, g); shift each block across
+        in_z = (sizes.cumsum(axis=0) - sizes + (run_sizes.cumsum() - run_sizes)).ravel()
         flat = sizes.ravel()
         in_forest = flat.cumsum() - flat
         z = z[(in_z - in_forest).repeat(flat) + np.arange(len(z))]

@@ -122,9 +122,17 @@ def _identity_eval(x):
     return np.asarray(x, dtype=np.float64)
 
 
-def _two_speed_eval(s1, s2, b, x):
+def _kink_select(first_slope: float, second_slope: float):
+    """The ufunc that picks the line in force on either side of the kink of
+    a continuous piecewise-linear function with one kink: past the kink the
+    second line lies above the first when the kink is convex (first slope
+    <= second) and below it when it is concave."""
+    return np.maximum if first_slope <= second_slope else np.minimum
+
+
+def _two_speed_eval(select, s1, s2, b, x):
     x = np.asarray(x)
-    return np.where(x <= b, s1 * x, s1 * b + s2 * (x - b))
+    return select(s1 * x, s1 * b + s2 * (x - b))
 
 
 def _interp_eval(xs, ys, x):
@@ -147,7 +155,7 @@ def two_speed(sigma1_sq: float, sigma2_sq: float, b: float) -> SpeedProfile:
         )
 
     return SpeedProfile(
-        func=partial(_two_speed_eval, sigma1_sq, sigma2_sq, b),
+        func=partial(_two_speed_eval, _kink_select(sigma1_sq, sigma2_sq), sigma1_sq, sigma2_sq, b),
         slope_at_0=sigma1_sq,
         slope_at_1=sigma2_sq,
         label="two_speed",
@@ -225,14 +233,16 @@ def flat_initial_extent(profile: SpeedProfile) -> float:
     return _sup_below(profile, 0.0)
 
 
-def _one_kink_eval(slope0: float, slope1: float, kink: float, clamp: bool, x):
+def _one_kink_eval(select, slope0: float, slope1: float, clamp: bool, x):
     """Continuous one-kink piecewise-linear function through (0, .) and (1, 1).
 
-    First branch slope0*x up to the kink, second branch 1 + slope1*(x-1).
-    With clamp=True the whole function is floored at 0, which keeps it
-    monotone and in [0,1] when the raw first branch would dip negative.
+    First branch slope0*x up to the kink, second branch 1 + slope1*(x-1);
+    ``select`` is ``_kink_select(slope0, slope1)``, so the two branches
+    need no comparison with the kink.  With clamp=True the whole function
+    is floored at 0, which keeps it monotone and in [0,1] when the raw
+    first branch would dip negative.
     """
-    raw = np.where(x <= kink, slope0 * x, 1.0 + slope1 * (x - 1.0))
+    raw = select(slope0 * x, 1.0 + slope1 * (x - 1.0))
     return np.maximum(raw, 0.0) if clamp else raw
 
 
@@ -292,13 +302,13 @@ def build_envelopes(profile: SpeedProfile, t: float) -> EnvelopePair:
         )
 
     upper = SpeedProfile(
-        func=partial(_one_kink_eval, slope0_up, slope1_up, kink_up, False),
+        func=partial(_one_kink_eval, _kink_select(slope0_up, slope1_up), slope0_up, slope1_up, False),
         slope_at_0=slope0_up,
         slope_at_1=slope1_up,
         label="envelope_upper",
     )
     lower = SpeedProfile(
-        func=partial(_one_kink_eval, slope0_low, slope1_low, kink_low, True),
+        func=partial(_one_kink_eval, _kink_select(slope0_low, slope1_low), slope0_low, slope1_low, True),
         slope_at_0=max(slope0_low, 0.0),
         slope_at_1=slope1_low,
         label="envelope_lower",
@@ -317,9 +327,8 @@ def build_envelopes_rho(profile: SpeedProfile, rho: float, t: float) -> SpeedPro
     d_less, _ = delta_thresholds(profile, t)
     n = profile.taylor_order
     slope0 = profile.slope_at_0 + profile.k1_upper / math.factorial(n) * d_less ** (n - 1)
-    kink = (1.0 - rho) / (slope0 - rho)
     return SpeedProfile(
-        func=partial(_one_kink_eval, slope0, rho, kink, False),
+        func=partial(_one_kink_eval, _kink_select(slope0, rho), slope0, rho, False),
         slope_at_0=slope0,
         slope_at_1=rho,
         label="envelope_upper_rho",

@@ -1,5 +1,4 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,13 +14,15 @@ from vsbbm.cluster import (
     size_biased_offspring_probs,
     spine_sample,
 )
-from vsbbm.genealogy import OffspringDistribution, sample_tree, tree_rng
+from vsbbm import sampler as sampler_mod
+from vsbbm.genealogy import OffspringDistribution, run_replicates, sample_tree, seed_stream, tree_rng
 from vsbbm.runner import load_config, run
 from vsbbm.sampler import sample_leaf_positions
 from vsbbm.speed import identity_profile
 
 BINARY = OffspringDistribution.binary()
 MIXED = OffspringDistribution(np.array([1, 2, 3]), np.array([0.3, 0.4, 0.3]))
+LAW_13 = OffspringDistribution(np.array([1, 3]), np.array([0.5, 0.5]))
 SQRT2 = math.sqrt(2.0)
 
 
@@ -171,14 +172,55 @@ def test_decoration_collapse_study_distinct_spine_seeds(monkeypatch):
     # a spine's stream is its generator's Philox key
     seeds = []
 
-    def stub(sigma_e, y, t, offspring, seed=None, rng=None):
+    def stub(sigma_e, y, t, offspring, rng):
         seeds.append(tuple(rng.bit_generator.state["state"]["key"].tolist()))
-        return SimpleNamespace(atoms=np.array([y]))
+        return np.empty(0), np.empty(0), np.zeros(0, dtype=np.int64)
 
-    monkeypatch.setattr(cluster_mod, "spine_sample", stub)
+    monkeypatch.setattr(cluster_mod, "_spine_skeleton", stub)
     decoration_collapse_study([1.2, 1.5], R=2.0, t=3.0, replicates=4097, seed=0)
     assert len(seeds) == 2 * 4097
     assert len(set(seeds)) == 2 * 4097
+
+
+SIGMAS = [1.2, 1.5, 2.0]
+
+
+def _spine_loop_hits(sigmas, R, t, offspring, y_mode, seed, reps):
+    """Oracle: one ``spine_sample`` per replicate and sigma_e, each on its
+    own ``spine:<j>`` generator, as the study ran before its spines grew
+    together."""
+    rows = []
+    for r in reps:
+        row = []
+        for j, sig in enumerate(sigmas):
+            y = 0.0
+            if y_mode == "exponential":
+                y = float(tree_rng(seed_stream(seed, r, f"overshoot:{j}")).exponential(1.0 / (SQRT2 * sig)))
+            rng = tree_rng(seed_stream(seed, r, f"spine:{j}"))
+            real = spine_sample(sig, y, t, offspring, rng=rng)
+            row.append(int(np.sum(real.atoms >= -R) > 1))
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("y_mode", ["zero", "exponential"])
+@pytest.mark.parametrize("law", ["binary", "1,3"])
+def test_collapse_equals_spine_sample_loop(law, y_mode):
+    offspring = {"binary": BINARY, "1,3": LAW_13}[law]
+    reps = range(3, 90, 2)
+    hits = cluster_mod._collapse(SIGMAS, 2.0, 3.0, offspring, y_mode, 17, reps)
+    assert hits == _spine_loop_hits(SIGMAS, 2.0, 3.0, offspring, y_mode, 17, reps)
+    assert 0 < sum(map(sum, hits)) < 3 * len(reps)
+
+
+def test_collapse_hits_do_not_depend_on_workers_or_node_budget(monkeypatch):
+    common = (SIGMAS, 2.0, 3.0, LAW_13, "exponential", 23)
+    one = run_replicates(cluster_mod._collapse, common, 150, workers=1)
+    assert run_replicates(cluster_mod._collapse, common, 150, workers=2) == one
+    # 1: a batch of one spine; 300 nodes: two spines, so batches straddle replicates
+    for budget in (1, 300):
+        monkeypatch.setattr(sampler_mod, "FOREST_NODE_BUDGET", budget)
+        assert run_replicates(cluster_mod._collapse, common, 150, workers=1) == one
 
 
 def test_decoration_collapse_study_validation():

@@ -170,6 +170,45 @@ def test_shared_generator_forest_of_one_is_sample_tree(law):
             assert np.array_equal(getattr(listed, field), getattr(alone, field))
 
 
+RUNS = [3, 0, 1, 5, 2]  # trees per generator; the second serves none
+
+
+@pytest.mark.parametrize("law", ["binary", "1,3"])
+def test_forest_runs_match_each_run_grown_alone(law):
+    # generator g serves RUNS[g] consecutive trees; each run grows as the
+    # one-generator forest of its own trees, whatever the other runs do
+    offspring, t = LAWS[law], 3.5
+    for seed in range(6):
+        starts = [np.sort(np.random.default_rng(seed + g).uniform(0.0, t, n)) for g, n in enumerate(RUNS)]
+        rngs = [tree_rng(10 * seed + g) for g in range(len(RUNS))]
+        forest = sample_forest(offspring, t, rngs, starts=np.concatenate(starts), trees_per_rng=RUNS)
+        assert forest.n_trees == sum(RUNS)
+        assert forest.trees_per_rng.tolist() == RUNS
+        nodes = forest.nodes
+        node_run = np.arange(len(RUNS)).repeat(RUNS)[forest.tree_id]
+        for g, run_starts in enumerate(starts):
+            if not RUNS[g]:
+                # a generator with no trees draws nothing
+                fresh = tree_rng(10 * seed + g)
+                assert rngs[g].random() == fresh.random()
+                continue
+            alone = sample_forest(offspring, t, tree_rng(10 * seed + g), starts=run_starts)
+            sel = np.flatnonzero(node_run == g)
+            local = np.full(nodes.n_nodes, -1)
+            local[sel] = np.arange(len(sel))
+            assert len(sel) == alone.nodes.n_nodes
+            for field in ("birth", "death", "n_offspring"):
+                assert np.array_equal(getattr(nodes, field)[sel], getattr(alone.nodes, field))
+            parent = nodes.parent[sel]
+            assert np.array_equal(np.where(parent < 0, -1, local[parent]), alone.nodes.parent)
+            first = sum(RUNS[:g])
+            assert np.array_equal(forest.tree_sizes[first : first + RUNS[g]], alone.tree_sizes)
+    with pytest.raises(ValueError, match="trees_per_rng"):
+        sample_forest(BINARY, t, [tree_rng(0), tree_rng(1)], trees_per_rng=[1])
+    with pytest.raises(ValueError, match="one entry per tree"):
+        sample_forest(BINARY, t, [tree_rng(0), tree_rng(1)], starts=[0.0, 1.0], trees_per_rng=[1, 2])
+
+
 def test_forest_roots_start_at_their_birth_times():
     t, starts = 4.0, np.array([0.0, 0.5, 2.0, 3.9, 2.0])
     forest = sample_forest(LAWS["1,3"], t, tree_rng(8), starts=starts)

@@ -26,6 +26,7 @@ from vsbbm.speed import (
 
 BINARY = OffspringDistribution.binary()
 CHAIN = OffspringDistribution(np.array([1]), np.array([1.0]))
+LAWS = {"binary": BINARY, "1,3": OffspringDistribution(np.array([1, 3]), np.array([0.5, 0.5]))}
 
 
 def two_leaf_tree(tau, t):
@@ -62,6 +63,23 @@ def test_forest_leaf_positions_match_trees_alone():
         tree = sample_tree(law, t, seed=s)
         alone = sample_leaf_positions(tree, prof, t, tree_rng(100 + s))
         assert np.array_equal(pos[leaf_tree == r], alone)
+
+
+@pytest.mark.parametrize("law", ["binary", "1,3"])
+def test_forest_leaf_positions_of_runs_match_runs_alone(law):
+    # runs of 3, 0, 1, 5 and 2 trees on one generator each: every run takes
+    # one draw over its nodes and gets the positions it gets alone
+    offspring = LAWS[law]
+    runs, t, prof = [3, 0, 1, 5, 2], 3.0, two_speed(0.5, 2.0, 2.0 / 3.0)
+    starts = [np.sort(np.random.default_rng(g).uniform(0.0, t, n)) for g, n in enumerate(runs)]
+    forest = sample_forest(offspring, t, [tree_rng(g) for g in range(5)], np.concatenate(starts), runs)
+    (pos,) = forest_leaf_positions(forest, (prof,), t, [tree_rng(20 + g) for g in range(5)])
+    leaf_run = np.arange(5).repeat(runs)[forest.tree_id[forest.nodes.leaf_ids]]
+    for g, run_starts in enumerate(starts):
+        if runs[g]:
+            alone = sample_forest(offspring, t, tree_rng(g), starts=run_starts)
+            (want,) = forest_leaf_positions(alone, (prof,), t, [tree_rng(20 + g)])
+            assert np.array_equal(pos[leaf_run == g], want)
 
 
 def test_forest_leaf_positions_stacked_rows_match_single_profile():

@@ -7,6 +7,8 @@ import pytest
 from vsbbm.speed import (
     AssumptionError,
     SpeedProfile,
+    _kink_select,
+    _one_kink_eval,
     build_envelopes,
     build_envelopes_rho,
     delta_thresholds,
@@ -90,6 +92,36 @@ def test_two_speed_flat_start():
     assert float(prof(0.75)) == pytest.approx(0.5, abs=1e-12)
     x = np.linspace(0.5, 1, 20)
     assert np.allclose(prof(x), 2 * x - 1, atol=1e-12)
+
+
+def _kink_grid(kink):
+    # a dense grid with the kink and its two floating-point neighbours
+    near = [kink, np.nextafter(kink, 0.0), np.nextafter(kink, 1.0)]
+    return np.sort(np.concatenate([np.linspace(0.0, 1.0, 100_001), near]))
+
+
+@pytest.mark.parametrize("s1, s2, b", [(0.5, 2.0, 2.0 / 3.0), (1.5, 0.5, 0.5)], ids=["convex", "concave"])
+def test_two_speed_takes_the_line_of_each_side(s1, s2, b):
+    x = _kink_grid(b)
+    want = np.where(x <= b, s1 * x, s1 * b + s2 * (x - b))
+    assert np.array_equal(two_speed(s1, s2, b)(x), want)
+
+
+@pytest.mark.parametrize("clamp", [False, True], ids=["raw", "clamped"])
+@pytest.mark.parametrize(
+    "slope0, slope1", [(-0.2, 2.0), (0.3, 2.0), (1.5, 0.5)], ids=["convex-dips", "convex", "concave"]
+)
+def test_one_kink_takes_the_line_of_each_side(slope0, slope1, clamp):
+    kink = (1.0 - slope1) / (slope0 - slope1)
+    x = _kink_grid(kink)
+    want = np.where(x <= kink, slope0 * x, 1.0 + slope1 * (x - 1.0))
+    if clamp:
+        want = np.maximum(want, 0.0)
+    got = _one_kink_eval(_kink_select(slope0, slope1), slope0, slope1, clamp, x)
+    # the kink itself is rounded: only next to it may the lines differ, by an ulp
+    far = np.abs(x - kink) > 1e-12
+    assert np.array_equal(got[far], want[far])
+    np.testing.assert_allclose(got, want, rtol=0, atol=np.spacing(1.0))
 
 
 def test_delta_thresholds_identity():
