@@ -10,6 +10,9 @@ estimates the mean across horizons and tilts and prints the Exp(1)
 goodness of fit for the untilted case.
 
     python3 demos/martingale_convergence.py --replicates 2000
+
+The goodness of fit uses scipy.stats.kstest, so this demo needs scipy,
+which the package itself does not (``pip install -e '.[test]'``).
 """
 
 import argparse

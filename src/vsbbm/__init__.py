@@ -13,7 +13,6 @@ from vsbbm.speed import (
     build_envelopes,
     build_envelopes_rho,
     delta_thresholds,
-    estimate_envelope_constants,
     from_function,
     identity_profile,
     piecewise_linear,
@@ -42,7 +41,6 @@ __all__ = [
     "identity_profile",
     "two_speed",
     "delta_thresholds",
-    "estimate_envelope_constants",
     "from_function",
     "piecewise_linear",
     "build_envelopes",

@@ -9,7 +9,9 @@ conditions on a particle AT the level and scales to larger parameters.
 ``decoration_collapse_study`` draws each spine's skeleton on its own
 generator, then grows the immigrants of many spines as one forest, one
 generator per spine, so each spine draws what ``spine_sample`` draws for
-it alone.
+it alone.  ``collapse_bound``, the analytic bound reported beside each
+estimate, integrates with a numpy exp-sinh rule, so a run needs numpy
+alone.
 """
 
 from __future__ import annotations
@@ -209,21 +211,72 @@ def spine_sample(
     )
 
 
+# the exp-sinh rule of collapse_bound: the trapezoid rule in tau on
+# [-TAU_MAX, TAU_MAX], from step FIRST_STEP halved at most MAX_HALVINGS times
+# until two estimates agree to RTOL relative
+TAU_MAX = 4.5
+FIRST_STEP = 1.0 / 8.0
+MAX_HALVINGS = 10
+RTOL = 1e-12
+
+
+def _exp_sinh_sum(log_f, lo: float, h: float) -> float:
+    """Log of the step-h trapezoid sum of int_lo^inf e^{log_f(s)} ds under
+    s = lo + exp(pi/2 sinh tau); each term is exp(exponent + log weight),
+    taken relative to the largest, so no factor overflows on its own."""
+    n = round(TAU_MAX / h)
+    tau = np.arange(-n, n + 1) * h
+    log_u = 0.5 * np.pi * np.sinh(tau)
+    x = log_f(lo + np.exp(log_u)) + log_u + np.log(0.5 * np.pi * np.cosh(tau))
+    top = x.max()
+    return float(top + math.log(h * np.exp(x - top).sum()))
+
+
+def _exp_sinh(log_f, lo: float) -> tuple[float, float]:
+    """(log of int_lo^inf e^{log_f(s)} ds, the step it converged at): the
+    step halves until two successive sums agree to ``RTOL`` relative."""
+    h = FIRST_STEP
+    prev = _exp_sinh_sum(log_f, lo, h)
+    for _ in range(MAX_HALVINGS):
+        h /= 2.0
+        cur = _exp_sinh_sum(log_f, lo, h)
+        if abs(math.expm1(prev - cur)) <= RTOL:
+            return cur, h
+        prev = cur
+    raise ArithmeticError(f"exp-sinh rule did not converge by step {h:g}")
+
+
+def _collapse_exponent(sigma_e: float, R: float, gamma: float):
+    """s -> (1 - sigma_e^2) s + sqrt2 sigma_e (R + (sigma_e s)^gamma)."""
+    a = 1.0 - sigma_e**2
+    b = SQRT2 * sigma_e
+    return lambda s: a * s + b * (R + (sigma_e * s) ** gamma)
+
+
 def collapse_bound(
     sigma_e: float, R: float, K: float, gamma: float = 0.75
 ) -> float:
     """Analytic bound 2K sigma_e^{-1/2} + 2K int e^{(1-sigma_e^2)s +
-    sqrt2 sigma_e (R + (sigma_e s)^gamma)} ds on the multi-atom probability."""
-    from scipy.integrate import quad
+    sqrt2 sigma_e (R + (sigma_e s)^gamma)} ds on the multi-atom probability,
+    the integral over [sigma_e^{-1/2}, inf) by a double-exponential
+    (exp-sinh) rule that halves its step until it converges.
 
-    a = 1.0 - sigma_e**2
-    b = SQRT2 * sigma_e
-
-    def integrand(s):
-        return math.exp(a * s + b * (R + (sigma_e * s) ** gamma))
-
-    val, _ = quad(integrand, sigma_e**-0.5, np.inf, limit=200)
-    return 2.0 * K * sigma_e**-0.5 + 2.0 * K * val
+    Raises ValueError for sigma_e <= 1, where the integral diverges, and
+    OverflowError when the bound exceeds double precision, as it does for
+    sigma_e near 1 (sigma_e = 1.02, R = 2)."""
+    if sigma_e <= 1:
+        raise ValueError("sigma_e must exceed 1")
+    log_val, _ = _exp_sinh(_collapse_exponent(sigma_e, R, gamma), sigma_e**-0.5)
+    try:
+        bound = 2.0 * K * (sigma_e**-0.5 + math.exp(log_val))
+    except OverflowError:
+        bound = math.inf
+    if not math.isfinite(bound):
+        raise OverflowError(
+            f"collapse bound at sigma_e = {sigma_e}, R = {R} is not finite in double "
+            f"precision (log of its integral {log_val:.1f})"
+        )
+    return bound
 
 
 def _collapse(sigma_e_list, R, t, offspring, y_mode, seed, reps):
@@ -291,17 +344,14 @@ def decoration_collapse_study(
         raise ValueError("sigma_e list must be sorted ascending")
     if y_mode not in ("zero", "exponential"):
         raise ValueError(f"unknown y_mode {y_mode!r}")
+    # the bounds first, so a sigma_e whose bound overflows fails before the spines
+    bounds = [collapse_bound(sigma_e, R, offspring.K, gamma) for sigma_e in sigma_e_list]
     hits = run_replicates(_collapse, (sigma_e_list, R, t, offspring, y_mode, seed), replicates, workers)
     rows = []
     for j, sigma_e in enumerate(sigma_e_list):
         est = sum(h[j] for h in hits) / replicates
         se = math.sqrt(est * (1.0 - est) / replicates)
         rows.append(
-            {
-                "sigma_e": sigma_e,
-                "estimate": est,
-                "std_error": se,
-                "analytic_bound": collapse_bound(sigma_e, R, offspring.K, gamma),
-            }
+            {"sigma_e": sigma_e, "estimate": est, "std_error": se, "analytic_bound": bounds[j]}
         )
     return rows

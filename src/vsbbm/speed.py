@@ -334,31 +334,3 @@ def build_envelopes_rho(profile: SpeedProfile, rho: float, t: float) -> SpeedPro
         label="envelope_upper_rho",
     )
 
-
-def estimate_envelope_constants(
-    profile: SpeedProfile,
-    delta_b: float = 0.1,
-    delta_e: float = 0.1,
-    n_grid: int = 2001,
-) -> dict:
-    """APPROXIMATE finite-difference estimates of the Taylor-bound constants.
-
-    Fits max |A^(n)| on [0, delta_b] (n = taylor_order) and max |A''| on
-    [1 - delta_e, 1] by central differences on a uniform grid.  The numbers
-    are heuristic starting points only; the envelope machinery takes the
-    constants as caller-supplied ground truth, not from here.
-    """
-    n = profile.taylor_order
-
-    def max_abs_deriv(lo, hi, order):
-        h = (hi - lo) / (n_grid - 1)
-        vals = profile(np.linspace(lo, hi, n_grid))
-        d = vals
-        for _ in range(order):
-            d = np.diff(d) / h
-        return float(np.max(np.abs(d))) if len(d) else 0.0
-
-    k1 = max_abs_deriv(0.0, delta_b, n)
-    k2 = max_abs_deriv(1.0 - delta_e, 1.0, 2)
-    return {"k1": k1, "k2": k2, "taylor_order": n, "approximate": True}
-

@@ -1,7 +1,9 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.stats import chisquare, norm
 
 from vsbbm import cluster as cluster_mod
@@ -16,7 +18,7 @@ from vsbbm.cluster import (
 )
 from vsbbm import sampler as sampler_mod
 from vsbbm.genealogy import OffspringDistribution, run_replicates, sample_tree, seed_stream, tree_rng
-from vsbbm.runner import load_config, run
+from vsbbm.runner import load_config, main, run
 from vsbbm.sampler import sample_leaf_positions
 from vsbbm.speed import identity_profile
 
@@ -144,6 +146,60 @@ def test_collapse_bound_properties():
     assert collapse_bound(2.0, 2.0, 2.0) == pytest.approx(
         2.0 * collapse_bound(2.0, 2.0, 1.0), rel=1e-9
     )
+
+
+def _quad_bound(sigma_e, R, K, gamma):
+    # the bound with its integral by adaptive quadrature
+    a, b = 1.0 - sigma_e**2, SQRT2 * sigma_e
+    val, _ = quad(lambda s: math.exp(a * s + b * (R + (sigma_e * s) ** gamma)), sigma_e**-0.5, np.inf, limit=200)
+    return 2.0 * K * sigma_e**-0.5 + 2.0 * K * val
+
+
+def test_collapse_bound_matches_quad():
+    worst = max(
+        abs(collapse_bound(sig, R, BINARY.K, gamma) / _quad_bound(sig, R, BINARY.K, gamma) - 1.0)
+        for sig in (1.1, 1.2, 1.3, 1.5, 2.0, 3.0, 5.0)
+        for R in (0, 1, 2, 3)
+        for gamma in (0.5, 0.75)
+    )
+    assert worst <= 1e-10
+
+
+@pytest.mark.parametrize("sigma_e", [1.05, 1.1])
+def test_collapse_bound_rule_self_converged(sigma_e):
+    # near sigma_e = 1 the integrand peaks far out and narrow, so the rule
+    # halves its step; halving it once more moves the value by < 1e-10
+    log_f = cluster_mod._collapse_exponent(sigma_e, 2.0, 0.75)
+    lo = sigma_e**-0.5
+    log_val, h = cluster_mod._exp_sinh(log_f, lo)
+    assert h < cluster_mod.FIRST_STEP
+    assert abs(math.expm1(cluster_mod._exp_sinh_sum(log_f, lo, h / 2.0) - log_val)) < 1e-10
+
+
+def test_collapse_bound_fails_loudly_near_one(monkeypatch):
+    for sig in (1.0, 0.9):
+        with pytest.raises(ValueError, match="sigma_e"):
+            collapse_bound(sig, 2.0, 2.0)
+    with pytest.raises(OverflowError, match=r"sigma_e = 1\.02, R = 2"):
+        collapse_bound(1.02, 2, 2)
+    # finite, though far beyond 1: the integral is near e^562
+    assert collapse_bound(1.05, 2, 2) == pytest.approx(3.88e244, rel=1e-3)
+    monkeypatch.setattr(cluster_mod, "MAX_HALVINGS", 2)
+    with pytest.raises(ArithmeticError, match="did not converge"):
+        collapse_bound(1.05, 2, 2)
+
+
+def test_cluster_with_overflowing_bound_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "out"
+    path = tmp_path / "cfg.ini"
+    path.write_text(
+        "[experiment]\nkind = cluster\nt = 3\nreplicates = 4\nsigma_e_list = 1.02 1.5\n\n"
+        f"[output]\ndir = {out}\n"
+    )
+    assert main(["cluster", "--config", str(path)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "OverflowError" and "1.02" in err["message"]
+    assert not out.exists()
 
 
 def test_decoration_collapse_study(tmp_path):

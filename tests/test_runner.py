@@ -341,6 +341,27 @@ def test_import_loads_no_scipy():
     assert done.stdout.strip() == "[]"
 
 
+def test_runs_of_every_kind_load_no_scipy(tmp_path):
+    # a fresh interpreter runs each kind at a tiny size on one worker; the
+    # draws need numpy.random, but nothing a run does needs scipy
+    paths = []
+    for kind, (lines, sections, _, _) in KIND_CASES.items():
+        path, _ = write_config(tmp_path, _kind_config(kind, lines, sections), f"{kind}.ini", tmp_path / kind)
+        paths.append(str(path))
+    code = (
+        "import sys; from vsbbm.runner import load_config, run\n"
+        f"for p in {paths!r}:\n"
+        "    cfg = load_config(p)\n"
+        "    assert cfg.workers == 1\n"
+        "    run(cfg)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), 'numpy.random' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(vsbbm.__file__)))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[] True"
+    assert all((tmp_path / kind / "report.json").exists() for kind in KIND_CASES)
+
+
 def test_run_martingale_mean_near_one(tmp_path):
     path, out = write_config(tmp_path, MART_CONFIG)
     report = run(load_config(path))

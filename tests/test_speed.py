@@ -12,7 +12,6 @@ from vsbbm.speed import (
     build_envelopes,
     build_envelopes_rho,
     delta_thresholds,
-    estimate_envelope_constants,
     flat_initial_extent,
     from_function,
     from_table_csv,
@@ -283,11 +282,3 @@ def test_from_table_csv(tmp_path):
     prof = from_table_csv(path)
     assert float(prof(0.25)) == pytest.approx(0.125, abs=1e-12)
     assert float(prof(0.75)) == pytest.approx(0.625, abs=1e-12)
-
-
-def test_estimate_envelope_constants():
-    est = estimate_envelope_constants(power2_profile())
-    assert est["approximate"] is True
-    assert est["k1"] == pytest.approx(2.0, rel=1e-3)
-    assert est["k2"] == pytest.approx(2.0, rel=1e-3)
-
