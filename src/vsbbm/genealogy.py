@@ -6,8 +6,15 @@ trees grow together as a forest, one wave loop for all of them, each from
 its own start time.  Each generator of a forest serves a run of
 consecutive trees: one tree per generator for the replicates of
 ``sampler.forest_batches``, the immigrant trees of one spine per generator
-in ``cluster``.  The branching rate is fixed at 1 and the offspring mean
-at 2, so the expected population at time t is e^t.
+in ``cluster``.
+
+The model branches at rate 1 with an offspring law p_k of mean 2, so the
+expected population at time t is e^t.  A branching into one child cannot be
+told apart from an edge that goes on, and lifetimes are memoryless, so the
+trees grow only the real branchings: lifetimes are Exp(1 - p_1) and
+offspring counts follow the law of k given k >= 2, the same process in
+law.  No node has exactly one child; over an edge the Gaussian increment of
+the unsplit edge is the sum of those of its k = 1 pieces.
 """
 
 from __future__ import annotations
@@ -31,7 +38,10 @@ class OffspringDistribution:
     """Finite-support offspring law p_k, k >= 1, with mean 2.
 
     The mean-2 normalization makes E n(t) = e^t for unit branching rate;
-    it is validated at construction, as is sum(p) = 1.
+    it is validated at construction, as is sum(p) = 1.  ``rate`` = 1 - p_1
+    is the rate of the real branchings (k >= 2), ``branch_ks`` and ``cdf``
+    their law, the law of k given k >= 2.  The chain p_1 = 1 has rate 0
+    and no real branchings.
     """
 
     ks: np.ndarray
@@ -41,6 +51,8 @@ class OffspringDistribution:
     # coefficients of g(v) = sum_j P(K >= j+2) v^j, lowest power first: the
     # F-KPP reaction (1-u) - sum_k p_k (1-u)^k equals u v g(v), v = 1-u
     reaction_coefficients: np.ndarray = field(init=False, repr=False)
+    rate: float = field(init=False)
+    branch_ks: np.ndarray = field(init=False, repr=False)
     cdf: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -67,8 +79,16 @@ class OffspringDistribution:
         object.__setattr__(self, "second_factorial_moment", float((ks * (ks - 1)) @ ps))
         p_at_least = np.cumsum(np.bincount(ks, weights=ps, minlength=3)[::-1])[::-1]
         object.__setattr__(self, "reaction_coefficients", p_at_least[2:])
-        cdf = ps.cumsum()
-        object.__setattr__(self, "cdf", cdf / cdf[-1])
+        real = ks >= 2
+        rate = float(ps[real].sum())
+        # the cdf ``rng.choice(branch_ks, p=ps[real] / rate)`` builds; the
+        # chain has none
+        cdf = (ps[real] / rate).cumsum() if rate else np.zeros(0)
+        if rate:
+            cdf /= cdf[-1]
+        object.__setattr__(self, "rate", rate)
+        object.__setattr__(self, "branch_ks", ks[real])
+        object.__setattr__(self, "cdf", cdf)
 
     @property
     def K(self) -> float:
@@ -79,10 +99,11 @@ class OffspringDistribution:
         return cls(np.array([2]), np.array([1.0]))
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """``size`` offspring counts, by inverse CDF on ``rng.random(size)``:
-        the draws and arithmetic of ``rng.choice(ks, size, p=ps)`` without
-        its per-call validation of p."""
-        return self.ks[self.cdf.searchsorted(rng.random(size), side="right")]
+        """``size`` offspring counts of real branchings, law k given k >= 2,
+        by inverse CDF on ``rng.random(size)``: the draws and arithmetic of
+        ``rng.choice(branch_ks, size, p=ps[ks >= 2] / rate)`` without its
+        per-call validation of p."""
+        return self.branch_ks[self.cdf.searchsorted(rng.random(size), side="right")]
 
 
 @dataclass(frozen=True, eq=False)
@@ -280,16 +301,19 @@ def sample_forest(
     starts: np.ndarray | None = None,
     trees_per_rng: list | np.ndarray | None = None,
 ) -> Forest:
-    """Grow Galton-Watson trees with Exp(1) lifetimes up to the shared
-    horizon t, all in one wave loop.  The root of tree r is born at
-    ``starts[r]`` (default 0), which must lie in [0, t).
+    """Grow Galton-Watson trees up to the shared horizon t, all in one wave
+    loop, branching only for real: lifetimes are Exp(``offspring.rate``),
+    rate 1 - p_1, and every node that dies before t has k >= 2 children.
+    The chain p_1 = 1 grows one node per tree, alive to t, and draws
+    nothing.  The root of tree r is born at ``starts[r]`` (default 0),
+    which must lie in [0, t).
 
     Generator ``rngs[g]`` serves a run of ``trees_per_rng[g]`` consecutive
     trees (default one tree each); a single ``Generator`` serves one run of
     all the trees, one tree when ``starts`` is not given.  Per wave, each
     generator draws the lifetimes of its run's nodes in one call, then, for
-    a law with more than one support point, the offspring counts of those
-    that die before t in one call.  A run's draws therefore do not depend
+    a law with more than one real offspring count, the offspring counts of
+    those that die before t in one call.  A run's draws therefore do not depend
     on the other runs: it grows as the forest of its own trees on its
     generator alone, and a run of one tree as that tree alone.  Raises
     PopulationCapError instead of silently truncating when any one tree
@@ -318,8 +342,9 @@ def sample_forest(
         raise ValueError("a forest needs at least one tree")
     if starts is not None and (birth.min() < 0 or birth.max() >= t):
         raise ValueError(f"start times must lie in [0, {t})")
-    # a single-support law fixes every offspring count and draws none
-    fixed_k = int(offspring.ks[0]) if len(offspring.ks) == 1 else 0
+    # one real offspring count fixes every count and draws none
+    fixed_k = int(offspring.branch_ks[0]) if len(offspring.branch_ks) == 1 else 0
+    scale = 1.0 / offspring.rate if offspring.rate else None
 
     births: list[np.ndarray] = []
     deaths: list[np.ndarray] = []
@@ -344,9 +369,13 @@ def sample_forest(
                     f"population of tree {int(per_tree.argmax())} exceeded "
                     f"node cap {NODE_CAP} at horizon {t}"
                 )
-        c = bounds[edges].tolist()
-        death = _join([rng.exponential(size=hi - lo) for rng, lo, hi in zip(rngs, c, c[1:]) if hi > lo])
-        death += birth
+        if scale is None:
+            # the chain never branches: each root lives to t
+            death = np.full(len(birth), float(t))
+        else:
+            c = bounds[edges].tolist()
+            death = _join([rng.exponential(scale, hi - lo) for rng, lo, hi in zip(rngs, c, c[1:]) if hi > lo])
+            death += birth
         idx = (death < t).nonzero()[0]
         np.minimum(death, t, out=death)
         int_bounds = idx.searchsorted(bounds)
@@ -395,9 +424,9 @@ def sample_tree(
     seed: int | None = None,
     rng: np.random.Generator | None = None,
 ) -> GenealogyTree:
-    """Sample a Galton-Watson tree with Exp(1) lifetimes up to horizon t:
-    the forest of the one generator ``rng``, or ``tree_rng(seed)`` when
-    ``rng`` is not given.
+    """Sample a Galton-Watson tree of real branchings up to horizon t
+    (Exp(1 - p_1) lifetimes, k >= 2 children): the forest of the one
+    generator ``rng``, or ``tree_rng(seed)`` when ``rng`` is not given.
 
     Deterministic given the seed: lifetimes and offspring counts are drawn
     wave by wave in node-index order.  Raises PopulationCapError instead of

@@ -142,7 +142,9 @@ def forest_leaf_positions(
     return _descend(nodes, std)[:, nodes.leaf_ids]
 
 
-# Nodes per forest batch.  A tree has 2e^t - 1 nodes on average, so a batch
+# Nodes per forest batch.  A tree of real branchings has
+# e^t + (e^t - 1)/(E[k | k >= 2] - 1) nodes on average, 2e^t - 1 for binary
+# offspring and fewer for any other law, so sized at 2e^t per tree a batch
 # holds about 55 trees at t = 5 and one from t = 9.1 on.  The budget bounds
 # memory only: every replicate draws from its own streams.
 FOREST_NODE_BUDGET = 2**14

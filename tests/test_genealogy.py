@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import chisquare
+from scipy.stats import chisquare, ks_2samp, kstest
 
 from vsbbm import genealogy
+from vsbbm.extremal import centering
 from vsbbm.genealogy import (
     GenealogyTree,
     OffspringDistribution,
@@ -18,6 +19,8 @@ from vsbbm.genealogy import (
     tree_rng,
     tree_rngs,
 )
+from vsbbm.sampler import sample_leaf_positions
+from vsbbm.speed import two_speed
 
 BINARY = OffspringDistribution.binary()
 CHAIN = OffspringDistribution(np.array([1]), np.array([1.0]))
@@ -45,14 +48,34 @@ def test_binary_K_is_two():
 
 
 def test_degenerate_chain_single_lineage():
-    tree = sample_tree(CHAIN, 7.0, seed=3)
-    assert tree.n_leaves == 1
-    # a pure chain: every internal node has exactly one child
-    assert np.all(tree.n_offspring[tree.n_offspring > 0] == 1)
-    assert tree.death[tree.leaf_ids[0]] == 7.0
-    # children are born when the parent dies
-    for node in range(1, tree.n_nodes):
-        assert tree.birth[node] == tree.death[tree.parent[node]]
+    # the chain never branches for real: one node per tree, alive to t,
+    # and not one draw
+    assert CHAIN.rate == 0.0 and len(CHAIN.branch_ks) == 0
+    rng = tree_rng(3)
+    tree = sample_tree(CHAIN, 7.0, rng=rng)
+    assert tree.n_nodes == tree.n_leaves == 1
+    assert (tree.birth[0], tree.death[0], tree.parent[0], tree.n_offspring[0]) == (0.0, 7.0, -1, 0)
+    assert tree.wave_starts.tolist() == [0, 1]
+    assert rng.random() == tree_rng(3).random()
+    forest = sample_forest(CHAIN, 7.0, [tree_rng(s) for s in range(3)], starts=[0.0, 2.5, 6.0])
+    assert forest.nodes.birth.tolist() == [0.0, 2.5, 6.0]
+    assert forest.nodes.death.tolist() == [7.0] * 3
+    assert forest.nodes.leaf_ids.tolist() == [0, 1, 2]
+
+
+@pytest.mark.parametrize(
+    "ks, ps",
+    [([2], [1.0]), ([1, 3], [0.5, 0.5]), ([1, 2, 3], [0.25, 0.5, 0.25]), ([1, 2, 4], [0.4, 0.4, 0.2])],
+    ids=["binary", "1,3", "1,2,3", "1,2,4"],
+)
+def test_sample_is_choice_over_real_branchings(ks, ps):
+    law = OffspringDistribution(np.array(ks), np.array(ps))
+    real = law.ks >= 2
+    assert law.rate == law.ps[real].sum() and law.branch_ks.tolist() == law.ks[real].tolist()
+    for seed in range(5):
+        want = tree_rng(seed).choice(law.ks[real], 1000, p=law.ps[real] / law.rate)
+        assert np.array_equal(law.sample(tree_rng(seed), 1000), want)
+    assert BINARY.rate == 1.0
 
 
 def test_population_mean_binary():
@@ -92,22 +115,31 @@ def test_population_cap(monkeypatch):
         sample_tree(BINARY, 12.0, seed=0)
 
 
-def _reference_tree(offspring, t, rng):
+def _reference_tree(offspring, t, rng, real_only=True):
     """Oracle: one tree grown alone, wave by wave, drawing the lifetimes of
     a wave and then ``rng.choice`` offspring counts for its nodes that die
-    before t; returns (birth, death, parent, n_offspring, wave_starts)."""
+    before t; returns (birth, death, parent, n_offspring, wave_starts).
+
+    With ``real_only`` it grows only the real branchings, the draws of
+    ``sample_forest``: Exp(1 - p_1) lifetimes and counts from the law of k
+    given k >= 2.  Without, it is the rate-1 sampler that grows every
+    k = 1 event as a node, the reference for the equality in law."""
+    ks, ps, scale = offspring.ks, offspring.ps, 1.0
+    if real_only:
+        real = ks >= 2
+        ks, ps, scale = ks[real], ps[real] / offspring.rate, 1.0 / offspring.rate
     births, deaths, parents, kids, starts = [], [], [], [], [0]
     birth, parent = np.zeros(1), np.full(1, -1)
     while len(birth):
-        death = birth + rng.exponential(size=len(birth))
+        death = birth + rng.exponential(scale, size=len(birth))
         internal = death < t
         death[~internal] = t
         k = np.zeros(len(birth), dtype=np.int64)
         if internal.any():
-            if len(offspring.ks) == 1:
-                k[internal] = offspring.ks[0]
+            if len(ks) == 1:
+                k[internal] = ks[0]
             else:
-                k[internal] = rng.choice(offspring.ks, size=int(internal.sum()), p=offspring.ps)
+                k[internal] = rng.choice(ks, size=int(internal.sum()), p=ps)
         for store, arr in zip((births, deaths, parents, kids), (birth, death, parent, k)):
             store.append(arr)
         parent = np.repeat(np.arange(starts[-1], starts[-1] + len(birth)), k)
@@ -233,6 +265,61 @@ def test_forest_started_late_has_mean_leaf_count(law):
     for p, counts in zip((0.5, 2.5), (leaves[:n], leaves[n:])):
         se = counts.std(ddof=1) / math.sqrt(n)
         assert abs(counts.mean() - math.exp(t - p)) < 4 * se
+
+
+NON_BINARY = ["1,3", "1,2,3"]
+
+
+@pytest.mark.parametrize("law", NON_BINARY)
+def test_leaf_count_moments_in_law(law):
+    # continuous-time Galton-Watson: E n(t) = e^t and
+    # Var n(t) = (K - 1) e^t (e^t - 1), K the second factorial moment
+    offspring, t, n = LAWS[law], 2.5, 20_000
+    forest = sample_forest(offspring, t, tree_rng(17), starts=np.zeros(n))
+    counts = np.bincount(forest.tree_id[forest.nodes.leaf_ids], minlength=n).astype(float)
+    mean, var = math.exp(t), (offspring.K - 1) * math.exp(t) * (math.exp(t) - 1)
+    assert abs(counts.mean() - mean) < 4 * counts.std(ddof=1) / math.sqrt(n)
+    centred = counts - counts.mean()
+    var_se = math.sqrt(((centred**4).mean() - counts.var() ** 2) / n)
+    assert abs(counts.var(ddof=1) - var) < 4 * var_se
+
+
+@pytest.mark.parametrize("law", NON_BINARY)
+def test_real_branchings_match_rate_one_sampler_in_law(law):
+    # n_leaves and the centered maximum under two_speed(0.5, 2, 2/3) of the
+    # trees sample_tree grows and of the rate-1 trees that keep every k = 1
+    # event as a node, on independent seeds
+    offspring, t, reps = LAWS[law], 5.0, 1000
+    profile = two_speed(0.5, 2.0, 2.0 / 3.0)
+    samples = {}
+    for real_only in (True, False):
+        leaves, maxima = [], []
+        for r in range(reps):
+            rng = tree_rng(seed_stream(29, r, f"tree:{real_only}"))
+            if real_only:
+                tree = sample_tree(offspring, t, rng=rng)
+            else:
+                birth, death, parent, kids, starts = _reference_tree(offspring, t, rng, real_only=False)
+                tree = GenealogyTree(t, birth, death, parent, kids, starts, np.flatnonzero(kids == 0))
+            pos = sample_leaf_positions(tree, profile, t, tree_rng(seed_stream(29, r, f"gauss:{real_only}")))
+            leaves.append(tree.n_leaves)
+            maxima.append(pos.max() - centering(t))
+        samples[real_only] = leaves, maxima
+    for new, old in zip(samples[True], samples[False]):
+        assert ks_2samp(new, old).pvalue > 0.01
+
+
+@pytest.mark.parametrize("law", NON_BINARY)
+def test_root_branches_at_rate_one_minus_p1(law):
+    # the root's first real branching is Exp(1 - p_1), censored at t
+    offspring, t, n = LAWS[law], 2.0, 20_000
+    rate = 1.0 - float(offspring.ps[offspring.ks == 1].sum())
+    assert offspring.rate == rate
+    life = sample_forest(offspring, t, tree_rng(23), starts=np.zeros(n)).nodes.death[:n]
+    alive = math.exp(-rate * t)
+    assert abs(np.mean(life == t) - alive) < 4 * math.sqrt(alive * (1 - alive) / n)
+    branched = life[life < t]
+    assert kstest(branched, lambda x: -np.expm1(-rate * x) / -math.expm1(-rate * t)).pvalue > 0.01
 
 
 def test_shared_generator_population_cap_is_per_tree(monkeypatch):

@@ -274,6 +274,26 @@ def test_run_simulate_matches_trees_alone(tmp_path):
         assert row == want + [str(c) for c in s.exceedance_counts]
 
 
+LAW_13_COMPARE_CONFIG = COMPARE_CONFIG.replace("[output]", "[offspring]\nks = 1 3\nps = 0.5 0.5\n\n[output]")
+
+
+@pytest.mark.parametrize(
+    "text", [FOREST_SIM_CONFIG, LAW_13_COMPARE_CONFIG], ids=["simulate-1,3", "compare-1,3"]
+)
+def test_law_1_3_artifacts_do_not_depend_on_workers(tmp_path, text):
+    # trees of real branchings only: a law with p_1 > 0 still draws every
+    # replicate from its own streams
+    outs = []
+    for workers in (1, 2):
+        path, out = write_config(tmp_path, text, name=f"w{workers}.ini", out=tmp_path / f"w{workers}")
+        cfg = load_config(path, overrides={"workers": workers})
+        assert cfg.offspring.ks.tolist() == [1, 3]
+        run(cfg)
+        files = json.loads((out / "manifest.json").read_text())["files"]
+        outs.append({name: (out / name).read_bytes() for name in files})
+    assert outs[0] == outs[1] and len(outs[0]) >= 1
+
+
 @pytest.mark.parametrize("budget", [1, 700])
 def test_forest_batch_size_does_not_change_results(tmp_path, monkeypatch, budget):
     files = {"sim": "summaries.csv", "mart": "martingale.csv", "compare": "report.json"}
