@@ -1,11 +1,10 @@
-"""Conditioned and cluster objects: BBM conditioned on an unusually high
-maximum, its decoration atoms, and the spine construction with size-biased
-branching.
+"""The cluster seen from a high particle: the spine construction with
+size-biased branching and the collapse study built on it.
 
-Two distinct samplers are kept side by side on purpose: exact rejection
-(conditioning on max > level, feasible only at small t) and the spine
-description (a bridge to the high point with rate-2 immigration), which
-conditions on a particle AT the level and scales to larger parameters.
+The spine description (a bridge to the high point with rate-2
+immigration) conditions on a particle AT the level sqrt2 sigma_e t + y,
+so it scales to levels where conditioning standard BBM on its maximum by
+rejection would almost never accept (``acceptance_estimate``).
 ``decoration_collapse_study`` draws each spine's skeleton on its own
 generator, then grows the immigrants of many spines as one forest, one
 generator per spine, so each spine draws what ``spine_sample`` draws for
@@ -28,76 +27,22 @@ from vsbbm.genealogy import (
     replicate_rngs,
     run_replicates,
     sample_forest,
-    sample_tree,
     tree_rng,
 )
-from vsbbm.sampler import ParticleConfiguration, forest_leaf_positions, sample_leaf_positions
+from vsbbm.sampler import forest_leaf_positions
 from vsbbm.speed import identity_profile
 
 SQRT2 = math.sqrt(2.0)
 IDENTITY = identity_profile()
 
 
-class RejectionBudgetError(RuntimeError):
-    """Rejection sampling ran out of attempts."""
-
-    def __init__(self, attempts, acceptance_estimate):
-        self.attempts = attempts
-        self.acceptance_estimate = acceptance_estimate
-        super().__init__(
-            f"no acceptance in {attempts} attempts "
-            f"(first-moment acceptance estimate {acceptance_estimate:.3e})"
-        )
-
-
 def acceptance_estimate(sigma_e: float, t: float) -> float:
     """First-moment estimate e^t P(N(0,t) > sqrt2 sigma_e t) of the
-    rejection acceptance probability."""
+    probability that standard BBM has a particle above sqrt2 sigma_e t at
+    time t: the acceptance rate of conditioning on that event by
+    rejection, which the spine sampler does without."""
     level = SQRT2 * sigma_e * t
     return math.exp(t) * 0.5 * math.erfc(level / math.sqrt(2.0 * t))
-
-
-def conditioned_sample(
-    sigma_e: float,
-    t: float,
-    seed: int,
-    max_attempts: int = 10**6,
-    offspring: OffspringDistribution | None = None,
-) -> tuple[ParticleConfiguration, int]:
-    """Standard BBM conditioned on max > sqrt2 sigma_e t, by rejection.
-
-    Returns (configuration, attempts used).  Refuses to start when the
-    first-moment acceptance estimate falls below 1e-6.
-    """
-    if sigma_e <= 1:
-        raise ValueError("sigma_e must exceed 1")
-    if offspring is None:
-        offspring = OffspringDistribution.binary()
-    est = acceptance_estimate(sigma_e, t)
-    if est < 1e-6:
-        raise ValueError(
-            f"estimated acceptance {est:.2e} below 1e-6; use the spine sampler instead"
-        )
-    profile = identity_profile()
-    level = SQRT2 * sigma_e * t
-    rng = tree_rng(seed)
-    for attempt in range(1, max_attempts + 1):
-        tree = sample_tree(offspring, t, rng=rng)
-        pos = sample_leaf_positions(tree, profile, t, rng)
-        if pos.max() > level:
-            config = ParticleConfiguration(
-                tree=tree, profile=profile, horizon=t, leaf_positions=pos
-            )
-            return config, attempt
-    raise RejectionBudgetError(max_attempts, est)
-
-
-def decoration_atoms(config: ParticleConfiguration, sigma_e: float, t: float) -> np.ndarray:
-    """Leaf positions minus sqrt2 sigma_e t, sorted descending."""
-    atoms = np.sort(config.leaf_positions - SQRT2 * sigma_e * t)[::-1]
-    if atoms[0] <= 0:
-        raise ValueError("configuration does not exceed the conditioning level")
-    return atoms
 
 
 def size_biased_offspring_probs(offspring: OffspringDistribution) -> tuple[np.ndarray, np.ndarray]:

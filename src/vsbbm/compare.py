@@ -2,7 +2,8 @@
 shared genealogy and test the Laplace-transform sandwich empirically.
 ``collect_exceedances`` runs on ``sampler.forest_batches``, as ``simulate``
 does: every profile is placed on the replicate's tree from one draw of
-its ``gauss`` stream, so the sandwich differences are paired.
+its ``gauss`` stream, so the sandwich differences are paired, and
+``sandwich_report`` checks and reports them.
 
 The o(1) corrections of the limit statement are untestable at fixed t; the
 acceptance band is three combined standard errors, and raw gaps are always
@@ -12,48 +13,13 @@ reported so t-trends can be studied.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from vsbbm.extremal import empirical_laplace, forest_exceedances, mean_and_se
-from vsbbm.genealogy import GenealogyTree, OffspringDistribution, run_replicates, seed_stream, tree_rng
-from vsbbm.sampler import ParticleConfiguration, forest_batches, sample_leaf_positions
-from vsbbm.speed import EnvelopePair, SpeedProfile
-
-
-@dataclass(frozen=True, eq=False)
-class CoupledTriple:
-    """The fields of A, the upper and the lower envelope on one shared tree,
-    each scaling the same standard normal draw over its edges."""
-
-    tree: GenealogyTree
-    config_a: ParticleConfiguration
-    config_upper: ParticleConfiguration
-    config_lower: ParticleConfiguration
-    horizon: float
-
-
-def coupled_sample(
-    tree: GenealogyTree,
-    profile: SpeedProfile,
-    envelopes: EnvelopePair,
-    t: float,
-    seed: int,
-) -> CoupledTriple:
-    """Sample the three fields on the same tree from one draw of the
-    ``gauss`` stream of replicate 0, as ``collect_exceedances`` places the
-    profiles of its replicate 0."""
-    if abs(tree.horizon - t) > 1e-12:
-        raise ValueError(f"tree horizon {tree.horizon} does not match t={t}")
-    if abs(envelopes.t - t) > 1e-12:
-        raise ValueError("envelope pair was built for a different horizon")
-    configs = []
-    for prof in (profile, envelopes.upper, envelopes.lower):
-        # a fresh generator of the one key repeats the draw for each profile
-        pos = sample_leaf_positions(tree, prof, t, tree_rng(seed_stream(seed, 0, "gauss")))
-        configs.append(ParticleConfiguration(tree=tree, profile=prof, horizon=t, leaf_positions=pos))
-    return CoupledTriple(tree, *configs, horizon=t)
+from vsbbm.genealogy import OffspringDistribution, run_replicates
+from vsbbm.sampler import forest_batches
+from vsbbm.speed import SpeedProfile
 
 
 def _exceedances(offspring, profiles, t, u_grid, seed, reps):

@@ -12,7 +12,8 @@ anything is written.
 ``--seed``, ``--workers`` and ``--out`` are the only overrides of the
 file.  ``run`` writes every artifact to a temp path that is atomically
 renamed, so an interrupted run never leaves corrupt artifacts; the
-manifest carries the config hash and master seed.  Every Monte Carlo kind
+manifest carries the config hash, the master seed, the seed scheme and the
+versions and CPU count of the environment.  Every Monte Carlo kind
 runs its replicates through ``genealogy.run_replicates``, each replicate
 on its own named streams, whose generators ``genealogy.replicate_rngs``
 builds for a whole chunk of replicates from one vectorised key
@@ -38,7 +39,7 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from itertools import chain
 
 import numpy as np
@@ -311,6 +312,8 @@ _REPLICATES = (_checked(int, lambda v: v >= 2, "replicates >= 2"), REQUIRED)
 # of compare are defined for t > 1 only; simulate and compare count
 # exceedances over an ascending u_grid
 _T_ABOVE_ONE = (_checked(float, lambda v: v > 1, "t > 1"), REQUIRED)
+# cluster, tube and martingale run to any horizon t > 0
+_T_POSITIVE = (_checked(float, lambda v: v > 0, "t > 0"), REQUIRED)
 _U_GRID = _checked(_floats, lambda v: v == sorted(v), "an ascending u_grid")
 # a tail constant exists for an end slope sigma_e > 1 only
 _SIGMA_ES = _checked(_floats, lambda v: all(s > 1 for s in v), "every entry > 1")
@@ -321,24 +324,28 @@ EXPERIMENTS = {
         "t": _T_ABOVE_ONE, "replicates": _REPLICATES, "u_grid": (_U_GRID, "-2 -1 0 1 2"),
     }),
     "fkpp": (_run_fkpp, {"offspring": _BINARY}, {
-        "t_end": _T_ABOVE_ONE, "dx": (float, "0.05"), "sigma_e_list": (_SIGMA_ES, ""),
+        "t_end": _T_ABOVE_ONE, "dx": (_checked(float, lambda v: v > 0, "dx > 0"), "0.05"),
+        "sigma_e_list": (_SIGMA_ES, ""),
     }),
     "compare": (_run_compare, {"profile": REQUIRED, "offspring": _BINARY}, {
         "t": _T_ABOVE_ONE, "replicates": _REPLICATES, "u_grid": (_U_GRID, "-1 0 1 2 3"),
         "c_grid": (_floats, "0.1 0.5 2"),
     }),
     "cluster": (_run_cluster, {"offspring": _BINARY}, {
-        "t": (float, REQUIRED), "replicates": _REPLICATES,
+        "t": _T_POSITIVE, "replicates": _REPLICATES,
         "sigma_e_list": (_checked(_SIGMA_ES, lambda v: v == sorted(v), "an ascending list"), "1.2 1.5 2"),
         "R": (float, "2"),
         "y_mode": (_checked(str, lambda v: v in ("zero", "exponential"), "zero or exponential"), "zero"),
     }),
+    # the series bound of tube needs r >= 1 and gamma > 1/2
     "tube": (_run_tube, {}, {
-        "t": (float, REQUIRED), "r": (float, REQUIRED), "gamma": (float, REQUIRED),
-        "replicates": _REPLICATES, "n_steps": (int, "512"),
+        "t": _T_POSITIVE, "r": (_checked(float, lambda v: v >= 1, "r >= 1"), REQUIRED),
+        "gamma": (_checked(float, lambda v: v > 0.5, "gamma > 1/2"), REQUIRED),
+        "replicates": _REPLICATES, "n_steps": (_checked(int, lambda v: v >= 1, "n_steps >= 1"), "512"),
     }),
     "martingale": (_run_martingale, {"offspring": _BINARY}, {
-        "t": (float, REQUIRED), "sigma_b": (float, REQUIRED), "replicates": _REPLICATES,
+        "t": _T_POSITIVE, "sigma_b": (_checked(float, lambda v: v >= 0, "sigma_b >= 0"), REQUIRED),
+        "replicates": _REPLICATES,
     }),
 }
 
@@ -418,10 +425,23 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
     )
 
 
+@cache
+def _scipy_version() -> str | None:
+    """scipy's version from its package metadata, so that scipy is never
+    imported, or None when it is not installed; looked up on the first
+    run, not at import."""
+    from importlib import metadata
+
+    try:
+        return metadata.version("scipy")
+    except metadata.PackageNotFoundError:
+        return None
+
+
 def run(cfg: ExperimentConfig) -> dict:
     """Run the configured experiment; writes its CSV tables, its
     ``report.json`` and a manifest listing every artifact plus the config
-    hash, and returns the report."""
+    hash, the seed scheme and the environment, and returns the report."""
     report, tables = EXPERIMENTS[cfg.kind][0](cfg, **cfg.params)
     os.makedirs(cfg.out_dir, exist_ok=True)
     for name, (header, rows) in tables.items():
@@ -433,6 +453,13 @@ def run(cfg: ExperimentConfig) -> dict:
         "config_hash": cfg.config_hash,
         "files": sorted([*tables, "report.json"]),
         "version": "0.1.0",
+        "seed_scheme": "blake2b-philox-v1",
+        "environment": {
+            "python": "%d.%d.%d" % sys.version_info[:3],
+            "numpy": np.__version__,
+            "scipy": _scipy_version(),
+            "cpu_count": os.cpu_count(),
+        },
     }
     _write_json(os.path.join(cfg.out_dir, "manifest.json"), manifest)
     return report

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
@@ -273,7 +273,7 @@ def build_envelopes(profile: SpeedProfile, t: float) -> EnvelopePair:
     _validated(profile)
     s_b, s_e = profile.slope_at_0, profile.slope_at_1
     if not math.isfinite(s_e):
-        raise AssumptionError("end slope is infinite; use build_envelopes_rho")
+        raise AssumptionError("end slope is infinite; the two-speed envelopes need a finite one")
     if s_e <= 1:
         raise AssumptionError("end slope sigma_e^2 must exceed 1")
     d_less, d_greater = delta_thresholds(profile, t)
@@ -314,23 +314,3 @@ def build_envelopes(profile: SpeedProfile, t: float) -> EnvelopePair:
         label="envelope_lower",
     )
     return EnvelopePair(upper=upper, lower=lower, kink_upper=kink_up, kink_lower=kink_low, t=t)
-
-
-def build_envelopes_rho(profile: SpeedProfile, rho: float, t: float) -> SpeedProfile:
-    """Upper envelope with finite surrogate end slope rho for profiles whose
-    end slope is infinite."""
-    if rho <= 1:
-        raise AssumptionError("rho must exceed 1")
-    _validated(profile)
-    if math.isfinite(profile.slope_at_1):
-        raise AssumptionError("profile end slope is finite; use build_envelopes")
-    d_less, _ = delta_thresholds(profile, t)
-    n = profile.taylor_order
-    slope0 = profile.slope_at_0 + profile.k1_upper / math.factorial(n) * d_less ** (n - 1)
-    return SpeedProfile(
-        func=partial(_one_kink_eval, _kink_select(slope0, rho), slope0, rho, False),
-        slope_at_0=slope0,
-        slope_at_1=rho,
-        label="envelope_upper_rho",
-    )
-

@@ -10,8 +10,6 @@ from vsbbm import cluster as cluster_mod
 from vsbbm.cluster import (
     acceptance_estimate,
     collapse_bound,
-    conditioned_sample,
-    decoration_atoms,
     decoration_collapse_study,
     size_biased_offspring_probs,
     spine_sample,
@@ -32,45 +30,6 @@ def test_acceptance_estimate_formula():
     sig, t = 1.1, 3.0
     expected = math.exp(t) * norm.sf(SQRT2 * sig * t / math.sqrt(t))
     assert acceptance_estimate(sig, t) == pytest.approx(expected, rel=1e-12)
-
-
-def test_conditioned_sample_acceptance_predicate():
-    cfg, attempts = conditioned_sample(1.1, 3.0, seed=5)
-    assert attempts >= 1
-    assert cfg.leaf_positions.max() > SQRT2 * 1.1 * 3.0
-    atoms = decoration_atoms(cfg, 1.1, 3.0)
-    assert atoms[0] > 0
-    assert np.all(np.diff(atoms) <= 0)
-
-
-def test_conditioned_sample_guard():
-    # acceptance estimate collapses at larger t * sigma_e
-    with pytest.raises(ValueError, match="spine"):
-        conditioned_sample(2.0, 20.0, seed=1)
-    with pytest.raises(ValueError):
-        conditioned_sample(0.9, 3.0, seed=1)
-
-
-def test_decoration_atoms_match_shifted_counts():
-    cfg, _ = conditioned_sample(1.2, 3.0, seed=8)
-    level = SQRT2 * 1.2 * 3.0
-    atoms = decoration_atoms(cfg, 1.2, 3.0)
-    big_r = 2.0
-    assert int((atoms >= -big_r).sum()) == int((cfg.leaf_positions >= level - big_r).sum())
-
-
-def test_overshoot_tail_trend():
-    rng_seed = 100
-    overshoots = []
-    for i in range(150):
-        cfg, _ = conditioned_sample(1.2, 3.0, seed=rng_seed + i)
-        overshoots.append(cfg.leaf_positions.max() - SQRT2 * 1.2 * 3.0)
-    ov = np.sort(np.array(overshoots))
-    # log-survival roughly linear with negative slope (trend check only)
-    ys = np.linspace(0.1, ov[-5], 8)
-    surv = np.array([(ov > y).mean() for y in ys])
-    slope = np.polyfit(ys, np.log(surv), 1)[0]
-    assert slope < 0
 
 
 def test_size_biased_binary_is_deterministic():

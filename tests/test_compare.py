@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from vsbbm.compare import collect_exceedances, coupled_sample, sandwich_report
-from vsbbm.extremal import count_exceedances
-from vsbbm.genealogy import OffspringDistribution, mrca, sample_tree, seed_stream
-from vsbbm.sampler import _edge_std
+from vsbbm.compare import collect_exceedances, sandwich_report
+from vsbbm.genealogy import OffspringDistribution, sample_forest, tree_rng
+from vsbbm.sampler import _edge_std, forest_leaf_positions
 from vsbbm.speed import build_envelopes, from_function, identity_profile, piecewise_linear
 
 BINARY = OffspringDistribution.binary()
@@ -25,42 +24,14 @@ def power2_profile():
     )
 
 
-def make_triple(t=6.0, seed=5):
-    prof = power2_profile()
-    env = build_envelopes(prof, t)
-    tree = sample_tree(BINARY, t, seed=seed)
-    return tree, coupled_sample(tree, prof, env, t, seed=seed + 1), env
-
-
-def test_coupled_sample_shares_tree():
-    tree, triple, _ = make_triple()
-    assert triple.config_a.tree is tree
-    assert triple.config_upper.tree is tree
-    assert triple.config_lower.tree is tree
-    ids = tree.leaf_ids
-    assert mrca(tree, int(ids[0]), int(ids[-1])) == mrca(
-        triple.config_upper.tree, int(ids[0]), int(ids[-1])
-    )
-
-
-def test_coupled_sample_horizon_check():
-    prof = power2_profile()
-    env = build_envelopes(prof, 6.0)
-    tree = sample_tree(BINARY, 5.0, seed=1)
-    with pytest.raises(ValueError, match="envelope"):
-        coupled_sample(tree, prof, env, 5.0, seed=2)
-    # envelopes for t = 6, but a tree grown to 5
-    with pytest.raises(ValueError, match="tree horizon"):
-        coupled_sample(tree, prof, env, 6.0, seed=2)
-
-
 def test_coupled_fields_cross_covariance():
     # A and upper scale one standard normal draw, so a leaf's positions
     # under the two have covariance sum(std_A * std_up) over its lineage
     t = 4.0
     prof = power2_profile()
     env = build_envelopes(prof, t)
-    tree = sample_tree(BINARY, t, seed=9)
+    forest = sample_forest(BINARY, t, tree_rng(9))
+    tree = forest.nodes
     leaf = int(tree.leaf_ids[0])
     lineage = []
     while leaf >= 0:
@@ -71,8 +42,8 @@ def test_coupled_fields_cross_covariance():
     n = 2000
     prod = np.empty(n)
     for s in range(n):
-        triple = coupled_sample(tree, prof, env, t, seed=s)
-        prod[s] = triple.config_a.leaf_positions[0] * triple.config_upper.leaf_positions[0]
+        pos = forest_leaf_positions(forest, (prof, env.upper), t, [tree_rng(s)])
+        prod[s] = pos[0, 0] * pos[1, 0]
     se = prod.std(ddof=1) / math.sqrt(n)
     # both fields have mean 0, so the mean product estimates the covariance
     assert abs(prod.mean() - want) <= 3 * se
@@ -108,22 +79,6 @@ def test_collect_exceedances_shapes_and_determinism():
         assert c1[name].shape == (50, 3)
         assert np.array_equal(c1[name], c2[name])
         assert np.all(np.diff(c1[name], axis=1) <= 0)
-
-
-def test_coupled_sample_keys_match_collect_exceedances():
-    # replicate 0 of collect_exceedances draws what coupled_sample draws
-    t, u = 5.0, [-1.0, 0.0, 1.0]
-    prof = power2_profile()
-    env = build_envelopes(prof, t)
-    counts = collect_exceedances(
-        BINARY, {"A": prof, "upper": env.upper, "lower": env.lower}, t, u, 1, seed=42
-    )
-    tree = sample_tree(BINARY, t, seed=seed_stream(42, 0, "tree"))
-    triple = coupled_sample(tree, prof, env, t, seed=42)
-    for name, config in (
-        ("A", triple.config_a), ("upper", triple.config_upper), ("lower", triple.config_lower)
-    ):
-        assert np.array_equal(counts[name][0], count_exceedances(config, u))
 
 
 def test_sandwich_report_identical_inputs():

@@ -215,6 +215,12 @@ def test_run_simulate_artifacts_and_determinism(tmp_path):
     assert manifest["kind"] == "simulate"
     assert manifest["seed"] == 7
     assert set(manifest["files"]) == {"report.json", "summaries.csv"}
+    assert manifest["seed_scheme"] == "blake2b-philox-v1"
+    env = manifest["environment"]
+    assert env["python"] == "%d.%d.%d" % sys.version_info[:3]
+    assert env["numpy"] == np.__version__
+    assert env["cpu_count"] == os.cpu_count()
+    assert env["scipy"] is None or env["scipy"][0].isdigit()
 
 
 @pytest.mark.parametrize(
@@ -590,6 +596,34 @@ def _bad_configs():
     ]
     for i, (kind, lines, sections, word) in enumerate(extra):
         yield pytest.param(kind, _kind_config(kind, lines, sections), [], word, id=f"{kind}-value-{i}")
+
+
+@pytest.mark.parametrize(
+    "kind,key,value,need",
+    [
+        ("tube", "t", "0", "t > 0"),
+        ("tube", "r", "0.5", "r >= 1"),
+        ("tube", "gamma", "0.5", "gamma > 1/2"),
+        ("tube", "n_steps", "0", "n_steps >= 1"),
+        ("cluster", "t", "0", "t > 0"),
+        ("cluster", "t", "-1", "t > 0"),
+        ("fkpp", "dx", "0", "dx > 0"),
+        ("fkpp", "dx", "-0.05", "dx > 0"),
+        ("martingale", "t", "0", "t > 0"),
+        ("martingale", "sigma_b", "-0.5", "sigma_b >= 0"),
+    ],
+)
+def test_main_rejects_out_of_range_value_before_any_output(tmp_path, capsys, kind, key, value, need):
+    # unchecked, each of these values runs: to an exit 0 with estimates of
+    # 0, or to a late ValueError, ZeroDivisionError or IndexError
+    lines, sections = KIND_CASES[kind][:2]
+    lines = re.sub(rf"(?m)^{key} = .*\n?", "", lines).rstrip("\n") + f"\n{key} = {value}"
+    path, out = write_config(tmp_path, _kind_config(kind, lines, sections))
+    assert main([kind, "--config", str(path)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert need in err["message"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("kind", list(KIND_CASES))

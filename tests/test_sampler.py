@@ -3,16 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from vsbbm.genealogy import GenealogyTree, OffspringDistribution, mrca, sample_forest, sample_tree, tree_rng
+from vsbbm.genealogy import GenealogyTree, OffspringDistribution, sample_forest, sample_tree, tree_rng
 from vsbbm.sampler import (
     ParticleConfiguration,
     _edge_std,
     covariance_oracle,
     forest_leaf_positions,
     node_positions,
-    sample_bbm,
     sample_leaf_positions,
-    skeleton_paths,
 )
 from vsbbm.speed import (
     SpeedProfile,
@@ -167,60 +165,6 @@ def test_nonmonotone_profile_rejected():
         node_positions(tree, dipper, 3.0, tree_rng(6))
 
 
-def test_sample_bbm_deterministic():
-    tree = sample_tree(BINARY, 4.0, seed=20)
-    a = sample_bbm(tree, identity_profile(), 4.0, seed=21)
-    b = sample_bbm(tree, identity_profile(), 4.0, seed=21)
-    c = sample_bbm(tree, identity_profile(), 4.0, seed=22)
-    assert np.array_equal(a.leaf_positions, b.leaf_positions)
-    assert not np.array_equal(a.leaf_positions, c.leaf_positions)
-
-
-def test_sample_bbm_horizon_mismatch():
-    tree = sample_tree(BINARY, 4.0, seed=20)
-    with pytest.raises(ValueError):
-        sample_bbm(tree, identity_profile(), 5.0, seed=0)
-
-
-def test_skeleton_consistency():
-    t = 4.0
-    tree = sample_tree(BINARY, t, seed=30)
-    cfg = sample_bbm(tree, two_speed(0.5, 2.0, 2.0 / 3.0), t, seed=31, n_steps=256)
-    assert cfg.skeleton_paths.shape == (tree.n_leaves, 257)
-    # grid endpoint equals the leaf position exactly; paths start at the root
-    assert np.array_equal(cfg.skeleton_paths[:, -1], cfg.leaf_positions)
-    assert np.all(cfg.skeleton_paths[:, 0] == 0.0)
-    # shared ancestry: paths agree up to (at least) the split time
-    times = cfg.skeleton_times
-    ids = list(tree.leaf_ids)
-    for a in range(min(6, len(ids))):
-        for b in range(a + 1, min(6, len(ids))):
-            split = mrca(tree, int(ids[a]), int(ids[b]))
-            shared = times <= split
-            assert np.array_equal(
-                cfg.skeleton_paths[a][shared], cfg.skeleton_paths[b][shared]
-            )
-
-
-def test_skeleton_subset_matches_grid_marginals():
-    # a skeleton point of a single lineage is N(0, Sigma^2(s))
-    t = 3.0
-    prof = two_speed(0.5, 2.0, 2.0 / 3.0)
-    tree = sample_tree(CHAIN, t, seed=40)
-    rng = tree_rng(41)
-    n = 4000
-    mid = np.empty(n)
-    for i in range(n):
-        pos = node_positions(tree, prof, t, rng)
-        times, paths = skeleton_paths(tree, prof, t, pos, rng, n_steps=64)
-        mid[i] = paths[0][32]
-    from vsbbm.speed import sigma2
-
-    target = float(sigma2(prof, times[32], t))
-    se = target * math.sqrt(2.0 / (n - 1))
-    assert abs(mid.var(ddof=1) - target) < 3 * se
-
-
 def test_exchangeability_of_symmetric_functionals():
     t = 3.0
     tree = sample_tree(BINARY, t, seed=50)
@@ -255,20 +199,3 @@ def test_mean_max_standard_bbm_and_tightness():
         rate = (counts >= n0).mean()
         se = math.sqrt(max(rate * (1 - rate), 1e-9) / reps)
         assert rate <= m_const / n0 + 3 * se
-
-
-def test_export_csv(tmp_path):
-    tree = sample_tree(BINARY, 2.0, seed=70)
-    cfg = sample_bbm(tree, identity_profile(), 2.0, seed=71, n_steps=16)
-    leaf_csv = tmp_path / "leaves.csv"
-    skel_csv = tmp_path / "skel.csv"
-    cfg.export_csv(leaf_csv)
-    cfg.export_skeleton_csv(skel_csv)
-    rows = leaf_csv.read_text().splitlines()
-    assert rows[0] == "leaf_id,position"
-    assert len(rows) == 1 + tree.n_leaves
-    srows = skel_csv.read_text().splitlines()
-    assert len(srows) == 1 + tree.n_leaves * 17
-    bare = sample_bbm(tree, identity_profile(), 2.0, seed=71)
-    with pytest.raises(ValueError):
-        bare.export_skeleton_csv(tmp_path / "no.csv")

@@ -10,7 +10,6 @@ from vsbbm.speed import (
     _kink_select,
     _one_kink_eval,
     build_envelopes,
-    build_envelopes_rho,
     delta_thresholds,
     flat_initial_extent,
     from_function,
@@ -210,30 +209,6 @@ def test_envelope_requires_finite_end_slope():
         build_envelopes(prof, 10.0)
     with pytest.raises(AssumptionError):
         build_envelopes(identity_profile(), 10.0)  # sigma_e^2 = 1, also (A1) fails
-
-
-def test_build_envelopes_rho():
-    prof = from_function(
-        lambda x: np.asarray(x) / 2 + (1 - np.sqrt(1 - np.asarray(x) ** 2)) / 2,
-        slope_at_0=0.5,
-        slope_at_1=math.inf,
-    )
-    up = build_envelopes_rho(prof, 3.0, 10**6)
-    # corrections vanish (k1 defaults to 0): kink = (1-3)/(1/2-3) = 0.8
-    kink = (1.0 - 3.0) / (prof.slope_at_0 - 3.0)
-    assert kink == pytest.approx(0.8, abs=1e-12)
-    assert float(up(kink)) == pytest.approx(0.5 * kink, abs=1e-9)
-    assert float(up(1.0)) == pytest.approx(1.0, abs=1e-10)
-    # kink -> 1 monotonically as rho grows
-    kinks = []
-    for rho in (2.0, 4.0, 8.0, 16.0):
-        member = build_envelopes_rho(prof, rho, 10**6)
-        kinks.append((1.0 - rho) / (member.slope_at_0 - rho))
-    assert all(a < b for a, b in zip(kinks, kinks[1:]))
-    with pytest.raises(AssumptionError):
-        build_envelopes_rho(prof, 1.0, 10.0)
-    with pytest.raises(AssumptionError):
-        build_envelopes_rho(power2_profile(), 3.0, 10.0)  # finite end slope
 
 
 def test_envelopes_pure():

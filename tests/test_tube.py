@@ -3,63 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from vsbbm.genealogy import OffspringDistribution, tree_rng
-from vsbbm.speed import identity_profile, sigma2, two_speed
+from vsbbm.genealogy import tree_rng
 from vsbbm.tube import (
     BRIDGE_CHUNK,
-    TubeSpec,
     bridge_violation_bound,
     empirical_bridge_violation,
-    extreme_particle_localization,
     first_moment_constant,
-    in_tube,
     sample_bridge,
-    tube_deviation,
 )
-
-BINARY = OffspringDistribution.binary()
-
-
-def test_tubespec_validation():
-    with pytest.raises(ValueError):
-        TubeSpec(gamma=0.5, r=1.0, t=10.0)
-    with pytest.raises(ValueError):
-        TubeSpec(gamma=0.75, r=-1.0, t=10.0)
-    TubeSpec(gamma=0.75, r=0.0, t=10.0)
-
-
-def test_in_tube_zero_path():
-    spec = TubeSpec(gamma=0.75, r=1.0, t=10.0)
-    times = np.linspace(0, 10.0, 512)
-    assert in_tube(times, np.zeros_like(times), spec, identity_profile())
-
-
-def test_in_tube_ray_path():
-    spec = TubeSpec(gamma=0.6, r=1.0, t=10.0)
-    prof = two_speed(0.5, 2.0, 2.0 / 3.0)
-    times = np.linspace(0, 10.0, 600)
-    endpoint = 7.3
-    ray = np.asarray(sigma2(prof, times, 10.0)) / 10.0 * endpoint
-    assert in_tube(times, ray, spec, prof)
-
-
-def test_in_tube_planted_violation():
-    spec = TubeSpec(gamma=0.75, r=1.0, t=10.0)
-    times = np.linspace(0, 10.0, 512)
-    path = np.zeros_like(times)
-    j = 256  # middle of the window
-    bound = min(times[j], 10.0 - times[j]) ** 0.75
-    path[j] = bound + 1.0
-    assert not in_tube(times, path, spec, identity_profile())
-    excess = tube_deviation(times, path, path[-1], spec, identity_profile())
-    assert (excess >= 0).sum() == 1
-
-
-def test_in_tube_coarse_grid_rejected():
-    spec = TubeSpec(gamma=0.75, r=1.0, t=10.0)
-    times = np.linspace(0, 10.0, 20)
-    with pytest.raises(ValueError):
-        in_tube(times, np.zeros_like(times), spec, identity_profile())
 
 
 def test_bridge_violation_bound_value():
@@ -160,30 +111,3 @@ def test_first_moment_constant():
     assert m0 == pytest.approx(0.31066603828134876, rel=1e-6)
     assert first_moment_constant(1.0) < m0
     assert first_moment_constant(2.0) < first_moment_constant(1.0)
-
-
-def test_localization_no_exceedance():
-    spec = TubeSpec(gamma=0.75, r=2.0, t=6.0)
-    rate, se = extreme_particle_localization(
-        BINARY, identity_profile(), d=50.0, spec=spec, replicates=50, seed=21
-    )
-    assert rate == 0.0
-
-
-def test_localization_first_moment_bound(tmp_path):
-    spec = TubeSpec(gamma=0.75, r=2.0, t=10.0)
-    report = tmp_path / "violations.csv"
-    rate, se = extreme_particle_localization(
-        BINARY,
-        identity_profile(),
-        d=0.0,
-        spec=spec,
-        replicates=500,
-        seed=22,
-        report_csv=report,
-    )
-    bound = first_moment_constant(0.0) * bridge_violation_bound(2.0, 0.75)
-    assert rate <= min(1.0, bound) + 3 * se
-    rows = report.read_text().splitlines()
-    assert rows[0] == "replicate,violated,first_violation_time"
-    assert len(rows) == 501
