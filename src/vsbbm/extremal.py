@@ -2,7 +2,9 @@
 
 Everything here is a pure function over immutable configurations; replicate
 aggregation uses exact (fsum) summation so results do not depend on
-replicate order.
+replicate order.  The forest reductions take per-tree maxima and leaf
+counts over the runs of equal tree id that wave-major leaves form, not
+leaf by leaf.
 """
 
 from __future__ import annotations
@@ -121,12 +123,36 @@ def forest_summaries(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-tree statistics of the leaves of a forest, by segmented
     reductions: n_leaves and max_centered of shape (n_trees,), and the
-    ``forest_exceedances``.  ``leaf_tree`` gives the tree of each leaf."""
+    ``forest_exceedances``.  ``leaf_tree`` gives the tree of each leaf.
+    Counts and maxima are taken per run of equal ``leaf_tree`` first
+    (``_tree_runs``), so only the few run results are scattered into
+    trees."""
     counts = forest_exceedances(leaf_tree, leaf_positions, n_trees, t, u_grid)
-    n_leaves = np.bincount(leaf_tree, minlength=n_trees)
-    top = np.full(n_trees, -np.inf)
-    np.maximum.at(top, leaf_tree, leaf_positions)
+    starts = _tree_runs(leaf_tree)
+    # run lengths summed per tree; float sums of counts below 2**53 are exact
+    run_lengths = np.diff(starts, append=len(leaf_tree))
+    n_leaves = np.bincount(leaf_tree[starts], weights=run_lengths, minlength=n_trees).astype(np.intp)
+    top = _tree_max(leaf_tree, leaf_positions, n_trees, starts)
     return n_leaves, top - centering(t, "tilde"), counts
+
+
+def _tree_runs(leaf_tree: np.ndarray) -> np.ndarray:
+    """Starts of the runs of equal ``leaf_tree``.  Leaves are wave-major,
+    so the leaves of one tree in one wave form one run, and a forest of n
+    trees over w waves has at most n * w runs, however many leaves."""
+    change = np.empty(len(leaf_tree), dtype=bool)
+    change[:1] = True
+    np.not_equal(leaf_tree[1:], leaf_tree[:-1], out=change[1:])
+    return change.nonzero()[0]
+
+
+def _tree_max(leaf_tree, values, n_trees, starts) -> np.ndarray:
+    """Per-tree maximum of ``values``, -inf for a tree with no leaf: one
+    ``maximum.reduceat`` over the runs ``starts`` of ``_tree_runs``, then
+    the run maxima into their trees."""
+    top = np.full(n_trees, -np.inf)
+    np.maximum.at(top, leaf_tree[starts], np.maximum.reduceat(values, starts))
+    return top
 
 
 def _check_identity(profile: SpeedProfile) -> None:
@@ -154,8 +180,7 @@ def forest_mckean(
     if sigma_b >= 1:
         warnings.warn("sigma_b >= 1: martingale is not uniformly integrable", stacklevel=3)
     exponents = -s * (1.0 + sigma_b**2) + SQRT2 * sigma_b * leaf_positions
-    top = np.full(n_trees, -np.inf)
-    np.maximum.at(top, leaf_tree, exponents)
+    top = _tree_max(leaf_tree, exponents, n_trees, _tree_runs(leaf_tree))
     total = np.bincount(leaf_tree, weights=np.exp(exponents - top[leaf_tree]), minlength=n_trees)
     return np.exp(top + np.log(total))
 

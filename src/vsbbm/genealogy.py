@@ -112,16 +112,30 @@ class GenealogyTree:
 
     Node 0 is the root.  Children always carry larger indices than their
     parent, and ``wave_starts`` records the generation boundaries of the
-    breadth-first construction (used for vectorized descent).
+    breadth-first construction (used for vectorized descent); the roots
+    are the first wave.  ``internal_ids`` are the nodes with children,
+    ascending: ``sample_forest`` passes those its wave loop found, and a
+    tree built without them derives them from ``n_offspring``, which is
+    itself derived from ``parent`` on first use (no sampling path reads
+    it).
     """
 
     horizon: float
     birth: np.ndarray
     death: np.ndarray
     parent: np.ndarray
-    n_offspring: np.ndarray
     wave_starts: np.ndarray
     leaf_ids: np.ndarray
+    internal_ids: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.internal_ids is None:
+            object.__setattr__(self, "internal_ids", self.n_offspring.nonzero()[0])
+
+    @cached_property
+    def n_offspring(self) -> np.ndarray:
+        """The number of children of every node."""
+        return np.bincount(self.parent[self.wave_starts[1] :], minlength=self.n_nodes)
 
     @property
     def n_nodes(self) -> int:
@@ -350,7 +364,6 @@ def sample_forest(
     deaths: list[np.ndarray] = []
     parents: list[np.ndarray] = []
     internal_ids: list[np.ndarray] = []
-    offspring_counts: list[np.ndarray] = []
     wave_bounds: list[np.ndarray] = []  # bounds of each wave
     wave_starts = [0]
 
@@ -389,7 +402,6 @@ def sample_forest(
             csum = np.zeros(len(k) + 1, dtype=np.int64)
             k.cumsum(out=csum[1:])
             bounds = csum[int_bounds]
-            offspring_counts.append(k)
         births.append(birth)
         deaths.append(death)
         parents.append(parent)
@@ -400,16 +412,17 @@ def sample_forest(
         parent = idx.repeat(k)
         internal_ids.append(idx)
 
-    n_off = np.zeros(wave_starts[-1], dtype=np.int64)
-    n_off[np.concatenate(internal_ids)] = fixed_k if fixed_k else _join(offspring_counts)
+    internal = np.concatenate(internal_ids)
+    is_leaf = np.ones(wave_starts[-1], dtype=bool)
+    is_leaf[internal] = False
     nodes = GenealogyTree(
         horizon=t,
         birth=_join(births),
         death=_join(deaths),
         parent=_join(parents),
-        n_offspring=n_off,
         wave_starts=np.asarray(wave_starts, dtype=np.int64),
-        leaf_ids=(n_off == 0).nonzero()[0],
+        leaf_ids=is_leaf.nonzero()[0],
+        internal_ids=internal,
     )
     return Forest(nodes=nodes, wave_sizes=np.diff(wave_bounds, axis=1), trees_per_rng=runs)
 

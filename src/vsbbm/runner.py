@@ -6,9 +6,9 @@ Configs are line-oriented ``key = value`` text with sections.
 and its ``[experiment]`` keys, each with a default or ``REQUIRED``, the
 keys with a parser too; ``PROFILES`` does the same per ``[profile]`` kind.
 ``load_config`` alone reads raw strings: a section or key the kind never
-reads, a missing section or key, a value its parser rejects and a
-``compare`` profile with no envelopes raise ``ConfigError`` before
-anything is written.
+reads, a missing section or key, a value its parser rejects, a
+``compare`` profile with no envelopes and a ``tube`` window [r, t - r]
+with no grid point raise ``ConfigError`` before anything is written.
 ``--seed``, ``--workers`` and ``--out`` are the only overrides of the
 file.  ``run`` writes every artifact to a temp path that is atomically
 renamed, so an interrupted run never leaves corrupt artifacts; the
@@ -329,15 +329,16 @@ EXPERIMENTS = {
     }),
     "compare": (_run_compare, {"profile": REQUIRED, "offspring": _BINARY}, {
         "t": _T_ABOVE_ONE, "replicates": _REPLICATES, "u_grid": (_U_GRID, "-1 0 1 2 3"),
-        "c_grid": (_floats, "0.1 0.5 2"),
+        "c_grid": (_checked(_floats, lambda v: all(c >= 0 for c in v), "every entry >= 0"), "0.1 0.5 2"),
     }),
     "cluster": (_run_cluster, {"offspring": _BINARY}, {
         "t": _T_POSITIVE, "replicates": _REPLICATES,
         "sigma_e_list": (_checked(_SIGMA_ES, lambda v: v == sorted(v), "an ascending list"), "1.2 1.5 2"),
-        "R": (float, "2"),
+        "R": (_checked(float, math.isfinite, "a finite R"), "2"),
         "y_mode": (_checked(str, lambda v: v in ("zero", "exponential"), "zero or exponential"), "zero"),
     }),
-    # the series bound of tube needs r >= 1 and gamma > 1/2
+    # the series bound of tube needs r >= 1 and gamma > 1/2; load_config
+    # also rejects a window [r, t - r] that holds no grid point
     "tube": (_run_tube, {}, {
         "t": _T_POSITIVE, "r": (_checked(float, lambda v: v >= 1, "r >= 1"), REQUIRED),
         "gamma": (_checked(float, lambda v: v > 0.5, "gamma > 1/2"), REQUIRED),
@@ -348,6 +349,16 @@ EXPERIMENTS = {
         "replicates": _REPLICATES,
     }),
 }
+
+
+def _check_tube_window(t, r, n_steps) -> None:
+    """A tube run measures only the grid points in [r, t - r]; with none
+    there it would report a rate of 0 having measured nothing."""
+    window = tube_mod.grid_window(t, r, n_steps)
+    if window.start == window.stop:
+        raise ConfigError(
+            f"the window [r, t - r] = [{r}, {t - r}] holds no point of the {n_steps}-step grid on [0, {t}]"
+        )
 
 
 def _parse_keys(section: str, raw: dict, keys: dict) -> dict:
@@ -413,6 +424,8 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
             build_envelopes(profile, params["t"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    if kind == "tube":
+        _check_tube_window(params["t"], params["r"], params["n_steps"])
     return ExperimentConfig(
         kind=kind,
         seed=params.pop("seed"),

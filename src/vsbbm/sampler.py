@@ -3,6 +3,9 @@
 Positions are built edge by edge: the displacement over an edge living on
 [s1, s2] is N(0, Sigma^2(s2) - Sigma^2(s1)), independent across edges, so
 there is no time-discretization error at branch times or at the horizon.
+Sigma^2 is evaluated only where it varies from node to node, at the
+branch times and the roots' births: every leaf dies at the horizon t and
+reads the one value Sigma^2(t).
 ``simulate``, ``martingale`` and ``compare`` place their trees in
 ``forest_batches``: a batch of replicate trees grown as one forest, whose
 leaves ``forest_leaf_positions`` places under a tuple of profiles from one
@@ -40,17 +43,25 @@ class ParticleConfiguration:
 
 def _edge_std(tree: GenealogyTree, profiles: tuple, t: float) -> np.ndarray:
     """Edge deviations sqrt(S(death) - S(birth)) under each of ``profiles``,
-    S = Sigma^2, shape (len(profiles), n_nodes).  A child is born when its
-    parent dies (``birth`` copies the parent's ``death``), so S(birth) is
-    S(death) of the parent; only the roots, the first wave, need S at
-    their own birth times."""
-    s_death = np.stack([sigma2(profile, tree.death, t) for profile in profiles])
-    s_birth = s_death.take(tree.parent, axis=1)
-    roots = slice(0, tree.wave_starts[1])
-    for row, profile in zip(s_birth, profiles):
-        row[roots] = sigma2(profile, tree.birth[roots], t)
-    var = np.subtract(s_death, s_birth, out=s_death)
-    if np.any(var < -1e-12):
+    S = Sigma^2, shape (len(profiles), n_nodes).  Every leaf dies at the
+    horizon, so S(death) of a leaf is the one value S(horizon), and only
+    the internal nodes' deaths need S of their own.  A child is born when
+    its parent dies (``birth`` copies the parent's ``death``), so S(birth)
+    is S(death) of the parent; only the roots, the first wave, need S at
+    their own birth times.  One ``sigma2`` call per profile evaluates all
+    three: internal deaths, root births, horizon."""
+    internal = tree.internal_ids
+    n_roots = int(tree.wave_starts[1])
+    at = np.concatenate([tree.death[internal], tree.birth[:n_roots], [tree.horizon]])
+    var = np.empty((len(profiles), tree.n_nodes))
+    for row, profile in zip(var, profiles):
+        s = sigma2(profile, at, t)
+        row.fill(s[-1])
+        row[internal] = s[: len(internal)]
+        s_birth = row.take(tree.parent)
+        s_birth[:n_roots] = s[len(internal) : -1]
+        row -= s_birth
+    if var.min() < -1e-12:
         raise ValueError("negative edge variance; speed function is not monotone")
     return np.sqrt(np.maximum(var, 0.0, out=var), out=var)
 
@@ -104,11 +115,15 @@ def forest_leaf_positions(
     forest.wave_sizes.cumsum(axis=1, out=cum[:, 1:])
     sizes = np.diff(cum[:, np.concatenate([[0], forest.trees_per_rng.cumsum()])], axis=1)
     run_sizes = sizes.sum(axis=0)
-    z = np.concatenate([rng.standard_normal(n) for rng, n in zip(rngs, run_sizes.tolist()) if n])
-    if np.count_nonzero(run_sizes) > 1:
+    draws = [rng.standard_normal(n) for rng, n in zip(rngs, run_sizes.tolist()) if n]
+    if len(draws) == 1:
+        # the nodes of a lone run are in its own draw order already
+        (z,) = draws
+    else:
         # z is run-major: the nodes run g has in wave w start at z offset
         # (run g's start) + (its nodes in earlier waves), and in the forest
         # at the wave-major offset of block (w, g); shift each block across
+        z = np.concatenate(draws)
         in_z = (sizes.cumsum(axis=0) - sizes + (run_sizes.cumsum() - run_sizes)).ravel()
         flat = sizes.ravel()
         in_forest = flat.cumsum() - flat
@@ -143,7 +158,10 @@ def forest_batches(seed, t, offspring, streams, reps):
             forest_leaf_positions(forest, profiles, t, list(islice(gauss[name], n)))
             for name, profiles in streams.items()
         ]
-        yield forest.tree_id[forest.nodes.leaf_ids], positions, n
+        # a batch of one tree (t > 9.1) needs no per-node tree ids
+        nodes = forest.nodes
+        leaf_tree = np.zeros(nodes.n_leaves, np.intp) if n == 1 else forest.tree_id[nodes.leaf_ids]
+        yield leaf_tree, positions, n
 
 
 def sample_leaf_positions(

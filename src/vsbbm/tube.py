@@ -5,7 +5,10 @@ The tube requires a standard Brownian bridge of length t to stay within
 measures the violation rate of bridges drawn on a uniform grid against the
 summable analytic bound; grid-based checking understates violations
 between grid points, so measured rates are conservative for violation
-detection.
+detection.  ``grid_window`` is the one rule for which grid points the
+window holds, shared by the measurement and the ``tube`` config check.
+Bridges are drawn in row chunks, each built in place and looked at on
+the window's columns only.
 """
 
 from __future__ import annotations
@@ -49,6 +52,14 @@ def sample_bridge(t: float, n_steps: int, rng, n_draws: int) -> tuple[np.ndarray
     return times, xi
 
 
+def grid_window(t: float, r: float, n_steps: int) -> slice:
+    """The grid points of ``sample_bridge``'s uniform grid on [0, t] that
+    lie in the window [r, t - r], as a slice; empty when none does."""
+    times = np.linspace(0.0, t, n_steps + 1)
+    inside = ((times >= r) & (times <= t - r)).nonzero()[0]
+    return slice(int(inside[0]), int(inside[-1]) + 1) if len(inside) else slice(0, 0)
+
+
 # Bridges per chunk in empirical_bridge_violation.  ``standard_normal``
 # fills rows in order, so chunking leaves every draw as it is in one call
 # and bounds the working arrays at a chunk's rows.
@@ -66,17 +77,30 @@ def empirical_bridge_violation(
     """Monte Carlo rate of {exists s in [r, t-r]: |xi(s)| > (s ^ (t-s))^gamma}
     for a standard Brownian bridge, with its standard error.
 
-    An empty window (r >= t/2) gives rate 0 by convention."""
-    times = np.linspace(0.0, t, n_steps + 1)
-    window = (times >= r) & (times <= t - r)
-    if not window.any():
+    The bridges are ``sample_bridge``'s, draw for draw, but each chunk is
+    scaled and summed in place, and xi is formed on the window's columns
+    only: the walk w at grid point j is column j - 1 of the summed
+    increments and xi_j = w_j - (s_j / t) w_n.  Grid point 0, pinned at 0
+    with a bound of 0, can never violate and is left out.  An empty window
+    (no grid point in [r, t - r]; ``grid_window``) gives rate 0 by
+    convention."""
+    window = grid_window(t, r, n_steps)
+    if window.start == window.stop:
         return 0.0, 0.0
-    bound = np.minimum(times, t - times)[window] ** gamma
+    times = np.linspace(0.0, t, n_steps + 1)
+    lo = max(window.start, 1)
+    bound = np.minimum(times, t - times)[lo : window.stop] ** gamma
+    slope = (times / t)[lo : window.stop]
+    scale = math.sqrt(t / n_steps)
     rng = tree_rng(seed)
     violated = 0
     for start in range(0, replicates, BRIDGE_CHUNK):
-        _, xi = sample_bridge(t, n_steps, rng, min(BRIDGE_CHUNK, replicates - start))
-        violated += int(np.count_nonzero(np.any(np.abs(xi[:, window]) > bound, axis=1)))
+        walk = rng.standard_normal((min(BRIDGE_CHUNK, replicates - start), n_steps))
+        walk *= scale
+        np.cumsum(walk, axis=1, out=walk)
+        xi = walk[:, lo - 1 : window.stop - 1] - slope * walk[:, -1:]
+        np.abs(xi, out=xi)
+        violated += int(np.count_nonzero(np.any(xi > bound, axis=1)))
     rate = violated / replicates
     se = math.sqrt(rate * (1.0 - rate) / replicates)
     return rate, se

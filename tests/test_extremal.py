@@ -150,7 +150,6 @@ def test_mckean_single_particle_formula():
         birth=np.array([0.0]),
         death=np.array([s]),
         parent=np.array([-1]),
-        n_offspring=np.array([0]),
         wave_starts=np.array([0, 1]),
         leaf_ids=np.array([0]),
     )
@@ -223,6 +222,38 @@ def test_forest_reductions_match_trees_alone():
         assert mart[r] == pytest.approx(direct, rel=1e-13)
     with pytest.raises(ValueError, match="sorted"):
         forest_summaries(leaf_tree, pos, len(seeds), t, u[::-1])
+
+
+@pytest.mark.parametrize("n_trees", [1, 2, 55])
+def test_forest_summaries_match_leaf_by_leaf_oracle(n_trees):
+    # the run-wise counts and maxima are bit for bit those of a bincount
+    # and an np.maximum.at over every leaf, for forest_summaries and for
+    # the max shift inside forest_mckean; leaves are wave-major, so with
+    # several trees they interleave in runs
+    t, u = 5.0, np.array([-2.0, 0.0, 1.0])
+    prof = identity_profile()
+    forest = sample_forest(BINARY, t, [tree_rng(7 + s) for s in range(n_trees)])
+    (pos,) = forest_leaf_positions(forest, (prof,), t, [tree_rng(70 + s) for s in range(n_trees)])
+    leaf_tree = forest.tree_id[forest.nodes.leaf_ids]
+    if n_trees > 1:
+        assert np.count_nonzero(np.diff(leaf_tree)) > n_trees - 1
+    n_leaves, top, counts = forest_summaries(leaf_tree, pos, n_trees, t, u)
+    want_top = np.full(n_trees, -np.inf)
+    np.maximum.at(want_top, leaf_tree, pos)
+    assert np.array_equal(n_leaves, np.bincount(leaf_tree, minlength=n_trees))
+    assert n_leaves.dtype == np.bincount(leaf_tree).dtype
+    assert np.array_equal(top, want_top - centering(t, "tilde"))
+    # a tree with no leaf counts 0 of them, with maximum -inf
+    more_leaves, more_top, _ = forest_summaries(leaf_tree, pos, n_trees + 1, t, u)
+    assert np.array_equal(more_leaves, np.append(n_leaves, 0))
+    assert np.array_equal(more_top, np.append(top, -np.inf))
+    sigma_b = 0.4
+    exponents = -t * (1.0 + sigma_b**2) + SQRT2 * sigma_b * pos
+    shift = np.full(n_trees, -np.inf)
+    np.maximum.at(shift, leaf_tree, exponents)
+    total = np.bincount(leaf_tree, weights=np.exp(exponents - shift[leaf_tree]), minlength=n_trees)
+    want_mart = np.exp(shift + np.log(total))
+    assert np.array_equal(forest_mckean(leaf_tree, pos, n_trees, prof, t, sigma_b), want_mart)
 
 
 def test_mckean_domain_checks():

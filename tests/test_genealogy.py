@@ -173,6 +173,7 @@ def test_sample_forest_matches_trees_grown_alone(law):
         assert np.array_equal(nodes.n_offspring[sel], kids)
         assert np.array_equal(np.where(nodes.parent[sel] < 0, -1, local[nodes.parent[sel]]), parent)
     assert np.array_equal(nodes.leaf_ids, np.flatnonzero(nodes.n_offspring == 0))
+    assert np.array_equal(nodes.internal_ids, np.flatnonzero(nodes.n_offspring))
 
 
 def test_sample_forest_population_cap_is_per_tree(monkeypatch):
@@ -300,7 +301,7 @@ def test_real_branchings_match_rate_one_sampler_in_law(law):
                 tree = sample_tree(offspring, t, rng=rng)
             else:
                 birth, death, parent, kids, starts = _reference_tree(offspring, t, rng, real_only=False)
-                tree = GenealogyTree(t, birth, death, parent, kids, starts, np.flatnonzero(kids == 0))
+                tree = GenealogyTree(t, birth, death, parent, starts, np.flatnonzero(kids == 0))
             pos = sample_leaf_positions(tree, profile, t, tree_rng(seed_stream(29, r, f"gauss:{real_only}")))
             leaves.append(tree.n_leaves)
             maxima.append(pos.max() - centering(t))
@@ -405,7 +406,6 @@ def test_mrca_first_branch_point():
         birth=np.array([0.0, tau, tau]),
         death=np.array([tau, t, t]),
         parent=np.array([-1, 0, 0]),
-        n_offspring=np.array([2, 0, 0]),
         wave_starts=np.array([0, 1, 3]),
         leaf_ids=np.array([1, 2]),
     )

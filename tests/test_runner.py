@@ -611,6 +611,11 @@ def _bad_configs():
         ("fkpp", "dx", "-0.05", "dx > 0"),
         ("martingale", "t", "0", "t > 0"),
         ("martingale", "sigma_b", "-0.5", "sigma_b >= 0"),
+        ("compare", "c_grid", "-5", "every entry >= 0"),
+        ("compare", "c_grid", "0.1 -0.5 2", "every entry >= 0"),
+        ("cluster", "R", "nan", "a finite R"),
+        ("cluster", "R", "inf", "a finite R"),
+        ("cluster", "R", "-inf", "a finite R"),
     ],
 )
 def test_main_rejects_out_of_range_value_before_any_output(tmp_path, capsys, kind, key, value, need):
@@ -624,6 +629,31 @@ def test_main_rejects_out_of_range_value_before_any_output(tmp_path, capsys, kin
     assert err["error"] == "ConfigError"
     assert need in err["message"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "lines",
+    [
+        "t = 30\nr = 20\ngamma = 0.75\nreplicates = 20",  # r > t / 2: an empty interval
+        "t = 30\nr = 14.9\ngamma = 0.75\nreplicates = 20\nn_steps = 3",  # no grid point in [14.9, 15.1]
+    ],
+)
+def test_main_rejects_tube_window_without_grid_point(tmp_path, capsys, lines):
+    # with no grid point to look at, tube would report a rate of 0
+    path, out = write_config(tmp_path, _kind_config("tube", lines))
+    assert main(["tube", "--config", str(path)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert "holds no point" in err["message"]
+    assert not out.exists()
+
+
+def test_tube_window_of_one_grid_point_runs(tmp_path):
+    # r = t / 2 on an even grid leaves the midpoint alone in the window
+    lines = "t = 30\nr = 15\ngamma = 0.75\nreplicates = 20\nn_steps = 2"
+    path, out = write_config(tmp_path, _kind_config("tube", lines))
+    assert main(["tube", "--config", str(path)]) == 0
+    assert json.loads((out / "report.json").read_text())["replicates"] == 20
 
 
 @pytest.mark.parametrize("kind", list(KIND_CASES))

@@ -34,7 +34,6 @@ def two_leaf_tree(tau, t):
         birth=np.array([0.0, tau, tau]),
         death=np.array([tau, t, t]),
         parent=np.array([-1, 0, 0]),
-        n_offspring=np.array([2, 0, 0]),
         wave_starts=np.array([0, 1, 3]),
         leaf_ids=np.array([1, 2]),
     )
@@ -98,23 +97,52 @@ def test_forest_leaf_positions_stacked_rows_match_single_profile():
         assert np.array_equal(row, alone)
 
 
-def test_edge_std_equals_two_evaluation_formula():
-    # S(birth) is read off the parent's S(death); roots, here born at
-    # p = 0, 0.7 and 2.5, are evaluated at their own births
-    law = OffspringDistribution(np.array([1, 3]), np.array([0.5, 0.5]))
-    t = 4.0
-    nodes = sample_forest(law, t, tree_rng(3), starts=[0.0, 0.7, 2.5]).nodes
-    power2 = from_function(
-        lambda x: np.asarray(x) ** 2, slope_at_0=0.0, slope_at_1=2.0,
-        k1_upper=2.0, k1_lower=2.0, k2_upper=2.0, k2_lower=2.0,
+def _power(p):
+    k = p * (p - 1.0)
+    return from_function(
+        lambda x: np.asarray(x) ** p, slope_at_0=0.0, slope_at_1=p,
+        k1_upper=k, k1_lower=k, k2_upper=k, k2_lower=k,
     )
+
+
+def test_edge_std_equals_two_evaluation_formula():
+    # bit for bit the all-node formula S(death) - S(birth), though only the
+    # internal nodes' deaths and the roots' births are evaluated and every
+    # leaf reads S(horizon); roots born at 0, or at 0, 0.7 and 2.5 (the
+    # immigrant forests of cluster), on binary and (1,3) laws
+    t = 4.0
+    power2 = _power(2.0)
     pair = build_envelopes(power2, t)
-    profiles = (identity_profile(), two_speed(0.5, 2.0, 2.0 / 3.0), power2, pair.upper, pair.lower)
-    stacked = _edge_std(nodes, profiles, t)
-    assert stacked.shape == (len(profiles), nodes.n_nodes)
-    for row, prof in zip(stacked, profiles):
-        var = sigma2(prof, nodes.death, t) - sigma2(prof, nodes.birth, t)
-        assert np.array_equal(row, np.sqrt(np.maximum(var, 0.0)))
+    profiles = (
+        identity_profile(), two_speed(0.5, 2.0, 2.0 / 3.0), power2, pair.upper, pair.lower, _power(1.5)
+    )
+    for law in LAWS.values():
+        for rngs, starts in (([tree_rng(s) for s in range(6)], None), (tree_rng(3), [0.0, 0.7, 2.5])):
+            nodes = sample_forest(law, t, rngs, starts=starts).nodes
+            assert 0 < nodes.n_leaves < nodes.n_nodes
+            stacked = _edge_std(nodes, profiles, t)
+            assert stacked.shape == (len(profiles), nodes.n_nodes)
+            for row, prof in zip(stacked, profiles):
+                var = sigma2(prof, nodes.death, t) - sigma2(prof, nodes.birth, t)
+                assert np.array_equal(row, np.sqrt(np.maximum(var, 0.0)))
+
+
+def test_edge_std_rejects_a_fall_that_only_leaf_edges_see():
+    # A rises to 1.2 at x = 0.95 and falls back to A(1) = 1.  The one
+    # internal edge of a tree that branches at 0.95 t rises, and only the
+    # leaves' edges, which read S(horizon), see the fall: one such profile
+    # beside a monotone one is enough to raise.
+    t = 4.0
+    overshoot = SpeedProfile(
+        func=lambda x: np.interp(x, [0.0, 0.95, 1.0], [0.0, 1.2, 1.0]), slope_at_0=1.2 / 0.95, slope_at_1=-4.0
+    )
+    tree = two_leaf_tree(0.95 * t, t)
+    assert _edge_std(tree, (identity_profile(),), t).min() > 0.0
+    with pytest.raises(ValueError, match="not monotone"):
+        _edge_std(tree, (identity_profile(), overshoot), t)
+    forest = sample_forest(BINARY, t, [tree_rng(s) for s in range(10)], starts=[0.5] * 10)
+    with pytest.raises(ValueError, match="not monotone"):
+        _edge_std(forest.nodes, (overshoot,), t)
 
 
 def test_flat_speed_segment_freezes_particles():

@@ -9,6 +9,7 @@ from vsbbm.tube import (
     bridge_violation_bound,
     empirical_bridge_violation,
     first_moment_constant,
+    grid_window,
     sample_bridge,
 )
 
@@ -64,6 +65,41 @@ def test_empirical_bridge_violation_chunks_match_one_draw():
     se = math.sqrt(rate * (1.0 - rate) / reps)
     assert 0.0 < rate < 1.0
     assert empirical_bridge_violation(t, r, gamma, reps, seed, n_steps) == (rate, se)
+
+
+@pytest.mark.parametrize(
+    "t,r,n_steps,first",
+    [
+        (8.0, 0.0, 8, 0),  # the window starts at grid point 0 (pinned at 0)
+        (8.0, -1.0, 9, 0),  # ... and takes in the endpoint t, also pinned
+        (8.0, 1.0, 8, 1),  # starts at grid point 1, whose walk is column 0
+        (8.0, 0.5, 7, 1),
+        (30.0, 10.0, 64, 22),
+        (30.0, 4.0, 33, 5),
+    ],
+)
+def test_empirical_bridge_violation_windowed_matches_sample_bridge(t, r, n_steps, first):
+    # xi built on the window's columns, in place, chunk by chunk, gives
+    # bit for bit the rate and SE of sample_bridge's bridges over the mask
+    gamma, seed = 0.55, 21
+    reps = 5 * BRIDGE_CHUNK // 2
+    times, xi = sample_bridge(t, n_steps, tree_rng(seed), reps)
+    mask = (times >= r) & (times <= t - r)
+    assert mask.nonzero()[0][0] == first
+    assert np.array_equal(mask.nonzero()[0], np.arange(n_steps + 1)[grid_window(t, r, n_steps)])
+    rate = np.any(np.abs(xi[:, mask]) > np.minimum(times, t - times)[mask] ** gamma, axis=1).mean()
+    se = math.sqrt(rate * (1.0 - rate) / reps)
+    assert 0.0 < rate < 1.0
+    assert np.array_equal(empirical_bridge_violation(t, r, gamma, reps, seed, n_steps), (rate, se))
+
+
+def test_grid_window_is_the_mask_rule():
+    for t, r, n_steps in [(30.0, 10.0, 512), (30.0, 14.9, 3), (30.0, 15.0, 2), (10.0, 6.0, 512), (5.0, 0.0, 5)]:
+        times = np.linspace(0.0, t, n_steps + 1)
+        mask = (times >= r) & (times <= t - r)
+        assert np.array_equal(np.arange(n_steps + 1)[grid_window(t, r, n_steps)], mask.nonzero()[0])
+    assert grid_window(30.0, 14.9, 3) == slice(0, 0)
+    assert grid_window(30.0, 15.0, 2) == slice(1, 2)
 
 
 def test_empirical_bridge_violation_bounded_by_series():
