@@ -2,7 +2,7 @@
 shared genealogy and test the Laplace-transform sandwich empirically.
 ``collect_exceedances`` runs on ``sampler.forest_batches``, as ``simulate``
 does: every profile is placed on the replicate's tree from one draw of
-its ``gauss`` stream, so the sandwich differences are paired, and
+its block's ``gauss`` stream, so the sandwich differences are paired, and
 ``sandwich_report`` checks and reports them.
 
 The o(1) corrections of the limit statement are untestable at fixed t; the
@@ -18,16 +18,17 @@ import numpy as np
 
 from vsbbm.extremal import empirical_laplace, forest_exceedances, mean_and_se
 from vsbbm.genealogy import OffspringDistribution, run_replicates
-from vsbbm.sampler import forest_batches
+from vsbbm.sampler import block_size, forest_batches
 from vsbbm.speed import SpeedProfile
 
 
-def _exceedances(offspring, profiles, t, u_grid, seed, reps):
+def _exceedances(offspring, profiles, t, u_grid, seed, block, reps):
     """Per replicate of ``reps``: the exceedance counts of every profile on
-    one tree from its ``tree`` stream, placed from one ``gauss`` draw."""
+    its tree, grown in its block's ``tree`` run and placed from one draw of
+    the block's ``gauss`` stream."""
     streams = {"gauss": tuple(profiles.values())}
     rows = []
-    for leaf_tree, (stacked,), n in forest_batches(seed, t, offspring, streams, reps):
+    for leaf_tree, (stacked,), n in forest_batches(seed, t, offspring, streams, reps, block):
         counts = [forest_exceedances(leaf_tree, pos, n, t, u_grid) for pos in stacked]
         rows += np.stack(counts, axis=1).tolist()
     return rows
@@ -43,11 +44,14 @@ def collect_exceedances(
     workers: int = 1,
 ) -> dict[str, np.ndarray]:
     """Replicate exceedance-count matrices for several profiles coupled on
-    shared trees (trees redrawn per replicate) and on one shared standard
-    normal draw per tree (the replicate's ``gauss`` stream), so each
-    profile's counts have their own law and differences are paired."""
+    shared trees (an independent tree per replicate, grown in forest
+    blocks of ``sampler.block_size(t)``) and on one shared standard normal
+    per node (the block's ``gauss`` stream), so each profile's counts have
+    their own law and differences are paired."""
     u_grid = np.asarray(u_grid, dtype=np.float64)
-    rows = run_replicates(_exceedances, (offspring, profiles, t, u_grid, seed), replicates, workers)
+    block = block_size(t)
+    common = (offspring, profiles, t, u_grid, seed, block)
+    rows = run_replicates(_exceedances, common, replicates, workers, block)
     counts = np.array(rows, dtype=np.int64).reshape(replicates, len(profiles), len(u_grid))
     return {name: counts[:, i] for i, name in enumerate(profiles)}
 

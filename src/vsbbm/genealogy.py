@@ -4,7 +4,7 @@ Trees are sampled generation by generation into flat numpy arrays so that
 populations of ~1e7 nodes stay cheap to build and to query.  Many small
 trees grow together as a forest, one wave loop for all of them, each from
 its own start time.  Each generator of a forest serves a run of
-consecutive trees: one tree per generator for the replicates of
+consecutive trees: the trees of one replicate block per generator in
 ``sampler.forest_batches``, the immigrant trees of one spine per generator
 in ``cluster``.
 
@@ -250,28 +250,34 @@ def replicate_rngs(master: int, reps, stream: str) -> Iterator[np.random.Generat
     return tree_rngs([seed_stream(master, r, stream) for r in reps])
 
 
-def run_replicates(fn, common: tuple, replicates: int, workers: int = 1) -> list:
+def run_replicates(fn, common: tuple, replicates: int, workers: int = 1, block: int = 1) -> list:
     """``fn(*common, range(replicates))``: one result per replicate, in
     replicate order.
 
-    ``fn`` takes a range of replicate indices and returns a list with one
-    result per index, each replicate drawing from the generators
-    ``replicate_rngs`` gives its index.  With ``workers > 1`` strided ranges
-    run in a process pool, so ``fn`` and ``common`` must pickle.  Each
-    replicate draws only from streams keyed by its own index, which makes
-    the result independent of the worker count and of how ``fn`` groups the
-    indices it is given.
+    ``fn`` takes the ascending replicate indices of whole blocks of
+    ``block`` consecutive replicates (block k is [k*block, (k+1)*block),
+    the last one possibly shorter) and returns a list with one result per
+    index.  Each block draws only from streams keyed by its own first
+    index, ``replicate_rngs`` of one index per block.  With ``workers >
+    1`` block k runs on worker k mod ``workers`` in a process pool, so
+    ``fn`` and ``common`` must pickle, and the results go back by
+    replicate index; since a block's draws do not depend on which worker
+    runs it, neither does the result.  A job of one block runs on one
+    worker.
     """
-    workers = min(workers, replicates)
+    n_blocks = -(-replicates // block)
+    workers = min(workers, n_blocks)
     if workers <= 1:
         return fn(*common, range(replicates))
     from concurrent.futures import ProcessPoolExecutor
 
+    blocks = [range(k * block, min((k + 1) * block, replicates)) for k in range(n_blocks)]
+    shares = [[r for b in blocks[w::workers] for r in b] for w in range(workers)]
     out = [None] * replicates
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunks = [range(i, replicates, workers) for i in range(workers)]
-        for i, part in enumerate(pool.map(partial(fn, *common), chunks)):
-            out[i::workers] = part
+        for share, part in zip(shares, pool.map(partial(fn, *common), shares)):
+            for r, value in zip(share, part):
+                out[r] = value
     return out
 
 

@@ -14,15 +14,18 @@ file.  ``run`` writes every artifact to a temp path that is atomically
 renamed, so an interrupted run never leaves corrupt artifacts; the
 manifest carries the config hash, the master seed, the seed scheme and the
 versions and CPU count of the environment.  Every Monte Carlo kind
-runs its replicates through ``genealogy.run_replicates``, each replicate
-on its own named streams, whose generators ``genealogy.replicate_rngs``
-builds for a whole chunk of replicates from one vectorised key
-derivation.  ``simulate``, ``martingale`` and ``compare`` grow and place
-their trees in ``sampler.forest_batches``, ``compare`` placing its profile
-and both envelopes from one draw of the ``gauss`` stream; ``cluster``
-grows the immigrants of a chunk's spines as one forest per batch, one
-generator per spine.  ``tube`` draws its bridges in row chunks and
-``fkpp`` is deterministic.  Aggregation is
+runs its replicates through ``genealogy.run_replicates`` in blocks of
+consecutive replicates, each block on its own named streams, whose
+generators ``genealogy.replicate_rngs`` builds for a whole chunk from one
+vectorised key derivation.  ``simulate``, ``martingale`` and ``compare``
+pass the forest block ``sampler.block_size(t)`` and grow and place each
+block's trees in ``sampler.forest_batches``, ``compare`` placing its
+profile and both envelopes from one draw of the ``gauss`` stream;
+``cluster`` keys its streams by replicate (block 1) and grows the
+immigrants of a chunk's spines as one forest per batch, one generator
+per spine.  ``tube`` draws its bridges in row chunks and ``fkpp`` is
+deterministic.  The manifest records the seed scheme
+``blake2b-philox-v2`` and the run's stream block.  Aggregation is
 order-fixed (by replicate index, exact summation), so results do not
 depend on the worker count.
 """
@@ -52,7 +55,7 @@ from vsbbm.extremal import centering, forest_mckean, forest_summaries
 # sample_tree is not called here; the benchmark's trace (perfbench/) patches
 # and calls it as ``vsbbm.runner.sample_tree``
 from vsbbm.genealogy import OffspringDistribution, run_replicates, sample_tree  # noqa: F401
-from vsbbm.sampler import forest_batches
+from vsbbm.sampler import block_size, forest_batches
 from vsbbm.speed import (
     SpeedProfile,
     build_envelopes,
@@ -89,6 +92,12 @@ def _checked(parse, ok, need: str):
         return value
 
     return parser
+
+
+def _finite_above(name: str, low: int):
+    """A float parser needing a finite value above ``low``: inf passes
+    every lower bound, so it is ruled out by name."""
+    return _checked(float, lambda v: math.isfinite(v) and v > low, f"a finite {name} > {low}")
 
 
 def _power_eval(p, x):
@@ -165,18 +174,19 @@ def _write_csv(path, header, rows) -> None:
 # ---------------------------------------------------------------------------
 # replicate workers (top-level so they pickle)
 
-def _simulate_replicates(seed, t, profile, offspring, u_grid, reps):
+def _simulate_replicates(seed, t, profile, offspring, u_grid, block, reps):
     rows = []
-    for leaf_tree, ((pos,),), n in forest_batches(seed, t, offspring, {"gauss": (profile,)}, reps):
+    for leaf_tree, ((pos,),), n in forest_batches(seed, t, offspring, {"gauss": (profile,)}, reps, block):
         n_leaves, top, counts = forest_summaries(leaf_tree, pos, n, t, u_grid)
         rows += zip(n_leaves.tolist(), top.tolist(), counts.tolist())
     return rows
 
 
-def _martingale_replicates(seed, s_horizon, sigma_b, offspring, reps):
+def _martingale_replicates(seed, s_horizon, sigma_b, offspring, block, reps):
     profile = identity_profile()
     vals = []
-    for leaf_tree, ((pos,),), n in forest_batches(seed, s_horizon, offspring, {"gauss": (profile,)}, reps):
+    streams = {"gauss": (profile,)}
+    for leaf_tree, ((pos,),), n in forest_batches(seed, s_horizon, offspring, streams, reps, block):
         vals += forest_mckean(leaf_tree, pos, n, profile, s_horizon, sigma_b).tolist()
     return vals
 
@@ -187,9 +197,9 @@ def _martingale_replicates(seed, s_horizon, sigma_b, offspring, reps):
 
 def _run_simulate(cfg: ExperimentConfig, t, replicates, u_grid):
     u_grid = np.array(u_grid)
-    rows = run_replicates(
-        _simulate_replicates, (cfg.seed, t, cfg.profile, cfg.offspring, u_grid), replicates, cfg.workers
-    )
+    block = block_size(t)
+    common = (cfg.seed, t, cfg.profile, cfg.offspring, u_grid, block)
+    rows = run_replicates(_simulate_replicates, common, replicates, cfg.workers, block)
     header = ["replicate", "n_leaves", "max_centered"] + [f"N_u[{u}]" for u in u_grid]
     csv_rows = [[rep, n, repr(mx)] + counts for rep, (n, mx, counts) in enumerate(rows)]
     report = {
@@ -203,9 +213,9 @@ def _run_simulate(cfg: ExperimentConfig, t, replicates, u_grid):
 
 
 def _run_martingale(cfg: ExperimentConfig, t, sigma_b, replicates):
-    vals = run_replicates(
-        _martingale_replicates, (cfg.seed, t, sigma_b, cfg.offspring), replicates, cfg.workers
-    )
+    block = block_size(t)
+    common = (cfg.seed, t, sigma_b, cfg.offspring, block)
+    vals = run_replicates(_martingale_replicates, common, replicates, cfg.workers, block)
     mean = math.fsum(vals) / replicates
     var = math.fsum((v - mean) ** 2 for v in vals) / (replicates - 1)
     se = math.sqrt(var / replicates)
@@ -311,9 +321,10 @@ _REPLICATES = (_checked(int, lambda v: v >= 2, "replicates >= 2"), REQUIRED)
 # extremal.centering (simulate, and fkpp's reference_m_t) and the envelopes
 # of compare are defined for t > 1 only; simulate and compare count
 # exceedances over an ascending u_grid
-_T_ABOVE_ONE = (_checked(float, lambda v: v > 1, "t > 1"), REQUIRED)
-# cluster, tube and martingale run to any horizon t > 0
-_T_POSITIVE = (_checked(float, lambda v: v > 0, "t > 0"), REQUIRED)
+_T_ABOVE_ONE = (_finite_above("t", 1), REQUIRED)
+# cluster, tube and martingale run to any finite horizon t > 0; with an
+# infinite one no lifetime ends and a tree grows until it fills memory
+_T_POSITIVE = (_finite_above("t", 0), REQUIRED)
 _U_GRID = _checked(_floats, lambda v: v == sorted(v), "an ascending u_grid")
 # a tail constant exists for an end slope sigma_e > 1 only
 _SIGMA_ES = _checked(_floats, lambda v: all(s > 1 for s in v), "every entry > 1")
@@ -324,7 +335,7 @@ EXPERIMENTS = {
         "t": _T_ABOVE_ONE, "replicates": _REPLICATES, "u_grid": (_U_GRID, "-2 -1 0 1 2"),
     }),
     "fkpp": (_run_fkpp, {"offspring": _BINARY}, {
-        "t_end": _T_ABOVE_ONE, "dx": (_checked(float, lambda v: v > 0, "dx > 0"), "0.05"),
+        "t_end": _T_ABOVE_ONE, "dx": (_finite_above("dx", 0), "0.05"),
         "sigma_e_list": (_SIGMA_ES, ""),
     }),
     "compare": (_run_compare, {"profile": REQUIRED, "offspring": _BINARY}, {
@@ -451,10 +462,24 @@ def _scipy_version() -> str | None:
         return None
 
 
+# the kinds that grow their replicates in forest blocks of block_size(t)
+_FOREST_KINDS = ("simulate", "martingale", "compare")
+
+
+def _stream_block(cfg: ExperimentConfig) -> int | None:
+    """The consecutive replicates that share one set of streams: a forest
+    block in the forest kinds, one replicate in ``cluster``; None for
+    ``tube`` and ``fkpp``, which key no stream by replicate."""
+    if cfg.kind in _FOREST_KINDS:
+        return block_size(cfg.params["t"])
+    return 1 if cfg.kind == "cluster" else None
+
+
 def run(cfg: ExperimentConfig) -> dict:
     """Run the configured experiment; writes its CSV tables, its
     ``report.json`` and a manifest listing every artifact plus the config
-    hash, the seed scheme and the environment, and returns the report."""
+    hash, the seed scheme, the stream block and the environment, and
+    returns the report."""
     report, tables = EXPERIMENTS[cfg.kind][0](cfg, **cfg.params)
     os.makedirs(cfg.out_dir, exist_ok=True)
     for name, (header, rows) in tables.items():
@@ -466,7 +491,8 @@ def run(cfg: ExperimentConfig) -> dict:
         "config_hash": cfg.config_hash,
         "files": sorted([*tables, "report.json"]),
         "version": "0.1.0",
-        "seed_scheme": "blake2b-philox-v1",
+        "seed_scheme": "blake2b-philox-v2",
+        "stream_block": _stream_block(cfg),
         "environment": {
             "python": "%d.%d.%d" % sys.version_info[:3],
             "numpy": np.__version__,

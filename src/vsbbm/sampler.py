@@ -7,19 +7,18 @@ Sigma^2 is evaluated only where it varies from node to node, at the
 branch times and the roots' births: every leaf dies at the horizon t and
 reads the one value Sigma^2(t).
 ``simulate``, ``martingale`` and ``compare`` place their trees in
-``forest_batches``: a batch of replicate trees grown as one forest, whose
-leaves ``forest_leaf_positions`` places under a tuple of profiles from one
-Gaussian draw per tree; ``cluster`` places its immigrant forests with
-``forest_leaf_positions`` too.  ``node_positions`` and
-``sample_leaf_positions`` do the same for one tree, for the demos and as
-the tests' oracles.
+``forest_batches``: a block of replicate trees grown as one run on one
+generator, whose leaves ``forest_leaf_positions`` places under a tuple of
+profiles from one Gaussian draw per block; ``cluster`` places its
+immigrant forests with ``forest_leaf_positions`` too.  ``node_positions``
+and ``sample_leaf_positions`` do the same for one tree, for the demos and
+as the tests' oracles.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -133,32 +132,61 @@ def forest_leaf_positions(
     return _descend(nodes, std)[:, nodes.leaf_ids]
 
 
-# Nodes per forest batch.  A tree of real branchings has
+# Nodes per forest block.  A tree of real branchings has
 # e^t + (e^t - 1)/(E[k | k >= 2] - 1) nodes on average, 2e^t - 1 for binary
-# offspring and fewer for any other law, so sized at 2e^t per tree a batch
-# holds about 55 trees at t = 5 and one from t = 9.1 on.  The budget bounds
-# memory only: every replicate draws from its own streams.
+# offspring and fewer for any other law, so sized at 2e^t per tree a block
+# holds about 55 trees at t = 5 and one from t = ln 4096 = 8.32 on.  The
+# block is the unit of randomness, so the budget fixes which draws a
+# replicate gets: changing it changes the results up to t = 8.32.
 FOREST_NODE_BUDGET = 2**14
 
 
-def forest_batches(seed, t, offspring, streams, reps):
-    """The replicates ``reps`` in forest batches.  Per batch: the tree of
-    each leaf, one (len(profiles), n_leaves) position array per entry
-    ``name: profiles`` of ``streams`` and the batch size.  Each replicate
-    grows its tree on its ``tree`` stream and places the leaves under
-    every profile of ``streams[name]`` with one draw from its stream
-    ``name``, so every row holds the positions it gets alone."""
-    size = max(1, int(FOREST_NODE_BUDGET / (2.0 * math.exp(t))))
-    trees = replicate_rngs(seed, reps, "tree")
-    gauss = {name: replicate_rngs(seed, reps, name) for name in streams}
-    for i in range(0, len(reps), size):
-        n = len(reps[i : i + size])
-        forest = sample_forest(offspring, t, list(islice(trees, n)))
+def block_size(t: float) -> int:
+    """b(t) = max(1, floor(FOREST_NODE_BUDGET / (2e^t))): the replicates
+    of one forest block at horizon t."""
+    return max(1, int(FOREST_NODE_BUDGET / (2.0 * math.exp(t))))
+
+
+def forest_blocks(reps, block: int) -> list[range]:
+    """The replicates ``reps`` (ascending) as forest blocks of ``block``:
+    block k is replicates [k*block, (k+1)*block).  Every block must be
+    whole except the last one handed, which may stop short as the final
+    block of a job does; a block handed in part elsewhere would draw from
+    the wrong key, so it raises ValueError."""
+    reps = list(reps)
+    blocks = []
+    for i in range(0, len(reps), block):
+        part = reps[i : i + block]
+        whole = range(part[0], part[0] + len(part))
+        if part[0] % block or part != list(whole):
+            raise ValueError(
+                f"replicates {part[0]}..{part[-1]} split a forest block of {block} replicates"
+            )
+        blocks.append(whole)
+    return blocks
+
+
+def forest_batches(seed, t, offspring, streams, reps, block):
+    """The replicates ``reps`` in forest blocks of ``block`` (see
+    ``forest_blocks``).  Per block: the tree of each leaf, one
+    (len(profiles), n_leaves) position array per entry ``name: profiles``
+    of ``streams`` and the block size.  Block k's trees grow as one run on
+    the generator of its ``tree`` stream, keyed ``seed_stream(seed, k*block,
+    "tree")`` after its first replicate, and its leaves are placed under
+    every profile of ``streams[name]`` by one draw from its stream
+    ``name``, so ``block`` = 1 gives every replicate the streams of its own
+    index.  The trees stay independent across replicates."""
+    blocks = forest_blocks(reps, block)
+    firsts = [b.start for b in blocks]
+    trees = replicate_rngs(seed, firsts, "tree")
+    gauss = {name: replicate_rngs(seed, firsts, name) for name in streams}
+    for n in map(len, blocks):
+        forest = sample_forest(offspring, t, [next(trees)], trees_per_rng=[n])
         positions = [
-            forest_leaf_positions(forest, profiles, t, list(islice(gauss[name], n)))
+            forest_leaf_positions(forest, profiles, t, [next(gauss[name])])
             for name, profiles in streams.items()
         ]
-        # a batch of one tree (t > 9.1) needs no per-node tree ids
+        # a block of one tree (t > 8.32) needs no per-node tree ids
         nodes = forest.nodes
         leaf_tree = np.zeros(nodes.n_leaves, np.intp) if n == 1 else forest.tree_id[nodes.leaf_ids]
         yield leaf_tree, positions, n

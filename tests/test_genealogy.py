@@ -13,6 +13,7 @@ from vsbbm.genealogy import (
     mrca,
     philox_keys,
     replicate_rngs,
+    run_replicates,
     sample_forest,
     sample_tree,
     seed_stream,
@@ -390,6 +391,22 @@ def test_replicate_rngs_are_tree_rng_of_seed_stream(reps):
         got = [rng.standard_normal(4).tolist() for rng in replicate_rngs(11, reps, stream)]
         want = [tree_rng(seed_stream(11, r, stream)).standard_normal(4).tolist() for r in reps]
         assert got == want
+
+
+def _share_of(tag, reps):
+    """The replicates one call is handed, each beside the call's first."""
+    reps = list(reps)
+    return [(tag, r, reps[0]) for r in reps]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("block", [1, 4])
+def test_run_replicates_hands_workers_whole_blocks(workers, block):
+    out = run_replicates(_share_of, ("x",), 10, workers, block)
+    assert [r for _, r, _ in out] == list(range(10))
+    # block k runs on worker k mod w, whose share starts at block w
+    w = min(workers, -(-10 // block))
+    assert [first for _, _, first in out] == [(r // block) % w * block for r in range(10)]
 
 
 def test_mrca_same_leaf():

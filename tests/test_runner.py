@@ -12,9 +12,9 @@ import pytest
 import vsbbm
 from vsbbm import fkpp as fkpp_mod
 from vsbbm import sampler as sampler_mod
-from vsbbm.compare import collect_exceedances
-from vsbbm.extremal import summarize
-from vsbbm.genealogy import sample_tree, seed_stream, tree_rng
+from vsbbm.compare import collect_exceedances, sandwich_report
+from vsbbm.extremal import centering, count_exceedances, mckean_martingale
+from vsbbm.genealogy import OffspringDistribution, sample_forest, sample_tree, seed_stream, tree_rng
 from vsbbm.runner import (
     EXPERIMENTS,
     ConfigError,
@@ -23,7 +23,7 @@ from vsbbm.runner import (
     run,
 )
 from vsbbm.sampler import ParticleConfiguration, sample_leaf_positions
-from vsbbm.speed import build_envelopes
+from vsbbm.speed import build_envelopes, identity_profile
 
 SIM_CONFIG = """\
 [experiment]
@@ -215,7 +215,12 @@ def test_run_simulate_artifacts_and_determinism(tmp_path):
     assert manifest["kind"] == "simulate"
     assert manifest["seed"] == 7
     assert set(manifest["files"]) == {"report.json", "summaries.csv"}
-    assert manifest["seed_scheme"] == "blake2b-philox-v1"
+    assert manifest["seed_scheme"] == "blake2b-philox-v2"
+    # t = 3: blocks of floor(2**14 / (2 e^3)) = 407 replicates
+    assert manifest["stream_block"] == 407
+    for name in ("summaries.csv", "report.json"):
+        text = (out_a / name).read_text()
+        assert "stream_block" not in text and "seed_scheme" not in text
     env = manifest["environment"]
     assert env["python"] == "%d.%d.%d" % sys.version_info[:3]
     assert env["numpy"] == np.__version__
@@ -262,22 +267,132 @@ dir = {out}
 """
 
 
+def _block_leaves(seed, t, offspring, profiles, replicates, block):
+    """Block oracle: the leaf positions of every replicate, shape
+    (len(profiles), n_leaves), from its block of ``block`` replicates grown
+    alone as one run on the ``tree`` stream of the block's first replicate
+    and placed by one draw of that replicate's ``gauss`` stream, which
+    every profile scales."""
+    out = []
+    for first in range(0, replicates, block):
+        n = min(block, replicates - first)
+        tree = tree_rng(seed_stream(seed, first, "tree"))
+        forest = sample_forest(offspring, t, tree, starts=np.zeros(n))
+        nodes = forest.nodes
+        gauss = [tree_rng(seed_stream(seed, first, "gauss")) for _ in profiles]
+        pos = np.stack([sample_leaf_positions(nodes, p, t, g) for p, g in zip(profiles, gauss)])
+        tree_of = forest.tree_id[nodes.leaf_ids]
+        out += [pos[:, tree_of == r] for r in range(n)]
+    return out
+
+
+def _replicate_leaves(seed, t, offspring, profiles, replicates):
+    """Per-replicate oracle (one tree per stream key): every replicate's
+    tree from its own ``tree`` stream, placed by its own ``gauss`` stream."""
+    out = []
+    for rep in range(replicates):
+        tree = sample_tree(offspring, t, seed=seed_stream(seed, rep, "tree"))
+        pos = [sample_leaf_positions(tree, p, t, tree_rng(seed_stream(seed, rep, "gauss"))) for p in profiles]
+        out.append(np.stack(pos))
+    return out
+
+
+def _summary_rows(leaves, t, u_grid):
+    """summaries.csv rows of per-replicate leaf positions, leaf by leaf."""
+    rows = []
+    for rep, (x,) in enumerate(leaves):
+        c = x - centering(t, "tilde")
+        top = repr(float(x.max()) - centering(t, "tilde"))
+        rows.append([str(rep), str(len(x)), top] + [str((c > u).sum()) for u in u_grid])
+    return rows
+
+
 def test_run_simulate_matches_trees_alone(tmp_path):
+    # t = 4 gives blocks of 150 replicates: the 60 replicates are one block
+    # of 60 trees grown as one run, each tree's summary taken leaf by leaf
     path, out = write_config(tmp_path, FOREST_SIM_CONFIG)
     cfg = load_config(path)
     run(cfg)
-    t, u_grid = 4.0, np.array([-2.0, -0.5, 0.0, 1.0])
+    t, u_grid = 4.0, [-2.0, -0.5, 0.0, 1.0]
     with open(out / "summaries.csv", newline="") as fh:
         rows = list(csv.reader(fh))[1:]
-    assert len(rows) == 60
-    for rep, row in enumerate(rows):
-        tree = sample_tree(cfg.offspring, t, seed=seed_stream(13, rep, "tree"))
-        gauss = tree_rng(seed_stream(13, rep, "gauss"))
-        pos = sample_leaf_positions(tree, cfg.profile, t, gauss)
-        config = ParticleConfiguration(tree=tree, profile=cfg.profile, horizon=t, leaf_positions=pos)
-        s = summarize(config, u_grid)
-        want = [str(rep), str(s.n_leaves), repr(s.max_centered)]
-        assert row == want + [str(c) for c in s.exceedance_counts]
+    assert len(rows) == 60 and sampler_mod.block_size(t) == 150
+    leaves = _block_leaves(13, t, cfg.offspring, (cfg.profile,), 60, 150)
+    assert rows == _summary_rows(leaves, t, u_grid)
+
+
+# per kind: config, (t, seed, replicates), the artifact compared
+ORACLE_KINDS = {
+    "simulate": (FOREST_SIM_CONFIG, (4.0, 13, 60), "summaries.csv"),
+    "martingale": (MART_CONFIG, (3.0, 11, 300), "martingale.csv"),
+    "compare": (COMPARE_CONFIG, (5.0, 3, 30), "report.json"),
+}
+
+
+def _oracle_artifact(cfg, leaves, t, replicates):
+    """The artifact ``ORACLE_KINDS`` compares, built from per-replicate
+    leaf positions with the one-tree reductions."""
+    if cfg.kind == "simulate":
+        header = ["replicate", "n_leaves", "max_centered"] + [f"N_u[{u}]" for u in cfg.params["u_grid"]]
+        return [header] + _summary_rows(leaves, t, cfg.params["u_grid"])
+    if cfg.kind == "martingale":
+        profile = identity_profile()
+        sigma_b = cfg.params["sigma_b"]
+        vals = [mckean_martingale(ParticleConfiguration(None, profile, t, x), sigma_b) for (x,) in leaves]
+        return [["replicate", "Y"]] + [[str(r), repr(v)] for r, v in enumerate(vals)]
+    u_grid, c_grid = cfg.params["u_grid"], cfg.params["c_grid"]
+    counts = np.array(
+        [[count_exceedances(ParticleConfiguration(None, None, t, x), u_grid) for x in pos] for pos in leaves]
+    )
+    report = sandwich_report(counts[:, 0], counts[:, 1], counts[:, 2], u_grid, c_grid)
+    return {**json.loads(json.dumps(report)), "t": t, "replicates": replicates}
+
+
+def _read_artifact(path):
+    if path.suffix == ".json":
+        return json.loads(path.read_text())
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def _profiles(cfg, t):
+    if cfg.kind != "compare":
+        return (cfg.profile or identity_profile(),)
+    env = build_envelopes(cfg.profile, t)
+    return (cfg.profile, env.upper, env.lower)
+
+
+@pytest.mark.parametrize("kind", list(ORACLE_KINDS))
+def test_forest_block_of_one_matches_per_replicate_streams(tmp_path, monkeypatch, kind):
+    # a budget of 1 node gives blocks of one replicate, keyed by its own
+    # index: the artifacts are those of one tree per replicate on its own
+    # tree and gauss streams
+    monkeypatch.setattr(sampler_mod, "FOREST_NODE_BUDGET", 1)
+    text, (t, seed, replicates), name = ORACLE_KINDS[kind]
+    path, out = write_config(tmp_path, text)
+    cfg = load_config(path)
+    run(cfg)
+    assert json.loads((out / "manifest.json").read_text())["stream_block"] == 1
+    offspring = cfg.offspring or OffspringDistribution.binary()
+    leaves = _replicate_leaves(seed, t, offspring, _profiles(cfg, t), replicates)
+    assert _read_artifact(out / name) == _oracle_artifact(cfg, leaves, t, replicates)
+
+
+@pytest.mark.parametrize("kind", list(ORACLE_KINDS))
+def test_forest_blocks_match_blocks_grown_alone(tmp_path, monkeypatch, kind):
+    # a budget of 700 nodes: blocks of 6 at t = 4 (10 blocks), 17 at t = 3
+    # (17 blocks and a final one of 11) and 2 at t = 5 (15 blocks)
+    monkeypatch.setattr(sampler_mod, "FOREST_NODE_BUDGET", 700)
+    text, (t, seed, replicates), name = ORACLE_KINDS[kind]
+    block = sampler_mod.block_size(t)
+    assert block == {"simulate": 6, "martingale": 17, "compare": 2}[kind]
+    path, out = write_config(tmp_path, text)
+    cfg = load_config(path)
+    run(cfg)
+    assert json.loads((out / "manifest.json").read_text())["stream_block"] == block
+    offspring = cfg.offspring or OffspringDistribution.binary()
+    leaves = _block_leaves(seed, t, offspring, _profiles(cfg, t), replicates, block)
+    assert _read_artifact(out / name) == _oracle_artifact(cfg, leaves, t, replicates)
 
 
 LAW_13_COMPARE_CONFIG = COMPARE_CONFIG.replace("[output]", "[offspring]\nks = 1 3\nps = 0.5 0.5\n\n[output]")
@@ -300,21 +415,27 @@ def test_law_1_3_artifacts_do_not_depend_on_workers(tmp_path, text):
     assert outs[0] == outs[1] and len(outs[0]) >= 1
 
 
-@pytest.mark.parametrize("budget", [1, 700])
-def test_forest_batch_size_does_not_change_results(tmp_path, monkeypatch, budget):
-    files = {"sim": "summaries.csv", "mart": "martingale.csv", "compare": "report.json"}
-    texts = {"sim": FOREST_SIM_CONFIG, "mart": MART_CONFIG, "compare": COMPARE_CONFIG}
-    outs = {}
-    for label in ("default", "small"):
-        if label == "small":
-            # 1: a batch of one tree; 700 nodes: a few trees per batch
-            monkeypatch.setattr(sampler_mod, "FOREST_NODE_BUDGET", budget)
-        for name, text in texts.items():
-            path, out = write_config(tmp_path, text, name=f"{label}-{name}.ini", out=tmp_path / label / name)
-            run(load_config(path))
-            outs[label, name] = (out / files[name]).read_bytes()
-    for name in texts:
-        assert outs["default", name] == outs["small", name]
+MULTI_BLOCK_CONFIGS = {
+    "simulate": "t = 5\nreplicates = 120\nseed = 21",
+    "martingale": "t = 5\nsigma_b = 0.3\nreplicates = 120\nseed = 22",
+    "compare": "t = 5\nreplicates = 120\nu_grid = -2 0 2\nc_grid = 0.5 2\nseed = 23",
+}
+
+
+@pytest.mark.parametrize("kind", list(MULTI_BLOCK_CONFIGS))
+def test_artifacts_of_several_blocks_do_not_depend_on_workers(tmp_path, kind):
+    # t = 5: blocks of 55, so 120 replicates are blocks of 55, 55 and 10,
+    # which 2 workers split 2 + 1 and 3 workers 1 + 1 + 1
+    sections = "[profile]\nkind = power\nexponent = 2\n" if kind != "martingale" else ""
+    text = _kind_config(kind, MULTI_BLOCK_CONFIGS[kind], sections)
+    outs = []
+    for workers in (1, 2, 3):
+        path, out = write_config(tmp_path, text, name=f"w{workers}.ini", out=tmp_path / f"w{workers}")
+        run(load_config(path, overrides={"workers": workers}))
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["stream_block"] == 55
+        outs.append({name: (out / name).read_bytes() for name in manifest["files"]})
+    assert outs[0] == outs[1] == outs[2] and "report.json" in outs[0]
 
 
 def test_compare_a_counts_match_simulate(tmp_path):
@@ -616,6 +737,14 @@ def _bad_configs():
         ("cluster", "R", "nan", "a finite R"),
         ("cluster", "R", "inf", "a finite R"),
         ("cluster", "R", "-inf", "a finite R"),
+        ("simulate", "t", "inf", "a finite t > 1"),
+        ("compare", "t", "inf", "a finite t > 1"),
+        ("martingale", "t", "inf", "a finite t > 0"),
+        ("cluster", "t", "inf", "a finite t > 0"),
+        ("tube", "t", "inf", "a finite t > 0"),
+        ("fkpp", "t_end", "inf", "a finite t > 1"),
+        ("fkpp", "dx", "inf", "a finite dx > 0"),
+        ("simulate", "t", "nan", "a finite t > 1"),
     ],
 )
 def test_main_rejects_out_of_range_value_before_any_output(tmp_path, capsys, kind, key, value, need):
