@@ -5,19 +5,18 @@ The spine description (a bridge to the high point with rate-2
 immigration) conditions on a particle AT the level sqrt2 sigma_e t + y,
 so it scales to levels where conditioning standard BBM on its maximum by
 rejection would almost never accept (``acceptance_estimate``).
-``decoration_collapse_study`` draws each spine's skeleton on its own
-generator, then grows the immigrants of many spines as one forest, one
-generator per spine, so each spine draws what ``spine_sample`` draws for
-it alone.  ``collapse_bound``, the analytic bound reported beside each
-estimate, integrates with a numpy exp-sinh rule, so a run needs numpy
-alone.
+``decoration_collapse_study`` runs its replicates in forest blocks, one
+``spine`` generator per block: the block draws the skeletons of all its
+spines, then grows their immigrants as one forest on that generator.
+``spine_sample`` is the block of one spine.  ``collapse_bound``, the
+analytic bound reported beside each estimate, integrates with a numpy
+exp-sinh rule, so a run needs numpy alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, cycle, islice, repeat
 
 import numpy as np
 
@@ -29,7 +28,7 @@ from vsbbm.genealogy import (
     sample_forest,
     tree_rng,
 )
-from vsbbm.sampler import forest_leaf_positions
+from vsbbm.sampler import forest_blocks, forest_leaf_positions
 from vsbbm.speed import identity_profile
 
 SQRT2 = math.sqrt(2.0)
@@ -67,51 +66,57 @@ class SpineRealization:
     atoms: np.ndarray  # all particle positions minus sqrt2 sigma_e t, descending
 
 
-def _bridge_at(times: np.ndarray, t: float, z: float, rng) -> np.ndarray:
-    """Brownian bridge 0 -> z in time t evaluated at sorted times."""
-    if len(times) == 0:
-        return np.empty(0)
-    inc_t = np.diff(np.concatenate([[0.0], times]))
-    w = np.cumsum(np.sqrt(inc_t) * rng.standard_normal(len(times)))
-    # bridge = ray + (W(s) - s/t W(t)); sample W(t) continuation explicitly
-    w_t = w[-1] + math.sqrt(t - times[-1]) * rng.standard_normal()
-    return times / t * z + (w - times / t * w_t)
+def _spine_skeletons(sigma_e, y, t: float, offspring: OffspringDistribution, rng):
+    """The draws of the spines to sqrt2 sigma_e[i] t + y[i] before their
+    immigrants grow, every spine at once: the branch points that carry
+    immigrants, the bridge at them and the immigrant count nu of each.
+    Returns (spine, branch_times, spine_values, counts), one entry per
+    point, grouped by spine and in time order within a spine.
 
-
-def _spine_skeleton(sigma_e: float, y: float, t: float, offspring: OffspringDistribution, rng):
-    """The spine's draws before its immigrants grow: the Poisson(2t) branch
-    times, the bridge to sqrt2 sigma_e t + y at them and the size-biased
-    immigrant count of each; returns (branch_times, spine_values, counts)."""
-    if sigma_e <= 1:
+    A point with nu = 0 adds nothing, so only the points with nu >= 1 are
+    drawn: Poisson(2t(1 - p_1/2)) per spine, each with nu from the
+    size-biased law given nu >= 1, fixed for binary and (1,3) laws.  The
+    bridge to z is z s/t + W(s) - (s/t) W(t), with W drawn at a spine's
+    points from its own increments and then at t."""
+    sigma_e, y = np.asarray(sigma_e, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    if np.any(sigma_e <= 1):
         raise ValueError("sigma_e must exceed 1")
-    if y < 0:
+    if np.any(y < 0):
         raise ValueError("y must be nonnegative")
-    z = SQRT2 * sigma_e * t + y
-    n_branch = rng.poisson(2.0 * t)
-    branch_times = np.sort(rng.uniform(0.0, t, size=n_branch))
-    spine_values = _bridge_at(branch_times, t, z, rng)
     nus, probs = size_biased_offspring_probs(offspring)
-    counts = (
-        rng.choice(nus, size=n_branch, p=probs) if len(nus) > 1
-        else np.full(n_branch, nus[0], dtype=np.int64)
-    )
-    return branch_times, spine_values, counts
+    nus, probs = nus[nus >= 1], probs[nus >= 1]
+    rate = probs.sum()  # P(nu >= 1) = 1 - p_1/2
+    n_points = rng.poisson(2.0 * t * rate, size=len(sigma_e))
+    spine = np.arange(len(sigma_e)).repeat(n_points)
+    times = rng.uniform(0.0, t, size=len(spine))
+    times = times[np.lexsort((times, spine))]
+    # a spine's points are first:last + 1; its W starts from 0 at time 0
+    last = n_points.cumsum() - 1
+    first = last + 1 - n_points
+    has = n_points > 0
+    gaps = np.diff(times, prepend=0.0)
+    gaps[first[has]] = times[first[has]]
+    w = (np.sqrt(gaps) * rng.standard_normal(len(times))).cumsum()
+    w -= np.concatenate([[0.0], w])[first].repeat(n_points)
+    w_t = np.zeros(len(sigma_e))
+    w_t[has] = w[last[has]] + np.sqrt(t - times[last[has]]) * rng.standard_normal(int(has.sum()))
+    ray = times / t
+    spine_values = ray * (SQRT2 * sigma_e * t + y)[spine] + (w - ray * w_t[spine])
+    counts = rng.choice(nus, size=len(spine), p=probs / rate) if len(nus) > 1 else nus.repeat(len(spine))
+    return spine, times, spine_values, counts
 
 
-def _immigrant_leaves(skeletons, t, offspring, rngs) -> tuple[np.ndarray, np.ndarray]:
-    """Leaves of the immigrant trees of several spines, grown as one forest
-    with one generator per spine: spine i's immigrants are a run of trees
-    rooted at their branch times on ``rngs[i]``, placed by one
-    ``standard_normal`` draw over the run's nodes and shifted by the spine
-    value at their root.  Each spine draws what it draws alone.  Returns
-    the leaf positions and the tree of each leaf, trees in spine order."""
+def _immigrant_leaves(times, values, counts, t, offspring, rng) -> tuple[np.ndarray, np.ndarray]:
+    """Leaves of the immigrant trees of the branch points ``times`` with
+    spine ``values`` and immigrant ``counts``, grown as one forest on
+    ``rng``: ``counts[i]`` trees rooted at ``times[i]``, placed by one
+    ``standard_normal`` draw over the forest's nodes and shifted by
+    ``values[i]``.  Returns the leaf positions and the tree of each leaf,
+    trees in point order."""
     # uniform(0, t) lies in [0, t), so every immigrant is born before t
-    starts = np.concatenate([times.repeat(counts) for times, _, counts in skeletons])
-    shifts = np.concatenate([values.repeat(counts) for _, values, counts in skeletons])
-    n_trees = [int(counts.sum()) for _, _, counts in skeletons]
-    forest = sample_forest(offspring, t, rngs, starts=starts, trees_per_rng=n_trees)
+    forest = sample_forest(offspring, t, rng, starts=times.repeat(counts))
     leaf_tree = forest.tree_id[forest.nodes.leaf_ids]
-    return forest_leaf_positions(forest, (IDENTITY,), t, rngs)[0] + shifts[leaf_tree], leaf_tree
+    return forest_leaf_positions(forest, (IDENTITY,), t, rng)[0] + values.repeat(counts)[leaf_tree], leaf_tree
 
 
 def spine_sample(
@@ -127,19 +132,21 @@ def spine_sample(
     The spine is a Brownian bridge to that endpoint; branch points follow a
     Poisson process of intensity 2 on [0, t]; at each, a size-biased number
     of independent standard BBMs of the remaining duration immigrate at the
-    spine position.  All immigrants grow as one forest, rooted at their
-    branch times, and take their positions from one Gaussian draw, all on
-    the generator ``rng``, or ``tree_rng(seed)`` when ``rng`` is not given.
-    It is the one-spine case of the spines ``decoration_collapse_study``
-    grows together, and draws as each of them does.
+    spine position; only the points with at least one immigrant are drawn,
+    so ``branch_times`` holds those.  All immigrants grow as one forest,
+    rooted at their branch times, and take their positions from one
+    Gaussian draw, all on the generator ``rng``, or ``tree_rng(seed)`` when
+    ``rng`` is not given.
+    It is the block of one spine of ``decoration_collapse_study``, and
+    draws as such a block does.
     """
     if rng is None:
         rng = tree_rng(seed)
-    skeleton = branch_times, spine_values, counts = _spine_skeleton(sigma_e, y, t, offspring, rng)
+    _, branch_times, spine_values, counts = _spine_skeletons([sigma_e], [y], t, offspring, rng)
     subtrees = []
     leaf_pos = np.empty(0)
     if counts.sum():
-        leaf_pos, leaf_tree = _immigrant_leaves([skeleton], t, offspring, [rng])
+        leaf_pos, leaf_tree = _immigrant_leaves(branch_times, spine_values, counts, t, offspring, rng)
         ends = np.bincount(leaf_tree, minlength=counts.sum()).cumsum()
         subtrees = np.split(leaf_pos[leaf_tree.argsort(kind="stable")], ends[:-1])
     # the spine endpoint itself is the atom y
@@ -224,45 +231,47 @@ def collapse_bound(
     return bound
 
 
-def _collapse(sigma_e_list, R, t, offspring, y_mode, seed, reps):
-    """Per replicate of ``reps``, per sigma_e (index j): 1 if the spine
-    sample on stream ``spine:<j>`` puts more than one atom in [-R, inf),
-    else 0.
-
-    Each spine draws its skeleton from its own generator, then the spines
-    grow their immigrants as one forest per batch of about
-    ``sampler.FOREST_NODE_BUDGET`` expected nodes, one generator per spine,
-    so every spine draws what ``spine_sample`` draws for it alone."""
-    n_sigma = len(sigma_e_list)
-
-    def replicate_major(stream):
-        gens = [replicate_rngs(seed, reps, f"{stream}:{j}") for j in range(n_sigma)]
-        return chain.from_iterable(zip(*gens))
-
-    ys = repeat(None) if y_mode == "zero" else replicate_major("overshoot")
-    spines = zip(cycle(sigma_e_list), replicate_major("spine"), ys)
+def collapse_block(t: float, offspring: OffspringDistribution, n_sigma: int) -> int:
+    """Replicates per forest block of the collapse study:
+    max(1, floor(``sampler.FOREST_NODE_BUDGET`` / expected immigrant nodes
+    of one replicate)), one replicate being ``n_sigma`` spines."""
     # expected immigrant nodes of a spine: branch points at rate 2 with K/2
     # immigrants each on average, and a tree rooted at s has 2e^(t-s) - 1
     # nodes on average, so K (2(e^t - 1) - t) in all
-    nodes = offspring.K * (2.0 * math.expm1(t) - t)
-    size = max(1, int(sampler.FOREST_NODE_BUDGET / max(nodes, 1.0)))
+    nodes = n_sigma * offspring.K * (2.0 * math.expm1(t) - t)
+    return max(1, int(sampler.FOREST_NODE_BUDGET / max(nodes, 1.0)))
+
+
+def _collapse(sigma_e_list, R, t, offspring, y_mode, seed, block, reps):
+    """Per replicate of ``reps``, per sigma_e: 1 if its spine puts more
+    than one atom in [-R, inf), else 0.
+
+    The replicates run in forest blocks of ``block`` (``forest_blocks``).
+    Block k draws from the generator of stream ``spine`` keyed
+    ``seed_stream(seed, k*block, "spine")`` after its first replicate: the
+    skeletons of all its spines, replicate-major, in one set of draws, then
+    their immigrants as one forest.  With ``y_mode`` "exponential" one
+    ``overshoot`` generator per block draws every spine's overshoot in one
+    call."""
+    blocks = forest_blocks(reps, block)
+    firsts = [b.start for b in blocks]
+    spines = replicate_rngs(seed, firsts, "spine")
+    overshoots = replicate_rngs(seed, firsts, "overshoot") if y_mode == "exponential" else None
     hits = []
-    for batch in iter(lambda: list(islice(spines, size)), []):
-        sigma_e, rngs, _ = zip(*batch)
-        y, skeletons = [], []
-        for sig, rng, y_rng in batch:
-            y.append(0.0 if y_rng is None else float(y_rng.exponential(1.0 / (SQRT2 * sig))))
-            skeletons.append(_spine_skeleton(sig, y[-1], t, offspring, rng))
+    for n, rng in zip(map(len, blocks), spines):
+        sigma_e = np.tile(sigma_e_list, n)
+        y = np.zeros(len(sigma_e))
+        if overshoots is not None:
+            y = next(overshoots).exponential(1.0 / (SQRT2 * sigma_e))
+        spine, times, values, counts = _spine_skeletons(sigma_e, y, t, offspring, rng)
         # the endpoint atom y, then every immigrant leaf at or above -R
-        atoms = (np.array(y) >= -R).astype(np.int64)
-        trees = [int(counts.sum()) for _, _, counts in skeletons]
-        if sum(trees):
-            leaf_pos, leaf_tree = _immigrant_leaves(skeletons, t, offspring, rngs)
-            spine = np.arange(len(batch)).repeat(trees)[leaf_tree]
-            level = SQRT2 * np.array(sigma_e) * t
-            atoms += np.bincount(spine[leaf_pos - level[spine] >= -R], minlength=len(batch))
-        hits += (atoms > 1).astype(int).tolist()
-    return [hits[i : i + n_sigma] for i in range(0, len(hits), n_sigma)]
+        atoms = (y >= -R).astype(np.int64)
+        if counts.sum():
+            leaf_pos, leaf_tree = _immigrant_leaves(times, values, counts, t, offspring, rng)
+            spine = spine.repeat(counts)[leaf_tree]
+            atoms += np.bincount(spine[leaf_pos - SQRT2 * sigma_e[spine] * t >= -R], minlength=len(sigma_e))
+        hits += (atoms > 1).astype(int).reshape(n, -1).tolist()
+    return hits
 
 
 def decoration_collapse_study(
@@ -291,7 +300,9 @@ def decoration_collapse_study(
         raise ValueError(f"unknown y_mode {y_mode!r}")
     # the bounds first, so a sigma_e whose bound overflows fails before the spines
     bounds = [collapse_bound(sigma_e, R, offspring.K, gamma) for sigma_e in sigma_e_list]
-    hits = run_replicates(_collapse, (sigma_e_list, R, t, offspring, y_mode, seed), replicates, workers)
+    block = collapse_block(t, offspring, len(sigma_e_list))
+    common = (sigma_e_list, R, t, offspring, y_mode, seed, block)
+    hits = run_replicates(_collapse, common, replicates, workers, block)
     rows = []
     for j, sigma_e in enumerate(sigma_e_list):
         est = sum(h[j] for h in hits) / replicates

@@ -3,9 +3,8 @@
 Trees are sampled generation by generation into flat numpy arrays so that
 populations of ~1e7 nodes stay cheap to build and to query.  Many small
 trees grow together as a forest, one wave loop for all of them, each from
-its own start time.  Each generator of a forest serves a run of
-consecutive trees: the trees of one replicate block per generator in
-``sampler.forest_batches``, the immigrant trees of one spine per generator
+its own start time, on one generator: the trees of one replicate block
+in ``sampler.forest_batches``, the immigrant trees of one block of spines
 in ``cluster``.
 
 The model branches at rate 1 with an offspring law p_k of mean 2, so the
@@ -20,6 +19,7 @@ the unsplit edge is the sum of those of its k = 1 pieces.
 from __future__ import annotations
 
 import hashlib
+import os
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
@@ -262,11 +262,11 @@ def run_replicates(fn, common: tuple, replicates: int, workers: int = 1, block: 
     1`` block k runs on worker k mod ``workers`` in a process pool, so
     ``fn`` and ``common`` must pickle, and the results go back by
     replicate index; since a block's draws do not depend on which worker
-    runs it, neither does the result.  A job of one block runs on one
-    worker.
+    runs it, neither does the result.  The pool holds at most one process
+    per block and per CPU, so a job of one block runs on one worker.
     """
     n_blocks = -(-replicates // block)
-    workers = min(workers, n_blocks)
+    workers = min(workers, n_blocks, os.cpu_count() or 1)
     if workers <= 1:
         return fn(*common, range(replicates))
     from concurrent.futures import ProcessPoolExecutor
@@ -283,21 +283,18 @@ def run_replicates(fn, common: tuple, replicates: int, workers: int = 1, block: 
 
 @dataclass(frozen=True, eq=False)
 class Forest:
-    """Trees grown in one wave loop, in runs of consecutive trees that
-    share a generator.
+    """Trees grown in one wave loop on one generator.
 
     ``nodes`` holds the nodes of every tree, wave-major: wave w of all trees
     is ``nodes.wave_starts[w]:nodes.wave_starts[w + 1]``, nodes
     ``0..n_trees-1`` are the roots and parents are global node indices.
     Within a wave the nodes of tree r are contiguous and precede those of
     tree r + 1, so tree r's nodes in index order are the breadth-first
-    order ``sample_tree`` gives that tree alone, and a run's nodes in index
-    order are those of the forest of its trees grown alone.
+    order ``sample_tree`` gives a tree alone.
     """
 
     nodes: GenealogyTree
     wave_sizes: np.ndarray  # (waves, n_trees): nodes of each tree per wave
-    trees_per_rng: np.ndarray  # trees of each generator's run, in tree order
 
     @property
     def n_trees(self) -> int:
@@ -317,50 +314,32 @@ class Forest:
 def sample_forest(
     offspring: OffspringDistribution,
     t: float,
-    rngs: list | np.random.Generator,
+    rng: np.random.Generator,
     starts: np.ndarray | None = None,
-    trees_per_rng: list | np.ndarray | None = None,
 ) -> Forest:
     """Grow Galton-Watson trees up to the shared horizon t, all in one wave
-    loop, branching only for real: lifetimes are Exp(``offspring.rate``),
-    rate 1 - p_1, and every node that dies before t has k >= 2 children.
-    The chain p_1 = 1 grows one node per tree, alive to t, and draws
-    nothing.  The root of tree r is born at ``starts[r]`` (default 0),
-    which must lie in [0, t).
+    loop on the generator ``rng``, branching only for real: lifetimes are
+    Exp(``offspring.rate``), rate 1 - p_1, and every node that dies before
+    t has k >= 2 children.  The chain p_1 = 1 grows one node per tree,
+    alive to t, and draws nothing.  The root of tree r is born at
+    ``starts[r]``, which must lie in [0, t); the default is one tree rooted
+    at 0.
 
-    Generator ``rngs[g]`` serves a run of ``trees_per_rng[g]`` consecutive
-    trees (default one tree each); a single ``Generator`` serves one run of
-    all the trees, one tree when ``starts`` is not given.  Per wave, each
-    generator draws the lifetimes of its run's nodes in one call, then, for
-    a law with more than one real offspring count, the offspring counts of
-    those that die before t in one call.  A run's draws therefore do not depend
-    on the other runs: it grows as the forest of its own trees on its
-    generator alone, and a run of one tree as that tree alone.  Raises
+    Per wave, ``rng`` draws the lifetimes of all the wave's nodes in one
+    call, then, for a law with more than one real offspring count, the
+    offspring counts of those that die before t in one call.  Raises
     PopulationCapError instead of silently truncating when any one tree
     would exceed ``NODE_CAP`` nodes, read at call time.
     """
     if t <= 0:
         raise ValueError("horizon t must be positive")
-    if isinstance(rngs, np.random.Generator):
-        rngs = [rngs]
-        if trees_per_rng is None:
-            trees_per_rng = [1 if starts is None else len(starts)]
-    runs = np.ones(len(rngs), dtype=np.int64) if trees_per_rng is None else np.asarray(trees_per_rng)
-    if runs.shape != (len(rngs),) or np.any(runs < 0):
-        raise ValueError("trees_per_rng needs one non-negative count per generator")
-    # the trees of generator g are edges[g]:edges[g + 1]
-    edges = np.zeros(len(runs) + 1, dtype=np.int64)
-    runs.cumsum(out=edges[1:])
-    n_trees = int(edges[-1])
-    if starts is None:
-        birth = np.zeros(n_trees)
-    else:
-        birth = np.array(starts, dtype=np.float64)
-        if birth.ndim != 1 or len(birth) != n_trees:
-            raise ValueError("starts must be 1-d with one entry per tree")
+    birth = np.zeros(1) if starts is None else np.array(starts, dtype=np.float64)
+    if birth.ndim != 1:
+        raise ValueError("starts must be 1-d with one entry per tree")
+    n_trees = len(birth)
     if n_trees == 0:
         raise ValueError("a forest needs at least one tree")
-    if starts is not None and (birth.min() < 0 or birth.max() >= t):
+    if birth.min() < 0 or birth.max() >= t:
         raise ValueError(f"start times must lie in [0, {t})")
     # one real offspring count fixes every count and draws none
     fixed_k = int(offspring.branch_ks[0]) if len(offspring.branch_ks) == 1 else 0
@@ -392,8 +371,7 @@ def sample_forest(
             # the chain never branches: each root lives to t
             death = np.full(len(birth), float(t))
         else:
-            c = bounds[edges].tolist()
-            death = _join([rng.exponential(scale, hi - lo) for rng, lo, hi in zip(rngs, c, c[1:]) if hi > lo])
+            death = rng.exponential(scale, len(birth))
             death += birth
         idx = (death < t).nonzero()[0]
         np.minimum(death, t, out=death)
@@ -402,9 +380,8 @@ def sample_forest(
             k = fixed_k
             bounds = fixed_k * int_bounds
         else:
-            c = int_bounds[edges].tolist()
-            draws = [offspring.sample(rng, hi - lo) for rng, lo, hi in zip(rngs, c, c[1:]) if hi > lo]
-            k = _join(draws) if draws else idx  # idx is empty here
+            # a wave with no branching ends the loop and draws no counts
+            k = offspring.sample(rng, len(idx)) if len(idx) else idx
             csum = np.zeros(len(k) + 1, dtype=np.int64)
             k.cumsum(out=csum[1:])
             bounds = csum[int_bounds]
@@ -430,7 +407,7 @@ def sample_forest(
         leaf_ids=is_leaf.nonzero()[0],
         internal_ids=internal,
     )
-    return Forest(nodes=nodes, wave_sizes=np.diff(wave_bounds, axis=1), trees_per_rng=runs)
+    return Forest(nodes=nodes, wave_sizes=np.diff(wave_bounds, axis=1))
 
 
 def _join(parts: list[np.ndarray]) -> np.ndarray:

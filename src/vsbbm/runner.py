@@ -21,11 +21,11 @@ vectorised key derivation.  ``simulate``, ``martingale`` and ``compare``
 pass the forest block ``sampler.block_size(t)`` and grow and place each
 block's trees in ``sampler.forest_batches``, ``compare`` placing its
 profile and both envelopes from one draw of the ``gauss`` stream;
-``cluster`` keys its streams by replicate (block 1) and grows the
-immigrants of a chunk's spines as one forest per batch, one generator
-per spine.  ``tube`` draws its bridges in row chunks and ``fkpp`` is
-deterministic.  The manifest records the seed scheme
-``blake2b-philox-v2`` and the run's stream block.  Aggregation is
+``cluster`` passes ``cluster.collapse_block`` and grows each block's
+spines and their immigrants on the block's one ``spine`` generator.  Every
+forest draws from one generator.  ``tube`` draws its bridges in row
+chunks and ``fkpp`` is deterministic.  The manifest records the seed
+scheme ``blake2b-philox-v3`` and the run's stream block.  Aggregation is
 order-fixed (by replicate index, exact summation), so results do not
 depend on the worker count.
 """
@@ -462,17 +462,14 @@ def _scipy_version() -> str | None:
         return None
 
 
-# the kinds that grow their replicates in forest blocks of block_size(t)
-_FOREST_KINDS = ("simulate", "martingale", "compare")
-
-
 def _stream_block(cfg: ExperimentConfig) -> int | None:
-    """The consecutive replicates that share one set of streams: a forest
-    block in the forest kinds, one replicate in ``cluster``; None for
+    """The consecutive replicates that share one set of streams, a forest
+    block: ``block_size(t)`` in ``simulate``, ``martingale`` and
+    ``compare``, ``cluster.collapse_block`` in ``cluster``; None for
     ``tube`` and ``fkpp``, which key no stream by replicate."""
-    if cfg.kind in _FOREST_KINDS:
-        return block_size(cfg.params["t"])
-    return 1 if cfg.kind == "cluster" else None
+    if cfg.kind == "cluster":
+        return cluster_mod.collapse_block(cfg.params["t"], cfg.offspring, len(cfg.params["sigma_e_list"]))
+    return block_size(cfg.params["t"]) if cfg.kind in ("simulate", "martingale", "compare") else None
 
 
 def run(cfg: ExperimentConfig) -> dict:
@@ -491,7 +488,7 @@ def run(cfg: ExperimentConfig) -> dict:
         "config_hash": cfg.config_hash,
         "files": sorted([*tables, "report.json"]),
         "version": "0.1.0",
-        "seed_scheme": "blake2b-philox-v2",
+        "seed_scheme": "blake2b-philox-v3",
         "stream_block": _stream_block(cfg),
         "environment": {
             "python": "%d.%d.%d" % sys.version_info[:3],

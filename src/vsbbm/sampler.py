@@ -6,11 +6,12 @@ there is no time-discretization error at branch times or at the horizon.
 Sigma^2 is evaluated only where it varies from node to node, at the
 branch times and the roots' births: every leaf dies at the horizon t and
 reads the one value Sigma^2(t).
-``simulate``, ``martingale`` and ``compare`` place their trees in
-``forest_batches``: a block of replicate trees grown as one run on one
-generator, whose leaves ``forest_leaf_positions`` places under a tuple of
-profiles from one Gaussian draw per block; ``cluster`` places its
-immigrant forests with ``forest_leaf_positions`` too.  ``node_positions``
+Every forest takes its positions from one generator.  ``simulate``,
+``martingale`` and ``compare`` place their trees in ``forest_batches``, a
+block of replicate trees grown on one generator, whose leaves
+``forest_leaf_positions`` places under a tuple of profiles from one
+Gaussian draw per block; ``cluster`` places the immigrant forest of each
+block of spines with ``forest_leaf_positions`` too.  ``node_positions``
 and ``sample_leaf_positions`` do the same for one tree, for the demos and
 as the tests' oracles.
 """
@@ -97,38 +98,17 @@ def forest_leaf_positions(
     forest: Forest,
     profiles: tuple,
     t: float,
-    rngs: list,
+    rng: np.random.Generator,
 ) -> np.ndarray:
     """Leaf positions of every tree of the forest under each of ``profiles``,
     shape (len(profiles), n_leaves), leaves in ``forest.nodes.leaf_ids``
-    order.  Generator ``rngs[g]`` makes one ``standard_normal`` draw over
-    the nodes of its run of ``forest.trees_per_rng[g]`` trees, in the order
-    they have in the forest of that run grown alone, and every profile
-    scales that one draw: row p holds the positions each run gets alone
-    under ``profiles[p]``, and with one tree per generator the positions
-    ``sample_leaf_positions`` gives each tree alone."""
+    order.  ``rng`` makes one ``standard_normal`` draw over the forest's
+    nodes in index order and every profile scales that one draw, so a
+    forest of one tree gets the positions ``sample_leaf_positions`` gives
+    it on the same generator."""
     nodes = forest.nodes
-    # nodes of each run per wave: differences of the per-tree cumulative
-    # counts at the runs' tree boundaries, so a run of no trees has none
-    cum = np.zeros((len(forest.wave_sizes), forest.n_trees + 1), dtype=np.int64)
-    forest.wave_sizes.cumsum(axis=1, out=cum[:, 1:])
-    sizes = np.diff(cum[:, np.concatenate([[0], forest.trees_per_rng.cumsum()])], axis=1)
-    run_sizes = sizes.sum(axis=0)
-    draws = [rng.standard_normal(n) for rng, n in zip(rngs, run_sizes.tolist()) if n]
-    if len(draws) == 1:
-        # the nodes of a lone run are in its own draw order already
-        (z,) = draws
-    else:
-        # z is run-major: the nodes run g has in wave w start at z offset
-        # (run g's start) + (its nodes in earlier waves), and in the forest
-        # at the wave-major offset of block (w, g); shift each block across
-        z = np.concatenate(draws)
-        in_z = (sizes.cumsum(axis=0) - sizes + (run_sizes.cumsum() - run_sizes)).ravel()
-        flat = sizes.ravel()
-        in_forest = flat.cumsum() - flat
-        z = z[(in_z - in_forest).repeat(flat) + np.arange(len(z))]
     std = _edge_std(nodes, profiles, t)
-    std *= z
+    std *= rng.standard_normal(nodes.n_nodes)
     return _descend(nodes, std)[:, nodes.leaf_ids]
 
 
@@ -170,7 +150,7 @@ def forest_batches(seed, t, offspring, streams, reps, block):
     """The replicates ``reps`` in forest blocks of ``block`` (see
     ``forest_blocks``).  Per block: the tree of each leaf, one
     (len(profiles), n_leaves) position array per entry ``name: profiles``
-    of ``streams`` and the block size.  Block k's trees grow as one run on
+    of ``streams`` and the block size.  Block k's trees grow as one forest on
     the generator of its ``tree`` stream, keyed ``seed_stream(seed, k*block,
     "tree")`` after its first replicate, and its leaves are placed under
     every profile of ``streams[name]`` by one draw from its stream
@@ -181,9 +161,9 @@ def forest_batches(seed, t, offspring, streams, reps, block):
     trees = replicate_rngs(seed, firsts, "tree")
     gauss = {name: replicate_rngs(seed, firsts, name) for name in streams}
     for n in map(len, blocks):
-        forest = sample_forest(offspring, t, [next(trees)], trees_per_rng=[n])
+        forest = sample_forest(offspring, t, next(trees), starts=np.zeros(n))
         positions = [
-            forest_leaf_positions(forest, profiles, t, [next(gauss[name])])
+            forest_leaf_positions(forest, profiles, t, next(gauss[name]))
             for name, profiles in streams.items()
         ]
         # a block of one tree (t > 8.32) needs no per-node tree ids

@@ -1,10 +1,11 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.stats import chisquare, norm
+from scipy.stats import chisquare, kstest, norm
 
 from vsbbm import cluster as cluster_mod
 from vsbbm.cluster import (
@@ -88,6 +89,50 @@ def test_spine_branch_count_poisson_mean():
     )
     se = counts.std(ddof=1) / math.sqrt(reps)
     assert abs(counts.mean() - 2 * t) < 3 * se
+
+
+@pytest.mark.parametrize("law", ["1,3", "mixed"])
+def test_spine_draws_only_immigrant_bearing_points(law):
+    # a point with nu = 0 adds nothing, so the skeleton draws the points
+    # with nu >= 1 only: Poisson(2t(1 - p_1/2)) of them
+    offspring, t, n = {"1,3": LAW_13, "mixed": MIXED}[law], 3.0, 4000
+    spine, _, _, counts = cluster_mod._spine_skeletons(np.full(n, 1.5), np.zeros(n), t, offspring, tree_rng(61))
+    points = np.bincount(spine, minlength=n)
+    assert counts.min() >= 1
+    p1 = float(offspring.ps[offspring.ks == 1].sum())
+    rate = 2.0 * t * (1.0 - p1 / 2.0)
+    assert abs(points.mean() - rate) < 4 * math.sqrt(rate / n)
+    if law == "1,3":
+        # nu given nu >= 1 is fixed at 2: no choice draw
+        assert set(counts.tolist()) == {2}
+
+
+def test_spine_immigrant_count_law_given_at_least_one():
+    # MIXED: P(nu = k-1) = k p_k / 2 is 0.15, 0.4, 0.45 for nu = 0, 1, 2;
+    # given nu >= 1 it is 0.4 / 0.85 and 0.45 / 0.85
+    n = 3000
+    counts = cluster_mod._spine_skeletons(np.full(n, 1.5), np.zeros(n), 3.0, MIXED, tree_rng(62))[3]
+    observed = [int((counts == v).sum()) for v in (1, 2)]
+    assert sum(observed) == len(counts)
+    _, pval = chisquare(observed, [len(counts) * p / 0.85 for p in (0.4, 0.45)])
+    assert pval > 0.01
+
+
+def test_spine_bridges_of_a_block_have_the_bridge_law():
+    # spines drawn together: each spine's points ascend, and the value at a
+    # point s of a spine to z is N(z s/t, s(t - s)/t), whatever the other
+    # spines drew
+    t, n = 3.0, 2000
+    sigma_e, y = np.tile([1.2, 1.5, 2.0], n), np.tile([0.0, 0.5, 1.0], n)
+    spine, times, values, _ = cluster_mod._spine_skeletons(sigma_e, y, t, BINARY, tree_rng(63))
+    assert np.all((np.diff(times) >= 0) | (np.diff(spine) > 0)) and np.all(np.diff(spine) >= 0)
+    assert np.all((times >= 0) & (times < t))
+    z = SQRT2 * sigma_e * t + y
+    resid = (values - z[spine] * times / t) / np.sqrt(times * (t - times) / t)
+    assert kstest(resid, "norm").pvalue > 0.01
+    # the first point of each spine, where W has had one increment only
+    firsts = np.flatnonzero(np.diff(spine, prepend=-1))
+    assert kstest(resid[firsts], "norm").pvalue > 0.01
 
 
 def test_spine_deterministic():
@@ -183,27 +228,48 @@ def test_decoration_collapse_study(tmp_path):
 
 
 def test_decoration_collapse_study_distinct_spine_seeds(monkeypatch):
-    # 4097 replicates cross the 2**12 stride of a shifted-integer seed layout;
-    # a spine's stream is its generator's Philox key
-    seeds = []
+    # 4097 replicates cross the 2**12 stride of a shifted-integer seed
+    # layout; a budget of 1 node gives blocks of one replicate, whose two
+    # spines draw from the block's one generator, named by its Philox key
+    seeds, spines = [], []
 
     def stub(sigma_e, y, t, offspring, rng):
         seeds.append(tuple(rng.bit_generator.state["state"]["key"].tolist()))
-        return np.empty(0), np.empty(0), np.zeros(0, dtype=np.int64)
+        spines.append(len(sigma_e))
+        return np.zeros(0, dtype=np.intp), np.empty(0), np.empty(0), np.zeros(0, dtype=np.int64)
 
-    monkeypatch.setattr(cluster_mod, "_spine_skeleton", stub)
+    monkeypatch.setattr(cluster_mod, "_spine_skeletons", stub)
+    monkeypatch.setattr(sampler_mod, "FOREST_NODE_BUDGET", 1)
     decoration_collapse_study([1.2, 1.5], R=2.0, t=3.0, replicates=4097, seed=0)
-    assert len(seeds) == 2 * 4097
-    assert len(set(seeds)) == 2 * 4097
+    assert spines == [2] * 4097
+    assert len(set(seeds)) == 4097
 
 
 SIGMAS = [1.2, 1.5, 2.0]
 
 
+def _rate_two_skeleton(sigma_e, y, t, offspring, rng):
+    """The skeleton before it drew only immigrant-bearing points:
+    Poisson(2t) branch points, each with nu from the full size-biased law,
+    nu = 0 included."""
+    z = SQRT2 * sigma_e * t + y
+    n_branch = rng.poisson(2.0 * t)
+    branch_times = np.sort(rng.uniform(0.0, t, size=n_branch))
+    spine_values = np.empty(0)
+    if n_branch:
+        # W at the points, then at t: the bridge is z s/t + W(s) - (s/t) W(t)
+        w = np.cumsum(np.sqrt(np.diff(branch_times, prepend=0.0)) * rng.standard_normal(n_branch))
+        w_t = w[-1] + math.sqrt(t - branch_times[-1]) * rng.standard_normal()
+        spine_values = branch_times / t * z + (w - branch_times / t * w_t)
+    nus, probs = size_biased_offspring_probs(offspring)
+    counts = rng.choice(nus, size=n_branch, p=probs) if len(nus) > 1 else nus.repeat(n_branch)
+    return branch_times, spine_values, counts
+
+
 def _spine_loop_hits(sigmas, R, t, offspring, y_mode, seed, reps):
-    """Oracle: one ``spine_sample`` per replicate and sigma_e, each on its
-    own ``spine:<j>`` generator, as the study ran before its spines grew
-    together."""
+    """Law oracle: the study before forest blocks, one spine at a time on
+    its own generator per replicate and sigma_e (streams ``spine:<j>`` and
+    ``overshoot:<j>``), with the Poisson(2t) skeleton."""
     rows = []
     for r in reps:
         row = []
@@ -212,30 +278,70 @@ def _spine_loop_hits(sigmas, R, t, offspring, y_mode, seed, reps):
             if y_mode == "exponential":
                 y = float(tree_rng(seed_stream(seed, r, f"overshoot:{j}")).exponential(1.0 / (SQRT2 * sig)))
             rng = tree_rng(seed_stream(seed, r, f"spine:{j}"))
-            real = spine_sample(sig, y, t, offspring, rng=rng)
-            row.append(int(np.sum(real.atoms >= -R) > 1))
+            times, values, counts = _rate_two_skeleton(sig, y, t, offspring, rng)
+            atoms = 1 + int(y >= -R)
+            if counts.sum():
+                leaf_pos, _ = cluster_mod._immigrant_leaves(times, values, counts, t, offspring, rng)
+                atoms += int(np.sum(leaf_pos - SQRT2 * sig * t >= -R))
+            row.append(int(atoms > 2))
         rows.append(row)
     return rows
 
 
 @pytest.mark.parametrize("y_mode", ["zero", "exponential"])
 @pytest.mark.parametrize("law", ["binary", "1,3"])
-def test_collapse_equals_spine_sample_loop(law, y_mode):
-    offspring = {"binary": BINARY, "1,3": LAW_13}[law]
+def test_collapse_equals_spine_sample_loop(monkeypatch, law, y_mode):
+    # a budget of 1 node gives blocks of one replicate; with one sigma_e a
+    # block is one spine, drawn by spine_sample on the block's spine
+    # generator, its overshoot on the block's overshoot generator
+    offspring, t, R, seed = {"binary": BINARY, "1,3": LAW_13}[law], 3.0, 2.0, 17
+    monkeypatch.setattr(sampler_mod, "FOREST_NODE_BUDGET", 1)
+    block = cluster_mod.collapse_block(t, offspring, 1)
+    assert block == 1
     reps = range(3, 90, 2)
-    hits = cluster_mod._collapse(SIGMAS, 2.0, 3.0, offspring, y_mode, 17, reps)
-    assert hits == _spine_loop_hits(SIGMAS, 2.0, 3.0, offspring, y_mode, 17, reps)
-    assert 0 < sum(map(sum, hits)) < 3 * len(reps)
+    total = 0
+    for sig in SIGMAS:
+        hits = cluster_mod._collapse([sig], R, t, offspring, y_mode, seed, block, reps)
+        want = []
+        for r in reps:
+            y = 0.0
+            if y_mode == "exponential":
+                y = float(tree_rng(seed_stream(seed, r, "overshoot")).exponential(1.0 / (SQRT2 * sig)))
+            real = spine_sample(sig, y, t, offspring, rng=tree_rng(seed_stream(seed, r, "spine")))
+            want.append([int(np.sum(real.atoms >= -R) > 1)])
+        assert hits == want
+        total += sum(h for (h,) in hits)
+    assert 0 < total < len(SIGMAS) * len(reps)
 
 
-def test_collapse_hits_do_not_depend_on_workers_or_node_budget(monkeypatch):
-    common = (SIGMAS, 2.0, 3.0, LAW_13, "exponential", 23)
-    one = run_replicates(cluster_mod._collapse, common, 150, workers=1)
-    assert run_replicates(cluster_mod._collapse, common, 150, workers=2) == one
-    # 1: a batch of one spine; 300 nodes: two spines, so batches straddle replicates
-    for budget in (1, 300):
+@pytest.mark.parametrize("law", ["1,3", "mixed"])
+def test_collapse_agrees_in_law_with_per_spine_streams(law):
+    # forest blocks and immigrant-bearing points change the draws, not the
+    # law: every estimate lies within 4 combined SE of the old sampler's
+    offspring, t, R, reps = {"1,3": LAW_13, "mixed": MIXED}[law], 3.0, 2.0, 2000
+    rows = decoration_collapse_study(SIGMAS, R, t, reps, seed=31, offspring=offspring, y_mode="exponential")
+    old = np.array(_spine_loop_hits(SIGMAS, R, t, offspring, "exponential", 32, range(reps)))
+    for row, hits in zip(rows, old.T):
+        p = hits.mean()
+        se = math.sqrt(p * (1.0 - p) / reps)
+        assert abs(row["estimate"] - p) < 4 * math.hypot(row["std_error"], se)
+
+
+def test_collapse_hits_do_not_depend_on_workers(monkeypatch):
+    # (1,3) at t = 3 with 3 sigma_e: 700 nodes give 75 blocks of 2
+    # replicates, the default budget blocks of 51, 51 and 48.  The budget
+    # sets the block, so it changes the draws; the workers do not.  The
+    # pool is capped at the CPU count, so three shares need three CPUs.
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    for budget, want in ((700, 2), (sampler_mod.FOREST_NODE_BUDGET, 51)):
         monkeypatch.setattr(sampler_mod, "FOREST_NODE_BUDGET", budget)
-        assert run_replicates(cluster_mod._collapse, common, 150, workers=1) == one
+        block = cluster_mod.collapse_block(3.0, LAW_13, 3)
+        assert block == want
+        common = (SIGMAS, 2.0, 3.0, LAW_13, "exponential", 23, block)
+        one = run_replicates(cluster_mod._collapse, common, 150, 1, block)
+        assert len(one) == 150 and 0 < sum(map(sum, one)) < 450
+        for workers in (2, 3):
+            assert run_replicates(cluster_mod._collapse, common, 150, workers, block) == one
 
 
 def test_decoration_collapse_study_validation():

@@ -42,7 +42,7 @@ def test_coupled_fields_cross_covariance():
     n = 2000
     prod = np.empty(n)
     for s in range(n):
-        pos = forest_leaf_positions(forest, (prof, env.upper), t, [tree_rng(s)])
+        pos = forest_leaf_positions(forest, (prof, env.upper), t, tree_rng(s))
         prod[s] = pos[0, 0] * pos[1, 0]
     se = prod.std(ddof=1) / math.sqrt(n)
     # both fields have mean 0, so the mean product estimates the covariance

@@ -200,10 +200,12 @@ def test_mckean_checks_profile_values_not_label():
 
 
 def test_forest_reductions_match_trees_alone():
-    t, seeds, u = 4.0, range(30), np.array([-2.0, -0.5, 0.0, 1.0])
+    # the reductions of each tree of a forest equal the one-tree reductions
+    # of its leaves taken alone
+    t, n, u = 4.0, 30, np.array([-2.0, -0.5, 0.0, 1.0])
     prof = identity_profile()
-    forest = sample_forest(BINARY, t, [tree_rng(s) for s in seeds])
-    (pos,) = forest_leaf_positions(forest, (prof,), t, [tree_rng(s + 1000) for s in seeds])
+    forest = sample_forest(BINARY, t, tree_rng(3), starts=np.zeros(n))
+    (pos,) = forest_leaf_positions(forest, (prof,), t, tree_rng(1003))
     leaf_tree = forest.tree_id[forest.nodes.leaf_ids]
     m = centering(t, "tilde")
     # a u equal to the top leaf's centered position, above the lowest u:
@@ -211,17 +213,17 @@ def test_forest_reductions_match_trees_alone():
     tie = pos.max() - m
     assert tie > u[0]
     u = np.sort(np.append(u, tie))
-    n_leaves, top, counts = forest_summaries(leaf_tree, pos, len(seeds), t, u)
-    mart = forest_mckean(leaf_tree, pos, len(seeds), prof, t, 0.4)
-    for r, s in enumerate(seeds):
-        cfg = make_config(t=t, seed=s)
-        assert n_leaves[r] == cfg.n_leaves
+    n_leaves, top, counts = forest_summaries(leaf_tree, pos, n, t, u)
+    mart = forest_mckean(leaf_tree, pos, n, prof, t, 0.4)
+    for r in range(n):
+        cfg = ParticleConfiguration(tree=None, profile=prof, horizon=t, leaf_positions=pos[leaf_tree == r])
+        assert n_leaves[r] == cfg.n_leaves >= 1
         assert top[r] == cfg.leaf_positions.max() - m
         assert np.array_equal(counts[r], count_exceedances(cfg, u))
         direct = math.fsum(np.exp(-t * (1 + 0.4**2) + math.sqrt(2) * 0.4 * cfg.leaf_positions))
         assert mart[r] == pytest.approx(direct, rel=1e-13)
     with pytest.raises(ValueError, match="sorted"):
-        forest_summaries(leaf_tree, pos, len(seeds), t, u[::-1])
+        forest_summaries(leaf_tree, pos, n, t, u[::-1])
 
 
 @pytest.mark.parametrize("n_trees", [1, 2, 55])
@@ -232,8 +234,8 @@ def test_forest_summaries_match_leaf_by_leaf_oracle(n_trees):
     # several trees they interleave in runs
     t, u = 5.0, np.array([-2.0, 0.0, 1.0])
     prof = identity_profile()
-    forest = sample_forest(BINARY, t, [tree_rng(7 + s) for s in range(n_trees)])
-    (pos,) = forest_leaf_positions(forest, (prof,), t, [tree_rng(70 + s) for s in range(n_trees)])
+    forest = sample_forest(BINARY, t, tree_rng(8), starts=np.zeros(n_trees))
+    (pos,) = forest_leaf_positions(forest, (prof,), t, tree_rng(70))
     leaf_tree = forest.tree_id[forest.nodes.leaf_ids]
     if n_trees > 1:
         assert np.count_nonzero(np.diff(leaf_tree)) > n_trees - 1

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -58,10 +59,12 @@ def test_degenerate_chain_single_lineage():
     assert (tree.birth[0], tree.death[0], tree.parent[0], tree.n_offspring[0]) == (0.0, 7.0, -1, 0)
     assert tree.wave_starts.tolist() == [0, 1]
     assert rng.random() == tree_rng(3).random()
-    forest = sample_forest(CHAIN, 7.0, [tree_rng(s) for s in range(3)], starts=[0.0, 2.5, 6.0])
+    rng = tree_rng(3)
+    forest = sample_forest(CHAIN, 7.0, rng, starts=[0.0, 2.5, 6.0])
     assert forest.nodes.birth.tolist() == [0.0, 2.5, 6.0]
     assert forest.nodes.death.tolist() == [7.0] * 3
     assert forest.nodes.leaf_ids.tolist() == [0, 1, 2]
+    assert rng.random() == tree_rng(3).random()
 
 
 @pytest.mark.parametrize(
@@ -116,10 +119,12 @@ def test_population_cap(monkeypatch):
         sample_tree(BINARY, 12.0, seed=0)
 
 
-def _reference_tree(offspring, t, rng, real_only=True):
-    """Oracle: one tree grown alone, wave by wave, drawing the lifetimes of
-    a wave and then ``rng.choice`` offspring counts for its nodes that die
-    before t; returns (birth, death, parent, n_offspring, wave_starts).
+def _reference_tree(offspring, t, rng, real_only=True, starts=(0.0,)):
+    """Oracle: trees rooted at ``starts`` grown together on ``rng``, wave
+    by wave, drawing the lifetimes of a wave and then ``rng.choice``
+    offspring counts for its nodes that die before t; returns (birth,
+    death, parent, n_offspring, wave_starts, tree of each node).  With the
+    default one root at 0 it is one tree grown alone.
 
     With ``real_only`` it grows only the real branchings, the draws of
     ``sample_forest``: Exp(1 - p_1) lifetimes and counts from the law of k
@@ -129,8 +134,9 @@ def _reference_tree(offspring, t, rng, real_only=True):
     if real_only:
         real = ks >= 2
         ks, ps, scale = ks[real], ps[real] / offspring.rate, 1.0 / offspring.rate
-    births, deaths, parents, kids, starts = [], [], [], [], [0]
-    birth, parent = np.zeros(1), np.full(1, -1)
+    births, deaths, parents, kids, trees, waves = [], [], [], [], [], [0]
+    birth = np.array(starts, dtype=float)
+    parent, tree = np.full(len(birth), -1), np.arange(len(birth))
     while len(birth):
         death = birth + rng.exponential(scale, size=len(birth))
         internal = death < t
@@ -141,55 +147,57 @@ def _reference_tree(offspring, t, rng, real_only=True):
                 k[internal] = ks[0]
             else:
                 k[internal] = rng.choice(ks, size=int(internal.sum()), p=ps)
-        for store, arr in zip((births, deaths, parents, kids), (birth, death, parent, k)):
+        for store, arr in zip((births, deaths, parents, kids, trees), (birth, death, parent, k, tree)):
             store.append(arr)
-        parent = np.repeat(np.arange(starts[-1], starts[-1] + len(birth)), k)
-        birth = np.repeat(death, k)
-        starts.append(starts[-1] + len(death))
-    return [np.concatenate(a) for a in (births, deaths, parents, kids)] + [np.array(starts)]
+        parent = np.repeat(np.arange(waves[-1], waves[-1] + len(birth)), k)
+        birth, tree = np.repeat(death, k), np.repeat(tree, k)
+        waves.append(waves[-1] + len(death))
+    birth, death, parent, kids, tree = (np.concatenate(a) for a in (births, deaths, parents, kids, trees))
+    return birth, death, parent, kids, np.array(waves), tree
 
 
 @pytest.mark.parametrize("law", list(LAWS), ids=list(LAWS))
 def test_sample_forest_matches_trees_grown_alone(law):
+    # sample_tree is the reference oracle's one tree grown alone; a forest
+    # of 40 trees on one generator is the oracle's wave loop over 40 roots,
+    # and tree r's nodes, in forest index order, are its breadth-first order
     offspring, t = LAWS[law], 3.5
-    seeds = range(40)
-    forest = sample_forest(offspring, t, [tree_rng(s) for s in seeds])
-    nodes, tree_id = forest.nodes, forest.tree_id
-    assert forest.n_trees == 40
-    for r, s in enumerate(seeds):
-        birth, death, parent, kids, starts = _reference_tree(offspring, t, tree_rng(s))
+    for s in range(10):
         alone = sample_tree(offspring, t, seed=s)
+        want = _reference_tree(offspring, t, tree_rng(s))
+        got = (alone.birth, alone.death, alone.parent, alone.n_offspring, alone.wave_starts)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    for s in range(5):
+        forest = sample_forest(offspring, t, tree_rng(s), starts=np.zeros(40))
+        nodes, tree_id = forest.nodes, forest.tree_id
+        birth, death, parent, kids, waves, tree = _reference_tree(offspring, t, tree_rng(s), starts=np.zeros(40))
+        assert forest.n_trees == 40
         for got, want in zip(
-            (alone.birth, alone.death, alone.parent, alone.n_offspring, alone.wave_starts),
-            (birth, death, parent, kids, starts),
+            (nodes.birth, nodes.death, nodes.parent, nodes.n_offspring, nodes.wave_starts, tree_id),
+            (birth, death, parent, kids, waves, tree),
         ):
             assert np.array_equal(got, want)
-        # tree r's nodes, in forest index order, are its breadth-first order
-        sel = np.flatnonzero(tree_id == r)
-        assert forest.tree_sizes[r] == len(sel) == alone.n_nodes
-        local = np.full(nodes.n_nodes, -1)
-        local[sel] = np.arange(len(sel))
-        assert np.array_equal(nodes.birth[sel], birth)
-        assert np.array_equal(nodes.death[sel], death)
-        assert np.array_equal(nodes.n_offspring[sel], kids)
-        assert np.array_equal(np.where(nodes.parent[sel] < 0, -1, local[nodes.parent[sel]]), parent)
-    assert np.array_equal(nodes.leaf_ids, np.flatnonzero(nodes.n_offspring == 0))
-    assert np.array_equal(nodes.internal_ids, np.flatnonzero(nodes.n_offspring))
+        for w in range(len(waves) - 1):
+            assert np.all(np.diff(tree_id[waves[w] : waves[w + 1]]) >= 0)
+        assert np.array_equal(forest.tree_sizes, np.bincount(tree, minlength=40))
+        assert np.array_equal(nodes.leaf_ids, np.flatnonzero(nodes.n_offspring == 0))
+        assert np.array_equal(nodes.internal_ids, np.flatnonzero(nodes.n_offspring))
 
 
 def test_sample_forest_population_cap_is_per_tree(monkeypatch):
-    def rngs():
-        return [tree_rng(s) for s in range(30)]
+    # 30 trees rooted at 0 on one generator, as a forest block grows
+    def grow():
+        return sample_forest(BINARY, 3.0, tree_rng(5), starts=np.zeros(30))
 
-    sizes = sample_forest(BINARY, 3.0, rngs()).tree_sizes
+    sizes = grow().tree_sizes
     largest = int(sizes.max())
     assert sizes.sum() > largest
     # the forest may hold more nodes than the cap, as long as no tree does
     monkeypatch.setattr(genealogy, "NODE_CAP", largest)
-    sample_forest(BINARY, 3.0, rngs())
+    grow()
     monkeypatch.setattr(genealogy, "NODE_CAP", largest - 1)
     with pytest.raises(PopulationCapError, match=f"tree {int(sizes.argmax())} "):
-        sample_forest(BINARY, 3.0, rngs())
+        grow()
 
 
 @pytest.mark.parametrize("law", list(LAWS), ids=list(LAWS))
@@ -197,50 +205,11 @@ def test_shared_generator_forest_of_one_is_sample_tree(law):
     offspring, t = LAWS[law], 4.0
     for s in range(10):
         shared = sample_forest(offspring, t, tree_rng(s), starts=[0.0]).nodes
-        listed = sample_forest(offspring, t, [tree_rng(s)]).nodes
+        default = sample_forest(offspring, t, tree_rng(s)).nodes
         alone = sample_tree(offspring, t, seed=0, rng=tree_rng(s))
         for field in ("birth", "death", "parent", "n_offspring", "wave_starts", "leaf_ids"):
             assert np.array_equal(getattr(shared, field), getattr(alone, field))
-            assert np.array_equal(getattr(listed, field), getattr(alone, field))
-
-
-RUNS = [3, 0, 1, 5, 2]  # trees per generator; the second serves none
-
-
-@pytest.mark.parametrize("law", ["binary", "1,3"])
-def test_forest_runs_match_each_run_grown_alone(law):
-    # generator g serves RUNS[g] consecutive trees; each run grows as the
-    # one-generator forest of its own trees, whatever the other runs do
-    offspring, t = LAWS[law], 3.5
-    for seed in range(6):
-        starts = [np.sort(np.random.default_rng(seed + g).uniform(0.0, t, n)) for g, n in enumerate(RUNS)]
-        rngs = [tree_rng(10 * seed + g) for g in range(len(RUNS))]
-        forest = sample_forest(offspring, t, rngs, starts=np.concatenate(starts), trees_per_rng=RUNS)
-        assert forest.n_trees == sum(RUNS)
-        assert forest.trees_per_rng.tolist() == RUNS
-        nodes = forest.nodes
-        node_run = np.arange(len(RUNS)).repeat(RUNS)[forest.tree_id]
-        for g, run_starts in enumerate(starts):
-            if not RUNS[g]:
-                # a generator with no trees draws nothing
-                fresh = tree_rng(10 * seed + g)
-                assert rngs[g].random() == fresh.random()
-                continue
-            alone = sample_forest(offspring, t, tree_rng(10 * seed + g), starts=run_starts)
-            sel = np.flatnonzero(node_run == g)
-            local = np.full(nodes.n_nodes, -1)
-            local[sel] = np.arange(len(sel))
-            assert len(sel) == alone.nodes.n_nodes
-            for field in ("birth", "death", "n_offspring"):
-                assert np.array_equal(getattr(nodes, field)[sel], getattr(alone.nodes, field))
-            parent = nodes.parent[sel]
-            assert np.array_equal(np.where(parent < 0, -1, local[parent]), alone.nodes.parent)
-            first = sum(RUNS[:g])
-            assert np.array_equal(forest.tree_sizes[first : first + RUNS[g]], alone.tree_sizes)
-    with pytest.raises(ValueError, match="trees_per_rng"):
-        sample_forest(BINARY, t, [tree_rng(0), tree_rng(1)], trees_per_rng=[1])
-    with pytest.raises(ValueError, match="one entry per tree"):
-        sample_forest(BINARY, t, [tree_rng(0), tree_rng(1)], starts=[0.0, 1.0], trees_per_rng=[1, 2])
+            assert np.array_equal(getattr(default, field), getattr(alone, field))
 
 
 def test_forest_roots_start_at_their_birth_times():
@@ -253,8 +222,9 @@ def test_forest_roots_start_at_their_birth_times():
     assert np.all(nodes.death[nodes.leaf_ids] == t)
     with pytest.raises(ValueError):
         sample_forest(BINARY, t, tree_rng(8), starts=[1.0, t])
-    with pytest.raises(ValueError):
-        sample_forest(BINARY, t, [tree_rng(8)], starts=[1.0, 2.0])
+    for bad in ([-0.5, 1.0], [], [[1.0, 2.0]]):
+        with pytest.raises(ValueError):
+            sample_forest(BINARY, t, tree_rng(8), starts=bad)
 
 
 @pytest.mark.parametrize("law", ["binary", "1,3"])
@@ -301,7 +271,7 @@ def test_real_branchings_match_rate_one_sampler_in_law(law):
             if real_only:
                 tree = sample_tree(offspring, t, rng=rng)
             else:
-                birth, death, parent, kids, starts = _reference_tree(offspring, t, rng, real_only=False)
+                birth, death, parent, kids, starts, _ = _reference_tree(offspring, t, rng, real_only=False)
                 tree = GenealogyTree(t, birth, death, parent, starts, np.flatnonzero(kids == 0))
             pos = sample_leaf_positions(tree, profile, t, tree_rng(seed_stream(29, r, f"gauss:{real_only}")))
             leaves.append(tree.n_leaves)
@@ -401,12 +371,47 @@ def _share_of(tag, reps):
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("block", [1, 4])
-def test_run_replicates_hands_workers_whole_blocks(workers, block):
+def test_run_replicates_hands_workers_whole_blocks(monkeypatch, workers, block):
+    # enough CPUs for three shares on any machine
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
     out = run_replicates(_share_of, ("x",), 10, workers, block)
     assert [r for _, r, _ in out] == list(range(10))
     # block k runs on worker k mod w, whose share starts at block w
     w = min(workers, -(-10 // block))
     assert [first for _, _, first in out] == [(r // block) % w * block for r in range(10)]
+
+
+class _RecordingPool:
+    """A stand-in for ProcessPoolExecutor that records its size and maps
+    in this process, so that no process starts."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, shares):
+        return map(fn, shares)
+
+
+@pytest.mark.parametrize("cpus, pool", [(2, [2]), (None, [])])
+def test_run_replicates_caps_the_pool_at_the_cpu_count(monkeypatch, cpus, pool):
+    # 5000 blocks of one replicate asked of 5000 workers: two processes on
+    # two CPUs, and none when the CPU count is unknown
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    out = run_replicates(_share_of, ("x",), 5000, 5000, 1)
+    assert _RecordingPool.sizes == pool
+    assert [r for _, r, _ in out] == list(range(5000))
 
 
 def test_mrca_same_leaf():

@@ -215,7 +215,7 @@ def test_run_simulate_artifacts_and_determinism(tmp_path):
     assert manifest["kind"] == "simulate"
     assert manifest["seed"] == 7
     assert set(manifest["files"]) == {"report.json", "summaries.csv"}
-    assert manifest["seed_scheme"] == "blake2b-philox-v2"
+    assert manifest["seed_scheme"] == "blake2b-philox-v3"
     # t = 3: blocks of floor(2**14 / (2 e^3)) = 407 replicates
     assert manifest["stream_block"] == 407
     for name in ("summaries.csv", "report.json"):
@@ -415,25 +415,32 @@ def test_law_1_3_artifacts_do_not_depend_on_workers(tmp_path, text):
     assert outs[0] == outs[1] and len(outs[0]) >= 1
 
 
+# kind -> (its keys, its forest block): each config is three blocks, which
+# 2 workers split 2 + 1 and 3 workers 1 + 1 + 1
 MULTI_BLOCK_CONFIGS = {
-    "simulate": "t = 5\nreplicates = 120\nseed = 21",
-    "martingale": "t = 5\nsigma_b = 0.3\nreplicates = 120\nseed = 22",
-    "compare": "t = 5\nreplicates = 120\nu_grid = -2 0 2\nc_grid = 0.5 2\nseed = 23",
+    # t = 5: blocks of 55, so 120 replicates are blocks of 55, 55 and 10
+    "simulate": ("t = 5\nreplicates = 120\nseed = 21", 55),
+    "martingale": ("t = 5\nsigma_b = 0.3\nreplicates = 120\nseed = 22", 55),
+    "compare": ("t = 5\nreplicates = 120\nu_grid = -2 0 2\nc_grid = 0.5 2\nseed = 23", 55),
+    # t = 3 with three sigma_e: blocks of 77, so 200 replicates are blocks
+    # of 77, 77 and 46
+    "cluster": ("t = 3\nreplicates = 200\ny_mode = exponential\nseed = 24", 77),
 }
 
 
 @pytest.mark.parametrize("kind", list(MULTI_BLOCK_CONFIGS))
-def test_artifacts_of_several_blocks_do_not_depend_on_workers(tmp_path, kind):
-    # t = 5: blocks of 55, so 120 replicates are blocks of 55, 55 and 10,
-    # which 2 workers split 2 + 1 and 3 workers 1 + 1 + 1
-    sections = "[profile]\nkind = power\nexponent = 2\n" if kind != "martingale" else ""
-    text = _kind_config(kind, MULTI_BLOCK_CONFIGS[kind], sections)
+def test_artifacts_of_several_blocks_do_not_depend_on_workers(tmp_path, monkeypatch, kind):
+    # enough CPUs for three shares on any machine
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    keys, block = MULTI_BLOCK_CONFIGS[kind]
+    sections = "[profile]\nkind = power\nexponent = 2\n" if kind in ("simulate", "compare") else ""
+    text = _kind_config(kind, keys, sections)
     outs = []
     for workers in (1, 2, 3):
         path, out = write_config(tmp_path, text, name=f"w{workers}.ini", out=tmp_path / f"w{workers}")
         run(load_config(path, overrides={"workers": workers}))
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["stream_block"] == 55
+        assert manifest["stream_block"] == block
         outs.append({name: (out / name).read_bytes() for name in manifest["files"]})
     assert outs[0] == outs[1] == outs[2] and "report.json" in outs[0]
 
@@ -627,6 +634,10 @@ dir = {out}
     report = run(load_config(path))
     assert len(report["rows"]) == 2
     assert (out / "collapse.csv").exists()
+    # two sigma_e at t = 3: blocks of floor(2**14 / (2 * 2 (2(e^3 - 1) - 3))) = 116
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["seed_scheme"] == "blake2b-philox-v3"
+    assert manifest["stream_block"] == 116
 
 
 def test_main_success_and_kind_mismatch(tmp_path, capsys):

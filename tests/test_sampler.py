@@ -52,50 +52,71 @@ def test_single_lineage_is_brownian_motion():
     assert abs(pos.mean()) < 3 * math.sqrt(t / 10**4)
 
 
+class _Replay:
+    """A generator stand-in whose ``standard_normal`` returns given values."""
+
+    def __init__(self, z):
+        self.z = z
+
+    def standard_normal(self, shape):
+        assert np.shape(self.z) == np.empty(shape).shape
+        return self.z
+
+
+def _tree_of(forest, r):
+    """Tree r of the forest as a tree of its own, in local indices, and the
+    forest index of each of its nodes."""
+    nodes = forest.nodes
+    sel = np.flatnonzero(forest.tree_id == r)
+    local = np.full(nodes.n_nodes, -1)
+    local[sel] = np.arange(len(sel))
+    parent = nodes.parent[sel]
+    tree = GenealogyTree(
+        horizon=nodes.horizon,
+        birth=nodes.birth[sel],
+        death=nodes.death[sel],
+        parent=np.where(parent < 0, -1, local[parent]),
+        wave_starts=np.concatenate([[0], forest.wave_sizes[:, r].cumsum()]),
+        leaf_ids=local[np.intersect1d(sel, nodes.leaf_ids)],
+    )
+    return tree, sel
+
+
 def test_forest_leaf_positions_match_trees_alone():
+    # one draw over the forest's nodes: each tree gets the positions
+    # sample_leaf_positions gives it alone on the normals that draw gave
+    # its nodes, and a forest of one tree those it gets on the generator
     law = OffspringDistribution(np.array([1, 3]), np.array([0.5, 0.5]))
-    prof, t, seeds = two_speed(0.5, 2.0, 2.0 / 3.0), 3.0, range(25)
-    forest = sample_forest(law, t, [tree_rng(s) for s in seeds])
-    (pos,) = forest_leaf_positions(forest, (prof,), t, [tree_rng(100 + s) for s in seeds])
+    prof, t, n = two_speed(0.5, 2.0, 2.0 / 3.0), 3.0, 25
+    forest = sample_forest(law, t, tree_rng(0), starts=np.zeros(n))
+    (pos,) = forest_leaf_positions(forest, (prof,), t, tree_rng(100))
+    z = tree_rng(100).standard_normal(forest.nodes.n_nodes)
     leaf_tree = forest.tree_id[forest.nodes.leaf_ids]
-    for r, s in enumerate(seeds):
-        tree = sample_tree(law, t, seed=s)
-        alone = sample_leaf_positions(tree, prof, t, tree_rng(100 + s))
+    for r in range(n):
+        tree, sel = _tree_of(forest, r)
+        alone = sample_leaf_positions(tree, prof, t, _Replay(z[sel]))
+        assert len(alone) == tree.n_leaves >= 1
         assert np.array_equal(pos[leaf_tree == r], alone)
-
-
-@pytest.mark.parametrize("law", ["binary", "1,3"])
-def test_forest_leaf_positions_of_runs_match_runs_alone(law):
-    # runs of 3, 0, 1, 5 and 2 trees on one generator each: every run takes
-    # one draw over its nodes and gets the positions it gets alone
-    offspring = LAWS[law]
-    runs, t, prof = [3, 0, 1, 5, 2], 3.0, two_speed(0.5, 2.0, 2.0 / 3.0)
-    starts = [np.sort(np.random.default_rng(g).uniform(0.0, t, n)) for g, n in enumerate(runs)]
-    forest = sample_forest(offspring, t, [tree_rng(g) for g in range(5)], np.concatenate(starts), runs)
-    (pos,) = forest_leaf_positions(forest, (prof,), t, [tree_rng(20 + g) for g in range(5)])
-    leaf_run = np.arange(5).repeat(runs)[forest.tree_id[forest.nodes.leaf_ids]]
-    for g, run_starts in enumerate(starts):
-        if runs[g]:
-            alone = sample_forest(offspring, t, tree_rng(g), starts=run_starts)
-            (want,) = forest_leaf_positions(alone, (prof,), t, [tree_rng(20 + g)])
-            assert np.array_equal(pos[leaf_run == g], want)
+    one = sample_forest(law, t, tree_rng(1))
+    (pos,) = forest_leaf_positions(one, (prof,), t, tree_rng(101))
+    assert np.array_equal(pos, sample_leaf_positions(one.nodes, prof, t, tree_rng(101)))
 
 
 def test_forest_leaf_positions_stacked_rows_match_single_profile():
     # row p of a stacked call is the 1-tuple call for profile p, bit for bit
     law = OffspringDistribution(np.array([1, 3]), np.array([0.5, 0.5]))
-    t, seeds = 4.0, range(12)
+    t = 4.0
     power2 = from_function(
         lambda x: np.asarray(x) ** 2, slope_at_0=0.0, slope_at_1=2.0,
         k1_upper=2.0, k1_lower=2.0, k2_upper=2.0, k2_lower=2.0,
     )
     pair = build_envelopes(power2, t)
     profiles = (power2, pair.upper, pair.lower, two_speed(0.5, 2.0, 2.0 / 3.0))
-    forest = sample_forest(law, t, [tree_rng(s) for s in seeds])
-    stacked = forest_leaf_positions(forest, profiles, t, [tree_rng(50 + s) for s in seeds])
+    forest = sample_forest(law, t, tree_rng(5), starts=np.zeros(12))
+    stacked = forest_leaf_positions(forest, profiles, t, tree_rng(50))
     assert stacked.shape == (len(profiles), forest.nodes.n_leaves)
     for row, prof in zip(stacked, profiles):
-        (alone,) = forest_leaf_positions(forest, (prof,), t, [tree_rng(50 + s) for s in seeds])
+        (alone,) = forest_leaf_positions(forest, (prof,), t, tree_rng(50))
         assert np.array_equal(row, alone)
 
 
@@ -140,8 +161,8 @@ def test_edge_std_equals_two_evaluation_formula():
         identity_profile(), two_speed(0.5, 2.0, 2.0 / 3.0), power2, pair.upper, pair.lower, _power(1.5)
     )
     for law in LAWS.values():
-        for rngs, starts in (([tree_rng(s) for s in range(6)], None), (tree_rng(3), [0.0, 0.7, 2.5])):
-            nodes = sample_forest(law, t, rngs, starts=starts).nodes
+        for starts in (np.zeros(6), [0.0, 0.7, 2.5]):
+            nodes = sample_forest(law, t, tree_rng(3), starts=starts).nodes
             assert 0 < nodes.n_leaves < nodes.n_nodes
             stacked = _edge_std(nodes, profiles, t)
             assert stacked.shape == (len(profiles), nodes.n_nodes)
@@ -163,7 +184,7 @@ def test_edge_std_rejects_a_fall_that_only_leaf_edges_see():
     assert _edge_std(tree, (identity_profile(),), t).min() > 0.0
     with pytest.raises(ValueError, match="not monotone"):
         _edge_std(tree, (identity_profile(), overshoot), t)
-    forest = sample_forest(BINARY, t, [tree_rng(s) for s in range(10)], starts=[0.5] * 10)
+    forest = sample_forest(BINARY, t, tree_rng(10), starts=[0.5] * 10)
     with pytest.raises(ValueError, match="not monotone"):
         _edge_std(forest.nodes, (overshoot,), t)
 
