@@ -21,14 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from vsbbm import sampler
-from vsbbm.genealogy import (
-    OffspringDistribution,
-    replicate_rngs,
-    run_replicates,
-    sample_forest,
-    tree_rng,
-)
-from vsbbm.sampler import forest_blocks, forest_leaf_positions
+from vsbbm.genealogy import OffspringDistribution, run_replicates, sample_forest, seed_stream, tree_rng
+from vsbbm.sampler import forest_leaf_positions
 from vsbbm.speed import identity_profile
 
 SQRT2 = math.sqrt(2.0)
@@ -242,27 +236,25 @@ def collapse_block(t: float, offspring: OffspringDistribution, n_sigma: int) -> 
     return max(1, int(sampler.FOREST_NODE_BUDGET / max(nodes, 1.0)))
 
 
-def _collapse(sigma_e_list, R, t, offspring, y_mode, seed, block, reps):
-    """Per replicate of ``reps``, per sigma_e: 1 if its spine puts more
+def _collapse(sigma_e_list, R, t, offspring, y_mode, seed, blocks):
+    """Per replicate of the forest blocks ``blocks`` (``range``s, as
+    ``run_replicates`` hands them), per sigma_e: 1 if its spine puts more
     than one atom in [-R, inf), else 0.
 
-    The replicates run in forest blocks of ``block`` (``forest_blocks``).
-    Block k draws from the generator of stream ``spine`` keyed
-    ``seed_stream(seed, k*block, "spine")`` after its first replicate: the
-    skeletons of all its spines, replicate-major, in one set of draws, then
-    their immigrants as one forest.  With ``y_mode`` "exponential" one
-    ``overshoot`` generator per block draws every spine's overshoot in one
-    call."""
-    blocks = forest_blocks(reps, block)
-    firsts = [b.start for b in blocks]
-    spines = replicate_rngs(seed, firsts, "spine")
-    overshoots = replicate_rngs(seed, firsts, "overshoot") if y_mode == "exponential" else None
+    A block whose first replicate is ``first`` draws from
+    ``tree_rng(seed_stream(seed, first, "spine"))``: the skeletons of all
+    its spines, replicate-major, in one set of draws, then their
+    immigrants as one forest.  With ``y_mode`` "exponential"
+    ``tree_rng(seed_stream(seed, first, "overshoot"))`` draws every
+    spine's overshoot in one call."""
     hits = []
-    for n, rng in zip(map(len, blocks), spines):
+    for b in blocks:
+        n = len(b)
         sigma_e = np.tile(sigma_e_list, n)
         y = np.zeros(len(sigma_e))
-        if overshoots is not None:
-            y = next(overshoots).exponential(1.0 / (SQRT2 * sigma_e))
+        if y_mode == "exponential":
+            y = tree_rng(seed_stream(seed, b.start, "overshoot")).exponential(1.0 / (SQRT2 * sigma_e))
+        rng = tree_rng(seed_stream(seed, b.start, "spine"))
         spine, times, values, counts = _spine_skeletons(sigma_e, y, t, offspring, rng)
         # the endpoint atom y, then every immigrant leaf at or above -R
         atoms = (y >= -R).astype(np.int64)
@@ -301,8 +293,7 @@ def decoration_collapse_study(
     # the bounds first, so a sigma_e whose bound overflows fails before the spines
     bounds = [collapse_bound(sigma_e, R, offspring.K, gamma) for sigma_e in sigma_e_list]
     block = collapse_block(t, offspring, len(sigma_e_list))
-    common = (sigma_e_list, R, t, offspring, y_mode, seed, block)
-    hits = run_replicates(_collapse, common, replicates, workers, block)
+    hits = run_replicates(_collapse, (sigma_e_list, R, t, offspring, y_mode, seed), replicates, workers, block)
     rows = []
     for j, sigma_e in enumerate(sigma_e_list):
         est = sum(h[j] for h in hits) / replicates

@@ -22,13 +22,13 @@ from vsbbm.sampler import block_size, forest_batches
 from vsbbm.speed import SpeedProfile
 
 
-def _exceedances(offspring, profiles, t, u_grid, seed, block, reps):
-    """Per replicate of ``reps``: the exceedance counts of every profile on
-    its tree, grown in its block's ``tree`` run and placed from one draw of
-    the block's ``gauss`` stream."""
+def _exceedances(offspring, profiles, t, u_grid, seed, blocks):
+    """Per replicate of the forest blocks ``blocks``: the exceedance counts
+    of every profile on its tree, grown in its block's ``tree`` run and
+    placed from one draw of the block's ``gauss`` stream."""
     streams = {"gauss": tuple(profiles.values())}
     rows = []
-    for leaf_tree, (stacked,), n in forest_batches(seed, t, offspring, streams, reps, block):
+    for leaf_tree, (stacked,), n in forest_batches(seed, t, offspring, streams, blocks):
         counts = [forest_exceedances(leaf_tree, pos, n, t, u_grid) for pos in stacked]
         rows += np.stack(counts, axis=1).tolist()
     return rows
@@ -49,9 +49,8 @@ def collect_exceedances(
     per node (the block's ``gauss`` stream), so each profile's counts have
     their own law and differences are paired."""
     u_grid = np.asarray(u_grid, dtype=np.float64)
-    block = block_size(t)
-    common = (offspring, profiles, t, u_grid, seed, block)
-    rows = run_replicates(_exceedances, common, replicates, workers, block)
+    common = (offspring, profiles, t, u_grid, seed)
+    rows = run_replicates(_exceedances, common, replicates, workers, block_size(t))
     counts = np.array(rows, dtype=np.int64).reshape(replicates, len(profiles), len(u_grid))
     return {name: counts[:, i] for i, name in enumerate(profiles)}
 

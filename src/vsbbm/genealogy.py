@@ -20,13 +20,18 @@ from __future__ import annotations
 
 import hashlib
 import os
-from collections.abc import Iterator
 from dataclasses import dataclass, field
-from functools import cache, cached_property, partial
+from functools import cached_property, partial
 
 import numpy as np
 
-NODE_CAP = 10**8  # nodes of the largest tree sample_forest grows
+# Nodes of the largest tree sample_forest grows.  Measured with tracemalloc
+# on binary and (1,3) trees at t = 11-12, growing a tree peaks at 60-76 B
+# per node and placing it under three profiles at 80-103 B, so a tree at
+# the cap takes about 1.7 GB; 10**8 nodes would take 6-10 GB and exhaust a
+# 7 GB machine before the cap fired.  ``runner.load_config`` rejects every
+# horizon whose expected tree, 2e^t nodes, exceeds the cap.
+NODE_CAP = 2**24
 
 
 class PopulationCapError(RuntimeError):
@@ -156,127 +161,39 @@ def tree_rng(seed: int) -> np.random.Generator:
 def seed_stream(master: int, replicate: int, stream: str) -> int:
     """Collision-resistant derived seed for (master, replicate, stream);
     stable across versions (pure blake2b of the decimal-rendered triple).
-    A stream's generator is ``tree_rng`` of this seed; ``replicate_rngs``
-    builds those of many replicates at once."""
+    Every stream's generator is ``tree_rng`` of this seed, a forest
+    block's keyed by the block's first replicate."""
     msg = f"{master}:{replicate}:{stream}".encode()
     return int.from_bytes(hashlib.blake2b(msg, digest_size=8).digest(), "big")
 
 
-# numpy.random.SeedSequence's hash constants, for its pool of four 32-bit words
-_M32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-
-
-def _powers(init: int, mult: int, n: int) -> np.ndarray:
-    out = [init]
-    for _ in range(n):
-        out.append(out[-1] * mult & _M32)
-    return np.array(out, dtype=np.uint32)
-
-
-# the hash constant runs through the same values for every seed: 16 pool
-# hashes (4 to fill the pool, 12 to cross-mix it), then 4 output hashes
-_HASH_A = _powers(_INIT_A, _MULT_A, 16)
-_HASH_B = _powers(_INIT_B, _MULT_B, 4)
-
-
-def _hash(v: np.ndarray, consts: np.ndarray, i: int) -> np.ndarray:
-    v = (v ^ consts[i]) * consts[i + 1]
-    return v ^ (v >> 16)
-
-
-def philox_keys(seeds) -> np.ndarray:
-    """The Philox key of every seed in [0, 2**64): row i equals
-    ``np.random.SeedSequence(seeds[i]).generate_state(2, np.uint64)``, the
-    key ``Philox(seeds[i])`` runs on.  A vectorised port of SeedSequence's
-    pool mixing; a seed below 2**64 fills at most two pool words and the
-    rest hash as zeros, so every seed takes the same path."""
-    seeds = np.asarray(seeds, dtype=np.uint64)
-    zero = np.zeros(len(seeds), dtype=np.uint32)
-    words = [(seeds & _M32).astype(np.uint32), (seeds >> 32).astype(np.uint32), zero, zero]
-    pool = [_hash(w, _HASH_A, i) for i, w in enumerate(words)]
-    i = len(pool)
-    for src in range(len(pool)):
-        for dst in range(len(pool)):
-            if src != dst:
-                mixed = pool[dst] * np.uint32(_MIX_L) - _hash(pool[src], _HASH_A, i) * np.uint32(_MIX_R)
-                pool[dst] = mixed ^ (mixed >> 16)
-                i += 1
-    state = np.stack([_hash(w, _HASH_B, k) for k, w in enumerate(pool)], axis=1)
-    return state.view("<u8")
-
-
-class _PhiloxKey:
-    """A seed sequence that hands ``Philox`` a key derived beforehand."""
-
-    __slots__ = ("key",)
-
-    def __init__(self, key: np.ndarray):
-        self.key = key
-
-    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
-        return self.key
-
-
-@cache
-def _keyed_philox():
-    # loads numpy.random on first use only; ``Philox`` takes any registered
-    # ``ISeedSequence`` and asks it for its key
-    from numpy.random import Generator, Philox
-    from numpy.random.bit_generator import ISeedSequence
-
-    ISeedSequence.register(_PhiloxKey)
-    return Generator, Philox
-
-
-def tree_rngs(seeds) -> Iterator[np.random.Generator]:
-    """``tree_rng(s)`` for every s in ``seeds`` (each in [0, 2**64)), in
-    order and bit-identical to it.
-
-    The keys of all the seeds are derived now, in one vectorised pass; each
-    generator is built from its key only when the iterator reaches it, so a
-    caller that takes them a batch at a time holds one batch of them.
-    """
-    keys = philox_keys(seeds)
-    generator, philox = _keyed_philox()
-    return (generator(philox(_PhiloxKey(key))) for key in keys)
-
-
-def replicate_rngs(master: int, reps, stream: str) -> Iterator[np.random.Generator]:
-    """The generator of stream ``stream`` of every replicate in ``reps``:
-    ``tree_rngs`` of their ``seed_stream(master, r, stream)`` seeds."""
-    return tree_rngs([seed_stream(master, r, stream) for r in reps])
-
-
 def run_replicates(fn, common: tuple, replicates: int, workers: int = 1, block: int = 1) -> list:
-    """``fn(*common, range(replicates))``: one result per replicate, in
-    replicate order.
+    """One result per replicate, in replicate order, of
+    ``fn(*common, blocks)``.
 
-    ``fn`` takes the ascending replicate indices of whole blocks of
-    ``block`` consecutive replicates (block k is [k*block, (k+1)*block),
-    the last one possibly shorter) and returns a list with one result per
-    index.  Each block draws only from streams keyed by its own first
-    index, ``replicate_rngs`` of one index per block.  With ``workers >
-    1`` block k runs on worker k mod ``workers`` in a process pool, so
-    ``fn`` and ``common`` must pickle, and the results go back by
-    replicate index; since a block's draws do not depend on which worker
-    runs it, neither does the result.  The pool holds at most one process
-    per block and per CPU, so a job of one block runs on one worker.
+    ``blocks`` are ``range``s of whole blocks of ``block`` consecutive
+    replicates: block k is [k*block, (k+1)*block), the last one possibly
+    shorter.  ``fn`` returns a list with one result per replicate of the
+    blocks it is handed, in order, and draws each block only from streams
+    keyed by the block's first index.  With one worker ``fn`` gets every
+    block; with ``workers > 1`` worker w of a process pool gets blocks
+    w, w + workers, ..., so ``fn`` and ``common`` must pickle, and the
+    results go back by replicate index; since a block's draws do not
+    depend on which worker runs it, neither does the result.  The pool
+    holds at most one process per block and per CPU, so a job of one
+    block runs on one worker.
     """
-    n_blocks = -(-replicates // block)
-    workers = min(workers, n_blocks, os.cpu_count() or 1)
+    blocks = [range(k, min(k + block, replicates)) for k in range(0, replicates, block)]
+    workers = min(workers, len(blocks), os.cpu_count() or 1)
     if workers <= 1:
-        return fn(*common, range(replicates))
+        return fn(*common, blocks)
     from concurrent.futures import ProcessPoolExecutor
 
-    blocks = [range(k * block, min((k + 1) * block, replicates)) for k in range(n_blocks)]
-    shares = [[r for b in blocks[w::workers] for r in b] for w in range(workers)]
+    shares = [blocks[w::workers] for w in range(workers)]
     out = [None] * replicates
     with ProcessPoolExecutor(max_workers=workers) as pool:
         for share, part in zip(shares, pool.map(partial(fn, *common), shares)):
-            for r, value in zip(share, part):
+            for r, value in zip((r for b in share for r in b), part):
                 out[r] = value
     return out
 

@@ -7,17 +7,18 @@ and its ``[experiment]`` keys, each with a default or ``REQUIRED``, the
 keys with a parser too; ``PROFILES`` does the same per ``[profile]`` kind.
 ``load_config`` alone reads raw strings: a section or key the kind never
 reads, a missing section or key, a value its parser rejects, a
-``compare`` profile with no envelopes and a ``tube`` window [r, t - r]
-with no grid point raise ``ConfigError`` before anything is written.
+``compare`` profile with no envelopes, a ``tube`` window [r, t - r]
+with no grid point and a tree horizon whose expected tree exceeds
+``genealogy.NODE_CAP`` raise ``ConfigError`` before anything is written.
 ``--seed``, ``--workers`` and ``--out`` are the only overrides of the
 file.  ``run`` writes every artifact to a temp path that is atomically
 renamed, so an interrupted run never leaves corrupt artifacts; the
 manifest carries the config hash, the master seed, the seed scheme and the
 versions and CPU count of the environment.  Every Monte Carlo kind
-runs its replicates through ``genealogy.run_replicates`` in blocks of
-consecutive replicates, each block on its own named streams, whose
-generators ``genealogy.replicate_rngs`` builds for a whole chunk from one
-vectorised key derivation.  ``simulate``, ``martingale`` and ``compare``
+runs its replicates through ``genealogy.run_replicates``, which hands
+each worker whole blocks of consecutive replicates.  A block draws from
+its own named streams, each ``tree_rng(seed_stream(seed, first, name))``
+of the block's first replicate.  ``simulate``, ``martingale`` and ``compare``
 pass the forest block ``sampler.block_size(t)`` and grow and place each
 block's trees in ``sampler.forest_batches``, ``compare`` placing its
 profile and both envelopes from one draw of the ``gauss`` stream;
@@ -50,6 +51,7 @@ import numpy as np
 from vsbbm import cluster as cluster_mod
 from vsbbm import compare as compare_mod
 from vsbbm import fkpp as fkpp_mod
+from vsbbm import genealogy
 from vsbbm import tube as tube_mod
 from vsbbm.extremal import centering, forest_mckean, forest_summaries
 # sample_tree is not called here; the benchmark's trace (perfbench/) patches
@@ -174,19 +176,19 @@ def _write_csv(path, header, rows) -> None:
 # ---------------------------------------------------------------------------
 # replicate workers (top-level so they pickle)
 
-def _simulate_replicates(seed, t, profile, offspring, u_grid, block, reps):
+def _simulate_replicates(seed, t, profile, offspring, u_grid, blocks):
     rows = []
-    for leaf_tree, ((pos,),), n in forest_batches(seed, t, offspring, {"gauss": (profile,)}, reps, block):
+    for leaf_tree, ((pos,),), n in forest_batches(seed, t, offspring, {"gauss": (profile,)}, blocks):
         n_leaves, top, counts = forest_summaries(leaf_tree, pos, n, t, u_grid)
         rows += zip(n_leaves.tolist(), top.tolist(), counts.tolist())
     return rows
 
 
-def _martingale_replicates(seed, s_horizon, sigma_b, offspring, block, reps):
+def _martingale_replicates(seed, s_horizon, sigma_b, offspring, blocks):
     profile = identity_profile()
     vals = []
     streams = {"gauss": (profile,)}
-    for leaf_tree, ((pos,),), n in forest_batches(seed, s_horizon, offspring, streams, reps, block):
+    for leaf_tree, ((pos,),), n in forest_batches(seed, s_horizon, offspring, streams, blocks):
         vals += forest_mckean(leaf_tree, pos, n, profile, s_horizon, sigma_b).tolist()
     return vals
 
@@ -197,9 +199,8 @@ def _martingale_replicates(seed, s_horizon, sigma_b, offspring, block, reps):
 
 def _run_simulate(cfg: ExperimentConfig, t, replicates, u_grid):
     u_grid = np.array(u_grid)
-    block = block_size(t)
-    common = (cfg.seed, t, cfg.profile, cfg.offspring, u_grid, block)
-    rows = run_replicates(_simulate_replicates, common, replicates, cfg.workers, block)
+    common = (cfg.seed, t, cfg.profile, cfg.offspring, u_grid)
+    rows = run_replicates(_simulate_replicates, common, replicates, cfg.workers, block_size(t))
     header = ["replicate", "n_leaves", "max_centered"] + [f"N_u[{u}]" for u in u_grid]
     csv_rows = [[rep, n, repr(mx)] + counts for rep, (n, mx, counts) in enumerate(rows)]
     report = {
@@ -213,9 +214,8 @@ def _run_simulate(cfg: ExperimentConfig, t, replicates, u_grid):
 
 
 def _run_martingale(cfg: ExperimentConfig, t, sigma_b, replicates):
-    block = block_size(t)
-    common = (cfg.seed, t, sigma_b, cfg.offspring, block)
-    vals = run_replicates(_martingale_replicates, common, replicates, cfg.workers, block)
+    common = (cfg.seed, t, sigma_b, cfg.offspring)
+    vals = run_replicates(_martingale_replicates, common, replicates, cfg.workers, block_size(t))
     mean = math.fsum(vals) / replicates
     var = math.fsum((v - mean) ** 2 for v in vals) / (replicates - 1)
     se = math.sqrt(var / replicates)
@@ -362,6 +362,16 @@ EXPERIMENTS = {
 }
 
 
+def _check_population(t) -> None:
+    """A tree grown to t has 2e^t nodes on average (binary offspring, fewer
+    for any other law); a horizon where that exceeds ``genealogy.NODE_CAP``,
+    read at call time, would have its trees stop at the cap mid-run."""
+    cap = genealogy.NODE_CAP
+    t_max = math.log(cap / 2.0)
+    if t > t_max:
+        raise ConfigError(f"t = {t}: a tree of 2e^t expected nodes exceeds the node cap {cap} (t <= {t_max:.2f})")
+
+
 def _check_tube_window(t, r, n_steps) -> None:
     """A tube run measures only the grid points in [r, t - r]; with none
     there it would report a rate of 0 having measured nothing."""
@@ -426,6 +436,8 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
             raise ConfigError(f"unknown key {unknown[0]!r} in [{name}] of {kind}")
     typed = {name: _parse_keys(name, section, schemas[name]) for name, section in raw.items()}
     params = typed["experiment"]
+    if kind in ("simulate", "martingale", "compare", "cluster"):
+        _check_population(params["t"])
     try:
         profile = build_profile(**typed["profile"]) if "profile" in sections else None
         law = typed.get("offspring")

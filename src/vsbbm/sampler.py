@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from vsbbm.genealogy import Forest, GenealogyTree, mrca, replicate_rngs, sample_forest
+from vsbbm.genealogy import Forest, GenealogyTree, mrca, sample_forest, seed_stream, tree_rng
 from vsbbm.speed import SpeedProfile, sigma2
 
 
@@ -127,43 +127,22 @@ def block_size(t: float) -> int:
     return max(1, int(FOREST_NODE_BUDGET / (2.0 * math.exp(t))))
 
 
-def forest_blocks(reps, block: int) -> list[range]:
-    """The replicates ``reps`` (ascending) as forest blocks of ``block``:
-    block k is replicates [k*block, (k+1)*block).  Every block must be
-    whole except the last one handed, which may stop short as the final
-    block of a job does; a block handed in part elsewhere would draw from
-    the wrong key, so it raises ValueError."""
-    reps = list(reps)
-    blocks = []
-    for i in range(0, len(reps), block):
-        part = reps[i : i + block]
-        whole = range(part[0], part[0] + len(part))
-        if part[0] % block or part != list(whole):
-            raise ValueError(
-                f"replicates {part[0]}..{part[-1]} split a forest block of {block} replicates"
-            )
-        blocks.append(whole)
-    return blocks
-
-
-def forest_batches(seed, t, offspring, streams, reps, block):
-    """The replicates ``reps`` in forest blocks of ``block`` (see
-    ``forest_blocks``).  Per block: the tree of each leaf, one
+def forest_batches(seed, t, offspring, streams, blocks):
+    """Per forest block of ``blocks`` (``range``s of replicates, as
+    ``run_replicates`` hands them): the tree of each leaf, one
     (len(profiles), n_leaves) position array per entry ``name: profiles``
-    of ``streams`` and the block size.  Block k's trees grow as one forest on
-    the generator of its ``tree`` stream, keyed ``seed_stream(seed, k*block,
-    "tree")`` after its first replicate, and its leaves are placed under
-    every profile of ``streams[name]`` by one draw from its stream
-    ``name``, so ``block`` = 1 gives every replicate the streams of its own
-    index.  The trees stay independent across replicates."""
-    blocks = forest_blocks(reps, block)
-    firsts = [b.start for b in blocks]
-    trees = replicate_rngs(seed, firsts, "tree")
-    gauss = {name: replicate_rngs(seed, firsts, name) for name in streams}
-    for n in map(len, blocks):
-        forest = sample_forest(offspring, t, next(trees), starts=np.zeros(n))
+    of ``streams`` and the block size.  The block's trees grow as one
+    forest on ``tree_rng(seed_stream(seed, first, "tree"))``, first being
+    the block's first replicate, and its leaves are placed under every
+    profile of ``streams[name]`` by one draw from
+    ``tree_rng(seed_stream(seed, first, name))``, so blocks of one give
+    every replicate the streams of its own index.  The trees stay
+    independent across replicates."""
+    for b in blocks:
+        n = len(b)
+        forest = sample_forest(offspring, t, tree_rng(seed_stream(seed, b.start, "tree")), starts=np.zeros(n))
         positions = [
-            forest_leaf_positions(forest, profiles, t, next(gauss[name]))
+            forest_leaf_positions(forest, profiles, t, tree_rng(seed_stream(seed, b.start, name)))
             for name, profiles in streams.items()
         ]
         # a block of one tree (t > 8.32) needs no per-node tree ids

@@ -296,12 +296,11 @@ def test_collapse_equals_spine_sample_loop(monkeypatch, law, y_mode):
     # generator, its overshoot on the block's overshoot generator
     offspring, t, R, seed = {"binary": BINARY, "1,3": LAW_13}[law], 3.0, 2.0, 17
     monkeypatch.setattr(sampler_mod, "FOREST_NODE_BUDGET", 1)
-    block = cluster_mod.collapse_block(t, offspring, 1)
-    assert block == 1
+    assert cluster_mod.collapse_block(t, offspring, 1) == 1
     reps = range(3, 90, 2)
     total = 0
     for sig in SIGMAS:
-        hits = cluster_mod._collapse([sig], R, t, offspring, y_mode, seed, block, reps)
+        hits = cluster_mod._collapse([sig], R, t, offspring, y_mode, seed, [range(r, r + 1) for r in reps])
         want = []
         for r in reps:
             y = 0.0
@@ -337,7 +336,7 @@ def test_collapse_hits_do_not_depend_on_workers(monkeypatch):
         monkeypatch.setattr(sampler_mod, "FOREST_NODE_BUDGET", budget)
         block = cluster_mod.collapse_block(3.0, LAW_13, 3)
         assert block == want
-        common = (SIGMAS, 2.0, 3.0, LAW_13, "exponential", 23, block)
+        common = (SIGMAS, 2.0, 3.0, LAW_13, "exponential", 23)
         one = run_replicates(cluster_mod._collapse, common, 150, 1, block)
         assert len(one) == 150 and 0 < sum(map(sum, one)) < 450
         for workers in (2, 3):

@@ -11,6 +11,7 @@ import pytest
 
 import vsbbm
 from vsbbm import fkpp as fkpp_mod
+from vsbbm import genealogy
 from vsbbm import sampler as sampler_mod
 from vsbbm.compare import collect_exceedances, sandwich_report
 from vsbbm.extremal import centering, count_exceedances, mckean_martingale
@@ -756,11 +757,16 @@ def _bad_configs():
         ("fkpp", "t_end", "inf", "a finite t > 1"),
         ("fkpp", "dx", "inf", "a finite dx > 0"),
         ("simulate", "t", "nan", "a finite t > 1"),
+        ("simulate", "t", "16", "node cap"),
+        ("martingale", "t", "16", "node cap"),
+        ("compare", "t", "16", "node cap"),
+        ("cluster", "t", "16", "node cap"),
     ],
 )
 def test_main_rejects_out_of_range_value_before_any_output(tmp_path, capsys, kind, key, value, need):
     # unchecked, each of these values runs: to an exit 0 with estimates of
-    # 0, or to a late ValueError, ZeroDivisionError or IndexError
+    # 0, to a late ValueError, ZeroDivisionError or IndexError, or (t = 16,
+    # 2e^t > 2**24 expected nodes) to trees that fill memory
     lines, sections = KIND_CASES[kind][:2]
     lines = re.sub(rf"(?m)^{key} = .*\n?", "", lines).rstrip("\n") + f"\n{key} = {value}"
     path, out = write_config(tmp_path, _kind_config(kind, lines, sections))
@@ -769,6 +775,21 @@ def test_main_rejects_out_of_range_value_before_any_output(tmp_path, capsys, kin
     assert err["error"] == "ConfigError"
     assert need in err["message"]
     assert not out.exists()
+
+
+def test_node_cap_is_read_at_load(tmp_path, monkeypatch):
+    # a cap of 100 nodes admits t = 3.9 (2e^t = 98.8) and rejects t = 4
+    # (109.2); tube draws no tree and keeps its t = 30
+    monkeypatch.setattr(genealogy, "NODE_CAP", 100)
+    for kind in ("simulate", "martingale", "compare", "cluster"):
+        lines, sections = KIND_CASES[kind][:2]
+        path, _ = write_config(tmp_path, _kind_config(kind, lines.replace("t = 3", "t = 3.9"), sections))
+        assert load_config(path).params["t"] == 3.9
+        path, _ = write_config(tmp_path, _kind_config(kind, lines.replace("t = 3", "t = 4"), sections))
+        with pytest.raises(ConfigError, match="node cap 100"):
+            load_config(path)
+    path, _ = write_config(tmp_path, _kind_config("tube", KIND_CASES["tube"][0]))
+    assert load_config(path).params["t"] == 30
 
 
 @pytest.mark.parametrize(

@@ -8,8 +8,6 @@ from vsbbm.sampler import (
     ParticleConfiguration,
     _edge_std,
     covariance_oracle,
-    forest_batches,
-    forest_blocks,
     forest_leaf_positions,
     node_positions,
     sample_leaf_positions,
@@ -118,27 +116,6 @@ def test_forest_leaf_positions_stacked_rows_match_single_profile():
     for row, prof in zip(stacked, profiles):
         (alone,) = forest_leaf_positions(forest, (prof,), t, tree_rng(50))
         assert np.array_equal(row, alone)
-
-
-def test_forest_blocks_are_whole_blocks_and_reject_a_split_one():
-    # 120 replicates in blocks of 55: 55, 55 and a final 10
-    assert forest_blocks(range(120), 55) == [range(0, 55), range(55, 110), range(110, 120)]
-    # a worker's share of whole blocks, ending in the job's final block
-    share = [*range(55), *range(110, 120)]
-    assert forest_blocks(share, 55) == [range(0, 55), range(110, 120)]
-    assert forest_blocks(range(7), 1) == [range(r, r + 1) for r in range(7)]
-    split = {
-        "short-block-not-last": [*range(30), *range(55, 110)],
-        "missing-first-replicate": range(1, 56),
-        "strided": range(0, 120, 2),
-        "unaligned": range(20, 75),
-    }
-    for reps in split.values():
-        with pytest.raises(ValueError, match="split a forest block of 55"):
-            forest_blocks(reps, 55)
-        # forest_batches checks before it draws anything
-        with pytest.raises(ValueError, match="split a forest block of 55"):
-            next(forest_batches(3, 5.0, BINARY, {"gauss": (identity_profile(),)}, reps, 55))
 
 
 def _power(p):
