@@ -8,8 +8,9 @@ keys with a parser too; ``PROFILES`` does the same per ``[profile]`` kind.
 ``load_config`` alone reads raw strings: a section or key the kind never
 reads, a missing section or key, a value its parser rejects, a
 ``compare`` profile with no envelopes, a ``tube`` window [r, t - r]
-with no grid point and a tree horizon whose expected tree exceeds
-``genealogy.NODE_CAP`` raise ``ConfigError`` before anything is written.
+with no grid point and a tree horizon where some tree of the run would
+likely exceed ``genealogy.NODE_CAP`` raise ``ConfigError`` before
+anything is written.
 ``--seed``, ``--workers`` and ``--out`` are the only overrides of the
 file.  ``run`` writes every artifact to a temp path that is atomically
 renamed, so an interrupted run never leaves corrupt artifacts; the
@@ -362,14 +363,26 @@ EXPERIMENTS = {
 }
 
 
-def _check_population(t) -> None:
-    """A tree grown to t has 2e^t nodes on average (binary offspring, fewer
-    for any other law); a horizon where that exceeds ``genealogy.NODE_CAP``,
-    read at call time, would have its trees stop at the cap mid-run."""
-    cap = genealogy.NODE_CAP
-    t_max = math.log(cap / 2.0)
-    if t > t_max:
-        raise ConfigError(f"t = {t}: a tree of 2e^t expected nodes exceeds the node cap {cap} (t <= {t_max:.2f})")
+# a run may expect at most this many of its trees past the node cap
+_CAP_RISK = 1e-3
+
+
+def _check_population(t, replicates, offspring) -> None:
+    """A tree grown to t has e^t leaves on average, and its node count has
+    the Yule tail P(more than n nodes) ~ exp(-n / (k e^t)), k the law's
+    largest offspring count (a binary tree's leaves are geometric around
+    e^t).  A horizon where replicates * exp(-NODE_CAP / (k e^t)), the
+    expected number of trees past the cap, exceeds ``_CAP_RISK`` is
+    rejected, not stopped mid-run; ``genealogy.NODE_CAP`` is read at call
+    time."""
+    cap, k = genealogy.NODE_CAP, int(offspring.ks.max())
+    risk = replicates * math.exp(-cap * math.exp(-t) / k)
+    if risk > _CAP_RISK:
+        t_max = math.log(cap / (k * math.log(replicates / _CAP_RISK)))
+        raise ConfigError(
+            f"t = {t}: {risk:.2g} of {replicates} trees with up to {k} offspring are expected "
+            f"past the node cap {cap}, more than {_CAP_RISK} (t <= {t_max:.2f})"
+        )
 
 
 def _check_tube_window(t, r, n_steps) -> None:
@@ -436,8 +449,6 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
             raise ConfigError(f"unknown key {unknown[0]!r} in [{name}] of {kind}")
     typed = {name: _parse_keys(name, section, schemas[name]) for name, section in raw.items()}
     params = typed["experiment"]
-    if kind in ("simulate", "martingale", "compare", "cluster"):
-        _check_population(params["t"])
     try:
         profile = build_profile(**typed["profile"]) if "profile" in sections else None
         law = typed.get("offspring")
@@ -447,6 +458,8 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
             build_envelopes(profile, params["t"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    if kind in ("simulate", "martingale", "compare", "cluster"):
+        _check_population(params["t"], params["replicates"], offspring)
     if kind == "tube":
         _check_tube_window(params["t"], params["r"], params["n_steps"])
     return ExperimentConfig(

@@ -1,10 +1,12 @@
 import csv
+import hashlib
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from vsbbm import fkpp
 from vsbbm.fkpp import (
     FkppState,
     FrontTooCloseError,
@@ -153,6 +155,91 @@ def test_one_stepping_path(law):
     assert 0.0 < state.u[len(state.u) // 2 + 5] < 1.0
 
 
+def _full_grid_solve(off, t_end, x_min, x_max, dx, snapshot_times):
+    """solve_heaviside's loop with every step over the whole interior: a
+    fresh ``_ExplicitStep`` called again and again, ``_check_range`` at the
+    same steps; its (state, front track, snapshots)."""
+    x = np.arange(x_min, x_max + dx / 2, dx)
+    u = (x <= 0.0).astype(np.float64)
+    u[0], u[-1] = 1.0, 0.0
+    n_steps = max(1, int(round(t_end / (dx * dx / 4.0)))) if t_end > 0 else 0
+    dt = t_end / n_steps if n_steps else dx * dx / 4.0
+    step = _ExplicitStep(u, off, dx, dt)
+    check_every = max(1, n_steps // 200)
+    track, snaps, t = [], {}, 0.0
+    pending = sorted(snapshot_times)
+    for step_i in range(n_steps):
+        step()
+        t = (step_i + 1) * dt
+        if step_i % check_every == 0 or step_i == n_steps - 1:
+            fkpp._check_range(u)
+            track.append((t, front_position(FkppState(x=x, u=u, t=t, offspring=off))))
+        while pending and t >= pending[0] - dt / 2:
+            snaps[pending.pop(0)] = u.copy()
+    fkpp._check_range(u)
+    return u, track, snaps
+
+
+def _assert_window_is_exact(off, t_end, kw, between=lambda: None):
+    snapshot_times = (t_end / 3.0, t_end / 2.0) if t_end > 0 else ()
+    u, track, snaps = _full_grid_solve(off, t_end, snapshot_times=snapshot_times, **kw)
+    between()
+    state, got_track, got_snaps = solve_heaviside(
+        off, t_end, track_front=True, snapshot_times=snapshot_times, front_buffer=5.0, **kw
+    )
+    assert np.array_equal(state.u, u)
+    assert got_track == track
+    assert got_snaps.keys() == snaps.keys()
+    assert all(np.array_equal(got_snaps[s].u, snaps[s]) for s in snaps)
+
+
+@pytest.mark.parametrize(
+    "law, t_end",
+    [
+        ("binary", 10.0),  # horizons where the window narrows on both sides
+        ("1,3", 8.0),
+        ("1,2,3", 6.0),
+        ("binary", 0.05),  # 20 steps, fewer than one window period
+        ("1,3", 2.5175),  # 1007 steps, not a multiple of it
+        ("binary", 0.0),
+    ],
+)
+def test_window_matches_full_grid_step(monkeypatch, law, t_end):
+    # stepping only the window is bit-identical to stepping every cell;
+    # the count of stepped cells shows that the window did skip some
+    off = LAWS[law]
+    kw = dict(x_min=-30.0, x_max=SQRT2 * t_end + 20.0, dx=0.1)
+    stepped = []
+    call = _ExplicitStep.__call__
+    monkeypatch.setattr(_ExplicitStep, "__call__", lambda s: stepped.append(s.hi - s.lo) or call(s))
+    _assert_window_is_exact(off, t_end, kw)
+    interior = round((kw["x_max"] - kw["x_min"]) / kw["dx"]) - 1
+    n_steps = len(stepped) // 2
+    assert all(n == interior for n in stepped[:n_steps])  # the full-grid loop
+    if t_end >= 1.0:
+        assert sum(stepped[n_steps:]) < 0.9 * n_steps * interior
+
+
+def test_window_resets_after_a_clip(monkeypatch):
+    # a clip can change a cell outside the window (forced here: the cell
+    # next to the left boundary, far behind the front, goes to -1e-10 on
+    # the third range check); the window must then cover the whole
+    # interior again
+    check = fkpp._check_range
+    calls = []
+
+    def clipping_check(u):
+        calls.append(u[1])
+        if len(calls) == 3:
+            u[1] = -1e-10
+        return check(u)
+
+    monkeypatch.setattr(fkpp, "_check_range", clipping_check)
+    _assert_window_is_exact(BINARY, 5.0, dict(x_min=-30.0, x_max=40.0, dx=0.1), between=calls.clear)
+    # the cell was 1 before the clip and stepped back up after it
+    assert calls[2] == 1.0 and 0.0 < calls[3] < 1.0
+
+
 def test_heaviside_t0():
     state = solve_heaviside(BINARY, 0.0, x_min=-5.0, x_max=5.0, dx=0.1)
     assert np.array_equal(state.u, (state.x <= 0.0).astype(float))
@@ -247,3 +334,28 @@ def test_export_csv(tmp_path):
     state = solve_heaviside(BINARY, 2.0, dx=0.1)
     assert rows[0] == ["x", "u"]
     assert rows[1:] == [[repr(float(x)), repr(float(u))] for x, u in zip(state.x, state.u)]
+
+
+def test_fkpp_artifacts_are_pinned(tmp_path):
+    # sha256 of the fkpp kind's artifacts, computed with every step over
+    # the whole interior; a change to the stepping, the front track or the
+    # tail constants changes them
+    pinned = {
+        "t_end = 10\ndx = 0.1\n": {
+            "front.csv": "d19400890a1a570b4e877a54e9705938cbd706bcb7bd73c2c6c69201327d8bdf",
+            "snapshot.csv": "631e59cc05bbe8bde990d1c6c1ec5edc3fd619f69703bbccde0f28654c910a9a",
+            "report.json": "9378771cb0cd148e9d2f99228a114a0751af535762ca69e3ea73f6bcc0abe0c3",
+        },
+        "t_end = 8\ndx = 0.1\nsigma_e_list = 2\n\n[offspring]\nks = 1 3\nps = 0.5 0.5\n": {
+            "front.csv": "720b6aa885ace71a009b649f00dc0a8907daf69368bb4648cf30277ac2466444",
+            "snapshot.csv": "035030917f79a1e04aca491cf17de508a0260eac4e8dc0102d794fb1c5c41459",
+            "report.json": "4a92293a45f314fa7c5a239fbc705ac8a4dbf89ff83ae817c6cc9cd294fc2662",
+        },
+    }
+    for i, (lines, digests) in enumerate(pinned.items()):
+        out = tmp_path / f"out{i}"
+        cfg = tmp_path / f"fkpp{i}.ini"
+        cfg.write_text(f"[experiment]\nkind = fkpp\n{lines}\n[output]\ndir = {out}\n")
+        run(load_config(cfg))
+        for name, digest in digests.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name

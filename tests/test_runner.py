@@ -778,18 +778,34 @@ def test_main_rejects_out_of_range_value_before_any_output(tmp_path, capsys, kin
 
 
 def test_node_cap_is_read_at_load(tmp_path, monkeypatch):
-    # a cap of 100 nodes admits t = 3.9 (2e^t = 98.8) and rejects t = 4
-    # (109.2); tube draws no tree and keeps its t = 30
+    # a cap of 100 nodes, 4 replicates: a horizon is admitted while the
+    # run's chance of a tree past the cap, 4 exp(-100 / (k e^t)), stays
+    # below 1e-3, up to t = ln(100 / (k ln 4000)): 1.797 for the binary
+    # law (k = 2), 1.391 for law (1,3) (k = 3); tube draws no tree and
+    # keeps its t = 30
     monkeypatch.setattr(genealogy, "NODE_CAP", 100)
+    laws = {"": (1.79, 1.8), "[offspring]\nks = 1 3\nps = 0.5 0.5\n": (1.39, 1.4)}
     for kind in ("simulate", "martingale", "compare", "cluster"):
         lines, sections = KIND_CASES[kind][:2]
-        path, _ = write_config(tmp_path, _kind_config(kind, lines.replace("t = 3", "t = 3.9"), sections))
-        assert load_config(path).params["t"] == 3.9
-        path, _ = write_config(tmp_path, _kind_config(kind, lines.replace("t = 3", "t = 4"), sections))
-        with pytest.raises(ConfigError, match="node cap 100"):
-            load_config(path)
+        for law, (admitted, rejected) in laws.items():
+            text = _kind_config(kind, lines.replace("t = 3", f"t = {admitted}"), sections + law)
+            path, _ = write_config(tmp_path, text)
+            assert load_config(path).params["t"] == admitted
+            path, _ = write_config(tmp_path, text.replace(f"t = {admitted}", f"t = {rejected}"))
+            with pytest.raises(ConfigError, match="node cap 100"):
+                load_config(path)
     path, _ = write_config(tmp_path, _kind_config("tube", KIND_CASES["tube"][0]))
     assert load_config(path).params["t"] == 30
+
+
+def test_node_cap_bounds_the_tail_not_the_mean(tmp_path, monkeypatch):
+    # at cap 1000 a binary tree grown to t = 6.2 has 2e^t = 985 nodes on
+    # average, yet 139 of 400 such trees passed the cap; a 40-replicate
+    # run there is rejected at load, not stopped mid-run
+    monkeypatch.setattr(genealogy, "NODE_CAP", 1000)
+    path, _ = write_config(tmp_path, _kind_config("simulate", "t = 6.2\nreplicates = 40"))
+    with pytest.raises(ConfigError, match="node cap 1000"):
+        load_config(path)
 
 
 @pytest.mark.parametrize(
