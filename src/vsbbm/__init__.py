@@ -8,7 +8,6 @@ spine clusters that constrain them at finite horizon.
 
 from vsbbm.genealogy import GenealogyTree, OffspringDistribution, mrca, sample_tree
 from vsbbm.speed import (
-    EnvelopePair,
     SpeedProfile,
     build_envelopes,
     delta_thresholds,
@@ -19,16 +18,15 @@ from vsbbm.speed import (
 )
 from vsbbm.sampler import ParticleConfiguration, covariance_oracle
 from vsbbm.extremal import (
-    ReplicateSummary,
     centering,
     count_exceedances,
     empirical_laplace,
     mckean_martingale,
 )
 from vsbbm.tube import bridge_violation_bound, empirical_bridge_violation
-from vsbbm.fkpp import FkppState, fkpp_step, front_position, solve_heaviside, tail_constant
+from vsbbm.fkpp import FkppState, front_position, solve_heaviside, tail_constant
 from vsbbm.compare import sandwich_report
-from vsbbm.cluster import SpineRealization, spine_sample
+from vsbbm.cluster import spine_sample
 
 __all__ = [
     "GenealogyTree",
@@ -36,7 +34,6 @@ __all__ = [
     "sample_tree",
     "mrca",
     "SpeedProfile",
-    "EnvelopePair",
     "identity_profile",
     "two_speed",
     "delta_thresholds",
@@ -45,7 +42,6 @@ __all__ = [
     "build_envelopes",
     "ParticleConfiguration",
     "covariance_oracle",
-    "ReplicateSummary",
     "centering",
     "count_exceedances",
     "empirical_laplace",
@@ -53,11 +49,9 @@ __all__ = [
     "bridge_violation_bound",
     "empirical_bridge_violation",
     "FkppState",
-    "fkpp_step",
     "solve_heaviside",
     "front_position",
     "tail_constant",
     "sandwich_report",
-    "SpineRealization",
     "spine_sample",
 ]

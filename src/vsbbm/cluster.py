@@ -273,7 +273,6 @@ def decoration_collapse_study(
     replicates: int,
     seed: int,
     offspring: OffspringDistribution | None = None,
-    gamma: float = 0.75,
     y_mode: str = "zero",
     workers: int = 1,
 ) -> list[dict]:
@@ -291,7 +290,7 @@ def decoration_collapse_study(
     if y_mode not in ("zero", "exponential"):
         raise ValueError(f"unknown y_mode {y_mode!r}")
     # the bounds first, so a sigma_e whose bound overflows fails before the spines
-    bounds = [collapse_bound(sigma_e, R, offspring.K, gamma) for sigma_e in sigma_e_list]
+    bounds = [collapse_bound(sigma_e, R, offspring.K) for sigma_e in sigma_e_list]
     block = collapse_block(t, offspring, len(sigma_e_list))
     hits = run_replicates(_collapse, (sigma_e_list, R, t, offspring, y_mode, seed), replicates, workers, block)
     rows = []

@@ -21,14 +21,14 @@ from vsbbm.genealogy import OffspringDistribution, run_replicates
 from vsbbm.sampler import block_size, forest_batches
 from vsbbm.speed import SpeedProfile
 
+N_SE = 3.0
 
 def _exceedances(offspring, profiles, t, u_grid, seed, blocks):
     """Per replicate of the forest blocks ``blocks``: the exceedance counts
     of every profile on its tree, grown in its block's ``tree`` run and
     placed from one draw of the block's ``gauss`` stream."""
-    streams = {"gauss": tuple(profiles.values())}
     rows = []
-    for leaf_tree, (stacked,), n in forest_batches(seed, t, offspring, streams, blocks):
+    for leaf_tree, stacked, n in forest_batches(seed, t, offspring, tuple(profiles.values()), blocks):
         counts = [forest_exceedances(leaf_tree, pos, n, t, u_grid) for pos in stacked]
         rows += np.stack(counts, axis=1).tolist()
     return rows
@@ -61,9 +61,8 @@ def sandwich_report(
     counts_lower: np.ndarray,
     u_grid,
     c_grid,
-    n_se: float = 3.0,
 ) -> dict:
-    """Per-cell sandwich check L_lower - n_se*SE <= L_A <= L_upper + n_se*SE.
+    """Per-cell sandwich check L_lower - N_SE*SE <= L_A <= L_upper + N_SE*SE.
 
     The SE in each one-sided check combines both estimators in quadrature.
     Returns a JSON-ready report with per-cell estimates, gaps, and
@@ -87,8 +86,8 @@ def sandwich_report(
             e_a, e_up, e_low = (np.exp(-c * m[:, i]) for m in (counts_a, counts_upper, counts_lower))
             se_up = math.hypot(se_a, se_u)
             se_lo = math.hypot(se_a, se_l)
-            pass_upper = la <= lu + n_se * se_up
-            pass_lower = la >= ll - n_se * se_lo
+            pass_upper = la <= lu + N_SE * se_up
+            pass_lower = la >= ll - N_SE * se_lo
             n_pass += pass_upper and pass_lower
             cells.append(
                 {
@@ -112,5 +111,5 @@ def sandwich_report(
         "cells": cells,
         "n_cells": len(cells),
         "n_pass": int(n_pass),
-        "n_se": n_se,
+        "n_se": N_SE,
     }

@@ -5,8 +5,8 @@
 with Heaviside initial data and boundary values u(x_min)=1, u(x_max)=0.
 The reaction term is the exact polynomial u v g(v), v = 1 - u, with
 g(v) = sum_j P(K >= j+2) v^j.  Time stepping is explicit Euler only: one
-kernel, ``_ExplicitStep``, advances both ``solve_heaviside`` and
-``fkpp_step`` as u_i <- u_i P(u_i) + c (u_{i-1} + u_{i+1}).  Mean two
+kernel, ``_ExplicitStep``, advances ``solve_heaviside`` as
+u_i <- u_i P(u_i) + c (u_{i-1} + u_{i+1}).  Mean two
 offspring give P in [1 - 2c, 1 + dt] with 1 - 2c >= 1/2 for a stable dt,
 so both summands are non-negative and the far tail (u down to ~1e-300)
 keeps full relative accuracy.
@@ -16,8 +16,11 @@ The step updates only a window [lo, hi) of the interior, and
 cells that step changed.  This is exact, not an approximation: a cell
 whose left neighbour, own value and right neighbour did not change on the
 last step computes the same value again, so a change spreads at most one
-cell per step.  Behind the front 1 - u stalls at a rounding fixed point,
-and ahead of it, early on, u underflows to exactly 0, so the window skips
+cell per step.  Behind the front a cell stops changing only once its
+change per step, of order dt (1 - u), is lost to the rounding of u ~ 1: on
+a binary solve to t = 20 at dx = 0.05, cells still change from x = -18.4
+on, 42 behind the front at 23.57, where 1 - u = 3.4e-13.  Ahead of the
+front, early on, u underflows to exactly 0.  So the window skips only
 about 30% of the cell updates of a long solve (binary law, dx = 0.05: 28%
 to t = 50, 35% to t = 100).
 """
@@ -48,33 +51,21 @@ class FkppState:
     x: np.ndarray
     u: np.ndarray
     t: float
-    offspring: OffspringDistribution
-
-    @property
-    def dx(self) -> float:
-        return float(self.x[1] - self.x[0])
 
 
-def reaction(
-    u: np.ndarray,
-    offspring: OffspringDistribution,
-    out: np.ndarray | None = None,
-    work: np.ndarray | None = None,
-) -> np.ndarray:
+def reaction(u: np.ndarray, offspring: OffspringDistribution) -> np.ndarray:
     """(1-u) - sum_k p_k (1-u)^k, cancellation-free for tiny u.
 
     Evaluated as u v g(v) with v = 1-u and g(v) = sum_j P(K >= j+2) v^j, by
     Horner's rule on the coefficients ``offspring.reaction_coefficients``.
     For u -> 0 this behaves like u (mean 2 offspring), for binary offspring
-    it equals u(1-u).  ``out`` receives the result and ``work`` holds v;
-    both are allocated when not given.
+    it equals u(1-u).  The tests' oracle for the fused step of
+    ``_ExplicitStep``.
     """
     u = np.asarray(u, dtype=np.float64)
-    if out is None:
-        out = np.empty_like(u)
     coef = offspring.reaction_coefficients
-    v = np.subtract(1.0, u, out=work)
-    np.multiply(v, coef[-1], out=out)
+    v = 1.0 - u
+    out = v * coef[-1]
     for c in coef[-2::-1]:
         out += c
         out *= v
@@ -92,11 +83,6 @@ def _check_range(u: np.ndarray) -> bool:
         )
     np.clip(u, 0.0, 1.0, out=u)
     return bool(hi > 1.0 or lo < 0.0)
-
-
-def _check_stable(dt: float, dx: float) -> None:
-    if dt > dx * dx / 2.0 + 1e-15:
-        raise ValueError(f"explicit step dt={dt} exceeds stability limit dx^2/2={dx * dx / 2}")
 
 
 class _ExplicitStep:
@@ -169,24 +155,14 @@ class _ExplicitStep:
         inner += w
 
 
-def fkpp_step(state: FkppState, dt: float) -> FkppState:
-    """One explicit Euler step; errors out if dt violates dx^2/2 stability."""
-    _check_stable(dt, state.dx)
-    u = state.u.astype(np.float64, copy=True)
-    _ExplicitStep(u, state.offspring, state.dx, dt)()
-    u[0], u[-1] = 1.0, 0.0
-    _check_range(u)
-    return FkppState(x=state.x, u=u, t=state.t + dt, offspring=state.offspring)
-
-
-def front_position(state: FkppState, level: float = 0.5) -> float:
-    """x where u crosses ``level``, by linear interpolation (u decreasing)."""
+def front_position(state: FkppState) -> float:
+    """x where u crosses 1/2, by linear interpolation (u decreasing)."""
     u, x = state.u, state.x
-    idx = np.nonzero(u >= level)[0]
+    idx = np.nonzero(u >= 0.5)[0]
     if len(idx) == 0 or idx[-1] + 1 >= len(u):
         raise ValueError("front level not bracketed on the grid")
     i = idx[-1]
-    frac = (u[i] - level) / (u[i] - u[i + 1])
+    frac = (u[i] - 0.5) / (u[i] - u[i + 1])
     return float(x[i] + frac * (x[i + 1] - x[i]))
 
 
@@ -229,7 +205,8 @@ def solve_heaviside(
     n_steps = max(1, int(round(t_end / dt))) if t_end > 0 else 0
     if n_steps:
         dt = t_end / n_steps
-    _check_stable(dt, dx)
+    if dt > dx * dx / 2.0 + 1e-15:
+        raise ValueError(f"explicit step dt={dt} exceeds stability limit dx^2/2={dx * dx / 2}")
     step = _ExplicitStep(u, offspring, dx, dt)
 
     buffer_idx = int((x_max - front_buffer - x_min) / dx)
@@ -254,16 +231,13 @@ def solve_heaviside(
                     f"front within {front_buffer} of x_max={x_max} at t={t:.3f}; widen the grid"
                 )
             if track_front:
-                now = FkppState(x=x, u=u, t=t, offspring=offspring)
-                front_track.append((t, front_position(now)))
+                front_track.append((t, front_position(FkppState(x=x, u=u, t=t))))
         while next_snap < len(snapshot_times) and t >= snapshot_times[next_snap] - dt / 2:
-            snapshots[snapshot_times[next_snap]] = FkppState(
-                x=x, u=u.copy(), t=t, offspring=offspring
-            )
+            snapshots[snapshot_times[next_snap]] = FkppState(x=x, u=u.copy(), t=t)
             next_snap += 1
 
     _check_range(u)
-    state = FkppState(x=x, u=u, t=t_end, offspring=offspring)
+    state = FkppState(x=x, u=u, t=t_end)
     if track_front or snapshot_times:
         return state, front_track, snapshots
     return state
@@ -312,8 +286,6 @@ def tail_constant(
     sigma_e: float,
     t: float,
     dx: float = 0.05,
-    x_min: float = -50.0,
-    x_max: float | None = None,
 ) -> tuple[float, dict]:
     """Finite-t estimate of the front tail constant for end slope sigma_e.
 
@@ -321,13 +293,6 @@ def tail_constant(
     diagnostic compares against the value at t/2 (Richardson-style) rather
     than claiming convergence.
     """
-    default_x_max = tail_x_max(sigma_e, t)  # also rejects sigma_e <= 1
-    state, _, snaps = solve_heaviside(
-        offspring,
-        t,
-        x_min=x_min,
-        x_max=default_x_max if x_max is None else x_max,
-        dx=dx,
-        snapshot_times=(t / 2.0,),
-    )
+    x_max = tail_x_max(sigma_e, t)  # also rejects sigma_e <= 1
+    state, _, snaps = solve_heaviside(offspring, t, x_max=x_max, dx=dx, snapshot_times=(t / 2.0,))
     return tail_estimate(state, snaps[t / 2.0], sigma_e, t)

@@ -30,7 +30,9 @@ import numpy as np
 # per node and placing it under three profiles at 80-103 B, so a tree at
 # the cap takes about 1.7 GB; 10**8 nodes would take 6-10 GB and exhaust a
 # 7 GB machine before the cap fired.  ``runner.load_config`` rejects every
-# horizon whose expected tree, 2e^t nodes, exceeds the cap.
+# horizon where the run expects more than 1e-3 of its trees past the cap,
+# replicates * exp(-NODE_CAP / (k e^t)) > 1e-3, k the law's largest
+# offspring count: the Yule tail of the tree size, not its mean 2e^t.
 NODE_CAP = 2**24
 
 
@@ -51,8 +53,8 @@ class OffspringDistribution:
 
     ks: np.ndarray
     ps: np.ndarray
-    mean: float = field(init=False)
-    second_factorial_moment: float = field(init=False)
+    # E[K(K-1)], the second factorial moment of the law
+    K: float = field(init=False)
     # coefficients of g(v) = sum_j P(K >= j+2) v^j, lowest power first: the
     # F-KPP reaction (1-u) - sum_k p_k (1-u)^k equals u v g(v), v = 1-u
     reaction_coefficients: np.ndarray = field(init=False, repr=False)
@@ -80,8 +82,7 @@ class OffspringDistribution:
             raise ValueError(f"offspring mean is {mean}, must be 2")
         object.__setattr__(self, "ks", ks)
         object.__setattr__(self, "ps", ps)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "second_factorial_moment", float((ks * (ks - 1)) @ ps))
+        object.__setattr__(self, "K", float((ks * (ks - 1)) @ ps))
         p_at_least = np.cumsum(np.bincount(ks, weights=ps, minlength=3)[::-1])[::-1]
         object.__setattr__(self, "reaction_coefficients", p_at_least[2:])
         real = ks >= 2
@@ -94,10 +95,6 @@ class OffspringDistribution:
         object.__setattr__(self, "rate", rate)
         object.__setattr__(self, "branch_ks", ks[real])
         object.__setattr__(self, "cdf", cdf)
-
-    @property
-    def K(self) -> float:
-        return self.second_factorial_moment
 
     @classmethod
     def binary(cls) -> "OffspringDistribution":

@@ -103,6 +103,12 @@ def _finite_above(name: str, low: int):
     return _checked(float, lambda v: math.isfinite(v) and v > low, f"a finite {name} > {low}")
 
 
+def _non_empty(parse):
+    """``parse``, then a ValueError for an empty list: a run with no cell
+    to measure would exit 0 having measured nothing."""
+    return _checked(parse, len, "at least one entry")
+
+
 def _power_eval(p, x):
     return np.asarray(x) ** p
 
@@ -179,7 +185,7 @@ def _write_csv(path, header, rows) -> None:
 
 def _simulate_replicates(seed, t, profile, offspring, u_grid, blocks):
     rows = []
-    for leaf_tree, ((pos,),), n in forest_batches(seed, t, offspring, {"gauss": (profile,)}, blocks):
+    for leaf_tree, (pos,), n in forest_batches(seed, t, offspring, (profile,), blocks):
         n_leaves, top, counts = forest_summaries(leaf_tree, pos, n, t, u_grid)
         rows += zip(n_leaves.tolist(), top.tolist(), counts.tolist())
     return rows
@@ -188,8 +194,7 @@ def _simulate_replicates(seed, t, profile, offspring, u_grid, blocks):
 def _martingale_replicates(seed, s_horizon, sigma_b, offspring, blocks):
     profile = identity_profile()
     vals = []
-    streams = {"gauss": (profile,)}
-    for leaf_tree, ((pos,),), n in forest_batches(seed, s_horizon, offspring, streams, blocks):
+    for leaf_tree, (pos,), n in forest_batches(seed, s_horizon, offspring, (profile,), blocks):
         vals += forest_mckean(leaf_tree, pos, n, profile, s_horizon, sigma_b).tolist()
     return vals
 
@@ -340,12 +345,13 @@ EXPERIMENTS = {
         "sigma_e_list": (_SIGMA_ES, ""),
     }),
     "compare": (_run_compare, {"profile": REQUIRED, "offspring": _BINARY}, {
-        "t": _T_ABOVE_ONE, "replicates": _REPLICATES, "u_grid": (_U_GRID, "-1 0 1 2 3"),
-        "c_grid": (_checked(_floats, lambda v: all(c >= 0 for c in v), "every entry >= 0"), "0.1 0.5 2"),
+        "t": _T_ABOVE_ONE, "replicates": _REPLICATES,
+        "u_grid": (_non_empty(_U_GRID), "-1 0 1 2 3"),
+        "c_grid": (_non_empty(_checked(_floats, lambda v: all(c >= 0 for c in v), "every entry >= 0")), "0.1 0.5 2"),
     }),
     "cluster": (_run_cluster, {"offspring": _BINARY}, {
         "t": _T_POSITIVE, "replicates": _REPLICATES,
-        "sigma_e_list": (_checked(_SIGMA_ES, lambda v: v == sorted(v), "an ascending list"), "1.2 1.5 2"),
+        "sigma_e_list": (_non_empty(_checked(_SIGMA_ES, lambda v: v == sorted(v), "an ascending list")), "1.2 1.5 2"),
         "R": (_checked(float, math.isfinite, "a finite R"), "2"),
         "y_mode": (_checked(str, lambda v: v in ("zero", "exponential"), "zero or exponential"), "zero"),
     }),
@@ -456,7 +462,7 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
         if kind == "compare":
             # compare needs the envelopes, which exist only where (A1) holds
             build_envelopes(profile, params["t"])
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: a table profile's file cannot be read
         raise ConfigError(str(exc)) from None
     if kind in ("simulate", "martingale", "compare", "cluster"):
         _check_population(params["t"], params["replicates"], offspring)

@@ -127,24 +127,20 @@ def block_size(t: float) -> int:
     return max(1, int(FOREST_NODE_BUDGET / (2.0 * math.exp(t))))
 
 
-def forest_batches(seed, t, offspring, streams, blocks):
+def forest_batches(seed, t, offspring, profiles, blocks):
     """Per forest block of ``blocks`` (``range``s of replicates, as
-    ``run_replicates`` hands them): the tree of each leaf, one
-    (len(profiles), n_leaves) position array per entry ``name: profiles``
-    of ``streams`` and the block size.  The block's trees grow as one
-    forest on ``tree_rng(seed_stream(seed, first, "tree"))``, first being
-    the block's first replicate, and its leaves are placed under every
-    profile of ``streams[name]`` by one draw from
-    ``tree_rng(seed_stream(seed, first, name))``, so blocks of one give
-    every replicate the streams of its own index.  The trees stay
-    independent across replicates."""
+    ``run_replicates`` hands them): the tree of each leaf, the
+    (len(profiles), n_leaves) leaf positions under ``profiles`` and the
+    block size.  The block's trees grow as one forest on
+    ``tree_rng(seed_stream(seed, first, "tree"))``, first being the
+    block's first replicate, and its leaves are placed under every profile
+    by one draw from ``tree_rng(seed_stream(seed, first, "gauss"))``, so
+    blocks of one give every replicate the streams of its own index.  The
+    trees stay independent across replicates."""
     for b in blocks:
         n = len(b)
         forest = sample_forest(offspring, t, tree_rng(seed_stream(seed, b.start, "tree")), starts=np.zeros(n))
-        positions = [
-            forest_leaf_positions(forest, profiles, t, tree_rng(seed_stream(seed, b.start, name)))
-            for name, profiles in streams.items()
-        ]
+        positions = forest_leaf_positions(forest, profiles, t, tree_rng(seed_stream(seed, b.start, "gauss")))
         # a block of one tree (t > 8.32) needs no per-node tree ids
         nodes = forest.nodes
         leaf_tree = np.zeros(nodes.n_leaves, np.intp) if n == 1 else forest.tree_id[nodes.leaf_ids]

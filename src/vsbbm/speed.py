@@ -32,9 +32,10 @@ class SpeedProfile:
     """A non-decreasing speed function A: [0,1] -> [0,1].
 
     slope_at_0 / slope_at_1 are the one-sided derivatives sigma_b^2 and
-    sigma_e^2 (sigma_e^2 may be inf).  The K bounds and taylor_order feed
-    the envelope construction; they are caller-supplied since only their
-    existence is assumed, not a recipe for finding them.
+    sigma_e^2 (sigma_e^2 may be inf).  The K bounds feed the second-order
+    Taylor corrections of the envelope construction; they are
+    caller-supplied since only their existence is assumed, not a recipe
+    for finding them.
     """
 
     func: Callable[[np.ndarray], np.ndarray]
@@ -44,14 +45,11 @@ class SpeedProfile:
     k1_lower: float = 0.0
     k2_upper: float = 0.0
     k2_lower: float = 0.0
-    taylor_order: int = 2
     label: str = "custom"
 
     def __post_init__(self):
         if self.slope_at_0 < 0:
             raise AssumptionError("slope at 0 must be >= 0")
-        if self.taylor_order < 2:
-            raise AssumptionError("taylor_order must be >= 2")
         a0 = float(self.func(np.array(0.0)))
         a1 = float(self.func(np.array(1.0)))
         if abs(a0) > _ENDPOINT_TOL or abs(a1 - 1.0) > _ENDPOINT_TOL:
@@ -60,15 +58,15 @@ class SpeedProfile:
     def __call__(self, x) -> np.ndarray:
         return np.asarray(self.func(np.asarray(x, dtype=np.float64)))
 
-    def check_monotone(self, n_grid: int = 10**4) -> None:
-        grid = np.linspace(0.0, 1.0, n_grid)
+    def check_monotone(self) -> None:
+        grid = np.linspace(0.0, 1.0, 10**4)
         vals = self(grid)
         if np.any(np.diff(vals) < -_ENDPOINT_TOL):
             raise AssumptionError("A is not non-decreasing on the test grid")
 
-    def check_below_diagonal(self, n_grid: int = 10**4) -> None:
+    def check_below_diagonal(self) -> None:
         """Assumption (A1): A(x) < x on the open interval."""
-        grid = np.linspace(0.0, 1.0, n_grid + 2)[1:-1]
+        grid = np.linspace(0.0, 1.0, 10**4 + 2)[1:-1]
         vals = self(grid)
         if np.any(vals >= grid):
             bad = grid[np.argmax(vals >= grid)]
@@ -166,7 +164,7 @@ def piecewise_linear(xs, ys, **kw) -> SpeedProfile:
     """Profile interpolating the monotone breakpoint table (xs, ys)."""
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
-    if xs[0] != 0.0 or xs[-1] != 1.0:
+    if xs.size == 0 or xs[0] != 0.0 or xs[-1] != 1.0:
         raise AssumptionError("breakpoints must span [0, 1]")
     if np.any(np.diff(xs) <= 0) or np.any(np.diff(ys) < 0):
         raise AssumptionError("breakpoint table must be monotone")
@@ -182,6 +180,8 @@ def from_table_csv(path, **kw) -> SpeedProfile:
         for row in csv.reader(fh):
             if not row or row[0].strip().startswith("#"):
                 continue
+            if len(row) < 2:
+                raise ValueError(f"{path}: row {row} needs two columns, x and A(x)")
             xs.append(float(row[0]))
             ys.append(float(row[1]))
     kw.setdefault("label", "table")
@@ -254,7 +254,6 @@ class EnvelopePair:
     lower: SpeedProfile
     kink_upper: float
     kink_lower: float
-    t: float
 
 
 def _validated(profile: SpeedProfile) -> None:
@@ -277,11 +276,8 @@ def build_envelopes(profile: SpeedProfile, t: float) -> EnvelopePair:
     if s_e <= 1:
         raise AssumptionError("end slope sigma_e^2 must exceed 1")
     d_less, d_greater = delta_thresholds(profile, t)
-    n = profile.taylor_order
-    nfact = math.factorial(n)
-
-    corr0_up = profile.k1_upper / nfact * d_less ** (n - 1)
-    corr0_low = profile.k1_lower / nfact * d_less ** (n - 1)
+    corr0_up = profile.k1_upper / 2.0 * d_less
+    corr0_low = profile.k1_lower / 2.0 * d_less
     corr1_up = profile.k2_upper / 2.0 * d_greater
     corr1_low = profile.k2_lower / 2.0 * d_greater
 
@@ -313,4 +309,4 @@ def build_envelopes(profile: SpeedProfile, t: float) -> EnvelopePair:
         slope_at_1=slope1_low,
         label="envelope_lower",
     )
-    return EnvelopePair(upper=upper, lower=lower, kink_upper=kink_up, kink_lower=kink_low, t=t)
+    return EnvelopePair(upper=upper, lower=lower, kink_upper=kink_up, kink_lower=kink_low)

@@ -106,10 +106,9 @@ def empirical_bridge_violation(
     return rate, se
 
 
-def first_moment_constant(d: float, t_grid=None) -> float:
-    """Numerical sup over t of t e^{-sqrt(2) d} / (sqrt(2 pi) (m~(t) + d))."""
-    if t_grid is None:
-        t_grid = np.linspace(1.5, 10**4, 10**5)
+def first_moment_constant(d: float) -> float:
+    """Numerical sup over t in [1.5, 1e4] of t e^{-sqrt(2) d} / (sqrt(2 pi) (m~(t) + d))."""
+    t_grid = np.linspace(1.5, 10**4, 10**5)
     m = SQRT2 * t_grid - np.log(t_grid) / (2 * SQRT2)
     vals = t_grid * math.exp(-SQRT2 * d) / (math.sqrt(2 * math.pi) * (m + d))
     return float(vals.max())

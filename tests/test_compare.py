@@ -121,7 +121,7 @@ def test_sandwich_report_same_law_triple():
         collect_exceedances(BINARY, {"a": identity_profile()}, 4.0, u, 800, seed=seed)["a"]
         for seed in (17, 18, 19)
     )
-    report = sandwich_report(x, y, z, u, c, n_se=3.0)
+    report = sandwich_report(x, y, z, u, c)
     assert report["n_pass"] == report["n_cells"]
 
 

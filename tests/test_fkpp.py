@@ -11,7 +11,6 @@ from vsbbm.fkpp import (
     FkppState,
     FrontTooCloseError,
     _ExplicitStep,
-    fkpp_step,
     front_position,
     reaction,
     solve_heaviside,
@@ -71,36 +70,19 @@ def test_reaction_tiny_u_no_cancellation():
             assert abs(Fraction(got) / exact - 1) < 1e-13
 
 
-def test_reaction_out_buffers():
-    off = LAWS["1,2,3"]
-    u = np.linspace(0.0, 1.0, 7)
-    out, work = np.empty_like(u), np.empty_like(u)
-    assert reaction(u, off, out=out, work=work) is out
-    assert np.array_equal(out, reaction(u, off))
-
-
 def test_fixed_points():
-    x = np.arange(0.0, 1.0 + 1e-9, 0.1)
     for const in (0.0, 1.0):
-        state = FkppState(x=x, u=np.full_like(x, const), t=0.0, offspring=BINARY)
-        stepped = fkpp_step(state, 0.004)
-        inner = stepped.u[1:-1]
-        assert np.allclose(inner, const, atol=1e-15)
-
-
-def test_step_stability_guard():
-    x = np.arange(0.0, 1.0 + 1e-9, 0.1)
-    state = FkppState(x=x, u=(x <= 0.5).astype(float), t=0.0, offspring=BINARY)
-    with pytest.raises(ValueError):
-        fkpp_step(state, 0.01)  # dx^2/2 = 0.005
+        u = np.full(11, const)
+        _ExplicitStep(u, BINARY, 0.1, 0.004)()
+        assert np.allclose(u[1:-1], const, atol=1e-15)
 
 
 def test_stability_checked_after_dt_rederivation():
-    # round(0.0124 / 0.005) = 2 steps of 0.0062 > dx^2/2 = 0.005
-    with pytest.raises(ValueError, match="stability"):
-        solve_heaviside(
-            BINARY, 0.0124, x_min=-5.0, x_max=5.0, dx=0.1, dt=0.005, front_buffer=1.0
-        )
+    # dx^2/2 = 0.005: a given dt of 0.01 lands on t_end = 0.1 unchanged,
+    # and round(0.0124 / 0.005) = 2 steps re-derive dt = 0.005 to 0.0062
+    for t_end, dt in ((0.1, 0.01), (0.0124, 0.005)):
+        with pytest.raises(ValueError, match="stability"):
+            solve_heaviside(BINARY, t_end, x_min=-5.0, x_max=5.0, dx=0.1, dt=dt, front_buffer=1.0)
 
 
 def test_short_horizon_takes_one_step():
@@ -111,7 +93,9 @@ def test_short_horizon_takes_one_step():
     start = solve_heaviside(BINARY, 0.0, **kw)
     assert state.t == t_end
     assert not np.array_equal(state.u, start.u)
-    assert np.max(np.abs(state.u - fkpp_step(start, t_end).u)) <= 1e-15
+    u = start.u.copy()
+    _ExplicitStep(u, BINARY, kw["dx"], t_end)()
+    assert np.max(np.abs(state.u - u)) <= 1e-15
 
 
 @pytest.mark.parametrize("dt_over_dx2", [0.25, 0.5])
@@ -139,22 +123,6 @@ def test_negative_horizon_rejected():
         solve_heaviside(BINARY, -1.0, x_min=-5.0, x_max=5.0, dx=0.1)
 
 
-@pytest.mark.parametrize("law", ["binary", "1,3"])
-def test_one_stepping_path(law):
-    # k fkpp_step calls and one solve to k dt agree; dx = 1/8 makes the
-    # grid, dt = dx^2/4 and k dt exact in binary
-    off, dx, k = LAWS[law], 0.125, 40
-    dt = dx * dx / 4.0
-    kw = dict(x_min=-5.0, x_max=5.0, dx=dx, front_buffer=1.0)
-    state = solve_heaviside(off, 0.0, **kw)
-    for _ in range(k):
-        state = fkpp_step(state, dt)
-    solved = solve_heaviside(off, k * dt, dt=dt, **kw)
-    assert state.t == solved.t
-    assert np.max(np.abs(state.u - solved.u)) <= 1e-15
-    assert 0.0 < state.u[len(state.u) // 2 + 5] < 1.0
-
-
 def _full_grid_solve(off, t_end, x_min, x_max, dx, snapshot_times):
     """solve_heaviside's loop with every step over the whole interior: a
     fresh ``_ExplicitStep`` called again and again, ``_check_range`` at the
@@ -173,7 +141,7 @@ def _full_grid_solve(off, t_end, x_min, x_max, dx, snapshot_times):
         t = (step_i + 1) * dt
         if step_i % check_every == 0 or step_i == n_steps - 1:
             fkpp._check_range(u)
-            track.append((t, front_position(FkppState(x=x, u=u, t=t, offspring=off))))
+            track.append((t, front_position(FkppState(x=x, u=u, t=t))))
         while pending and t >= pending[0] - dt / 2:
             snaps[pending.pop(0)] = u.copy()
     fkpp._check_range(u)
@@ -257,21 +225,20 @@ def test_comparison_principle():
     v = np.clip(np.sort(rng.uniform(0, 1, len(x)))[::-1], 0, 1)
     v[0], v[-1] = 1.0, 0.0
     u = np.clip(v + 0.2 * (1 - v) * v, 0, 1)  # u >= v, same endpoints
-    su = FkppState(x=x, u=u, t=0.0, offspring=BINARY)
-    sv = FkppState(x=x, u=v, t=0.0, offspring=BINARY)
+    steps = [_ExplicitStep(w, BINARY, x[1] - x[0], 0.0025) for w in (u, v)]
     for _ in range(200):
-        su = fkpp_step(su, 0.0025)
-        sv = fkpp_step(sv, 0.0025)
-    assert np.all(su.u >= sv.u - 1e-12)
+        for step in steps:
+            step()
+    assert np.all(u >= v - 1e-12)
 
 
 def test_front_position_interpolation():
     x = np.arange(-1.0, 1.0 + 1e-9, 0.5)
     u = np.array([1.0, 1.0, 0.75, 0.25, 0.0])
-    state = FkppState(x=x, u=u, t=0.0, offspring=BINARY)
+    state = FkppState(x=x, u=u, t=0.0)
     assert front_position(state) == pytest.approx(0.25)
     with pytest.raises(ValueError):
-        front_position(FkppState(x=x, u=np.ones_like(x), t=0.0, offspring=BINARY))
+        front_position(FkppState(x=x, u=np.ones_like(x), t=0.0))
 
 
 def test_front_speed_sqrt2():

@@ -38,7 +38,7 @@ def test_offspring_validation():
     with pytest.raises(ValueError):
         OffspringDistribution(np.array([0, 4]), np.array([0.5, 0.5]))  # k=0
     d = OffspringDistribution(np.array([1, 3]), np.array([0.5, 0.5]))
-    assert abs(d.mean - 2.0) < 1e-12
+    assert abs(d.ks @ d.ps - 2.0) < 1e-12
     assert abs(d.K - 3.0) < 1e-12  # 0.5 * 3 * 2
 
 

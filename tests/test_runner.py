@@ -726,6 +726,9 @@ def _bad_configs():
         ("simulate", "t = 3\nreplicates = 4", "[profile]\nkind = two_speed\nsigma1_sq = 0.5\n"
          "sigma2_sq = 0.5\nb = 0.5\n", "normalization"),
         ("simulate", "t = 3\nreplicates = 4", "[offspring]\nks = 1 3\n", "ps"),
+        ("simulate", "t = 3\nreplicates = 4", "[profile]\nkind = piecewise\nxs =\nys =\n", "span"),
+        ("simulate", "t = 3\nreplicates = 4", "[profile]\nkind = table\npath = missing.csv\n", "missing.csv"),
+        ("simulate", "t = 3\nreplicates = 4", "[profile]\nkind = table\npath = one_column.csv\n", "two columns"),
     ]
     for i, (kind, lines, sections, word) in enumerate(extra):
         yield pytest.param(kind, _kind_config(kind, lines, sections), [], word, id=f"{kind}-value-{i}")
@@ -761,12 +764,16 @@ def _bad_configs():
         ("martingale", "t", "16", "node cap"),
         ("compare", "t", "16", "node cap"),
         ("cluster", "t", "16", "node cap"),
+        ("compare", "u_grid", "", "at least one entry"),
+        ("compare", "c_grid", "", "at least one entry"),
+        ("cluster", "sigma_e_list", "", "at least one entry"),
     ],
 )
 def test_main_rejects_out_of_range_value_before_any_output(tmp_path, capsys, kind, key, value, need):
     # unchecked, each of these values runs: to an exit 0 with estimates of
-    # 0, to a late ValueError, ZeroDivisionError or IndexError, or (t = 16,
-    # 2e^t > 2**24 expected nodes) to trees that fill memory
+    # 0 or with no cell measured, to a late ValueError, ZeroDivisionError
+    # or IndexError, or (t = 16, where a binary tree passes 2**24 nodes
+    # with chance exp(-2**24 / (2e^t)) = 0.39) to trees that fill memory
     lines, sections = KIND_CASES[kind][:2]
     lines = re.sub(rf"(?m)^{key} = .*\n?", "", lines).rstrip("\n") + f"\n{key} = {value}"
     path, out = write_config(tmp_path, _kind_config(kind, lines, sections))
@@ -841,7 +848,10 @@ def test_kind_cases_are_valid(tmp_path, kind):
 
 
 @pytest.mark.parametrize("kind,text,argv,word", _bad_configs())
-def test_main_rejects_bad_config_before_any_output(tmp_path, capsys, kind, text, argv, word):
+def test_main_rejects_bad_config_before_any_output(tmp_path, capsys, monkeypatch, kind, text, argv, word):
+    # a table profile's path is relative to the working directory
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "one_column.csv").write_text("0\n0.5\n1\n")
     path, out = write_config(tmp_path, text)
     assert main([kind, "--config", str(path), *argv]) == 1
     err = json.loads(capsys.readouterr().err)
