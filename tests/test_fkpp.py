@@ -77,12 +77,16 @@ def test_fixed_points():
         assert np.allclose(u[1:-1], const, atol=1e-15)
 
 
+def test_step_stability_guard():
+    # a given dt of 0.01 > dx^2/2 = 0.005 lands on t_end = 0.1 unchanged
+    with pytest.raises(ValueError, match="stability"):
+        solve_heaviside(BINARY, 0.1, x_min=-5.0, x_max=5.0, dx=0.1, dt=0.01, front_buffer=1.0)
+
+
 def test_stability_checked_after_dt_rederivation():
-    # dx^2/2 = 0.005: a given dt of 0.01 lands on t_end = 0.1 unchanged,
-    # and round(0.0124 / 0.005) = 2 steps re-derive dt = 0.005 to 0.0062
-    for t_end, dt in ((0.1, 0.01), (0.0124, 0.005)):
-        with pytest.raises(ValueError, match="stability"):
-            solve_heaviside(BINARY, t_end, x_min=-5.0, x_max=5.0, dx=0.1, dt=dt, front_buffer=1.0)
+    # round(0.0124 / 0.005) = 2 steps of 0.0062 > dx^2/2 = 0.005
+    with pytest.raises(ValueError, match="stability"):
+        solve_heaviside(BINARY, 0.0124, x_min=-5.0, x_max=5.0, dx=0.1, dt=0.005, front_buffer=1.0)
 
 
 def test_short_horizon_takes_one_step():
