@@ -149,10 +149,12 @@ class GenealogyTree:
 
 
 def tree_rng(seed: int) -> np.random.Generator:
-    """Counter-based generator used for all tree and Gaussian draws."""
+    """SFC64 generator used for all tree and Gaussian draws.  numpy
+    expands ``seed`` through a SeedSequence into the initial state, so
+    distinct ``seed_stream`` keys give independent streams."""
     if seed is None:
         raise TypeError("tree_rng needs an integer seed, not None")
-    return np.random.Generator(np.random.Philox(seed))
+    return np.random.Generator(np.random.SFC64(seed))
 
 
 def seed_stream(master: int, replicate: int, stream: str) -> int:

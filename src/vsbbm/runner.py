@@ -26,10 +26,11 @@ profile and both envelopes from one draw of the ``gauss`` stream;
 ``cluster`` passes ``cluster.collapse_block`` and grows each block's
 spines and their immigrants on the block's one ``spine`` generator.  Every
 forest draws from one generator.  ``tube`` draws its bridges in row
-chunks and ``fkpp`` is deterministic.  The manifest records the seed
-scheme ``blake2b-philox-v3`` and the run's stream block.  Aggregation is
-order-fixed (by replicate index, exact summation), so results do not
-depend on the worker count.
+chunks and ``fkpp`` is deterministic.  Every generator is SFC64, seeded
+through numpy's SeedSequence from its stream key.  The manifest records
+the seed scheme ``blake2b-sfc64-v4`` and the run's stream block.
+Aggregation is order-fixed (by replicate index, exact summation), so
+results do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -519,7 +520,7 @@ def run(cfg: ExperimentConfig) -> dict:
         "config_hash": cfg.config_hash,
         "files": sorted([*tables, "report.json"]),
         "version": "0.1.0",
-        "seed_scheme": "blake2b-philox-v3",
+        "seed_scheme": "blake2b-sfc64-v4",
         "stream_block": _stream_block(cfg),
         "environment": {
             "python": "%d.%d.%d" % sys.version_info[:3],

@@ -230,11 +230,12 @@ def test_decoration_collapse_study(tmp_path):
 def test_decoration_collapse_study_distinct_spine_seeds(monkeypatch):
     # 4097 replicates cross the 2**12 stride of a shifted-integer seed
     # layout; a budget of 1 node gives blocks of one replicate, whose two
-    # spines draw from the block's one generator, named by its Philox key
+    # spines draw from the block's one generator, named by its initial
+    # SFC64 state
     seeds, spines = [], []
 
     def stub(sigma_e, y, t, offspring, rng):
-        seeds.append(tuple(rng.bit_generator.state["state"]["key"].tolist()))
+        seeds.append(tuple(rng.bit_generator.state["state"]["state"].tolist()))
         spines.append(len(sigma_e))
         return np.zeros(0, dtype=np.intp), np.empty(0), np.empty(0), np.zeros(0, dtype=np.int64)
 

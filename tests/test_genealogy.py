@@ -323,26 +323,37 @@ def _mrca_oracle(tree, k, l):
 
 
 def test_seed_scheme_is_pinned():
-    # blake2b-philox-v3: every stream is tree_rng(seed_stream(master,
-    # first, name)); a change to the derivation or to numpy's Philox
-    # seeding would change every artifact
+    # blake2b-sfc64-v4: every stream is tree_rng(seed_stream(master,
+    # first, name)); a change to the derivation or to numpy's SFC64
+    # seeding would change every artifact.  Each stream pins its first
+    # normals and, from a fresh generator, its first exponential: the
+    # lifetimes draw on that path
     pinned = {
         (0, 0, "tree"): (
-            1718889147194537667, [0.4843238216812341, -2.0173961386930537, 0.0013910762595997007]
+            1718889147194537667,
+            [-0.6111965867770314, 1.014042749154405, 1.7615619082782927],
+            0.049210048758449636,
         ),
         (2201, 55, "gauss"): (
-            15699240675713577639, [0.05817761815421066, -0.8745969609482047, -0.1120738967521113]
+            15699240675713577639,
+            [-0.45582905105176197, -1.0672354359079288, -1.1561862893121855],
+            3.7583011763630787,
         ),
         (17, 3, "spine"): (
-            2301587245200703011, [0.4770992410251876, 0.5141836221370013, 0.7853411879958568]
+            2301587245200703011,
+            [-1.1812598396231382, 2.3071249384364196, -1.0412339673194009],
+            0.37279341848631176,
         ),
         (2**40 + 7, 110, "overshoot"): (
-            6795232936772584200, [-0.1442666477308909, 0.9783300115000935, -1.7496170113690819]
+            6795232936772584200,
+            [0.20169932690308956, 2.2345330402992762, 0.27743933880637156],
+            0.04268902148671623,
         ),
     }
-    for (master, first, name), (seed, normals) in pinned.items():
+    for (master, first, name), (seed, normals, exponential) in pinned.items():
         assert seed_stream(master, first, name) == seed
         assert tree_rng(seed).standard_normal(3).tolist() == normals
+        assert tree_rng(seed).exponential() == exponential
 
 
 def _share_of(tag, blocks):

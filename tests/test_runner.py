@@ -216,7 +216,7 @@ def test_run_simulate_artifacts_and_determinism(tmp_path):
     assert manifest["kind"] == "simulate"
     assert manifest["seed"] == 7
     assert set(manifest["files"]) == {"report.json", "summaries.csv"}
-    assert manifest["seed_scheme"] == "blake2b-philox-v3"
+    assert manifest["seed_scheme"] == "blake2b-sfc64-v4"
     # t = 3: blocks of floor(2**14 / (2 e^3)) = 407 replicates
     assert manifest["stream_block"] == 407
     for name in ("summaries.csv", "report.json"):
@@ -637,7 +637,7 @@ dir = {out}
     assert (out / "collapse.csv").exists()
     # two sigma_e at t = 3: blocks of floor(2**14 / (2 * 2 (2(e^3 - 1) - 3))) = 116
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["seed_scheme"] == "blake2b-philox-v3"
+    assert manifest["seed_scheme"] == "blake2b-sfc64-v4"
     assert manifest["stream_block"] == 116
 
 
