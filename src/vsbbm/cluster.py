@@ -164,6 +164,8 @@ TAU_MAX = 4.5
 FIRST_STEP = 1.0 / 8.0
 MAX_HALVINGS = 10
 RTOL = 1e-12
+# the exponent of the tube (sigma_e s)^GAMMA in collapse_bound's integrand
+GAMMA = 0.75
 
 
 def _exp_sinh_sum(log_f, lo: float, h: float) -> float:
@@ -199,11 +201,9 @@ def _collapse_exponent(sigma_e: float, R: float, gamma: float):
     return lambda s: a * s + b * (R + (sigma_e * s) ** gamma)
 
 
-def collapse_bound(
-    sigma_e: float, R: float, K: float, gamma: float = 0.75
-) -> float:
+def collapse_bound(sigma_e: float, R: float, K: float) -> float:
     """Analytic bound 2K sigma_e^{-1/2} + 2K int e^{(1-sigma_e^2)s +
-    sqrt2 sigma_e (R + (sigma_e s)^gamma)} ds on the multi-atom probability,
+    sqrt2 sigma_e (R + (sigma_e s)^GAMMA)} ds on the multi-atom probability,
     the integral over [sigma_e^{-1/2}, inf) by a double-exponential
     (exp-sinh) rule that halves its step until it converges.
 
@@ -212,7 +212,7 @@ def collapse_bound(
     sigma_e near 1 (sigma_e = 1.02, R = 2)."""
     if sigma_e <= 1:
         raise ValueError("sigma_e must exceed 1")
-    log_val, _ = _exp_sinh(_collapse_exponent(sigma_e, R, gamma), sigma_e**-0.5)
+    log_val, _ = _exp_sinh(_collapse_exponent(sigma_e, R, GAMMA), sigma_e**-0.5)
     try:
         bound = 2.0 * K * (sigma_e**-0.5 + math.exp(log_val))
     except OverflowError:

@@ -455,6 +455,9 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
         if unknown := sorted(section.keys() - schemas[name].keys()):
             raise ConfigError(f"unknown key {unknown[0]!r} in [{name}] of {kind}")
     typed = {name: _parse_keys(name, section, schemas[name]) for name, section in raw.items()}
+    if "path" in typed.get("profile", {}):
+        # a table profile's path is relative to the config file's directory
+        typed["profile"]["path"] = os.path.join(os.path.dirname(path), typed["profile"]["path"])
     params = typed["experiment"]
     try:
         profile = build_profile(**typed["profile"]) if "profile" in sections else None

@@ -159,14 +159,23 @@ def _quad_bound(sigma_e, R, K, gamma):
     return 2.0 * K * sigma_e**-0.5 + 2.0 * K * val
 
 
+def _rule_bound(sigma_e, R, K, gamma):
+    # collapse_bound's arithmetic at any gamma: its exp-sinh rule on the exponent
+    log_val, _ = cluster_mod._exp_sinh(cluster_mod._collapse_exponent(sigma_e, R, gamma), sigma_e**-0.5)
+    return 2.0 * K * (sigma_e**-0.5 + math.exp(log_val))
+
+
 def test_collapse_bound_matches_quad():
+    cases = [(sig, R) for sig in (1.1, 1.2, 1.3, 1.5, 2.0, 3.0, 5.0) for R in (0, 1, 2, 3)]
     worst = max(
-        abs(collapse_bound(sig, R, BINARY.K, gamma) / _quad_bound(sig, R, BINARY.K, gamma) - 1.0)
-        for sig in (1.1, 1.2, 1.3, 1.5, 2.0, 3.0, 5.0)
-        for R in (0, 1, 2, 3)
+        abs(_rule_bound(sig, R, BINARY.K, gamma) / _quad_bound(sig, R, BINARY.K, gamma) - 1.0)
+        for sig, R in cases
         for gamma in (0.5, 0.75)
     )
     assert worst <= 1e-10
+    # collapse_bound is the rule at its own gamma
+    gamma = cluster_mod.GAMMA
+    assert all(collapse_bound(sig, R, BINARY.K) == _rule_bound(sig, R, BINARY.K, gamma) for sig, R in cases)
 
 
 @pytest.mark.parametrize("sigma_e", [1.05, 1.1])

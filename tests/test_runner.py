@@ -175,6 +175,23 @@ def test_override_precedence(tmp_path, monkeypatch):
     assert load_config(path, overrides={"seed": None}).seed == 7
 
 
+def test_table_path_is_relative_to_the_config(tmp_path, monkeypatch):
+    # the same config loads the same table from any working directory
+    configs = tmp_path / "configs"
+    (configs / "tables").mkdir(parents=True)
+    (configs / "tables" / "a.csv").write_text("0,0\n0.5,0.25\n1,1\n")
+    (configs / "cfg.ini").write_text(
+        "[experiment]\nkind = simulate\nt = 3\nreplicates = 4\n\n[profile]\nkind = table\npath = tables/a.csv\n"
+    )
+    grid = np.linspace(0.0, 1.0, 9)
+    values = []
+    for cwd, cfg in ((tmp_path, "configs/cfg.ini"), (configs / "tables", "../cfg.ini")):
+        monkeypatch.chdir(cwd)
+        values.append(load_config(cfg).profile(grid))
+    assert np.array_equal(values[0], values[1])
+    assert np.array_equal(values[0], np.interp(grid, [0.0, 0.5, 1.0], [0.0, 0.25, 1.0]))
+
+
 def test_profile_and_offspring_parsing(tmp_path):
     text = """\
 [experiment]
@@ -848,9 +865,8 @@ def test_kind_cases_are_valid(tmp_path, kind):
 
 
 @pytest.mark.parametrize("kind,text,argv,word", _bad_configs())
-def test_main_rejects_bad_config_before_any_output(tmp_path, capsys, monkeypatch, kind, text, argv, word):
-    # a table profile's path is relative to the working directory
-    monkeypatch.chdir(tmp_path)
+def test_main_rejects_bad_config_before_any_output(tmp_path, capsys, kind, text, argv, word):
+    # a table profile's path is relative to the config file's directory
     (tmp_path / "one_column.csv").write_text("0\n0.5\n1\n")
     path, out = write_config(tmp_path, text)
     assert main([kind, "--config", str(path), *argv]) == 1
