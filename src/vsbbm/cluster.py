@@ -108,9 +108,9 @@ def _immigrant_leaves(times, values, counts, t, offspring, rng) -> tuple[np.ndar
     ``values[i]``.  Returns the leaf positions and the tree of each leaf,
     trees in point order."""
     # uniform(0, t) lies in [0, t), so every immigrant is born before t
-    forest = sample_forest(offspring, t, rng, starts=times.repeat(counts))
-    leaf_tree = forest.tree_id[forest.nodes.leaf_ids]
-    return forest_leaf_positions(forest, (IDENTITY,), t, rng)[0] + values.repeat(counts)[leaf_tree], leaf_tree
+    tree = sample_forest(offspring, t, rng, starts=times.repeat(counts))
+    leaf_tree = tree.leaf_tree
+    return forest_leaf_positions(tree, (IDENTITY,), t, rng)[0] + values.repeat(counts)[leaf_tree], leaf_tree
 
 
 def spine_sample(

@@ -1,11 +1,11 @@
 """Continuous-time Galton-Watson trees.
 
 Trees are sampled generation by generation into flat numpy arrays so that
-populations of ~1e7 nodes stay cheap to build and to query.  Many small
-trees grow together as a forest, one wave loop for all of them, each from
-its own start time, on one generator: the trees of one replicate block
-in ``sampler.forest_batches``, the immigrant trees of one block of spines
-in ``cluster``.
+populations of ~1e7 nodes stay cheap to build and to query.  One
+``GenealogyTree`` records every tree grown together, in one wave loop,
+each from its own start time, on one generator: the trees of one
+replicate block in ``sampler.forest_batches``, the immigrant trees of one
+block of spines in ``cluster``.  A single tree is a forest of one.
 
 The model branches at rate 1 with an offspring law p_k of mean 2, so the
 expected population at time t is e^t.  A branching into one child cannot be
@@ -110,34 +110,53 @@ class OffspringDistribution:
 
 @dataclass(frozen=True, eq=False)
 class GenealogyTree:
-    """Flat-array record of one Galton-Watson realization up to horizon t.
+    """Flat-array record of the Galton-Watson trees grown together up to
+    horizon t, ``n_trees`` of them; one tree is a forest of one.
 
-    Node 0 is the root.  Children always carry larger indices than their
-    parent, and ``wave_starts`` records the generation boundaries of the
-    breadth-first construction (used for vectorized descent); the roots
-    are the first wave.  ``internal_ids`` are the nodes with children,
-    ascending: ``sample_forest`` passes those its wave loop found, and a
-    tree built without them derives them from ``n_offspring``, which is
-    itself derived from ``parent`` on first use (no sampling path reads
-    it).
+    Nodes are wave-major: wave w of all trees is
+    ``wave_starts[w]:wave_starts[w + 1]``, the first wave holds the roots
+    of trees 0..n_trees-1, and parents are node indices, always smaller
+    than their children's.  Within a wave the nodes of tree r are
+    contiguous and precede those of tree r + 1, so tree r's nodes in index
+    order are the breadth-first order of the tree grown alone.
+    ``wave_sizes[w, r]`` counts the nodes of tree r in wave w.
+    ``internal_ids`` are the nodes with children, ascending.
     """
 
     horizon: float
     birth: np.ndarray
     death: np.ndarray
     parent: np.ndarray
-    wave_starts: np.ndarray
+    wave_sizes: np.ndarray  # (waves, n_trees)
     leaf_ids: np.ndarray
-    internal_ids: np.ndarray | None = None
+    internal_ids: np.ndarray
 
-    def __post_init__(self):
-        if self.internal_ids is None:
-            object.__setattr__(self, "internal_ids", self.n_offspring.nonzero()[0])
+    @cached_property
+    def wave_starts(self) -> np.ndarray:
+        """The first node of every wave, then the node count."""
+        return np.concatenate([[0], self.wave_sizes.sum(axis=1).cumsum()])
 
     @cached_property
     def n_offspring(self) -> np.ndarray:
         """The number of children of every node."""
-        return np.bincount(self.parent[self.wave_starts[1] :], minlength=self.n_nodes)
+        return np.bincount(self.parent[self.n_trees :], minlength=self.n_nodes)
+
+    @cached_property
+    def tree_id(self) -> np.ndarray:
+        """The tree of every node."""
+        waves = len(self.wave_sizes)
+        return np.tile(np.arange(self.n_trees), waves).repeat(self.wave_sizes.ravel())
+
+    @cached_property
+    def leaf_tree(self) -> np.ndarray:
+        """The tree of every leaf, in ``leaf_ids`` order."""
+        if self.n_trees == 1:
+            return np.zeros(self.n_leaves, np.intp)
+        return self.tree_id[self.leaf_ids]
+
+    @property
+    def n_trees(self) -> int:
+        return self.wave_sizes.shape[1]
 
     @property
     def n_nodes(self) -> int:
@@ -197,42 +216,12 @@ def run_replicates(fn, common: tuple, replicates: int, workers: int = 1, block: 
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class Forest:
-    """Trees grown in one wave loop on one generator.
-
-    ``nodes`` holds the nodes of every tree, wave-major: wave w of all trees
-    is ``nodes.wave_starts[w]:nodes.wave_starts[w + 1]``, nodes
-    ``0..n_trees-1`` are the roots and parents are global node indices.
-    Within a wave the nodes of tree r are contiguous and precede those of
-    tree r + 1, so tree r's nodes in index order are the breadth-first
-    order ``sample_tree`` gives a tree alone.
-    """
-
-    nodes: GenealogyTree
-    wave_sizes: np.ndarray  # (waves, n_trees): nodes of each tree per wave
-
-    @property
-    def n_trees(self) -> int:
-        return self.wave_sizes.shape[1]
-
-    @property
-    def tree_sizes(self) -> np.ndarray:
-        return self.wave_sizes.sum(axis=0)
-
-    @cached_property
-    def tree_id(self) -> np.ndarray:
-        """The tree of every node, computed once per forest."""
-        waves = len(self.wave_sizes)
-        return np.tile(np.arange(self.n_trees), waves).repeat(self.wave_sizes.ravel())
-
-
 def sample_forest(
     offspring: OffspringDistribution,
     t: float,
     rng: np.random.Generator,
     starts: np.ndarray | None = None,
-) -> Forest:
+) -> GenealogyTree:
     """Grow Galton-Watson trees up to the shared horizon t, all in one wave
     loop on the generator ``rng``, branching only for real: lifetimes are
     Exp(``offspring.rate``), rate 1 - p_1, and every node that dies before
@@ -266,17 +255,17 @@ def sample_forest(
     parents: list[np.ndarray] = []
     internal_ids: list[np.ndarray] = []
     wave_bounds: list[np.ndarray] = []  # bounds of each wave
-    wave_starts = [0]
+    n_nodes = 0
 
     parent = np.full(n_trees, -1, dtype=np.int64)
     # the nodes of tree r in the current wave are bounds[r]:bounds[r + 1]
     bounds = np.arange(n_trees + 1)
     while len(birth):
         wave_bounds.append(bounds)
-        offset = wave_starts[-1]
-        wave_starts.append(offset + len(birth))
+        offset = n_nodes
+        n_nodes += len(birth)
         # the forest's node count bounds every tree's
-        if wave_starts[-1] > NODE_CAP:
+        if n_nodes > NODE_CAP:
             per_tree = np.diff(wave_bounds, axis=1).sum(axis=0)
             if per_tree.max() > NODE_CAP:
                 raise PopulationCapError(
@@ -312,18 +301,17 @@ def sample_forest(
         internal_ids.append(idx)
 
     internal = np.concatenate(internal_ids)
-    is_leaf = np.ones(wave_starts[-1], dtype=bool)
+    is_leaf = np.ones(n_nodes, dtype=bool)
     is_leaf[internal] = False
-    nodes = GenealogyTree(
+    return GenealogyTree(
         horizon=t,
         birth=_join(births),
         death=_join(deaths),
         parent=_join(parents),
-        wave_starts=np.asarray(wave_starts, dtype=np.int64),
+        wave_sizes=np.diff(wave_bounds, axis=1),
         leaf_ids=is_leaf.nonzero()[0],
         internal_ids=internal,
     )
-    return Forest(nodes=nodes, wave_sizes=np.diff(wave_bounds, axis=1))
 
 
 def _join(parts: list[np.ndarray]) -> np.ndarray:
@@ -337,14 +325,15 @@ def sample_tree(
     rng: np.random.Generator | None = None,
 ) -> GenealogyTree:
     """Sample a Galton-Watson tree of real branchings up to horizon t
-    (Exp(1 - p_1) lifetimes, k >= 2 children): the forest of the one
-    generator ``rng``, or ``tree_rng(seed)`` when ``rng`` is not given.
+    (Exp(1 - p_1) lifetimes, k >= 2 children): ``sample_forest``'s forest
+    of one on the generator ``rng``, or ``tree_rng(seed)`` when ``rng`` is
+    not given.
 
     Deterministic given the seed: lifetimes and offspring counts are drawn
     wave by wave in node-index order.  Raises PopulationCapError instead of
     silently truncating when ``NODE_CAP`` is exceeded.
     """
-    return sample_forest(offspring, t, tree_rng(seed) if rng is None else rng).nodes
+    return sample_forest(offspring, t, tree_rng(seed) if rng is None else rng)
 
 
 def _check_leaf(tree: GenealogyTree, node: int) -> None:
@@ -356,9 +345,12 @@ def mrca(tree: GenealogyTree, k: int, l: int) -> float:
     """Last time the ancestral lines of leaves k and l coincide.
 
     Walks parent pointers, lifting whichever line was born later; O(depth).
+    Leaves of different trees have no common ancestor: ValueError.
     """
     _check_leaf(tree, k)
     _check_leaf(tree, l)
+    if tree.n_trees > 1 and tree.tree_id[k] != tree.tree_id[l]:
+        raise ValueError(f"leaves {k} and {l} are in different trees, {tree.tree_id[k]} and {tree.tree_id[l]}")
     if k == l:
         return tree.horizon
     a, b = k, l

@@ -6,14 +6,15 @@ there is no time-discretization error at branch times or at the horizon.
 Sigma^2 is evaluated only where it varies from node to node, at the
 branch times and the roots' births: every leaf dies at the horizon t and
 reads the one value Sigma^2(t).
-Every forest takes its positions from one generator.  ``simulate``,
-``martingale`` and ``compare`` place their trees in ``forest_batches``, a
-block of replicate trees grown on one generator, whose leaves
-``forest_leaf_positions`` places under a tuple of profiles from one
-Gaussian draw per block; ``cluster`` places the immigrant forest of each
-block of spines with ``forest_leaf_positions`` too.  ``node_positions``
-and ``sample_leaf_positions`` do the same for one tree, for the demos and
-as the tests' oracles.
+Every ``GenealogyTree``, one tree or many grown together, takes its
+positions from one generator.  ``simulate``, ``martingale`` and
+``compare`` place their trees in ``forest_batches``, a block of replicate
+trees grown on one generator, whose leaves ``forest_leaf_positions``
+places under a tuple of profiles from one Gaussian draw per block;
+``cluster`` places the immigrant trees of each block of spines with
+``forest_leaf_positions`` too.  ``sample_leaf_positions`` places leaves
+under one profile, with independent redraws on the same tree, for the
+demos and as the tests' oracle.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from vsbbm.genealogy import Forest, GenealogyTree, mrca, sample_forest, seed_stream, tree_rng
+from vsbbm.genealogy import GenealogyTree, mrca, sample_forest, seed_stream, tree_rng
 from vsbbm.speed import SpeedProfile, sigma2
 
 
@@ -51,7 +52,7 @@ def _edge_std(tree: GenealogyTree, profiles: tuple, t: float) -> np.ndarray:
     their own birth times.  One ``sigma2`` call per profile evaluates all
     three: internal deaths, root births, horizon."""
     internal = tree.internal_ids
-    n_roots = int(tree.wave_starts[1])
+    n_roots = tree.n_trees
     at = np.concatenate([tree.death[internal], tree.birth[:n_roots], [tree.horizon]])
     var = np.empty((len(profiles), tree.n_nodes))
     for row, profile in zip(var, profiles):
@@ -77,39 +78,20 @@ def _descend(tree: GenealogyTree, pos: np.ndarray) -> np.ndarray:
     return pos
 
 
-def node_positions(
-    tree: GenealogyTree,
-    profile: SpeedProfile,
-    t: float,
-    rng: np.random.Generator,
-    n_draws: int | None = None,
-) -> np.ndarray:
-    """Positions of every node at its death time; shape (n_nodes,) or
-    (n_draws, n_nodes) for independent redraws on the same tree.
-
-    Vectorized wave by wave: a child's position is its parent's death
-    position plus an independent Gaussian edge increment.
-    """
-    shape = (tree.n_nodes,) if n_draws is None else (n_draws, tree.n_nodes)
-    return _descend(tree, _edge_std(tree, (profile,), t)[0] * rng.standard_normal(shape))
-
-
 def forest_leaf_positions(
-    forest: Forest,
+    tree: GenealogyTree,
     profiles: tuple,
     t: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Leaf positions of every tree of the forest under each of ``profiles``,
-    shape (len(profiles), n_leaves), leaves in ``forest.nodes.leaf_ids``
-    order.  ``rng`` makes one ``standard_normal`` draw over the forest's
-    nodes in index order and every profile scales that one draw, so a
-    forest of one tree gets the positions ``sample_leaf_positions`` gives
-    it on the same generator."""
-    nodes = forest.nodes
-    std = _edge_std(nodes, profiles, t)
-    std *= rng.standard_normal(nodes.n_nodes)
-    return _descend(nodes, std)[:, nodes.leaf_ids]
+    """Leaf positions of every tree under each of ``profiles``, shape
+    (len(profiles), n_leaves), leaves in ``tree.leaf_ids`` order.  ``rng``
+    makes one ``standard_normal`` draw over the nodes in index order and
+    every profile scales that one draw, so each profile's row is what
+    ``sample_leaf_positions`` gives on the same generator."""
+    std = _edge_std(tree, profiles, t)
+    std *= rng.standard_normal(tree.n_nodes)
+    return _descend(tree, std)[:, tree.leaf_ids]
 
 
 # Nodes per forest block.  A tree of real branchings has
@@ -139,12 +121,9 @@ def forest_batches(seed, t, offspring, profiles, blocks):
     trees stay independent across replicates."""
     for b in blocks:
         n = len(b)
-        forest = sample_forest(offspring, t, tree_rng(seed_stream(seed, b.start, "tree")), starts=np.zeros(n))
-        positions = forest_leaf_positions(forest, profiles, t, tree_rng(seed_stream(seed, b.start, "gauss")))
-        # a block of one tree (t > 8.32) needs no per-node tree ids
-        nodes = forest.nodes
-        leaf_tree = np.zeros(nodes.n_leaves, np.intp) if n == 1 else forest.tree_id[nodes.leaf_ids]
-        yield leaf_tree, positions, n
+        tree = sample_forest(offspring, t, tree_rng(seed_stream(seed, b.start, "tree")), starts=np.zeros(n))
+        positions = forest_leaf_positions(tree, profiles, t, tree_rng(seed_stream(seed, b.start, "gauss")))
+        yield tree.leaf_tree, positions, n
 
 
 def sample_leaf_positions(
@@ -154,9 +133,13 @@ def sample_leaf_positions(
     rng: np.random.Generator,
     n_draws: int | None = None,
 ) -> np.ndarray:
-    """Leaf positions only; shape (n_leaves,) or (n_draws, n_leaves)."""
-    pos = node_positions(tree, profile, t, rng, n_draws)
-    return pos[..., tree.leaf_ids]
+    """Leaf positions under ``profile``; shape (n_leaves,), or
+    (n_draws, n_leaves) for independent redraws on the same tree.  A
+    node's position is its parent's plus an independent Gaussian edge
+    increment, added wave by wave."""
+    shape = (tree.n_nodes,) if n_draws is None else (n_draws, tree.n_nodes)
+    pos = _edge_std(tree, (profile,), t)[0] * rng.standard_normal(shape)
+    return _descend(tree, pos)[..., tree.leaf_ids]
 
 
 def covariance_oracle(

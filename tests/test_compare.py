@@ -30,8 +30,7 @@ def test_coupled_fields_cross_covariance():
     t = 4.0
     prof = power2_profile()
     env = build_envelopes(prof, t)
-    forest = sample_forest(BINARY, t, tree_rng(9))
-    tree = forest.nodes
+    tree = sample_forest(BINARY, t, tree_rng(9))
     leaf = int(tree.leaf_ids[0])
     lineage = []
     while leaf >= 0:
@@ -42,7 +41,7 @@ def test_coupled_fields_cross_covariance():
     n = 2000
     prod = np.empty(n)
     for s in range(n):
-        pos = forest_leaf_positions(forest, (prof, env.upper), t, tree_rng(s))
+        pos = forest_leaf_positions(tree, (prof, env.upper), t, tree_rng(s))
         prod[s] = pos[0, 0] * pos[1, 0]
     se = prod.std(ddof=1) / math.sqrt(n)
     # both fields have mean 0, so the mean product estimates the covariance

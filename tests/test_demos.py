@@ -1,0 +1,34 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import vsbbm
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
+
+# each demo at a size that runs in about a second
+DEMO_ARGS = {
+    "bridge_tube": ["--replicates", "200"],
+    "cluster_collapse": ["--replicates", "20"],
+    "covariance_check": ["--redraws", "300", "--pairs", "2"],
+    "envelope_sandwich": ["--t", "4", "--replicates", "20"],
+    "fkpp_front": ["--t-end", "5"],
+    "martingale_convergence": ["--replicates", "20"],
+}
+
+
+def test_every_demo_is_listed():
+    assert sorted(p.stem for p in DEMOS.glob("*.py")) == sorted(DEMO_ARGS)
+
+
+@pytest.mark.parametrize("name", list(DEMO_ARGS))
+def test_demo_runs(name):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(vsbbm.__file__)))
+    done = subprocess.run(
+        [sys.executable, str(DEMOS / f"{name}.py"), *DEMO_ARGS[name]], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout

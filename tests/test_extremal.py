@@ -150,8 +150,9 @@ def test_mckean_single_particle_formula():
         birth=np.array([0.0]),
         death=np.array([s]),
         parent=np.array([-1]),
-        wave_starts=np.array([0, 1]),
+        wave_sizes=np.array([[1]]),
         leaf_ids=np.array([0]),
+        internal_ids=np.array([], dtype=np.intp),
     )
     cfg = ParticleConfiguration(
         tree=tree, profile=identity_profile(), horizon=s, leaf_positions=np.array([x])
@@ -206,7 +207,7 @@ def test_forest_reductions_match_trees_alone():
     prof = identity_profile()
     forest = sample_forest(BINARY, t, tree_rng(3), starts=np.zeros(n))
     (pos,) = forest_leaf_positions(forest, (prof,), t, tree_rng(1003))
-    leaf_tree = forest.tree_id[forest.nodes.leaf_ids]
+    leaf_tree = forest.leaf_tree
     m = centering(t, "tilde")
     # a u equal to the top leaf's centered position, above the lowest u:
     # N_u counts strictly above it
@@ -236,7 +237,7 @@ def test_forest_summaries_match_leaf_by_leaf_oracle(n_trees):
     prof = identity_profile()
     forest = sample_forest(BINARY, t, tree_rng(8), starts=np.zeros(n_trees))
     (pos,) = forest_leaf_positions(forest, (prof,), t, tree_rng(70))
-    leaf_tree = forest.tree_id[forest.nodes.leaf_ids]
+    leaf_tree = forest.leaf_tree
     if n_trees > 1:
         assert np.count_nonzero(np.diff(leaf_tree)) > n_trees - 1
     n_leaves, top, counts = forest_summaries(leaf_tree, pos, n_trees, t, u)

@@ -58,9 +58,10 @@ def test_degenerate_chain_single_lineage():
     assert rng.random() == tree_rng(3).random()
     rng = tree_rng(3)
     forest = sample_forest(CHAIN, 7.0, rng, starts=[0.0, 2.5, 6.0])
-    assert forest.nodes.birth.tolist() == [0.0, 2.5, 6.0]
-    assert forest.nodes.death.tolist() == [7.0] * 3
-    assert forest.nodes.leaf_ids.tolist() == [0, 1, 2]
+    assert forest.birth.tolist() == [0.0, 2.5, 6.0]
+    assert forest.death.tolist() == [7.0] * 3
+    assert forest.leaf_ids.tolist() == [0, 1, 2]
+    assert forest.wave_sizes.tolist() == [[1, 1, 1]] and forest.leaf_tree.tolist() == [0, 1, 2]
     assert rng.random() == tree_rng(3).random()
 
 
@@ -166,19 +167,20 @@ def test_sample_forest_matches_trees_grown_alone(law):
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
     for s in range(5):
         forest = sample_forest(offspring, t, tree_rng(s), starts=np.zeros(40))
-        nodes, tree_id = forest.nodes, forest.tree_id
+        tree_id = forest.tree_id
         birth, death, parent, kids, waves, tree = _reference_tree(offspring, t, tree_rng(s), starts=np.zeros(40))
         assert forest.n_trees == 40
         for got, want in zip(
-            (nodes.birth, nodes.death, nodes.parent, nodes.n_offspring, nodes.wave_starts, tree_id),
+            (forest.birth, forest.death, forest.parent, forest.n_offspring, forest.wave_starts, tree_id),
             (birth, death, parent, kids, waves, tree),
         ):
             assert np.array_equal(got, want)
         for w in range(len(waves) - 1):
             assert np.all(np.diff(tree_id[waves[w] : waves[w + 1]]) >= 0)
-        assert np.array_equal(forest.tree_sizes, np.bincount(tree, minlength=40))
-        assert np.array_equal(nodes.leaf_ids, np.flatnonzero(nodes.n_offspring == 0))
-        assert np.array_equal(nodes.internal_ids, np.flatnonzero(nodes.n_offspring))
+            assert np.array_equal(forest.wave_sizes[w], np.bincount(tree[waves[w] : waves[w + 1]], minlength=40))
+        assert np.array_equal(forest.leaf_ids, np.flatnonzero(forest.n_offspring == 0))
+        assert np.array_equal(forest.leaf_tree, tree[forest.leaf_ids])
+        assert np.array_equal(forest.internal_ids, np.flatnonzero(forest.n_offspring))
 
 
 def test_sample_forest_population_cap_is_per_tree(monkeypatch):
@@ -186,7 +188,7 @@ def test_sample_forest_population_cap_is_per_tree(monkeypatch):
     def grow():
         return sample_forest(BINARY, 3.0, tree_rng(5), starts=np.zeros(30))
 
-    sizes = grow().tree_sizes
+    sizes = np.bincount(grow().tree_id)
     largest = int(sizes.max())
     assert sizes.sum() > largest
     # the forest may hold more nodes than the cap, as long as no tree does
@@ -201,10 +203,11 @@ def test_sample_forest_population_cap_is_per_tree(monkeypatch):
 def test_shared_generator_forest_of_one_is_sample_tree(law):
     offspring, t = LAWS[law], 4.0
     for s in range(10):
-        shared = sample_forest(offspring, t, tree_rng(s), starts=[0.0]).nodes
-        default = sample_forest(offspring, t, tree_rng(s)).nodes
+        shared = sample_forest(offspring, t, tree_rng(s), starts=[0.0])
+        default = sample_forest(offspring, t, tree_rng(s))
         alone = sample_tree(offspring, t, seed=0, rng=tree_rng(s))
-        for field in ("birth", "death", "parent", "n_offspring", "wave_starts", "leaf_ids"):
+        assert alone.n_trees == 1 and not alone.leaf_tree.any()
+        for field in ("birth", "death", "parent", "n_offspring", "wave_starts", "wave_sizes", "leaf_ids", "leaf_tree"):
             assert np.array_equal(getattr(shared, field), getattr(alone, field))
             assert np.array_equal(getattr(default, field), getattr(alone, field))
 
@@ -212,11 +215,10 @@ def test_shared_generator_forest_of_one_is_sample_tree(law):
 def test_forest_roots_start_at_their_birth_times():
     t, starts = 4.0, np.array([0.0, 0.5, 2.0, 3.9, 2.0])
     forest = sample_forest(LAWS["1,3"], t, tree_rng(8), starts=starts)
-    nodes = forest.nodes
-    assert np.array_equal(nodes.birth[: len(starts)], starts)
-    assert np.all(nodes.death <= t)
-    assert np.all(nodes.birth[forest.tree_id] >= starts[forest.tree_id])
-    assert np.all(nodes.death[nodes.leaf_ids] == t)
+    assert np.array_equal(forest.birth[: len(starts)], starts)
+    assert np.all(forest.death <= t)
+    assert np.all(forest.birth >= starts[forest.tree_id])
+    assert np.all(forest.death[forest.leaf_ids] == t)
     with pytest.raises(ValueError):
         sample_forest(BINARY, t, tree_rng(8), starts=[1.0, t])
     for bad in ([-0.5, 1.0], [], [[1.0, 2.0]]):
@@ -230,7 +232,7 @@ def test_forest_started_late_has_mean_leaf_count(law):
     t, n = 4.0, 1500
     starts = np.repeat([0.5, 2.5], n)
     forest = sample_forest(LAWS[law], t, tree_rng(21), starts=starts)
-    leaves = np.bincount(forest.tree_id[forest.nodes.leaf_ids], minlength=2 * n)
+    leaves = np.bincount(forest.leaf_tree, minlength=2 * n)
     for p, counts in zip((0.5, 2.5), (leaves[:n], leaves[n:])):
         se = counts.std(ddof=1) / math.sqrt(n)
         assert abs(counts.mean() - math.exp(t - p)) < 4 * se
@@ -245,7 +247,7 @@ def test_leaf_count_moments_in_law(law):
     # Var n(t) = (K - 1) e^t (e^t - 1), K the second factorial moment
     offspring, t, n = LAWS[law], 2.5, 20_000
     forest = sample_forest(offspring, t, tree_rng(17), starts=np.zeros(n))
-    counts = np.bincount(forest.tree_id[forest.nodes.leaf_ids], minlength=n).astype(float)
+    counts = np.bincount(forest.leaf_tree, minlength=n).astype(float)
     mean, var = math.exp(t), (offspring.K - 1) * math.exp(t) * (math.exp(t) - 1)
     assert abs(counts.mean() - mean) < 4 * counts.std(ddof=1) / math.sqrt(n)
     centred = counts - counts.mean()
@@ -269,7 +271,8 @@ def test_real_branchings_match_rate_one_sampler_in_law(law):
                 tree = sample_tree(offspring, t, rng=rng)
             else:
                 birth, death, parent, kids, starts, _ = _reference_tree(offspring, t, rng, real_only=False)
-                tree = GenealogyTree(t, birth, death, parent, starts, np.flatnonzero(kids == 0))
+                sizes = np.diff(starts)[:, None]
+                tree = GenealogyTree(t, birth, death, parent, sizes, np.flatnonzero(kids == 0), np.flatnonzero(kids))
             pos = sample_leaf_positions(tree, profile, t, tree_rng(seed_stream(29, r, f"gauss:{real_only}")))
             leaves.append(tree.n_leaves)
             maxima.append(pos.max() - centering(t))
@@ -284,7 +287,7 @@ def test_root_branches_at_rate_one_minus_p1(law):
     offspring, t, n = LAWS[law], 2.0, 20_000
     rate = 1.0 - float(offspring.ps[offspring.ks == 1].sum())
     assert offspring.rate == rate
-    life = sample_forest(offspring, t, tree_rng(23), starts=np.zeros(n)).nodes.death[:n]
+    life = sample_forest(offspring, t, tree_rng(23), starts=np.zeros(n)).death[:n]
     alive = math.exp(-rate * t)
     assert abs(np.mean(life == t) - alive) < 4 * math.sqrt(alive * (1 - alive) / n)
     branched = life[life < t]
@@ -295,7 +298,7 @@ def test_shared_generator_population_cap_is_per_tree(monkeypatch):
     def grow():
         return sample_forest(BINARY, 3.0, tree_rng(4), starts=np.linspace(0.0, 2.0, 30))
 
-    sizes = grow().tree_sizes
+    sizes = np.bincount(grow().tree_id)
     largest = int(sizes.max())
     assert sizes.sum() > largest
     monkeypatch.setattr(genealogy, "NODE_CAP", largest)
@@ -425,10 +428,25 @@ def test_mrca_first_branch_point():
         birth=np.array([0.0, tau, tau]),
         death=np.array([tau, t, t]),
         parent=np.array([-1, 0, 0]),
-        wave_starts=np.array([0, 1, 3]),
+        wave_sizes=np.array([[1], [2]]),
         leaf_ids=np.array([1, 2]),
+        internal_ids=np.array([0]),
     )
+    assert tree.wave_starts.tolist() == [0, 1, 3]
     assert mrca(tree, 1, 2) == tau
+
+
+def test_mrca_across_trees_is_a_value_error():
+    # leaves of different trees share no ancestor; within one tree of the
+    # forest mrca is the brute-force oracle's
+    forest = sample_forest(BINARY, 3.0, tree_rng(12), starts=np.zeros(3))
+    first = [int(forest.leaf_ids[forest.leaf_tree == r][0]) for r in range(3)]
+    with pytest.raises(ValueError, match="different trees, 0 and 2"):
+        mrca(forest, first[0], first[2])
+    with pytest.raises(ValueError, match="different trees, 1 and 0"):
+        mrca(forest, first[1], first[0])
+    leaves = forest.leaf_ids[forest.leaf_tree == 1]
+    assert mrca(forest, int(leaves[0]), int(leaves[-1])) == _mrca_oracle(forest, int(leaves[0]), int(leaves[-1]))
 
 
 def test_mrca_against_bruteforce_all_pairs():

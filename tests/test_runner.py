@@ -294,13 +294,10 @@ def _block_leaves(seed, t, offspring, profiles, replicates, block):
     out = []
     for first in range(0, replicates, block):
         n = min(block, replicates - first)
-        tree = tree_rng(seed_stream(seed, first, "tree"))
-        forest = sample_forest(offspring, t, tree, starts=np.zeros(n))
-        nodes = forest.nodes
+        forest = sample_forest(offspring, t, tree_rng(seed_stream(seed, first, "tree")), starts=np.zeros(n))
         gauss = [tree_rng(seed_stream(seed, first, "gauss")) for _ in profiles]
-        pos = np.stack([sample_leaf_positions(nodes, p, t, g) for p, g in zip(profiles, gauss)])
-        tree_of = forest.tree_id[nodes.leaf_ids]
-        out += [pos[:, tree_of == r] for r in range(n)]
+        pos = np.stack([sample_leaf_positions(forest, p, t, g) for p, g in zip(profiles, gauss)])
+        out += [pos[:, forest.leaf_tree == r] for r in range(n)]
     return out
 
 
@@ -461,6 +458,77 @@ def test_artifacts_of_several_blocks_do_not_depend_on_workers(tmp_path, monkeypa
         assert manifest["stream_block"] == block
         outs.append({name: (out / name).read_bytes() for name in manifest["files"]})
     assert outs[0] == outs[1] == outs[2] and "report.json" in outs[0]
+
+
+# id -> (kind, keys, sections, sha256 of every artifact but the
+# manifest): three forest blocks of the (1,3) law, blocks of one tree
+# (t > 8.32), and one small run of every other drawing kind.  A change to
+# any draw, block split or reduction changes them.
+MC_PINNED = {
+    "simulate": (
+        "simulate",
+        "t = 5\nreplicates = 120\nseed = 21",
+        "[profile]\nkind = power\nexponent = 2\n\n[offspring]\nks = 1 3\nps = 0.5 0.5\n",
+        {
+            "report.json": "5160e8e48004a9ded1f00216cb8f79e8a4b2ddadc9eb74173d2f54de6dc291ea",
+            "summaries.csv": "ce801ccc3c07174a3aa3cca8996f0cefc519e1369a534cc8e85dc42e8ce03ec5",
+        },
+    ),
+    "simulate-one-tree-blocks": (
+        "simulate",
+        "t = 9\nreplicates = 3\nseed = 5",
+        "[profile]\nkind = identity\n",
+        {
+            "report.json": "8f6146dee10cf73084d374a624438b2c15b8c1960a7bd12a592dc7467e53be75",
+            "summaries.csv": "0d6e010ce5819e34420785854ed323ece03c895998e77c674176f9f8c1a4ca47",
+        },
+    ),
+    "martingale": (
+        "martingale",
+        "t = 5\nsigma_b = 0.3\nreplicates = 120\nseed = 22",
+        "",
+        {
+            "martingale.csv": "b1586f300ad6071fb1d39e50ca51d2e776cf90b599c675fb4f86bc298d4689d7",
+            "report.json": "07288f03a59809ddf883e100e2f9204a8d7c828a5fe852e44896288f2a537bce",
+        },
+    ),
+    "compare": (
+        "compare",
+        "t = 5\nreplicates = 120\nu_grid = -2 0 2\nc_grid = 0.5 2\nseed = 23",
+        "[profile]\nkind = power\nexponent = 2\n",
+        {
+            "report.json": "b3e125fc0b3481c3aed5e68b57aefd974d73691c89b29637d94f08f1c2183db9",
+        },
+    ),
+    "cluster": (
+        "cluster",
+        "t = 3\nreplicates = 200\ny_mode = exponential\nseed = 24",
+        "",
+        {
+            "collapse.csv": "9255ce76b8f138ec5f821d448f0687e4532bac3d2402d1b3cf845a9465651970",
+            "report.json": "89a8bdec09739b03aecadda18e8185d0da3c5c789d870eec7dc3806133ace781",
+        },
+    ),
+    "tube": (
+        "tube",
+        "t = 30\nr = 10\ngamma = 0.75\nreplicates = 1000\nseed = 2",
+        "",
+        {
+            "report.json": "461e98eebc9e3dfb8b7061465fc5062a35034e8cfabc1c18753f6b0c34faead4",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("case,workers", [(case, 1) for case in MC_PINNED] + [("simulate", 2)])
+def test_monte_carlo_artifacts_are_pinned(tmp_path, monkeypatch, case, workers):
+    # a pool of two workers on any machine
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    kind, keys, sections, digests = MC_PINNED[case]
+    path, out = write_config(tmp_path, _kind_config(kind, keys, sections))
+    run(load_config(path, overrides={"workers": workers}))
+    files = json.loads((out / "manifest.json").read_text())["files"]
+    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in files} == digests
 
 
 def test_compare_a_counts_match_simulate(tmp_path):

@@ -9,7 +9,6 @@ from vsbbm.sampler import (
     _edge_std,
     covariance_oracle,
     forest_leaf_positions,
-    node_positions,
     sample_leaf_positions,
 )
 from vsbbm.speed import (
@@ -34,8 +33,9 @@ def two_leaf_tree(tau, t):
         birth=np.array([0.0, tau, tau]),
         death=np.array([tau, t, t]),
         parent=np.array([-1, 0, 0]),
-        wave_starts=np.array([0, 1, 3]),
+        wave_sizes=np.array([[1], [2]]),
         leaf_ids=np.array([1, 2]),
+        internal_ids=np.array([0]),
     )
 
 
@@ -64,18 +64,18 @@ class _Replay:
 def _tree_of(forest, r):
     """Tree r of the forest as a tree of its own, in local indices, and the
     forest index of each of its nodes."""
-    nodes = forest.nodes
     sel = np.flatnonzero(forest.tree_id == r)
-    local = np.full(nodes.n_nodes, -1)
+    local = np.full(forest.n_nodes, -1)
     local[sel] = np.arange(len(sel))
-    parent = nodes.parent[sel]
+    parent = forest.parent[sel]
     tree = GenealogyTree(
-        horizon=nodes.horizon,
-        birth=nodes.birth[sel],
-        death=nodes.death[sel],
+        horizon=forest.horizon,
+        birth=forest.birth[sel],
+        death=forest.death[sel],
         parent=np.where(parent < 0, -1, local[parent]),
-        wave_starts=np.concatenate([[0], forest.wave_sizes[:, r].cumsum()]),
-        leaf_ids=local[np.intersect1d(sel, nodes.leaf_ids)],
+        wave_sizes=forest.wave_sizes[:, r : r + 1],
+        leaf_ids=local[np.intersect1d(sel, forest.leaf_ids)],
+        internal_ids=local[np.intersect1d(sel, forest.internal_ids)],
     )
     return tree, sel
 
@@ -88,16 +88,15 @@ def test_forest_leaf_positions_match_trees_alone():
     prof, t, n = two_speed(0.5, 2.0, 2.0 / 3.0), 3.0, 25
     forest = sample_forest(law, t, tree_rng(0), starts=np.zeros(n))
     (pos,) = forest_leaf_positions(forest, (prof,), t, tree_rng(100))
-    z = tree_rng(100).standard_normal(forest.nodes.n_nodes)
-    leaf_tree = forest.tree_id[forest.nodes.leaf_ids]
+    z = tree_rng(100).standard_normal(forest.n_nodes)
     for r in range(n):
         tree, sel = _tree_of(forest, r)
         alone = sample_leaf_positions(tree, prof, t, _Replay(z[sel]))
         assert len(alone) == tree.n_leaves >= 1
-        assert np.array_equal(pos[leaf_tree == r], alone)
+        assert np.array_equal(pos[forest.leaf_tree == r], alone)
     one = sample_forest(law, t, tree_rng(1))
     (pos,) = forest_leaf_positions(one, (prof,), t, tree_rng(101))
-    assert np.array_equal(pos, sample_leaf_positions(one.nodes, prof, t, tree_rng(101)))
+    assert np.array_equal(pos, sample_leaf_positions(one, prof, t, tree_rng(101)))
 
 
 def test_forest_leaf_positions_stacked_rows_match_single_profile():
@@ -112,7 +111,7 @@ def test_forest_leaf_positions_stacked_rows_match_single_profile():
     profiles = (power2, pair.upper, pair.lower, two_speed(0.5, 2.0, 2.0 / 3.0))
     forest = sample_forest(law, t, tree_rng(5), starts=np.zeros(12))
     stacked = forest_leaf_positions(forest, profiles, t, tree_rng(50))
-    assert stacked.shape == (len(profiles), forest.nodes.n_leaves)
+    assert stacked.shape == (len(profiles), forest.n_leaves)
     for row, prof in zip(stacked, profiles):
         (alone,) = forest_leaf_positions(forest, (prof,), t, tree_rng(50))
         assert np.array_equal(row, alone)
@@ -139,12 +138,12 @@ def test_edge_std_equals_two_evaluation_formula():
     )
     for law in LAWS.values():
         for starts in (np.zeros(6), [0.0, 0.7, 2.5]):
-            nodes = sample_forest(law, t, tree_rng(3), starts=starts).nodes
-            assert 0 < nodes.n_leaves < nodes.n_nodes
-            stacked = _edge_std(nodes, profiles, t)
-            assert stacked.shape == (len(profiles), nodes.n_nodes)
+            forest = sample_forest(law, t, tree_rng(3), starts=starts)
+            assert 0 < forest.n_leaves < forest.n_nodes
+            stacked = _edge_std(forest, profiles, t)
+            assert stacked.shape == (len(profiles), forest.n_nodes)
             for row, prof in zip(stacked, profiles):
-                var = sigma2(prof, nodes.death, t) - sigma2(prof, nodes.birth, t)
+                var = sigma2(prof, forest.death, t) - sigma2(prof, forest.birth, t)
                 assert np.array_equal(row, np.sqrt(np.maximum(var, 0.0)))
 
 
@@ -163,18 +162,18 @@ def test_edge_std_rejects_a_fall_that_only_leaf_edges_see():
         _edge_std(tree, (identity_profile(), overshoot), t)
     forest = sample_forest(BINARY, t, tree_rng(10), starts=[0.5] * 10)
     with pytest.raises(ValueError, match="not monotone"):
-        _edge_std(forest.nodes, (overshoot,), t)
+        _edge_std(forest, (overshoot,), t)
 
 
 def test_flat_speed_segment_freezes_particles():
-    # A = 0 on [0, 1/2]: everything alive before t/2 sits exactly at 0
+    # A = 0 on [0, 1/2]: the leaves of a tree grown to t/2, placed under
+    # horizon t, sit exactly at 0; those of the tree grown to t do not
     prof = piecewise_linear([0.0, 0.5, 1.0], [0.0, 0.0, 1.0], slope_at_0=0.0)
     t = 5.0
-    tree = sample_tree(BINARY, t, seed=3)
-    pos = node_positions(tree, prof, t, tree_rng(4))
-    early = tree.death <= 0.5 * t
-    assert np.all(pos[early] == 0.0)
-    assert np.any(pos[~early] != 0.0)
+    early = sample_tree(BINARY, 0.5 * t, seed=3)
+    assert early.n_leaves > 1
+    assert np.all(sample_leaf_positions(early, prof, t, tree_rng(4)) == 0.0)
+    assert np.any(sample_leaf_positions(sample_tree(BINARY, t, seed=3), prof, t, tree_rng(4)) != 0.0)
 
 
 def test_covariance_against_oracle():
@@ -211,7 +210,7 @@ def test_nonmonotone_profile_rejected():
     )
     tree = sample_tree(BINARY, 3.0, seed=5)
     with pytest.raises(ValueError, match="not monotone"):
-        node_positions(tree, dipper, 3.0, tree_rng(6))
+        sample_leaf_positions(tree, dipper, 3.0, tree_rng(6))
 
 
 def test_exchangeability_of_symmetric_functionals():

@@ -46,6 +46,14 @@ def test_sample_bridge_pinned_and_variance():
     rng = tree_rng(5)
     t, n = 9.0, 256
     times, xi = sample_bridge(t, n, rng, 4000)
+    # the draws of seed scheme v4: a change to the bridge's stream, its
+    # increments or its pinning to 0 at t changes them
+    assert [float(xi[0, 1]), float(xi[0, 85]), float(xi[3999, 128]), float(xi[1234, 255])] == [
+        0.06794586674215297,
+        1.9324529100038224,
+        2.3999160644802475,
+        0.009103551160617784,
+    ]
     assert np.all(xi[:, 0] == 0.0)
     assert np.all(xi[:, -1] == 0.0)
     j = n // 3
