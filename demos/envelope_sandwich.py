@@ -12,11 +12,9 @@ errors are printed beside them.
 
 import argparse
 
-import numpy as np
-
 from vsbbm.compare import collect_exceedances, sandwich_report
 from vsbbm.genealogy import OffspringDistribution
-from vsbbm.speed import build_envelopes, from_function
+from vsbbm.speed import build_envelopes, power_profile
 
 
 def main():
@@ -26,16 +24,7 @@ def main():
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
-    prof = from_function(
-        lambda x: np.asarray(x) ** 2,
-        slope_at_0=0.0,
-        slope_at_1=2.0,
-        k1_upper=2.0,
-        k1_lower=2.0,
-        k2_upper=2.0,
-        k2_lower=2.0,
-        label="power2",
-    )
+    prof = power_profile(2)
     env = build_envelopes(prof, args.t)
     print(
         f"envelope kinks at t = {args.t}: upper {env.kink_upper:.4f}, "

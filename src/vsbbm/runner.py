@@ -4,13 +4,15 @@ deterministic artifact emission.
 Configs are line-oriented ``key = value`` text with sections.
 ``EXPERIMENTS`` declares each kind once: its driver, the sections it reads
 and its ``[experiment]`` keys, each with a default or ``REQUIRED``, the
-keys with a parser too; ``PROFILES`` does the same per ``[profile]`` kind.
+keys with a parser too; ``PROFILES`` maps each ``[profile]`` kind to its
+builder in ``vsbbm.speed`` and its keys.
 ``load_config`` alone reads raw strings: a section or key the kind never
 reads, a missing section or key, a value its parser rejects, a
-``compare`` profile with no envelopes, a ``tube`` window [r, t - r]
-with no grid point and a tree horizon where some tree of the run would
-likely exceed ``genealogy.NODE_CAP`` raise ``ConfigError`` before
-anything is written.
+``compare`` profile with no envelopes (one that fails (A1), or has an
+infinite end slope or curvature, as ``power`` below exponent 2 has), a
+``tube`` window [r, t - r] with no grid point and a tree horizon where
+some tree of the run would likely exceed ``genealogy.NODE_CAP`` raise
+``ConfigError`` before anything is written.
 ``--seed``, ``--workers`` and ``--out`` are the only overrides of the
 file.  ``run`` writes every artifact to a temp path that is atomically
 renamed, so an interrupted run never leaves corrupt artifacts; the
@@ -45,7 +47,7 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache
 from itertools import chain
 
 import numpy as np
@@ -63,10 +65,10 @@ from vsbbm.sampler import block_size, forest_batches
 from vsbbm.speed import (
     SpeedProfile,
     build_envelopes,
-    from_function,
     from_table_csv,
     identity_profile,
     piecewise_linear,
+    power_profile,
     two_speed,
 )
 
@@ -110,25 +112,6 @@ def _non_empty(parse):
     return _checked(parse, len, "at least one entry")
 
 
-def _power_eval(p, x):
-    return np.asarray(x) ** p
-
-
-def _power_profile(exponent: float) -> SpeedProfile:
-    p = exponent
-    k = p * (p - 1.0)  # |A''| bound on [0,1] for 1 < p <= 2
-    return from_function(
-        partial(_power_eval, p),
-        slope_at_0=0.0 if p > 1 else None,
-        slope_at_1=p,
-        k1_upper=k,
-        k1_lower=k,
-        k2_upper=k,
-        k2_lower=k,
-        label=f"power{p}",
-    )
-
-
 # [profile] kind -> (builder, its keys); every profile key is required
 PROFILES = {
     "identity": (identity_profile, {}),
@@ -138,7 +121,7 @@ PROFILES = {
     ),
     "piecewise": (piecewise_linear, {"xs": (_floats, REQUIRED), "ys": (_floats, REQUIRED)}),
     "table": (from_table_csv, {"path": (str, REQUIRED)}),
-    "power": (_power_profile, {"exponent": (float, REQUIRED)}),
+    "power": (power_profile, {"exponent": (float, REQUIRED)}),
 }
 _OFFSPRING_KEYS = {"ks": (_ints, REQUIRED), "ps": (_floats, REQUIRED)}
 _OUTPUT_KEYS = {"dir": (str, "out")}
@@ -465,6 +448,7 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
         offspring = OffspringDistribution(np.array(law["ks"]), np.array(law["ps"])) if law else None
         if kind == "compare":
             # compare needs the envelopes, which exist only where (A1) holds
+            # and the end slope and the curvature are finite
             build_envelopes(profile, params["t"])
     except (ValueError, OSError) as exc:  # OSError: a table profile's file cannot be read
         raise ConfigError(str(exc)) from None

@@ -1,9 +1,14 @@
 """Speed functions A on [0,1], their time changes, and envelope constructions.
 
 A speed profile encodes the covariance of the tree-indexed Gaussian field
-as t*A(d/t) where d is the genealogical overlap.  The envelope machinery
-builds the piecewise-linear two-speed profiles that bound A near 0 and 1
-for the Gaussian-comparison experiments.
+as t*A(d/t) where d is the genealogical overlap.  Each kind of profile is
+declared once: ``identity_profile``, ``two_speed``, ``power_profile``
+(A(x) = x^p), ``piecewise_linear`` and its CSV form ``from_table_csv``,
+and ``from_function`` for any other A.  The envelope machinery builds the
+piecewise-linear two-speed profiles that bound A near 0 and 1 for the
+Gaussian-comparison experiments; their slopes absorb A's Taylor
+remainder at either end through one bound on |A''|, the profile's
+``curvature``.
 """
 
 from __future__ import annotations
@@ -32,19 +37,16 @@ class SpeedProfile:
     """A non-decreasing speed function A: [0,1] -> [0,1].
 
     slope_at_0 / slope_at_1 are the one-sided derivatives sigma_b^2 and
-    sigma_e^2 (sigma_e^2 may be inf).  The K bounds feed the second-order
-    Taylor corrections of the envelope construction; they are
-    caller-supplied since only their existence is assumed, not a recipe
-    for finding them.
+    sigma_e^2 (sigma_e^2 may be inf).  ``curvature`` bounds |A''| near 0
+    and 1 and feeds the second-order Taylor corrections of the envelope
+    construction; it is caller-supplied since only its existence is
+    assumed, not a recipe for finding it, and inf where A'' has no bound.
     """
 
     func: Callable[[np.ndarray], np.ndarray]
     slope_at_0: float
     slope_at_1: float
-    k1_upper: float = 0.0
-    k1_lower: float = 0.0
-    k2_upper: float = 0.0
-    k2_lower: float = 0.0
+    curvature: float = 0.0
     label: str = "custom"
 
     def __post_init__(self):
@@ -108,10 +110,10 @@ def from_function(
     slope_at_0: float | None = None,
     slope_at_1: float | None = None,
     label: str = "custom",
-    **kw,
+    curvature: float = 0.0,
 ) -> SpeedProfile:
     s0, s1 = _declared_or_fd_slopes(func, slope_at_0, slope_at_1)
-    return SpeedProfile(func=func, slope_at_0=s0, slope_at_1=s1, label=label, **kw)
+    return SpeedProfile(func=func, slope_at_0=s0, slope_at_1=s1, curvature=curvature, label=label)
 
 
 # module-level evaluators (picklable, so profiles survive process pools)
@@ -133,6 +135,10 @@ def _two_speed_eval(select, s1, s2, b, x):
     return select(s1 * x, s1 * b + s2 * (x - b))
 
 
+def _power_eval(p, x):
+    return np.asarray(x) ** p
+
+
 def _interp_eval(xs, ys, x):
     return np.interp(x, xs, ys)
 
@@ -146,7 +152,7 @@ def two_speed(sigma1_sq: float, sigma2_sq: float, b: float) -> SpeedProfile:
     at b; requires the normalization sigma1_sq*b + sigma2_sq*(1-b) = 1."""
     if not 0 < b < 1:
         raise AssumptionError("kink b must lie in (0, 1)")
-    if abs(sigma1_sq * b + sigma2_sq * (1 - b) - 1.0) > 1e-10:
+    if abs(sigma1_sq * b + sigma2_sq * (1 - b) - 1.0) > _ENDPOINT_TOL:
         raise AssumptionError(
             f"normalization sigma1^2*b + sigma2^2*(1-b) = "
             f"{sigma1_sq * b + sigma2_sq * (1 - b)}, must be 1"
@@ -157,6 +163,19 @@ def two_speed(sigma1_sq: float, sigma2_sq: float, b: float) -> SpeedProfile:
         slope_at_0=sigma1_sq,
         slope_at_1=sigma2_sq,
         label="two_speed",
+    )
+
+
+def power_profile(exponent: float) -> SpeedProfile:
+    """A(x) = x^p.  A'' = p(p-1)x^(p-2) is bounded on [0,1], by p(p-1),
+    only for p >= 2; below 2 it blows up at 0 and the curvature is inf."""
+    p = float(exponent)
+    return from_function(
+        partial(_power_eval, p),
+        slope_at_0=0.0 if p > 1 else None,
+        slope_at_1=p,
+        label=f"power{p}",
+        curvature=p * (p - 1.0) if p >= 2 else math.inf,
     )
 
 
@@ -173,7 +192,7 @@ def piecewise_linear(xs, ys, **kw) -> SpeedProfile:
     return from_function(partial(_interp_eval, xs, ys), **kw)
 
 
-def from_table_csv(path, **kw) -> SpeedProfile:
+def from_table_csv(path) -> SpeedProfile:
     """Load a (x, A(x)) breakpoint table from CSV."""
     xs, ys = [], []
     with open(path) as fh:
@@ -184,36 +203,26 @@ def from_table_csv(path, **kw) -> SpeedProfile:
                 raise ValueError(f"{path}: row {row} needs two columns, x and A(x)")
             xs.append(float(row[0]))
             ys.append(float(row[1]))
-    kw.setdefault("label", "table")
-    return piecewise_linear(xs, ys, **kw)
+    return piecewise_linear(xs, ys, label="table")
 
 
-def _sup_below(profile: SpeedProfile, level: float) -> float:
-    """sup{x in [0,1]: A(x) <= level} for non-decreasing A, by bisection."""
-    if float(profile(1.0)) <= level:
-        return 1.0
-    lo, hi = 0.0, 1.0  # A(lo) <= level < A(hi)
+def _bisect(below) -> tuple[float, float]:
+    """The bracket (lo, hi) of the point of [0,1] where ``below``, a
+    predicate that holds up to some point and fails past it, turns false:
+    (1, 1) when it holds at 1, (0, 0) when it fails at 0, else hi - lo <=
+    _BISECT_TOL with below(lo) true and below(hi) false."""
+    if below(1.0):
+        return 1.0, 1.0
+    if not below(0.0):
+        return 0.0, 0.0
+    lo, hi = 0.0, 1.0
     while hi - lo > _BISECT_TOL:
         mid = 0.5 * (lo + hi)
-        if float(profile(mid)) <= level:
+        if below(mid):
             lo = mid
         else:
             hi = mid
-    return lo
-
-
-def _inf_above(profile: SpeedProfile, level: float) -> float:
-    """inf{x in [0,1]: A(x) >= level} for non-decreasing A, by bisection."""
-    if float(profile(0.0)) >= level:
-        return 0.0
-    lo, hi = 0.0, 1.0  # A(lo) < level <= A(hi)
-    while hi - lo > _BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        if float(profile(mid)) >= level:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return lo, hi
 
 
 def delta_thresholds(profile: SpeedProfile, t: float) -> tuple[float, float]:
@@ -225,12 +234,14 @@ def delta_thresholds(profile: SpeedProfile, t: float) -> tuple[float, float]:
     if t <= 1:
         raise ValueError("t must exceed 1")
     level = t ** (-2.0 / 3.0)
-    return _sup_below(profile, level), 1.0 - _inf_above(profile, 1.0 - level)
+    d_less, _ = _bisect(lambda x: float(profile(x)) <= level)
+    _, x_greater = _bisect(lambda x: float(profile(x)) < 1.0 - level)
+    return d_less, 1.0 - x_greater
 
 
 def flat_initial_extent(profile: SpeedProfile) -> float:
     """sup{x: A(x) = 0}; positive when the profile starts with a flat piece."""
-    return _sup_below(profile, 0.0)
+    return _bisect(lambda x: float(profile(x)) <= 0.0)[0]
 
 
 def _one_kink_eval(select, slope0: float, slope1: float, clamp: bool, x):
@@ -256,40 +267,40 @@ class EnvelopePair:
     kink_lower: float
 
 
-def _validated(profile: SpeedProfile) -> None:
+def build_envelopes(profile: SpeedProfile, t: float) -> EnvelopePair:
+    """Two-speed envelope pair for a profile with finite end slope and
+    finite curvature.
+
+    The slopes absorb the Taylor-bound corrections curvature/2 * delta,
+    delta_less at 0 and delta_greater at 1, the same for both members;
+    both are continuous one-kink profiles with value 0 at 0 and 1 at 1.
+    For a flat start (slope 0 with a persistent flat piece) the upper
+    first branch is identically 0.
+    """
     profile.check_monotone()
     profile.check_below_diagonal()
-
-
-def build_envelopes(profile: SpeedProfile, t: float) -> EnvelopePair:
-    """Two-speed envelope pair for a profile with finite end slope.
-
-    The slopes absorb the Taylor-bound corrections driven by the delta
-    thresholds; both members are continuous one-kink profiles with value 0
-    at 0 and 1 at 1.  For a flat start (slope 0 with a persistent flat
-    piece) the upper first branch is identically 0.
-    """
-    _validated(profile)
     s_b, s_e = profile.slope_at_0, profile.slope_at_1
     if not math.isfinite(s_e):
         raise AssumptionError("end slope is infinite; the two-speed envelopes need a finite one")
     if s_e <= 1:
         raise AssumptionError("end slope sigma_e^2 must exceed 1")
+    if not math.isfinite(profile.curvature):
+        raise AssumptionError(
+            f"curvature {profile.curvature}: the two-speed envelopes need a finite bound on |A''| near 0 and 1"
+        )
     d_less, d_greater = delta_thresholds(profile, t)
-    corr0_up = profile.k1_upper / 2.0 * d_less
-    corr0_low = profile.k1_lower / 2.0 * d_less
-    corr1_up = profile.k2_upper / 2.0 * d_greater
-    corr1_low = profile.k2_lower / 2.0 * d_greater
+    corr0 = profile.curvature / 2.0 * d_less
+    corr1 = profile.curvature / 2.0 * d_greater
 
     if s_b == 0.0 and flat_initial_extent(profile) > _BISECT_TOL * 10:
         slope0_up = 0.0  # flat start: all derivatives at 0 vanish
     else:
-        slope0_up = s_b + corr0_up
-    slope1_up = s_e - corr1_up
+        slope0_up = s_b + corr0
+    slope1_up = s_e - corr1
     kink_up = (1.0 - slope1_up) / (slope0_up - slope1_up)
 
-    slope0_low = s_b - corr0_low  # may be negative; the clamp floors at 0
-    slope1_low = s_e + corr1_low
+    slope0_low = s_b - corr0  # may be negative; the clamp floors at 0
+    slope1_low = s_e + corr1
     kink_low = (1.0 - slope1_low) / (slope0_low - slope1_low)
 
     if not (0 < kink_up <= 1 and 0 < kink_low <= 1):

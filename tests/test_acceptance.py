@@ -21,7 +21,7 @@ from vsbbm.fkpp import front_position, solve_heaviside, tail_constant
 from vsbbm.genealogy import OffspringDistribution, sample_tree, tree_rng
 from vsbbm.runner import load_config, run
 from vsbbm.sampler import ParticleConfiguration, covariance_oracle, sample_leaf_positions
-from vsbbm.speed import build_envelopes, from_function, identity_profile, two_speed
+from vsbbm.speed import build_envelopes, identity_profile, power_profile, two_speed
 from vsbbm.tube import bridge_violation_bound, empirical_bridge_violation
 
 BINARY = OffspringDistribution.binary()
@@ -31,22 +31,6 @@ SQRT2 = math.sqrt(2.0)
 def report(number, ok, detail):
     print(f"[criterion {number:02d}] {'PASS' if ok else 'FAIL'}: {detail}")
     return ok
-
-
-def power2_profile():
-    prof = from_function(
-        lambda x: np.asarray(x) ** 2,
-        slope_at_0=0.0,
-        slope_at_1=2.0,
-        k1_upper=2.0,
-        k1_lower=2.0,
-        k2_upper=2.0,
-        k2_lower=2.0,
-        label="power2",
-    )
-    prof.check_monotone()
-    prof.check_below_diagonal()
-    return prof
 
 
 def test_01_population_mean():
@@ -68,7 +52,7 @@ def test_02_covariance_law():
     t, redraws, n_pairs = 4.0, 10**5, 10
     start = time.time()
     tree = sample_tree(BINARY, t, seed=2)
-    profiles = [identity_profile(), two_speed(0.5, 2.0, 2.0 / 3.0), power2_profile()]
+    profiles = [identity_profile(), two_speed(0.5, 2.0, 2.0 / 3.0), power_profile(2)]
     pair_rng = np.random.default_rng(3)
     worst = 0.0
     ok = True
@@ -169,7 +153,7 @@ def test_07_tail_constant_trend():
 def test_08_gaussian_comparison_sandwich():
     t, reps = 10.0, 5 * 10**3
     start = time.time()
-    prof = power2_profile()
+    prof = power_profile(2)
     env = build_envelopes(prof, t)
     u_grid = [-6.0, -4.0, -2.0, 0.0, 2.0]
     c_grid = [0.1, 0.5, 2.0]

@@ -6,29 +6,16 @@ import pytest
 from vsbbm.compare import collect_exceedances, sandwich_report
 from vsbbm.genealogy import OffspringDistribution, sample_forest, tree_rng
 from vsbbm.sampler import _edge_std, forest_leaf_positions
-from vsbbm.speed import build_envelopes, from_function, identity_profile, piecewise_linear
+from vsbbm.speed import build_envelopes, identity_profile, piecewise_linear, power_profile
 
 BINARY = OffspringDistribution.binary()
-
-
-def power2_profile():
-    return from_function(
-        lambda x: np.asarray(x) ** 2,
-        slope_at_0=0.0,
-        slope_at_1=2.0,
-        k1_upper=2.0,
-        k1_lower=2.0,
-        k2_upper=2.0,
-        k2_lower=2.0,
-        label="power2",
-    )
 
 
 def test_coupled_fields_cross_covariance():
     # A and upper scale one standard normal draw, so a leaf's positions
     # under the two have covariance sum(std_A * std_up) over its lineage
     t = 4.0
-    prof = power2_profile()
+    prof = power_profile(2)
     env = build_envelopes(prof, t)
     tree = sample_forest(BINARY, t, tree_rng(9))
     leaf = int(tree.leaf_ids[0])
@@ -69,7 +56,7 @@ def test_relabelled_copy_gives_zero_gaps():
 def test_collect_exceedances_shapes_and_determinism():
     u = [-2.0, 0.0, 2.0]
     kw = dict(t=4.0, u_grid=u, replicates=50, seed=7)
-    prof = power2_profile()
+    prof = power_profile(2)
     env = build_envelopes(prof, 4.0)
     profs = {"a": prof, "up": env.upper, "low": env.lower}
     c1 = collect_exceedances(BINARY, profs, **kw)

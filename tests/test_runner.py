@@ -555,19 +555,37 @@ def test_compare_a_counts_match_simulate(tmp_path):
     [
         ("", r"needs a \[profile\]"),
         ("[profile]\nkind = piecewise\nxs = 0 0.5 1\nys = 0 0.6 1\n", "A1"),
+        ("[profile]\nkind = power\nexponent = 1.8\n", "curvature"),
     ],
-    ids=["no-profile", "above-diagonal"],
+    ids=["no-profile", "above-diagonal", "unbounded-curvature"],
 )
 def test_load_config_rejects_compare_profile_without_envelopes(tmp_path, capsys, sections, word):
-    # the identity profile and a profile above the diagonal fail (A1), so
-    # build_envelopes could never run; compare's [profile] is required, and
-    # the load says so as a ConfigError
+    # the identity profile and a profile above the diagonal fail (A1), and
+    # x^1.8 has no bound on |A''| near 0, so build_envelopes could never
+    # run; compare's [profile] is required, and the load says so as a
+    # ConfigError
     path, out = write_config(tmp_path, _kind_config("compare", "t = 3\nreplicates = 4", sections))
     with pytest.raises(ConfigError, match=word):
         load_config(path)
     assert main(["compare", "--config", str(path)]) == 1
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
     assert not out.exists()
+
+
+def test_power_below_exponent_two_loads_for_simulate(tmp_path):
+    # only compare's envelopes need a finite curvature
+    sections = "[profile]\nkind = power\nexponent = 1.8\n"
+    path, _ = write_config(tmp_path, _kind_config("simulate", "t = 3\nreplicates = 4", sections))
+    assert load_config(path).profile.curvature == float("inf")
+
+
+def test_load_config_names_a_two_speed_normalization_error(tmp_path):
+    # 0.25 b + 2.5 (1 - b) = 1 - 7.5e-12: the normalization check, not
+    # the A(1) = 1 check, rejects it
+    sections = "[profile]\nkind = two_speed\nsigma1_sq = 0.25\nsigma2_sq = 2.5\nb = 0.66666666667\n"
+    path, _ = write_config(tmp_path, _kind_config("simulate", "t = 3\nreplicates = 4", sections))
+    with pytest.raises(ConfigError, match="normalization"):
+        load_config(path)
 
 
 def test_import_loads_no_scipy():

@@ -14,9 +14,9 @@ from vsbbm.sampler import (
 from vsbbm.speed import (
     SpeedProfile,
     build_envelopes,
-    from_function,
     identity_profile,
     piecewise_linear,
+    power_profile,
     sigma2,
     two_speed,
 )
@@ -103,10 +103,7 @@ def test_forest_leaf_positions_stacked_rows_match_single_profile():
     # row p of a stacked call is the 1-tuple call for profile p, bit for bit
     law = OffspringDistribution(np.array([1, 3]), np.array([0.5, 0.5]))
     t = 4.0
-    power2 = from_function(
-        lambda x: np.asarray(x) ** 2, slope_at_0=0.0, slope_at_1=2.0,
-        k1_upper=2.0, k1_lower=2.0, k2_upper=2.0, k2_lower=2.0,
-    )
+    power2 = power_profile(2)
     pair = build_envelopes(power2, t)
     profiles = (power2, pair.upper, pair.lower, two_speed(0.5, 2.0, 2.0 / 3.0))
     forest = sample_forest(law, t, tree_rng(5), starts=np.zeros(12))
@@ -117,24 +114,16 @@ def test_forest_leaf_positions_stacked_rows_match_single_profile():
         assert np.array_equal(row, alone)
 
 
-def _power(p):
-    k = p * (p - 1.0)
-    return from_function(
-        lambda x: np.asarray(x) ** p, slope_at_0=0.0, slope_at_1=p,
-        k1_upper=k, k1_lower=k, k2_upper=k, k2_lower=k,
-    )
-
-
 def test_edge_std_equals_two_evaluation_formula():
     # bit for bit the all-node formula S(death) - S(birth), though only the
     # internal nodes' deaths and the roots' births are evaluated and every
     # leaf reads S(horizon); roots born at 0, or at 0, 0.7 and 2.5 (the
     # immigrant forests of cluster), on binary and (1,3) laws
     t = 4.0
-    power2 = _power(2.0)
+    power2 = power_profile(2)
     pair = build_envelopes(power2, t)
     profiles = (
-        identity_profile(), two_speed(0.5, 2.0, 2.0 / 3.0), power2, pair.upper, pair.lower, _power(1.5)
+        identity_profile(), two_speed(0.5, 2.0, 2.0 / 3.0), power2, pair.upper, pair.lower, power_profile(1.5)
     )
     for law in LAWS.values():
         for starts in (np.zeros(6), [0.0, 0.7, 2.5]):

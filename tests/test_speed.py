@@ -16,22 +16,10 @@ from vsbbm.speed import (
     from_table_csv,
     identity_profile,
     piecewise_linear,
+    power_profile,
     sigma2,
     two_speed,
 )
-
-
-def power2_profile():
-    return from_function(
-        lambda x: np.asarray(x) ** 2,
-        slope_at_0=0.0,
-        slope_at_1=2.0,
-        k1_upper=2.0,
-        k1_lower=2.0,
-        k2_upper=2.0,
-        k2_lower=2.0,
-        label="power2",
-    )
 
 
 def test_endpoint_validation():
@@ -51,7 +39,7 @@ def test_sigma2_two_speed_example():
 
 
 def test_sigma2_endpoint_and_range():
-    for prof in (identity_profile(), power2_profile()):
+    for prof in (identity_profile(), power_profile(2)):
         assert sigma2(prof, 8.0, 8.0) == pytest.approx(8.0, abs=1e-12)
         assert sigma2(prof, 0.0, 8.0) == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(ValueError):
@@ -65,7 +53,7 @@ def test_sigma2_endpoint_and_range():
 
 def test_sigma2_vectorized_monotone():
     s = np.linspace(0.0, 7.0, 200)
-    vals = sigma2(power2_profile(), s, 7.0)
+    vals = sigma2(power_profile(2), s, 7.0)
     assert np.all(np.diff(vals) >= 0)
 
 
@@ -76,6 +64,10 @@ def test_two_speed_normalization():
         two_speed(0.5, 2.0, 0.5)  # 0.25 + 1.0 != 1
     with pytest.raises(AssumptionError):
         two_speed(0.5, 2.0, 1.5)  # kink outside (0,1)
+    # off by 7.5e-12: past the endpoint tolerance, so the normalization
+    # check names it rather than the A(1) = 1 check
+    with pytest.raises(AssumptionError, match="normalization"):
+        two_speed(0.25, 2.5, 0.66666666667)
 
 
 def test_two_speed_identity_case():
@@ -138,8 +130,26 @@ def test_delta_less_flat_piece():
     assert flat_initial_extent(prof) == pytest.approx(0.3, abs=1e-8)
 
 
+_PIECEWISE_KNOTS = ([0.0, 0.3, 0.9, 1.0], [0.0, 0.1, 0.5, 1.0])
+
+
+@pytest.mark.parametrize(
+    "prof, t, want",
+    [
+        (power_profile(2), 10.0, (0.464158883318305, 0.11424804205307737)),
+        (power_profile(2), 50.0, (0.27144176163710654, 0.03754513349849731)),
+        (piecewise_linear(*_PIECEWISE_KNOTS), 10.0, (0.4731652034679428, 0.04308869375381619)),
+        (piecewise_linear(*_PIECEWISE_KNOTS), 50.0, (0.22104188986122608, 0.014736125944182277)),
+    ],
+    ids=["power2-t10", "power2-t50", "piecewise-t10", "piecewise-t50"],
+)
+def test_delta_thresholds_are_pinned(prof, t, want):
+    # the bisection's bits, which the envelopes of compare are built from
+    assert delta_thresholds(prof, t) == want
+
+
 def test_delta_greater_shrinks_with_t():
-    prof = power2_profile()
+    prof = power_profile(2)
     vals = [delta_thresholds(prof, t)[1] for t in (1e2, 1e3, 1e4)]
     assert vals[0] > vals[1] > vals[2]
     assert vals[-1] < 0.01
@@ -154,7 +164,7 @@ def test_build_envelopes_exact_two_speed():
 
 
 def test_envelope_continuity_and_endpoints():
-    prof = power2_profile()
+    prof = power_profile(2)
     pair = build_envelopes(prof, 10.0)
     for member, kink in ((pair.upper, pair.kink_upper), (pair.lower, pair.kink_lower)):
         assert float(member(0.0)) == pytest.approx(0.0, abs=1e-10)
@@ -169,17 +179,27 @@ def test_envelope_continuity_and_endpoints():
 
 def test_envelope_sandwich_near_ends():
     t = 10.0
-    prof = power2_profile()
-    pair = build_envelopes(prof, t)
-    window = t ** (1.0 / 3.0)
-    s_grid = np.linspace(0, t, 4000)
-    sig = np.asarray(sigma2(prof, s_grid, t))
-    grid = s_grid[(sig <= window) | (sig >= t - window)]
-    up = np.asarray(sigma2(pair.upper, grid, t))
-    lo = np.asarray(sigma2(pair.lower, grid, t))
-    mid = np.asarray(sigma2(prof, grid, t))
-    assert np.all(up >= mid - 1e-9)
-    assert np.all(lo <= mid + 1e-9)
+    for prof in (power_profile(2), power_profile(2.2)):
+        pair = build_envelopes(prof, t)
+        window = t ** (1.0 / 3.0)
+        s_grid = np.linspace(0, t, 4000)
+        sig = np.asarray(sigma2(prof, s_grid, t))
+        grid = s_grid[(sig <= window) | (sig >= t - window)]
+        up = np.asarray(sigma2(pair.upper, grid, t))
+        lo = np.asarray(sigma2(pair.lower, grid, t))
+        mid = np.asarray(sigma2(prof, grid, t))
+        assert np.all(up >= mid - 1e-9)
+        assert np.all(lo <= mid + 1e-9)
+
+
+def test_power_profile_curvature():
+    x = np.linspace(0.0, 1.0, 10**4 + 1)
+    assert np.array_equal(power_profile(2)(x), x**2)
+    assert power_profile(2.2).curvature == pytest.approx(2.64, rel=1e-15)
+    # below exponent 2, A'' = p(p-1)x^(p-2) has no bound near 0
+    assert power_profile(1.8).curvature == math.inf
+    with pytest.raises(AssumptionError, match="curvature"):
+        build_envelopes(power_profile(1.8), 10.0)
 
 
 def test_envelope_flat_start_stays_flat():
@@ -189,8 +209,7 @@ def test_envelope_flat_start_stays_flat():
         [0.0, 0.0, 0.6, 1.0],
         slope_at_0=0.0,
         slope_at_1=4.0,
-        k1_upper=1.0,
-        k2_upper=1.0,
+        curvature=1.0,
     )
     pair = build_envelopes(prof, 20.0)
     assert pair.upper.slope_at_0 == 0.0
@@ -212,7 +231,7 @@ def test_envelope_requires_finite_end_slope():
 
 
 def test_envelopes_pure():
-    prof = power2_profile()
+    prof = power_profile(2)
     a = build_envelopes(prof, 10.0)
     b = build_envelopes(prof, 10.0)
     x = np.linspace(0, 1, 777)
@@ -223,7 +242,7 @@ def test_envelopes_pure():
 
 def test_envelopes_pickle():
     # envelope profiles cross process pools (compare with workers > 1)
-    pair = build_envelopes(power2_profile(), 10.0)
+    pair = build_envelopes(power_profile(2), 10.0)
     again = pickle.loads(pickle.dumps(pair))
     x = np.linspace(0, 1, 777)
     assert np.array_equal(again.upper(x), pair.upper(x))
@@ -241,7 +260,7 @@ def test_monotonicity_check_rejects_wiggle():
 
 
 def test_below_diagonal_check():
-    power2_profile().check_below_diagonal()
+    power_profile(2).check_below_diagonal()
     with pytest.raises(AssumptionError):
         identity_profile().check_below_diagonal()
 
