@@ -45,9 +45,7 @@ def main():
         for i in range(args.replicates):
             tree = sample_tree(offspring, s, rng=rng)
             pos = sample_leaf_positions(tree, prof, s, rng)
-            cfg = ParticleConfiguration(
-                tree=tree, profile=prof, horizon=s, leaf_positions=pos
-            )
+            cfg = ParticleConfiguration(profile=prof, horizon=s, leaf_positions=pos)
             leaf_counts[i] = tree.n_leaves
             for sb in tilts:
                 vals[sb][i] = mckean_martingale(cfg, sb)

@@ -2,14 +2,16 @@
 
     du/dt = (1/2) d2u/dx2 + (1 - u) - sum_k p_k (1 - u)^k
 
-with Heaviside initial data and boundary values u(x_min)=1, u(x_max)=0.
+with Heaviside initial data and boundary values u(X_MIN)=1, u(x_max)=0.
 The reaction term is the exact polynomial u v g(v), v = 1 - u, with
 g(v) = sum_j P(K >= j+2) v^j.  Time stepping is explicit Euler only: one
 kernel, ``_ExplicitStep``, advances ``solve_heaviside`` as
-u_i <- u_i P(u_i) + c (u_{i-1} + u_{i+1}).  Mean two
-offspring give P in [1 - 2c, 1 + dt] with 1 - 2c >= 1/2 for a stable dt,
-so both summands are non-negative and the far tail (u down to ~1e-300)
-keeps full relative accuracy.
+u_i <- u_i P(u_i) + c (u_{i-1} + u_{i+1}) on the grid from ``X_MIN`` to
+x_max, with steps of dx^2/4 shrunk to land on t_end: c = dt / (2 dx^2)
+<= 3/16, reached by a t_end just under 1.5 dx^2/4 in one step.  Mean two
+offspring give P in [1 - 2c, 1 + dt] with 1 - 2c >= 5/8, so both summands
+are non-negative and the far tail keeps full relative accuracy down to the
+smallest normal float.
 
 The step updates only a window [lo, hi) of the interior, and
 ``solve_heaviside`` re-derives it every ``WINDOW_EVERY`` steps from the
@@ -36,6 +38,10 @@ from vsbbm.genealogy import OffspringDistribution
 
 SQRT2 = math.sqrt(2.0)
 _RANGE_TOL = 1e-9
+# left edge of every grid, where u = 1
+X_MIN = -50.0
+# the front may come no nearer than this to the right edge
+FRONT_BUFFER = 20.0
 # steps from one re-derivation of the stepped window to the next
 WINDOW_EVERY = 32
 
@@ -169,16 +175,14 @@ def front_position(state: FkppState) -> float:
 def solve_heaviside(
     offspring: OffspringDistribution,
     t_end: float,
-    x_min: float = -50.0,
     x_max: float | None = None,
     dx: float = 0.05,
-    dt: float | None = None,
-    front_buffer: float = 20.0,
     track_front: bool = False,
     snapshot_times=(),
 ):
-    """Integrate from u(0, x) = 1_{x <= 0} to t_end by explicit Euler steps
-    (dt = dx^2/4 unless given, then shrunk to land on t_end).
+    """Integrate from u(0, x) = 1_{x <= 0} on the grid from ``X_MIN`` to
+    x_max to t_end by explicit Euler steps of dx^2/4, shrunk to land on
+    t_end (so c = dt / (2 dx^2) <= 3/16, inside the stability limit 1/4).
 
     Every ``WINDOW_EVERY``-th step re-derives the window of cells the
     step updates (``_ExplicitStep.rederive``); a range check whose clip
@@ -187,7 +191,7 @@ def solve_heaviside(
     every cell.
 
     Fails loudly (FrontTooCloseError) if the u=1/2 front comes within
-    ``front_buffer`` of the right edge.  Returns the final state, or
+    ``FRONT_BUFFER`` of the right edge.  Returns the final state, or
     (state, front_track, snapshots) when tracking is requested; the front
     track is a list of (t, front position) pairs.
     """
@@ -195,21 +199,17 @@ def solve_heaviside(
         raise ValueError(f"t_end={t_end} is negative")
     if x_max is None:
         x_max = SQRT2 * t_end + 40.0
-    x = np.arange(x_min, x_max + dx / 2, dx)
+    x = np.arange(X_MIN, x_max + dx / 2, dx)
     u = (x <= 0.0).astype(np.float64)
     u[0], u[-1] = 1.0, 0.0
-    if dt is None:
-        dt = dx * dx / 4.0
-    # at least one step for any t_end > 0; dt is re-derived to land on
-    # t_end exactly, so the stability limit is checked on the new value
+    dt = dx * dx / 4.0
+    # at least one step for any t_end > 0, of the dt that lands on t_end
     n_steps = max(1, int(round(t_end / dt))) if t_end > 0 else 0
     if n_steps:
         dt = t_end / n_steps
-    if dt > dx * dx / 2.0 + 1e-15:
-        raise ValueError(f"explicit step dt={dt} exceeds stability limit dx^2/2={dx * dx / 2}")
     step = _ExplicitStep(u, offspring, dx, dt)
 
-    buffer_idx = int((x_max - front_buffer - x_min) / dx)
+    buffer_idx = int((x_max - FRONT_BUFFER - X_MIN) / dx)
     check_every = max(1, n_steps // 200)
 
     front_track = []
@@ -228,7 +228,7 @@ def solve_heaviside(
                 step.reset()
             if u[buffer_idx] > 1e-8:
                 raise FrontTooCloseError(
-                    f"front within {front_buffer} of x_max={x_max} at t={t:.3f}; widen the grid"
+                    f"front within {FRONT_BUFFER} of x_max={x_max} at t={t:.3f}; widen the grid"
                 )
             if track_front:
                 front_track.append((t, front_position(FkppState(x=x, u=u, t=t))))
@@ -245,15 +245,19 @@ def solve_heaviside(
 
 def _tail_value(state: FkppState, sigma_e: float, t: float) -> float:
     """sigma_e e^{sqrt2 x} e^{x^2/2t} sqrt(t) u(t, x + sqrt2 t) at the
-    coupled point x = sqrt2 (sigma_e - 1) t, interpolating log u."""
+    coupled point x = sqrt2 (sigma_e - 1) t, interpolating log u; a u
+    below the smallest normal float has lost its relative accuracy."""
     x_eval = SQRT2 * (sigma_e - 1.0) * t
     point = x_eval + SQRT2 * t
     if point < state.x[0] or point > state.x[-1] - 1.0:
         raise ValueError(f"evaluation point {point:.2f} outside the grid")
     i = int(np.searchsorted(state.x, point)) - 1
     u0, u1 = state.u[i], state.u[i + 1]
-    if u0 <= 0 or u1 <= 0:
-        raise ValueError("solution underflowed to zero at the evaluation point")
+    if min(u0, u1) < np.finfo(float).tiny:
+        raise ValueError(
+            f"u = {min(u0, u1):.3g} beside the evaluation point of sigma_e = {sigma_e}, t = {t}"
+            " is below the smallest normal float"
+        )
     frac = (point - state.x[i]) / (state.x[i + 1] - state.x[i])
     log_u = (1 - frac) * math.log(u0) + frac * math.log(u1)
     log_val = (
@@ -262,7 +266,7 @@ def _tail_value(state: FkppState, sigma_e: float, t: float) -> float:
     return math.exp(log_val)
 
 
-def tail_x_max(sigma_e: float, t: float) -> float:
+def _tail_x_max(sigma_e: float, t: float) -> float:
     """Right edge of a grid wide enough for the tail at end slope sigma_e
     and horizon t: the evaluation point sqrt2 sigma_e t stays 40 inside."""
     if sigma_e <= 1:
@@ -270,29 +274,29 @@ def tail_x_max(sigma_e: float, t: float) -> float:
     return max(SQRT2 * t + 40.0 * sigma_e, SQRT2 * sigma_e * t + 40.0)
 
 
-def tail_estimate(
-    state: FkppState, half: FkppState, sigma_e: float, t: float
-) -> tuple[float, dict]:
-    """Tail-constant estimate for end slope sigma_e from a solution at
-    horizon t and its snapshot ``half`` at t/2, with the t/2 value as the
-    diagnostic.  One solve serves every sigma_e its grid is wide enough for."""
-    estimate = _tail_value(state, sigma_e, t)
-    at_half = _tail_value(half, sigma_e, t / 2.0)
-    return estimate, {"value_at_half_horizon": at_half, "abs_change": abs(estimate - at_half)}
+def solve_with_tails(offspring: OffspringDistribution, t_end: float, dx: float, sigma_e_list):
+    """The front and every tail constant from one solve, on the grid the
+    widest tail needs (which leaves the front unmoved), snapshotted at
+    t_end/2.  Returns (state, front_track, {sigma_e: (estimate,
+    diagnostic)}): each estimate is the tail value at t_end, and its
+    diagnostic holds the value at t_end/2 and the change between them."""
+    x_max = max((_tail_x_max(s, t_end) for s in sigma_e_list), default=None)
+    state, track, snaps = solve_heaviside(
+        offspring, t_end, x_max=x_max, dx=dx, track_front=True, snapshot_times=(t_end / 2.0,)
+    )
+    tails = {}
+    for sigma_e in sigma_e_list:
+        estimate = _tail_value(state, sigma_e, t_end)
+        at_half = _tail_value(snaps[t_end / 2.0], sigma_e, t_end / 2.0)
+        tails[sigma_e] = estimate, {"value_at_half_horizon": at_half, "abs_change": abs(estimate - at_half)}
+    return state, track, tails
 
 
-def tail_constant(
-    offspring: OffspringDistribution,
-    sigma_e: float,
-    t: float,
-    dx: float = 0.05,
-) -> tuple[float, dict]:
+def tail_constant(offspring: OffspringDistribution, sigma_e: float, t: float, dx: float = 0.05):
     """Finite-t estimate of the front tail constant for end slope sigma_e.
 
     The double limit is approximated at the supplied horizon; the returned
     diagnostic compares against the value at t/2 (Richardson-style) rather
     than claiming convergence.
     """
-    x_max = tail_x_max(sigma_e, t)  # also rejects sigma_e <= 1
-    state, _, snaps = solve_heaviside(offspring, t, x_max=x_max, dx=dx, snapshot_times=(t / 2.0,))
-    return tail_estimate(state, snaps[t / 2.0], sigma_e, t)
+    return solve_with_tails(offspring, t, dx, (sigma_e,))[2][sigma_e]

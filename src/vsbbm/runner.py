@@ -221,17 +221,7 @@ def _run_martingale(cfg: ExperimentConfig, t, sigma_b, replicates):
 
 
 def _run_fkpp(cfg: ExperimentConfig, t_end, dx, sigma_e_list):
-    # one solve serves the front and every tail: the grid is widened to
-    # what the largest sigma_e needs, which leaves the front unmoved
-    x_max = max((fkpp_mod.tail_x_max(s, t_end) for s in sigma_e_list), default=None)
-    state, track, snaps = fkpp_mod.solve_heaviside(
-        cfg.offspring,
-        t_end,
-        x_max=x_max,
-        dx=dx,
-        track_front=True,
-        snapshot_times=(t_end / 2.0,),
-    )
+    state, track, tails = fkpp_mod.solve_with_tails(cfg.offspring, t_end, dx, sigma_e_list)
     report = {
         "t_end": t_end,
         "dx": dx,
@@ -239,11 +229,7 @@ def _run_fkpp(cfg: ExperimentConfig, t_end, dx, sigma_e_list):
         "reference_m_t": centering(t_end, "standard"),
     }
     if sigma_e_list:
-        tails = {}
-        for se_val in sigma_e_list:
-            est, diag = fkpp_mod.tail_estimate(state, snaps[t_end / 2.0], se_val, t_end)
-            tails[str(se_val)] = {"estimate": est, **diag}
-        report["tail_constants"] = tails
+        report["tail_constants"] = {str(s): {"estimate": est, **diag} for s, (est, diag) in tails.items()}
     return report, {
         "front.csv": (["t", "front"], [[repr(t), repr(f)] for t, f in track]),
         "snapshot.csv": (["x", "u"], ([repr(float(x)), repr(float(u))] for x, u in zip(state.x, state.u))),

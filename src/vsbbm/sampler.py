@@ -32,7 +32,6 @@ from vsbbm.speed import SpeedProfile, sigma2
 class ParticleConfiguration:
     """Leaf positions at the horizon for one tree and one speed profile."""
 
-    tree: GenealogyTree
     profile: SpeedProfile
     horizon: float
     leaf_positions: np.ndarray

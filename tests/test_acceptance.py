@@ -88,9 +88,7 @@ def test_03_mckean_martingale_mean():
         for i in range(reps):
             tree = sample_tree(BINARY, s, seed=0, rng=rng)
             pos = sample_leaf_positions(tree, prof, s, rng)
-            cfg = ParticleConfiguration(
-                tree=tree, profile=prof, horizon=s, leaf_positions=pos
-            )
+            cfg = ParticleConfiguration(profile=prof, horizon=s, leaf_positions=pos)
             for sb in vals:
                 vals[sb][i] = mckean_martingale(cfg, sb)
         for sb, v in vals.items():

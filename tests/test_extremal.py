@@ -26,7 +26,7 @@ def make_config(t=4.0, seed=1, profile=None):
     profile = profile or identity_profile()
     tree = sample_tree(BINARY, t, seed=seed)
     pos = sample_leaf_positions(tree, profile, t, tree_rng(seed + 1000))
-    return ParticleConfiguration(tree=tree, profile=profile, horizon=t, leaf_positions=pos)
+    return ParticleConfiguration(profile=profile, horizon=t, leaf_positions=pos)
 
 
 def test_centering_values():
@@ -70,7 +70,6 @@ def test_monotone_coupling_under_shift():
     cfg = make_config(seed=13)
     shift = 1.7
     shifted = ParticleConfiguration(
-        tree=cfg.tree,
         profile=cfg.profile,
         horizon=cfg.horizon,
         leaf_positions=cfg.leaf_positions + shift,
@@ -142,21 +141,8 @@ def test_mckean_sigma0_counts_particles():
 
 
 def test_mckean_single_particle_formula():
-    from vsbbm.genealogy import GenealogyTree
-
     s, x = 3.0, 1.234
-    tree = GenealogyTree(
-        horizon=s,
-        birth=np.array([0.0]),
-        death=np.array([s]),
-        parent=np.array([-1]),
-        wave_sizes=np.array([[1]]),
-        leaf_ids=np.array([0]),
-        internal_ids=np.array([], dtype=np.intp),
-    )
-    cfg = ParticleConfiguration(
-        tree=tree, profile=identity_profile(), horizon=s, leaf_positions=np.array([x])
-    )
+    cfg = ParticleConfiguration(profile=identity_profile(), horizon=s, leaf_positions=np.array([x]))
     sb = 0.4
     expected = math.exp(-s * (1 + sb**2) + SQRT2 * sb * x)
     assert mckean_martingale(cfg, sb) == pytest.approx(expected, rel=1e-12)
@@ -170,7 +156,7 @@ def test_mckean_mean_one():
     for i in range(reps):
         tree = sample_tree(BINARY, s, seed=0, rng=rng)
         pos = sample_leaf_positions(tree, prof, s, rng)
-        cfg = ParticleConfiguration(tree=tree, profile=prof, horizon=s, leaf_positions=pos)
+        cfg = ParticleConfiguration(profile=prof, horizon=s, leaf_positions=pos)
         vals[i] = mckean_martingale(cfg, sb)
     se = vals.std(ddof=1) / math.sqrt(reps)
     assert abs(vals.mean() - 1.0) < 3 * se
@@ -185,7 +171,6 @@ def test_mckean_requires_identity_profile():
 def test_mckean_checks_profile_values_not_label():
     cfg = make_config(seed=5)
     same = ParticleConfiguration(
-        tree=cfg.tree,
         profile=piecewise_linear([0.0, 1.0], [0.0, 1.0]),
         horizon=cfg.horizon,
         leaf_positions=cfg.leaf_positions,
@@ -217,7 +202,7 @@ def test_forest_reductions_match_trees_alone():
     n_leaves, top, counts = forest_summaries(leaf_tree, pos, n, t, u)
     mart = forest_mckean(leaf_tree, pos, n, prof, t, 0.4)
     for r in range(n):
-        cfg = ParticleConfiguration(tree=None, profile=prof, horizon=t, leaf_positions=pos[leaf_tree == r])
+        cfg = ParticleConfiguration(profile=prof, horizon=t, leaf_positions=pos[leaf_tree == r])
         assert n_leaves[r] == cfg.n_leaves >= 1
         assert top[r] == cfg.leaf_positions.max() - m
         assert np.array_equal(counts[r], count_exceedances(cfg, u))

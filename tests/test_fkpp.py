@@ -77,21 +77,35 @@ def test_fixed_points():
         assert np.allclose(u[1:-1], const, atol=1e-15)
 
 
-def test_step_stability_guard():
-    # a given dt of 0.01 > dx^2/2 = 0.005 lands on t_end = 0.1 unchanged
-    with pytest.raises(ValueError, match="stability"):
-        solve_heaviside(BINARY, 0.1, x_min=-5.0, x_max=5.0, dx=0.1, dt=0.01, front_buffer=1.0)
+@pytest.mark.parametrize(
+    "dx, t_end",
+    [
+        (0.1, 0.1),
+        (0.1, 0.0124),
+        (0.1, 1.4999 * 0.1 * 0.1 / 4.0),  # one step of nearly 1.5 dx^2/4, the worst case
+        (0.05, 1.4999 * 0.05 * 0.05 / 4.0),
+        (0.05, 1e-4),
+    ],
+    ids=["dx0.1_t0.1", "dx0.1_t0.0124", "worst_dx0.1", "worst_dx0.05", "one_short_step"],
+)
+def test_derived_step_is_stable(monkeypatch, dx, t_end):
+    # dt = dx^2/4 shrunk to land on t_end keeps c = dt / (2 dx^2) <= 3/16,
+    # inside the stability limit 1/4, so the solver needs no check of it
+    cs = []
+    init = _ExplicitStep.__init__
 
+    def recorded(self, *args):
+        init(self, *args)
+        cs.append(self.c)
 
-def test_stability_checked_after_dt_rederivation():
-    # round(0.0124 / 0.005) = 2 steps of 0.0062 > dx^2/2 = 0.005
-    with pytest.raises(ValueError, match="stability"):
-        solve_heaviside(BINARY, 0.0124, x_min=-5.0, x_max=5.0, dx=0.1, dt=0.005, front_buffer=1.0)
+    monkeypatch.setattr(_ExplicitStep, "__init__", recorded)
+    solve_heaviside(BINARY, t_end, dx=dx)
+    assert len(cs) == 1 and 0.0 < cs[0] <= 3.0 / 16.0
 
 
 def test_short_horizon_takes_one_step():
     # t_end far below dt = dx^2/4 still integrates, in one step of t_end
-    kw = dict(x_min=-5.0, x_max=5.0, dx=0.05, front_buffer=1.0)
+    kw = dict(x_max=40.0, dx=0.05)
     t_end = 1e-4
     state = solve_heaviside(BINARY, t_end, **kw)
     start = solve_heaviside(BINARY, 0.0, **kw)
@@ -124,14 +138,14 @@ def test_fused_step_matches_formula(off, dt_over_dx2):
 
 def test_negative_horizon_rejected():
     with pytest.raises(ValueError):
-        solve_heaviside(BINARY, -1.0, x_min=-5.0, x_max=5.0, dx=0.1)
+        solve_heaviside(BINARY, -1.0, dx=0.1)
 
 
-def _full_grid_solve(off, t_end, x_min, x_max, dx, snapshot_times):
+def _full_grid_solve(off, t_end, x_max, dx, snapshot_times):
     """solve_heaviside's loop with every step over the whole interior: a
     fresh ``_ExplicitStep`` called again and again, ``_check_range`` at the
     same steps; its (state, front track, snapshots)."""
-    x = np.arange(x_min, x_max + dx / 2, dx)
+    x = np.arange(fkpp.X_MIN, x_max + dx / 2, dx)
     u = (x <= 0.0).astype(np.float64)
     u[0], u[-1] = 1.0, 0.0
     n_steps = max(1, int(round(t_end / (dx * dx / 4.0)))) if t_end > 0 else 0
@@ -157,7 +171,7 @@ def _assert_window_is_exact(off, t_end, kw, between=lambda: None):
     u, track, snaps = _full_grid_solve(off, t_end, snapshot_times=snapshot_times, **kw)
     between()
     state, got_track, got_snaps = solve_heaviside(
-        off, t_end, track_front=True, snapshot_times=snapshot_times, front_buffer=5.0, **kw
+        off, t_end, track_front=True, snapshot_times=snapshot_times, **kw
     )
     assert np.array_equal(state.u, u)
     assert got_track == track
@@ -180,12 +194,12 @@ def test_window_matches_full_grid_step(monkeypatch, law, t_end):
     # stepping only the window is bit-identical to stepping every cell;
     # the count of stepped cells shows that the window did skip some
     off = LAWS[law]
-    kw = dict(x_min=-30.0, x_max=SQRT2 * t_end + 20.0, dx=0.1)
+    kw = dict(x_max=SQRT2 * t_end + 40.0, dx=0.1)
     stepped = []
     call = _ExplicitStep.__call__
     monkeypatch.setattr(_ExplicitStep, "__call__", lambda s: stepped.append(s.hi - s.lo) or call(s))
     _assert_window_is_exact(off, t_end, kw)
-    interior = round((kw["x_max"] - kw["x_min"]) / kw["dx"]) - 1
+    interior = round((kw["x_max"] - fkpp.X_MIN) / kw["dx"]) - 1
     n_steps = len(stepped) // 2
     assert all(n == interior for n in stepped[:n_steps])  # the full-grid loop
     if t_end >= 1.0:
@@ -207,18 +221,18 @@ def test_window_resets_after_a_clip(monkeypatch):
         return check(u)
 
     monkeypatch.setattr(fkpp, "_check_range", clipping_check)
-    _assert_window_is_exact(BINARY, 5.0, dict(x_min=-30.0, x_max=40.0, dx=0.1), between=calls.clear)
+    _assert_window_is_exact(BINARY, 5.0, dict(x_max=40.0, dx=0.1), between=calls.clear)
     # the cell was 1 before the clip and stepped back up after it
     assert calls[2] == 1.0 and 0.0 < calls[3] < 1.0
 
 
 def test_heaviside_t0():
-    state = solve_heaviside(BINARY, 0.0, x_min=-5.0, x_max=5.0, dx=0.1)
+    state = solve_heaviside(BINARY, 0.0, dx=0.1)
     assert np.array_equal(state.u, (state.x <= 0.0).astype(float))
 
 
 def test_solution_stays_in_range_and_monotone():
-    state = solve_heaviside(BINARY, 5.0, x_min=-20.0, dx=0.1)
+    state = solve_heaviside(BINARY, 5.0, dx=0.1)
     assert state.u.min() >= 0.0 and state.u.max() <= 1.0
     assert np.all(np.diff(state.u) <= 1e-12)
 
@@ -266,8 +280,10 @@ def test_grid_refinement_stability():
 
 
 def test_front_buffer_error():
-    with pytest.raises(FrontTooCloseError):
-        solve_heaviside(BINARY, 20.0, x_min=-10.0, x_max=15.0, dx=0.1)
+    # u at x = 20, FRONT_BUFFER = 20 inside x_max = 40, passes 1e-8 at
+    # t = 8.5, well before t_end = 20
+    with pytest.raises(FrontTooCloseError, match="front within 20.0 of x_max=40.0"):
+        solve_heaviside(BINARY, 20.0, x_max=40.0, dx=0.1)
 
 
 def test_front_offset_from_log_corrected_centering():
@@ -288,11 +304,29 @@ def test_tail_constant_trend():
         assert "value_at_half_horizon" in diag and "abs_change" in diag
         ests.append(est)
     assert ests[0] < ests[1] < ests[2]
+    # the values themselves, bit for bit
+    assert ests == [0.1796301398639999, 0.2287790472993778, 0.28506119533566604]
+
+
+def test_tail_constant_is_pinned():
+    # law (1,3) at dx = 0.1: the value at t = 8 and its t/2 diagnostic,
+    # which is the value at t = 4
+    est, diag = tail_constant(LAWS["1,3"], 2.0, 8.0, dx=0.1)
+    assert est == 0.17163332774036036
+    assert diag["value_at_half_horizon"] == tail_constant(LAWS["1,3"], 2.0, 4.0, dx=0.1)[0] == 0.17544071963437913
 
 
 def test_tail_constant_validation():
     with pytest.raises(ValueError):
         tail_constant(BINARY, 1.0, 10.0)
+
+
+def test_tail_rejects_a_subnormal_u():
+    # at t = 30, dx = 0.1 the evaluation point of sigma_e = 5 holds
+    # u ~ 3.4e-313, a subnormal float whose log has lost its relative
+    # accuracy (the estimate read 37.1, a hundred times the others)
+    with pytest.raises(ValueError, match=r"u = .* sigma_e = 5.0, t = 30.0 .* smallest normal"):
+        tail_constant(BINARY, 5.0, 30.0, dx=0.1)
 
 
 def test_export_csv(tmp_path):
