@@ -1,6 +1,8 @@
 """Gaussian-comparison sandwich for exceedance Laplace functionals.
 
-Builds one-kink two-speed envelopes around the profile A(x) = x^2, couples
+Builds the two-speed envelopes around the profile A(x) = x^2 (each a
+``two_speed`` profile, its kink where its two slopes' lines through (0, 0)
+and (1, 1) cross; the lower one starts flat and leaves 0 at its kink), couples
 all three fields on shared genealogies and one shared Gaussian draw, and
 checks cell by cell that the empirical Laplace functional of exceedance
 counts above the centered level u sits between the envelope values (up to

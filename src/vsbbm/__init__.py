@@ -11,7 +11,6 @@ from vsbbm.speed import (
     SpeedProfile,
     build_envelopes,
     delta_thresholds,
-    from_function,
     identity_profile,
     piecewise_linear,
     two_speed,
@@ -37,7 +36,6 @@ __all__ = [
     "identity_profile",
     "two_speed",
     "delta_thresholds",
-    "from_function",
     "piecewise_linear",
     "build_envelopes",
     "ParticleConfiguration",

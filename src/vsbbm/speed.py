@@ -2,20 +2,21 @@
 
 A speed profile encodes the covariance of the tree-indexed Gaussian field
 as t*A(d/t) where d is the genealogical overlap.  Each kind of profile is
-declared once: ``identity_profile``, ``two_speed``, ``power_profile``
-(A(x) = x^p), ``piecewise_linear`` and its CSV form ``from_table_csv``,
-and ``from_function`` for any other A.  The envelope machinery builds the
-piecewise-linear two-speed profiles that bound A near 0 and 1 for the
-Gaussian-comparison experiments; their slopes absorb A's Taylor
-remainder at either end through one bound on |A''|, the profile's
-``curvature``.
+declared once, with its exact end slopes sigma_b^2 = A'(0) and sigma_e^2 =
+A'(1), the model's parameters: ``identity_profile``, ``two_speed``,
+``power_profile`` (A(x) = x^p), ``piecewise_linear`` and its CSV form
+``from_table_csv``.  Any other A is a direct ``SpeedProfile`` with declared
+slopes.  The envelope machinery builds the two ``two_speed`` profiles that
+bound A near 0 and 1 for the Gaussian-comparison experiments; their slopes
+absorb A's Taylor remainder at either end through one bound on |A''|, the
+profile's ``curvature``.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable
 
@@ -23,8 +24,6 @@ import numpy as np
 
 _ENDPOINT_TOL = 1e-12
 _BISECT_TOL = 1e-10
-_SLOPE_FD_STEP = 1e-6
-_SLOPE_MISMATCH_TOL = 1e-3
 
 
 class AssumptionError(ValueError):
@@ -37,10 +36,11 @@ class SpeedProfile:
     """A non-decreasing speed function A: [0,1] -> [0,1].
 
     slope_at_0 / slope_at_1 are the one-sided derivatives sigma_b^2 and
-    sigma_e^2 (sigma_e^2 may be inf).  ``curvature`` bounds |A''| near 0
+    sigma_e^2 (either may be inf).  ``curvature`` bounds |A''| near 0
     and 1 and feeds the second-order Taylor corrections of the envelope
     construction; it is caller-supplied since only its existence is
     assumed, not a recipe for finding it, and inf where A'' has no bound.
+    Every check is written so that a NaN fails it.
     """
 
     func: Callable[[np.ndarray], np.ndarray]
@@ -50,11 +50,11 @@ class SpeedProfile:
     label: str = "custom"
 
     def __post_init__(self):
-        if self.slope_at_0 < 0:
-            raise AssumptionError("slope at 0 must be >= 0")
+        if not self.slope_at_0 >= 0:
+            raise AssumptionError(f"slope at 0 must be >= 0, got {self.slope_at_0}")
         a0 = float(self.func(np.array(0.0)))
         a1 = float(self.func(np.array(1.0)))
-        if abs(a0) > _ENDPOINT_TOL or abs(a1 - 1.0) > _ENDPOINT_TOL:
+        if not (abs(a0) <= _ENDPOINT_TOL and abs(a1 - 1.0) <= _ENDPOINT_TOL):
             raise AssumptionError(f"need A(0)=0 and A(1)=1, got {a0}, {a1}")
 
     def __call__(self, x) -> np.ndarray:
@@ -63,15 +63,16 @@ class SpeedProfile:
     def check_monotone(self) -> None:
         grid = np.linspace(0.0, 1.0, 10**4)
         vals = self(grid)
-        if np.any(np.diff(vals) < -_ENDPOINT_TOL):
+        if not np.all(np.diff(vals) >= -_ENDPOINT_TOL):
             raise AssumptionError("A is not non-decreasing on the test grid")
 
     def check_below_diagonal(self) -> None:
         """Assumption (A1): A(x) < x on the open interval."""
         grid = np.linspace(0.0, 1.0, 10**4 + 2)[1:-1]
         vals = self(grid)
-        if np.any(vals >= grid):
-            bad = grid[np.argmax(vals >= grid)]
+        below = vals < grid
+        if not below.all():
+            bad = grid[np.argmin(below)]
             raise AssumptionError(f"A(x) >= x at x={bad:.6g}; (A1) violated")
 
 
@@ -82,38 +83,6 @@ def sigma2(profile: SpeedProfile, s, t: float):
         raise ValueError(f"s outside [0, {t}]")
     out = t * profile(s_arr / t)
     return out if out.ndim else float(out)
-
-
-def _declared_or_fd_slopes(func, slope_at_0, slope_at_1):
-    """Take declared slopes, else one-sided finite differences; a declared
-    slope must agree with the finite-difference value to 1e-3."""
-    h = _SLOPE_FD_STEP
-    fd0 = float(func(np.array(h)) - func(np.array(0.0))) / h
-    fd1 = float(func(np.array(1.0)) - func(np.array(1.0 - h))) / h
-    if slope_at_0 is None:
-        slope_at_0 = fd0
-    elif abs(slope_at_0 - fd0) > _SLOPE_MISMATCH_TOL:
-        raise AssumptionError(
-            f"declared slope at 0 ({slope_at_0}) vs finite difference ({fd0:.6g})"
-        )
-    if slope_at_1 is None:
-        slope_at_1 = fd1
-    elif math.isfinite(slope_at_1) and abs(slope_at_1 - fd1) > _SLOPE_MISMATCH_TOL:
-        raise AssumptionError(
-            f"declared slope at 1 ({slope_at_1}) vs finite difference ({fd1:.6g})"
-        )
-    return slope_at_0, slope_at_1
-
-
-def from_function(
-    func,
-    slope_at_0: float | None = None,
-    slope_at_1: float | None = None,
-    label: str = "custom",
-    curvature: float = 0.0,
-) -> SpeedProfile:
-    s0, s1 = _declared_or_fd_slopes(func, slope_at_0, slope_at_1)
-    return SpeedProfile(func=func, slope_at_0=s0, slope_at_1=s1, curvature=curvature, label=label)
 
 
 # module-level evaluators (picklable, so profiles survive process pools)
@@ -149,10 +118,13 @@ def identity_profile() -> SpeedProfile:
 
 def two_speed(sigma1_sq: float, sigma2_sq: float, b: float) -> SpeedProfile:
     """Piecewise-linear profile with slopes sigma1_sq then sigma2_sq, kink
-    at b; requires the normalization sigma1_sq*b + sigma2_sq*(1-b) = 1."""
+    at b; requires slopes >= 0 and the normalization sigma1_sq*b +
+    sigma2_sq*(1-b) = 1."""
     if not 0 < b < 1:
-        raise AssumptionError("kink b must lie in (0, 1)")
-    if abs(sigma1_sq * b + sigma2_sq * (1 - b) - 1.0) > _ENDPOINT_TOL:
+        raise AssumptionError(f"kink b must lie in (0, 1), got {b}")
+    if not (sigma1_sq >= 0 and sigma2_sq >= 0):
+        raise AssumptionError(f"slopes must be >= 0 for a non-decreasing A, got {sigma1_sq}, {sigma2_sq}")
+    if not abs(sigma1_sq * b + sigma2_sq * (1 - b) - 1.0) <= _ENDPOINT_TOL:
         raise AssumptionError(
             f"normalization sigma1^2*b + sigma2^2*(1-b) = "
             f"{sigma1_sq * b + sigma2_sq * (1 - b)}, must be 1"
@@ -167,29 +139,40 @@ def two_speed(sigma1_sq: float, sigma2_sq: float, b: float) -> SpeedProfile:
 
 
 def power_profile(exponent: float) -> SpeedProfile:
-    """A(x) = x^p.  A'' = p(p-1)x^(p-2) is bounded on [0,1], by p(p-1),
-    only for p >= 2; below 2 it blows up at 0 and the curvature is inf."""
+    """A(x) = x^p for a finite p > 0.  A'(0) is 0, 1 or inf as p is above,
+    at or below 1, and A'(1) = p.  A'' = p(p-1)x^(p-2) is bounded on
+    [0,1], by p(p-1), only for p >= 2; below 2 it blows up at 0 and the
+    curvature is inf."""
     p = float(exponent)
-    return from_function(
-        partial(_power_eval, p),
-        slope_at_0=0.0 if p > 1 else None,
+    if not (math.isfinite(p) and p > 0):
+        raise AssumptionError(f"exponent must be finite and > 0, got {p}")
+    return SpeedProfile(
+        func=partial(_power_eval, p),
+        slope_at_0=0.0 if p > 1 else 1.0 if p == 1 else math.inf,
         slope_at_1=p,
-        label=f"power{p}",
         curvature=p * (p - 1.0) if p >= 2 else math.inf,
+        label=f"power{p}",
     )
 
 
-def piecewise_linear(xs, ys, **kw) -> SpeedProfile:
-    """Profile interpolating the monotone breakpoint table (xs, ys)."""
+def piecewise_linear(xs, ys) -> SpeedProfile:
+    """Profile interpolating the monotone breakpoint table (xs, ys); its
+    end slopes are those of the first and last segments."""
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
+    if xs.size != ys.size:
+        raise AssumptionError(f"xs has {xs.size} entries and ys {ys.size}; they must pair up")
     if xs.size == 0 or xs[0] != 0.0 or xs[-1] != 1.0:
         raise AssumptionError("breakpoints must span [0, 1]")
-    if np.any(np.diff(xs) <= 0) or np.any(np.diff(ys) < 0):
+    dx, dy = np.diff(xs), np.diff(ys)
+    if not (np.all(dx > 0) and np.all(dy >= 0)):
         raise AssumptionError("breakpoint table must be monotone")
-
-    kw.setdefault("label", "piecewise")
-    return from_function(partial(_interp_eval, xs, ys), **kw)
+    return SpeedProfile(
+        func=partial(_interp_eval, xs, ys),
+        slope_at_0=float(dy[0] / dx[0]),
+        slope_at_1=float(dy[-1] / dx[-1]),
+        label="piecewise",
+    )
 
 
 def from_table_csv(path) -> SpeedProfile:
@@ -203,7 +186,7 @@ def from_table_csv(path) -> SpeedProfile:
                 raise ValueError(f"{path}: row {row} needs two columns, x and A(x)")
             xs.append(float(row[0]))
             ys.append(float(row[1]))
-    return piecewise_linear(xs, ys, label="table")
+    return replace(piecewise_linear(xs, ys), label="table")
 
 
 def _bisect(below) -> tuple[float, float]:
@@ -244,22 +227,9 @@ def flat_initial_extent(profile: SpeedProfile) -> float:
     return _bisect(lambda x: float(profile(x)) <= 0.0)[0]
 
 
-def _one_kink_eval(select, slope0: float, slope1: float, clamp: bool, x):
-    """Continuous one-kink piecewise-linear function through (0, .) and (1, 1).
-
-    First branch slope0*x up to the kink, second branch 1 + slope1*(x-1);
-    ``select`` is ``_kink_select(slope0, slope1)``, so the two branches
-    need no comparison with the kink.  With clamp=True the whole function
-    is floored at 0, which keeps it monotone and in [0,1] when the raw
-    first branch would dip negative.
-    """
-    raw = select(slope0 * x, 1.0 + slope1 * (x - 1.0))
-    return np.maximum(raw, 0.0) if clamp else raw
-
-
 @dataclass(frozen=True)
 class EnvelopePair:
-    """Upper and lower one-kink two-speed profiles sandwiching A near 0 and 1."""
+    """Upper and lower two-speed profiles sandwiching A near 0 and 1."""
 
     upper: SpeedProfile
     lower: SpeedProfile
@@ -273,9 +243,11 @@ def build_envelopes(profile: SpeedProfile, t: float) -> EnvelopePair:
 
     The slopes absorb the Taylor-bound corrections curvature/2 * delta,
     delta_less at 0 and delta_greater at 1, the same for both members;
-    both are continuous one-kink profiles with value 0 at 0 and 1 at 1.
-    For a flat start (slope 0 with a persistent flat piece) the upper
-    first branch is identically 0.
+    each member is the ``two_speed`` profile whose kink is where its two
+    lines, through (0, 0) and (1, 1), cross.  The lower first slope is
+    floored at 0 before its kink is computed, which keeps the lower member
+    monotone.  For a flat start (slope 0 with a persistent flat piece) the
+    upper first slope is 0.
     """
     profile.check_monotone()
     profile.check_below_diagonal()
@@ -299,25 +271,15 @@ def build_envelopes(profile: SpeedProfile, t: float) -> EnvelopePair:
     slope1_up = s_e - corr1
     kink_up = (1.0 - slope1_up) / (slope0_up - slope1_up)
 
-    slope0_low = s_b - corr0  # may be negative; the clamp floors at 0
+    slope0_low = max(s_b - corr0, 0.0)
     slope1_low = s_e + corr1
     kink_low = (1.0 - slope1_low) / (slope0_low - slope1_low)
 
-    if not (0 < kink_up <= 1 and 0 < kink_low <= 1):
-        raise AssumptionError(
-            f"envelope kinks ({kink_up:.4g}, {kink_low:.4g}) fell outside (0, 1]"
-        )
-
-    upper = SpeedProfile(
-        func=partial(_one_kink_eval, _kink_select(slope0_up, slope1_up), slope0_up, slope1_up, False),
-        slope_at_0=slope0_up,
-        slope_at_1=slope1_up,
-        label="envelope_upper",
+    if not (0 < kink_up < 1 and 0 < kink_low < 1):
+        raise AssumptionError(f"envelope kinks ({kink_up:.4g}, {kink_low:.4g}) fell outside (0, 1)")
+    return EnvelopePair(
+        upper=two_speed(slope0_up, slope1_up, kink_up),
+        lower=two_speed(slope0_low, slope1_low, kink_low),
+        kink_upper=kink_up,
+        kink_lower=kink_low,
     )
-    lower = SpeedProfile(
-        func=partial(_one_kink_eval, _kink_select(slope0_low, slope1_low), slope0_low, slope1_low, True),
-        slope_at_0=max(slope0_low, 0.0),
-        slope_at_1=slope1_low,
-        label="envelope_lower",
-    )
-    return EnvelopePair(upper=upper, lower=lower, kink_upper=kink_up, kink_lower=kink_low)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -41,7 +42,7 @@ def test_relabelled_copy_gives_zero_gaps():
     # under another label: on one shared draw every count and gap agrees
     xs = np.array([0.0, 0.4, 0.8, 1.0])
     prof = piecewise_linear(xs, [0.0, 0.2, 0.6, 1.0])
-    copy = piecewise_linear(xs, prof(xs), label="copy")
+    copy = replace(piecewise_linear(xs, prof(xs)), label="copy")
     u, c = [-2.0, 0.0, 1.0], [0.3, 2.0]
     counts = collect_exceedances(BINARY, {"A": prof, "upper": copy, "lower": prof}, 4.0, u, 200, seed=21)
     assert np.array_equal(counts["A"], counts["upper"])

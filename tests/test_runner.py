@@ -500,6 +500,16 @@ MC_PINNED = {
             "report.json": "b3e125fc0b3481c3aed5e68b57aefd974d73691c89b29637d94f08f1c2183db9",
         },
     ),
+    # the universality ladder's profile b: the one pinned compare on exact
+    # piecewise end slopes, the only path where they move the envelopes
+    "compare-piecewise": (
+        "compare",
+        "t = 5\nreplicates = 120\nu_grid = -2 0 2\nc_grid = 0.5 2\nseed = 25",
+        "[profile]\nkind = piecewise\nxs = 0 0.4 0.8 1\nys = 0 0.2 0.6 1\n",
+        {
+            "report.json": "b1640ed1825aec30a3886fe91a36699e550d987ff5f81a64440c541620773258",
+        },
+    ),
     "cluster": (
         "cluster",
         "t = 3\nreplicates = 200\ny_mode = exponential\nseed = 24",
@@ -829,6 +839,20 @@ def _bad_configs():
         ("simulate", "t = 3\nreplicates = 4", "[profile]\nkind = piecewise\nxs =\nys =\n", "span"),
         ("simulate", "t = 3\nreplicates = 4", "[profile]\nkind = table\npath = missing.csv\n", "missing.csv"),
         ("simulate", "t = 3\nreplicates = 4", "[profile]\nkind = table\npath = one_column.csv\n", "two columns"),
+        # normalized, 2 (2/3) - 1 (1/3) = 1, but A falls past the kink
+        ("simulate", "t = 3\nreplicates = 4", "[profile]\nkind = two_speed\nsigma1_sq = 2\nsigma2_sq = -1\n"
+         "b = 0.6666666666666666\n", "slopes must be >= 0"),
+        # NaN fails no > test; each of these used to load and run
+        ("simulate", "t = 3\nreplicates = 4", "[profile]\nkind = two_speed\nsigma1_sq = nan\nsigma2_sq = 2\n"
+         "b = 0.6666666666666666\n", "slopes must be >= 0"),
+        ("simulate", "t = 3\nreplicates = 4", "[profile]\nkind = power\nexponent = nan\n", "finite and > 0"),
+        ("simulate", "t = 3\nreplicates = 4", "[profile]\nkind = power\nexponent = inf\n", "finite and > 0"),
+        ("simulate", "t = 3\nreplicates = 4", "[profile]\nkind = piecewise\nxs = 0 0.5 1\nys = 0 nan 1\n", "monotone"),
+        ("simulate", "t = 3\nreplicates = 4", "[profile]\nkind = piecewise\nxs = 0 nan 1\nys = 0 0.5 1\n", "monotone"),
+        ("simulate", "t = 3\nreplicates = 4", "[profile]\nkind = table\npath = nan_y.csv\n", "monotone"),
+        ("simulate", "t = 3\nreplicates = 4", "[profile]\nkind = table\npath = nan_x.csv\n", "monotone"),
+        ("simulate", "t = 3\nreplicates = 4", "[profile]\nkind = piecewise\nxs = 0 0.5 1\nys = 0 1\n",
+         "xs has 3 entries and ys 2"),
     ]
     for i, (kind, lines, sections, word) in enumerate(extra):
         yield pytest.param(kind, _kind_config(kind, lines, sections), [], word, id=f"{kind}-value-{i}")
@@ -951,6 +975,8 @@ def test_kind_cases_are_valid(tmp_path, kind):
 def test_main_rejects_bad_config_before_any_output(tmp_path, capsys, kind, text, argv, word):
     # a table profile's path is relative to the config file's directory
     (tmp_path / "one_column.csv").write_text("0\n0.5\n1\n")
+    (tmp_path / "nan_y.csv").write_text("0,0\n0.5,nan\n1,1\n")
+    (tmp_path / "nan_x.csv").write_text("0,0\nnan,0.5\n1,1\n")
     path, out = write_config(tmp_path, text)
     assert main([kind, "--config", str(path), *argv]) == 1
     err = json.loads(capsys.readouterr().err)

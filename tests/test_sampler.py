@@ -157,7 +157,7 @@ def test_edge_std_rejects_a_fall_that_only_leaf_edges_see():
 def test_flat_speed_segment_freezes_particles():
     # A = 0 on [0, 1/2]: the leaves of a tree grown to t/2, placed under
     # horizon t, sit exactly at 0; those of the tree grown to t do not
-    prof = piecewise_linear([0.0, 0.5, 1.0], [0.0, 0.0, 1.0], slope_at_0=0.0)
+    prof = piecewise_linear([0.0, 0.5, 1.0], [0.0, 0.0, 1.0])
     t = 5.0
     early = sample_tree(BINARY, 0.5 * t, seed=3)
     assert early.n_leaves > 1

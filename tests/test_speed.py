@@ -1,5 +1,6 @@
 import math
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,12 +8,9 @@ import pytest
 from vsbbm.speed import (
     AssumptionError,
     SpeedProfile,
-    _kink_select,
-    _one_kink_eval,
     build_envelopes,
     delta_thresholds,
     flat_initial_extent,
-    from_function,
     from_table_csv,
     identity_profile,
     piecewise_linear,
@@ -68,6 +66,9 @@ def test_two_speed_normalization():
     # check names it rather than the A(1) = 1 check
     with pytest.raises(AssumptionError, match="normalization"):
         two_speed(0.25, 2.5, 0.66666666667)
+    # NaN fails every comparison: a NaN slope past the kink used to pass
+    with pytest.raises(AssumptionError):
+        two_speed(0.5, math.nan, 2.0 / 3.0)
 
 
 def test_two_speed_identity_case():
@@ -97,21 +98,42 @@ def test_two_speed_takes_the_line_of_each_side(s1, s2, b):
     assert np.array_equal(two_speed(s1, s2, b)(x), want)
 
 
-@pytest.mark.parametrize("clamp", [False, True], ids=["raw", "clamped"])
 @pytest.mark.parametrize(
-    "slope0, slope1", [(-0.2, 2.0), (0.3, 2.0), (1.5, 0.5)], ids=["convex-dips", "convex", "concave"]
+    "prof, want",
+    [
+        # a first segment of width 1e-7: a difference step of 1e-6 reads 1.90
+        (piecewise_linear([0.0, 1e-7, 1.0], [0.0, 1e-6, 1.0]), (1e-6 / 1e-7, (1.0 - 1e-6) / (1.0 - 1e-7))),
+        # a last segment of width 1e-7 and slope 1e4, of the stored floats
+        (
+            piecewise_linear([0.0, 0.5, 1.0 - 1e-7, 1.0], [0.0, 0.2, 1.0 - 1e-3, 1.0]),
+            (0.2 / 0.5, (1.0 - (1.0 - 1e-3)) / (1.0 - (1.0 - 1e-7))),
+        ),
+        # the universality ladder's profile b has two_speed(0.5, 2, 2/3)'s
+        # end slopes; a difference step of 1e-6 reads 2.0000000000575 at 1
+        (piecewise_linear([0.0, 0.4, 0.8, 1.0], [0.0, 0.2, 0.6, 1.0]), (0.5, 2.0)),
+        (power_profile(0.5), (math.inf, 0.5)),
+        (power_profile(1), (1.0, 1.0)),
+        (power_profile(2.5), (0.0, 2.5)),
+    ],
+    ids=["steep-first", "steep-last", "ladder-b", "power0.5", "power1", "power2.5"],
 )
-def test_one_kink_takes_the_line_of_each_side(slope0, slope1, clamp):
-    kink = (1.0 - slope1) / (slope0 - slope1)
-    x = _kink_grid(kink)
-    want = np.where(x <= kink, slope0 * x, 1.0 + slope1 * (x - 1.0))
-    if clamp:
-        want = np.maximum(want, 0.0)
-    got = _one_kink_eval(_kink_select(slope0, slope1), slope0, slope1, clamp, x)
-    # the kink itself is rounded: only next to it may the lines differ, by an ulp
-    far = np.abs(x - kink) > 1e-12
-    assert np.array_equal(got[far], want[far])
-    np.testing.assert_allclose(got, want, rtol=0, atol=np.spacing(1.0))
+def test_end_slopes_are_exact(prof, want):
+    assert (prof.slope_at_0, prof.slope_at_1) == pytest.approx(want, rel=1e-15)
+
+
+def test_speed_profile_checks_fail_on_nan():
+    with pytest.raises(AssumptionError, match="slope at 0"):
+        SpeedProfile(func=np.asarray, slope_at_0=math.nan, slope_at_1=1.0)
+    with pytest.raises(AssumptionError, match=r"A\(0\)=0"):
+        SpeedProfile(func=lambda x: np.full_like(x, math.nan), slope_at_0=1.0, slope_at_1=1.0)
+    # x^2 with a hole of NaN around 1/2
+    holed = SpeedProfile(
+        func=lambda x: np.where(np.abs(x - 0.5) < 1e-3, math.nan, x**2), slope_at_0=0.0, slope_at_1=2.0
+    )
+    with pytest.raises(AssumptionError, match="non-decreasing"):
+        holed.check_monotone()
+    with pytest.raises(AssumptionError, match="A1"):
+        holed.check_below_diagonal()
 
 
 def test_delta_thresholds_identity():
@@ -123,7 +145,7 @@ def test_delta_thresholds_identity():
 
 
 def test_delta_less_flat_piece():
-    prof = piecewise_linear([0.0, 0.3, 1.0], [0.0, 0.0, 1.0], slope_at_0=0.0)
+    prof = piecewise_linear([0.0, 0.3, 1.0], [0.0, 0.0, 1.0])
     for t in (2.0, 100.0, 10**4):
         d_less, _ = delta_thresholds(prof, t)
         assert d_less >= 0.3
@@ -161,6 +183,17 @@ def test_build_envelopes_exact_two_speed():
     pair = build_envelopes(prof, 50.0)
     assert pair.kink_upper == pytest.approx(2.0 / 3.0, abs=1e-12)
     assert pair.kink_lower == pytest.approx(2.0 / 3.0, abs=1e-12)
+
+
+def test_lower_envelope_kink_is_where_it_leaves_zero():
+    # the lower first slope, s_b - curvature/2 * delta_less = -0.114, is
+    # floored at 0 before the kink is computed: the kink is where the lower
+    # member leaves 0, 0.527, not where the unfloored lines cross, 0.432
+    pair = build_envelopes(power_profile(2), 10.0)
+    assert pair.lower.slope_at_0 == 0.0
+    assert pair.kink_lower == pytest.approx(0.5270185994690895, rel=1e-12)
+    assert float(pair.lower(pair.kink_lower - 1e-6)) == 0.0
+    assert float(pair.lower(pair.kink_lower + 1e-6)) > 0.0
 
 
 def test_envelope_continuity_and_endpoints():
@@ -204,13 +237,7 @@ def test_power_profile_curvature():
 
 def test_envelope_flat_start_stays_flat():
     # persistent flat piece: the upper envelope first branch is identically 0
-    prof = piecewise_linear(
-        [0.0, 0.3, 0.9, 1.0],
-        [0.0, 0.0, 0.6, 1.0],
-        slope_at_0=0.0,
-        slope_at_1=4.0,
-        curvature=1.0,
-    )
+    prof = replace(piecewise_linear([0.0, 0.3, 0.9, 1.0], [0.0, 0.0, 0.6, 1.0]), curvature=1.0)
     pair = build_envelopes(prof, 20.0)
     assert pair.upper.slope_at_0 == 0.0
     d_less, _ = delta_thresholds(prof, 20.0)
@@ -219,8 +246,8 @@ def test_envelope_flat_start_stays_flat():
 
 
 def test_envelope_requires_finite_end_slope():
-    prof = from_function(
-        lambda x: np.asarray(x) / 2 + (1 - np.sqrt(1 - np.asarray(x) ** 2)) / 2,
+    prof = SpeedProfile(
+        func=lambda x: np.asarray(x) / 2 + (1 - np.sqrt(1 - np.asarray(x) ** 2)) / 2,
         slope_at_0=0.5,
         slope_at_1=math.inf,
     )
@@ -263,11 +290,6 @@ def test_below_diagonal_check():
     power_profile(2).check_below_diagonal()
     with pytest.raises(AssumptionError):
         identity_profile().check_below_diagonal()
-
-
-def test_declared_slope_mismatch():
-    with pytest.raises(AssumptionError):
-        from_function(lambda x: np.asarray(x) ** 2, slope_at_0=0.5, slope_at_1=2.0)
 
 
 def test_from_table_csv(tmp_path):
