@@ -25,6 +25,18 @@ on, 42 behind the front at 23.57, where 1 - u = 3.4e-13.  Ahead of the
 front, early on, u underflows to exactly 0.  So the window skips only
 about 30% of the cell updates of a long solve (binary law, dx = 0.05: 28%
 to t = 50, 35% to t = 100).
+
+The cost of a step is numpy's fixed cost per ufunc call plus the work per
+cell.  A step is seven ufunc calls over the window for the binary law, two
+more per further coefficient of P.  On a 2-vCPU Xeon VM (numpy 2.4) a
+binary step costs about 2.0 us on 10 cells and 6.0 us on 2,300, the mean
+window of the benchmark's solves, so call overhead is still about a third
+of a step there.  Two rules keep it down.  The step holds P's coefficients
+and c as 0-d float64 arrays, which a ufunc takes faster than a Python
+float (0.40 against 0.61 us a call).  And one call ``step(n)`` runs a counted
+run of n steps with every operand bound once, so ``solve_heaviside`` pays
+its own bookkeeping only at the steps where something else happens: a
+re-derivation, a range check, a snapshot.
 """
 
 from __future__ import annotations
@@ -107,15 +119,28 @@ class _ExplicitStep:
     re-derivation.  A cell outside it would compute its value again: its
     stencil did not change on the last step, because a change spreads at
     most one cell per step.  That holds only while c and P stay fixed.
+
+    A step is seven ufunc calls over the window (binary law), and at a
+    few thousand cells their fixed cost is still a third of the step's,
+    the rest being work per cell.  So c and P's coefficients are 0-d
+    float64 arrays, which a ufunc takes faster than Python floats, and
+    ``step(n)`` advances the window by n steps in one call: the window,
+    the buffers, the coefficients and ``np.multiply``/``np.add`` are
+    bound once, and each step is the same ufunc calls in the same order,
+    so a run of n is bit for bit n single steps.  A run holds c, P and
+    the window fixed; whatever changes them ends it.
     """
 
     def __init__(self, u: np.ndarray, offspring: OffspringDistribution, dx: float, dt: float):
-        self.c = 0.5 * dt / (dx * dx)
+        c = 0.5 * dt / (dx * dx)
         g = offspring.reaction_coefficients.tolist()
         # dt sum_j g_j (1-u)^(j+1) = sum_k p_k u^k, then the constant 1 - 2c
-        self.p = [dt * (-1) ** k * math.fsum(gj * math.comb(j + 1, k) for j, gj in enumerate(g))
-                  for k in range(len(g) + 1)]
-        self.p[0] += 1.0 - 2.0 * self.c
+        p = [dt * (-1) ** k * math.fsum(gj * math.comb(j + 1, k) for j, gj in enumerate(g))
+             for k in range(len(g) + 1)]
+        p[0] += 1.0 - 2.0 * c
+        # 0-d arrays: a ufunc takes one faster than a Python float
+        self.c = np.array(c)
+        self.p = [np.array(pk) for pk in p]
         self.u = u
         self.buffers = np.empty(len(u) - 2), np.empty(len(u) - 2)
         self.reset()
@@ -148,17 +173,21 @@ class _ExplicitStep:
         else:
             self._window(lo, lo)
 
-    def __call__(self) -> None:
-        inner, r, w, p = self.inner, self.r, self.w, self.p
-        np.multiply(inner, p[-1], out=r)
-        for a in p[-2:0:-1]:
-            r += a
-            r *= inner
-        r += p[0]
-        np.add(self.left, self.right, out=w)
-        w *= self.c
-        inner *= r
-        inner += w
+    def __call__(self, n: int = 1) -> None:
+        """Advance the window by n steps."""
+        mul, add = np.multiply, np.add
+        inner, left, right, r, w, c = self.inner, self.left, self.right, self.r, self.w, self.c
+        top, *middle, bottom = self.p[::-1]
+        for _ in range(n):
+            mul(inner, top, r)
+            for a in middle:
+                add(r, a, r)
+                mul(r, inner, r)
+            add(r, bottom, r)
+            add(left, right, w)
+            mul(w, c, w)
+            mul(inner, r, inner)
+            add(inner, w, inner)
 
 
 def front_position(state: FkppState) -> float:
@@ -170,6 +199,16 @@ def front_position(state: FkppState) -> float:
     i = idx[-1]
     frac = (u[i] - 0.5) / (u[i] - u[i + 1])
     return float(x[i] + frac * (x[i + 1] - x[i]))
+
+
+def _first_step_reaching(level: float, dt: float) -> int:
+    """The first step index i >= 0 with (i + 1) dt >= level, found by that
+    comparison itself, counting up from two below level / dt, a start that
+    rounding cannot push past it."""
+    i = max(0, math.floor(level / dt) - 2)
+    while (i + 1) * dt < level:
+        i += 1
+    return i
 
 
 def solve_heaviside(
@@ -188,7 +227,12 @@ def solve_heaviside(
     step updates (``_ExplicitStep.rederive``); a range check whose clip
     changed a value resets it to the whole interior, since the clip may
     change cells outside it.  The result is bit for bit that of stepping
-    every cell.
+    every cell.  The steps between re-derivations, range checks and
+    snapshots run as counted runs, one ``step(n)`` call each.
+
+    Each snapshot time ts must lie in [0, t_end] (else ValueError); it is
+    taken after the first step that reaches ts - dt/2, or from the initial
+    data when t_end = 0.
 
     Fails loudly (FrontTooCloseError) if the u=1/2 front comes within
     ``FRONT_BUFFER`` of the right edge.  Returns the final state, or
@@ -197,6 +241,8 @@ def solve_heaviside(
     """
     if t_end < 0:
         raise ValueError(f"t_end={t_end} is negative")
+    if not all(0.0 <= ts <= t_end for ts in snapshot_times):
+        raise ValueError(f"snapshot times {tuple(snapshot_times)} must lie in [0, t_end={t_end}]")
     if x_max is None:
         x_max = SQRT2 * t_end + 40.0
     x = np.arange(X_MIN, x_max + dx / 2, dx)
@@ -214,16 +260,27 @@ def solve_heaviside(
 
     front_track = []
     snapshot_times = sorted(snapshot_times)
-    snapshots = {}
+    # the step after which each snapshot is taken
+    snapshot_steps = [_first_step_reaching(ts - dt / 2, dt) for ts in snapshot_times]
+    # with no step to take (t_end = 0) every snapshot is the initial data
+    snapshots = {ts: FkppState(x=x, u=u.copy(), t=0.0) for ts in snapshot_times if not n_steps}
     next_snap = 0
     t = 0.0
-    for step_i in range(n_steps):
-        if step_i % WINDOW_EVERY == 0:
+    done = 0
+    while done < n_steps:
+        if done % WINDOW_EVERY == 0:
             step.rederive()
+            done += 1
         else:
-            step()
-        t = (step_i + 1) * dt
-        if step_i % check_every == 0 or step_i == n_steps - 1:
+            # plain steps up to the next re-derivation, check or snapshot
+            end = min(n_steps, done - done % WINDOW_EVERY + WINDOW_EVERY,
+                      -(-done // check_every) * check_every + 1)
+            if next_snap < len(snapshot_steps):
+                end = min(end, snapshot_steps[next_snap] + 1)
+            step(end - done)
+            done = end
+        t = done * dt
+        if (done - 1) % check_every == 0 or done == n_steps:
             if _check_range(u):
                 step.reset()
             if u[buffer_idx] > 1e-8:

@@ -26,6 +26,13 @@ _ENDPOINT_TOL = 1e-12
 _BISECT_TOL = 1e-10
 
 
+def _rounding_tol(*slopes: float) -> float:
+    """The tolerance of A(1) = 1 for a profile with these slopes: a value
+    at 1 built as s (1 - b) carries the rounding of b times s, so the
+    bound is _ENDPOINT_TOL times the largest finite slope, at least 1."""
+    return _ENDPOINT_TOL * max([1.0, *(s for s in slopes if math.isfinite(s))])
+
+
 class AssumptionError(ValueError):
     """A profile fails one of the standing assumptions (monotonicity,
     endpoint values, strictly-below-diagonal, normalization)."""
@@ -54,7 +61,8 @@ class SpeedProfile:
             raise AssumptionError(f"slope at 0 must be >= 0, got {self.slope_at_0}")
         a0 = float(self.func(np.array(0.0)))
         a1 = float(self.func(np.array(1.0)))
-        if not (abs(a0) <= _ENDPOINT_TOL and abs(a1 - 1.0) <= _ENDPOINT_TOL):
+        a1_tol = _rounding_tol(self.slope_at_0, self.slope_at_1)
+        if not (abs(a0) <= _ENDPOINT_TOL and abs(a1 - 1.0) <= a1_tol):
             raise AssumptionError(f"need A(0)=0 and A(1)=1, got {a0}, {a1}")
 
     def __call__(self, x) -> np.ndarray:
@@ -119,12 +127,12 @@ def identity_profile() -> SpeedProfile:
 def two_speed(sigma1_sq: float, sigma2_sq: float, b: float) -> SpeedProfile:
     """Piecewise-linear profile with slopes sigma1_sq then sigma2_sq, kink
     at b; requires slopes >= 0 and the normalization sigma1_sq*b +
-    sigma2_sq*(1-b) = 1."""
+    sigma2_sq*(1-b) = 1, to the rounding of the larger slope."""
     if not 0 < b < 1:
         raise AssumptionError(f"kink b must lie in (0, 1), got {b}")
     if not (sigma1_sq >= 0 and sigma2_sq >= 0):
         raise AssumptionError(f"slopes must be >= 0 for a non-decreasing A, got {sigma1_sq}, {sigma2_sq}")
-    if not abs(sigma1_sq * b + sigma2_sq * (1 - b) - 1.0) <= _ENDPOINT_TOL:
+    if not abs(sigma1_sq * b + sigma2_sq * (1 - b) - 1.0) <= _rounding_tol(sigma1_sq, sigma2_sq):
         raise AssumptionError(
             f"normalization sigma1^2*b + sigma2^2*(1-b) = "
             f"{sigma1_sq * b + sigma2_sq * (1 - b)}, must be 1"

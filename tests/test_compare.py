@@ -54,6 +54,16 @@ def test_relabelled_copy_gives_zero_gaps():
         assert cell["SE_gap_upper"] == cell["SE_gap_lower"] == 0.0
 
 
+def test_envelopes_of_a_steep_last_segment_build():
+    # a last segment of width 1e-5 has end slope 8e4, and s2 (1 - b) with
+    # b within 1e-5 of 1 rounds to 1 + 9.7e-12; the endpoint tolerance
+    # scales with the slope, so both envelopes are two_speed profiles
+    env = build_envelopes(piecewise_linear([0.0, 0.5, 0.99999, 1.0], [0.0, 0.2, 0.2, 1.0]), 10.0)
+    for member in (env.upper, env.lower):
+        assert member.slope_at_1 == pytest.approx(8e4)
+        assert abs(float(member(1.0)) - 1.0) <= 1e-12 * member.slope_at_1
+
+
 def test_collect_exceedances_shapes_and_determinism():
     u = [-2.0, 0.0, 2.0]
     kw = dict(t=4.0, u_grid=u, replicates=50, seed=7)

@@ -166,8 +166,9 @@ def _full_grid_solve(off, t_end, x_max, dx, snapshot_times):
     return u, track, snaps
 
 
-def _assert_window_is_exact(off, t_end, kw, between=lambda: None):
-    snapshot_times = (t_end / 3.0, t_end / 2.0) if t_end > 0 else ()
+def _assert_window_is_exact(off, t_end, kw, between=lambda: None, snapshot_times=None):
+    if snapshot_times is None:
+        snapshot_times = (t_end / 3.0, t_end / 2.0) if t_end > 0 else ()
     u, track, snaps = _full_grid_solve(off, t_end, snapshot_times=snapshot_times, **kw)
     between()
     state, got_track, got_snaps = solve_heaviside(
@@ -175,7 +176,7 @@ def _assert_window_is_exact(off, t_end, kw, between=lambda: None):
     )
     assert np.array_equal(state.u, u)
     assert got_track == track
-    assert got_snaps.keys() == snaps.keys()
+    assert got_snaps.keys() == snaps.keys() == set(snapshot_times)
     assert all(np.array_equal(got_snaps[s].u, snaps[s]) for s in snaps)
 
 
@@ -191,19 +192,54 @@ def _assert_window_is_exact(off, t_end, kw, between=lambda: None):
     ],
 )
 def test_window_matches_full_grid_step(monkeypatch, law, t_end):
-    # stepping only the window is bit-identical to stepping every cell;
-    # the count of stepped cells shows that the window did skip some
+    # stepping only the window, in counted runs, is bit-identical to
+    # stepping every cell one step at a time; the count of stepped cells
+    # shows that the window did skip some
     off = LAWS[law]
     kw = dict(x_max=SQRT2 * t_end + 40.0, dx=0.1)
     stepped = []
     call = _ExplicitStep.__call__
-    monkeypatch.setattr(_ExplicitStep, "__call__", lambda s: stepped.append(s.hi - s.lo) or call(s))
+
+    def counted(s, n=1):
+        stepped.append((n, n * (s.hi - s.lo)))
+        call(s, n)
+
+    monkeypatch.setattr(_ExplicitStep, "__call__", counted)
     _assert_window_is_exact(off, t_end, kw)
     interior = round((kw["x_max"] - fkpp.X_MIN) / kw["dx"]) - 1
-    n_steps = len(stepped) // 2
-    assert all(n == interior for n in stepped[:n_steps])  # the full-grid loop
+    n_steps = max(1, round(t_end / (kw["dx"] ** 2 / 4.0))) if t_end > 0 else 0
+    full, windowed = stepped[:n_steps], stepped[n_steps:]
+    assert all(c == (1, interior) for c in full)  # the full-grid loop
+    assert sum(n for n, _ in windowed) == n_steps
     if t_end >= 1.0:
-        assert sum(stepped[n_steps:]) < 0.9 * n_steps * interior
+        assert sum(cells for _, cells in windowed) < 0.9 * n_steps * interior
+
+
+@pytest.mark.parametrize(
+    "law, t_end, snapshot_times",
+    [
+        ("binary", 2.0, (1.0, 1.0 + 0.1**2 / 16.0)),  # two snapshots on one step
+        ("1,3", 2.0, (0.5, 0.5, 1.0 - 0.1**2 / 10.0, 1.0)),  # a repeated time, two on one step
+        ("binary", 0.4, (0.0, 0.05, 0.4)),  # 160 steps: every step is checked
+        ("1,3", 0.0825, (0.0825,)),  # 33 steps, the last a window re-derivation
+    ],
+)
+def test_window_exact_at_every_stop(law, t_end, snapshot_times):
+    # counted runs end at each snapshot, check and re-derivation step, also
+    # where several fall on one step and where every step is a check
+    _assert_window_is_exact(LAWS[law], t_end, dict(x_max=SQRT2 * t_end + 40.0, dx=0.1),
+                            snapshot_times=snapshot_times)
+
+
+@pytest.mark.parametrize("snapshot_times", [(11.0,), (-0.5,), (2.0, 10.0 + 1e-9), (1.0, math.nan, 2.0)])
+def test_snapshot_outside_the_horizon_rejected(snapshot_times):
+    with pytest.raises(ValueError, match=r"snapshot times .* must lie in \[0, t_end=10.0\]"):
+        solve_heaviside(BINARY, 10.0, dx=0.1, snapshot_times=snapshot_times)
+
+
+def test_snapshot_at_t0_is_the_initial_data():
+    state, _, snaps = solve_heaviside(BINARY, 0.0, dx=0.1, snapshot_times=(0.0,))
+    assert snaps[0.0].t == 0.0 and np.array_equal(snaps[0.0].u, state.u)
 
 
 def test_window_resets_after_a_clip(monkeypatch):

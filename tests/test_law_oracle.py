@@ -64,9 +64,7 @@ def _solve(law: str, z: float, x_min: float = X_MIN):
     u = (1.0 - z) * (x <= 0.0)
     u[0], u[-1] = 1.0, 0.0
     n_steps = round(T / (DX * DX / 4.0))
-    step = _ExplicitStep(u, LAWS[law], DX, T / n_steps)
-    for _ in range(n_steps):
-        step()
+    _ExplicitStep(u, LAWS[law], DX, T / n_steps)(n_steps)
     _check_range(u)
     return x, u
 

@@ -598,6 +598,30 @@ def test_load_config_names_a_two_speed_normalization_error(tmp_path):
         load_config(path)
 
 
+def test_compare_loads_a_profile_with_a_steep_last_segment(tmp_path):
+    # end slope 8e4: its envelopes' A(1) rounds to 1 + 9.7e-12, inside the
+    # tolerance scaled by the slope
+    sections = "[profile]\nkind = piecewise\nxs = 0 0.5 0.99999 1\nys = 0 0.2 0.2 1\n"
+    path, _ = write_config(tmp_path, _kind_config("compare", "t = 10\nreplicates = 4", sections))
+    assert load_config(path).profile.slope_at_1 == pytest.approx(8e4)
+
+
+@pytest.mark.parametrize(
+    "sections, word",
+    [
+        ("[profile]\nkind = two_speed\nsigma1_sq = 0.5\nsigma2_sq = 2\nb = 0.666666667333333\n",
+         "normalization"),
+        ("[profile]\nkind = piecewise\nxs = 0 0.75 1\nys = 0 0.5 1.000000001\n", r"A\(1\)=1"),
+    ],
+    ids=["two_speed", "piecewise"],
+)
+def test_load_config_rejects_a_profile_off_by_1e9_at_slope_two(tmp_path, sections, word):
+    # the scaled tolerance is 2e-12 at slope 2: an error of 1e-9 is no rounding
+    path, _ = write_config(tmp_path, _kind_config("simulate", "t = 3\nreplicates = 4", sections))
+    with pytest.raises(ConfigError, match=word):
+        load_config(path)
+
+
 def test_import_loads_no_scipy():
     # neither scipy nor numpy.random is needed until a run draws or fits
     code = (
