@@ -14,6 +14,10 @@ trees grow only the real branchings: lifetimes are Exp(1 - p_1) and
 offspring counts follow the law of k given k >= 2, the same process in
 law.  No node has exactly one child; over an edge the Gaussian increment of
 the unsplit edge is the sum of those of its k = 1 pieces.
+
+``run_replicates`` is the one replicate executor.  It splits a run's
+blocks into strided shares: the caller runs share 0, and each other share
+runs in one child process that sends its results back through a pipe.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from __future__ import annotations
 import hashlib
 import os
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -185,6 +189,15 @@ def seed_stream(master: int, replicate: int, stream: str) -> int:
     return int.from_bytes(hashlib.blake2b(msg, digest_size=8).digest(), "big")
 
 
+def _usable_cpus() -> int | None:
+    """The CPUs this process may run on: its affinity set where the
+    platform has one (a cpuset can hold fewer than the host's CPUs), else
+    ``os.cpu_count()``, which is None when unknown."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count()
+
+
 def run_replicates(fn, common: tuple, replicates: int, workers: int = 1, block: int = 1) -> list:
     """One result per replicate, in replicate order, of
     ``fn(*common, blocks)``.
@@ -193,27 +206,68 @@ def run_replicates(fn, common: tuple, replicates: int, workers: int = 1, block: 
     replicates: block k is [k*block, (k+1)*block), the last one possibly
     shorter.  ``fn`` returns a list with one result per replicate of the
     blocks it is handed, in order, and draws each block only from streams
-    keyed by the block's first index.  With one worker ``fn`` gets every
-    block; with ``workers > 1`` worker w of a process pool gets blocks
-    w, w + workers, ..., so ``fn`` and ``common`` must pickle, and the
-    results go back by replicate index; since a block's draws do not
-    depend on which worker runs it, neither does the result.  The pool
-    holds at most one process per block and per CPU, so a job of one
-    block runs on one worker.
+    keyed by the block's first index.  The work splits into w = min(
+    ``workers``, blocks, usable CPUs) shares, share s holding blocks s,
+    s + w, ...: the caller runs share 0 and child process s, started by
+    ``multiprocessing``'s default method, runs share s and sends its
+    results back through a pipe, so ``fn`` and ``common`` must pickle
+    where that method is spawn.  The results go back by replicate index;
+    since a block's draws do not depend on which process runs it, neither
+    does the result.  The usable CPUs are this process's affinity set, so
+    a job of one block, or one CPU, starts no child.  A child's exception
+    is raised here, a child that dies without a result raises
+    RuntimeError, and no child outlives the call.
     """
     blocks = [range(k, min(k + block, replicates)) for k in range(0, replicates, block)]
-    workers = min(workers, len(blocks), os.cpu_count() or 1)
+    workers = min(workers, len(blocks), _usable_cpus() or 1)
     if workers <= 1:
         return fn(*common, blocks)
-    from concurrent.futures import ProcessPoolExecutor
+    import multiprocessing
 
     shares = [blocks[w::workers] for w in range(workers)]
+    children = []
+    try:
+        for share in shares[1:]:
+            receiver, sender = multiprocessing.Pipe(duplex=False)
+            child = multiprocessing.Process(target=_run_share, args=(sender, fn, common, share))
+            child.start()
+            children.append((child, receiver))
+            # the child holds the only write end, so its death reads as EOF
+            sender.close()
+        parts = [fn(*common, shares[0])]
+        for child, receiver in children:
+            try:
+                ok, part = receiver.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(
+                    f"replicate process {child.pid} exited with code {child.exitcode} before sending its results"
+                ) from None
+            child.join()
+            if not ok:
+                raise part
+            parts.append(part)
+    finally:
+        for child, receiver in children:
+            child.terminate()
+            child.join()
+            receiver.close()
     out = [None] * replicates
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for share, part in zip(shares, pool.map(partial(fn, *common), shares)):
-            for r, value in zip((r for b in share for r in b), part):
-                out[r] = value
+    for share, part in zip(shares, parts):
+        for r, value in zip((r for b in share for r in b), part):
+            out[r] = value
     return out
+
+
+def _run_share(sender, fn, common, share) -> None:
+    """A child's share of ``run_replicates``: sends ``(True, results)`` or
+    ``(False, exception)`` through ``sender``."""
+    try:
+        message = (True, fn(*common, share))
+    except Exception as exc:  # the caller raises it
+        message = (False, exc)
+    sender.send(message)
+    sender.close()
 
 
 def sample_forest(

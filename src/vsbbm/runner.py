@@ -18,10 +18,12 @@ file.  ``run`` writes every artifact to a temp path that is atomically
 renamed, so an interrupted run never leaves corrupt artifacts; the
 manifest carries the config hash, the master seed, the seed scheme and the
 versions and CPU count of the environment.  Every Monte Carlo kind
-runs its replicates through ``genealogy.run_replicates``, which hands
-each worker whole blocks of consecutive replicates.  A block draws from
-its own named streams, each ``tree_rng(seed_stream(seed, first, name))``
-of the block's first replicate.  ``simulate``, ``martingale`` and ``compare``
+runs its replicates through ``genealogy.run_replicates``, which splits
+them into whole blocks of consecutive replicates and runs one strided
+share of the blocks in the caller and each other share in one child
+process.  A block draws from its own named streams, each
+``tree_rng(seed_stream(seed, first, name))`` of the block's first
+replicate.  ``simulate``, ``martingale`` and ``compare``
 pass the forest block ``sampler.block_size(t)`` and grow and place each
 block's trees in ``sampler.forest_batches``, ``compare`` placing its
 profile and both envelopes from one draw of the ``gauss`` stream;

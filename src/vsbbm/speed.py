@@ -93,7 +93,7 @@ def sigma2(profile: SpeedProfile, s, t: float):
     return out if out.ndim else float(out)
 
 
-# module-level evaluators (picklable, so profiles survive process pools)
+# module-level evaluators (picklable, so profiles reach spawned replicate processes)
 
 def _identity_eval(x):
     return np.asarray(x, dtype=np.float64)

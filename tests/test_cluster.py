@@ -1,6 +1,5 @@
 import json
 import math
-import os
 
 import numpy as np
 import pytest
@@ -8,6 +7,7 @@ from scipy.integrate import quad
 from scipy.stats import chisquare, kstest, norm
 
 from vsbbm import cluster as cluster_mod
+from vsbbm import genealogy
 from vsbbm.cluster import (
     acceptance_estimate,
     collapse_bound,
@@ -340,8 +340,8 @@ def test_collapse_hits_do_not_depend_on_workers(monkeypatch):
     # (1,3) at t = 3 with 3 sigma_e: 700 nodes give 75 blocks of 2
     # replicates, the default budget blocks of 51, 51 and 48.  The budget
     # sets the block, so it changes the draws; the workers do not.  The
-    # pool is capped at the CPU count, so three shares need three CPUs.
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    # shares are capped at the CPU count, so three shares need three CPUs.
+    monkeypatch.setattr(genealogy, "_usable_cpus", lambda: 3)
     for budget, want in ((700, 2), (sampler_mod.FOREST_NODE_BUDGET, 51)):
         monkeypatch.setattr(sampler_mod, "FOREST_NODE_BUDGET", budget)
         block = cluster_mod.collapse_block(3.0, LAW_13, 3)

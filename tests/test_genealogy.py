@@ -1,5 +1,8 @@
 import math
+import multiprocessing
 import os
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -369,7 +372,7 @@ def _share_of(tag, blocks):
 @pytest.mark.parametrize("block", [1, 4])
 def test_run_replicates_hands_workers_whole_blocks(monkeypatch, workers, block):
     # enough CPUs for three shares on any machine
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(genealogy, "_usable_cpus", lambda: 3)
     out = run_replicates(_share_of, ("x",), 10, workers, block)
     assert [r for _, _, r, _ in out] == list(range(10))
     # every call gets ranges of whole blocks, starting at multiples of block
@@ -381,37 +384,95 @@ def test_run_replicates_hands_workers_whole_blocks(monkeypatch, workers, block):
     assert [first for _, _, _, first in out] == [(r // block) % w * block for r in range(10)]
 
 
-class _RecordingPool:
-    """A stand-in for ProcessPoolExecutor that records its size and maps
-    in this process, so that no process starts."""
+class _RecordingProcess(multiprocessing.Process):
+    """A process that records itself as it starts."""
 
-    sizes: list = []
+    starts: list = []
 
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, shares):
-        return map(fn, shares)
+    def start(self):
+        self.starts.append(self)
+        super().start()
 
 
-@pytest.mark.parametrize("cpus, pool", [(2, [2]), (None, [])])
-def test_run_replicates_caps_the_pool_at_the_cpu_count(monkeypatch, cpus, pool):
-    # 5000 blocks of one replicate asked of 5000 workers: two processes on
-    # two CPUs, and none when the CPU count is unknown
-    import concurrent.futures
+@pytest.fixture
+def recorded_starts(monkeypatch):
+    monkeypatch.setattr(multiprocessing, "Process", _RecordingProcess)
+    monkeypatch.setattr(_RecordingProcess, "starts", [])
+    yield _RecordingProcess.starts
+    assert multiprocessing.active_children() == []
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(_RecordingPool, "sizes", [])
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+
+@pytest.mark.parametrize("cpus, children", [(2, 1), (None, 0)])
+def test_run_replicates_caps_the_children_at_the_cpu_count(monkeypatch, recorded_starts, cpus, children):
+    # 5000 blocks of one replicate asked of 5000 workers: on two CPUs the
+    # caller and one child, and no child when the CPU count is unknown
+    monkeypatch.setattr(genealogy, "_usable_cpus", lambda: cpus)
     out = run_replicates(_share_of, ("x",), 5000, 5000, 1)
-    assert _RecordingPool.sizes == pool
+    assert len(recorded_starts) == children
     assert [r for _, _, r, _ in out] == list(range(5000))
+
+
+def test_run_replicates_counts_only_the_cpus_of_its_affinity(monkeypatch, recorded_starts):
+    # a host of 8 CPUs whose cpuset allows one: no child starts
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert genealogy._usable_cpus() == 1
+    out = run_replicates(_share_of, ("x",), 8, 8, 1)
+    assert recorded_starts == []
+    assert [r for _, _, r, _ in out] == list(range(8))
+    # without an affinity call the host's count is all there is
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert genealogy._usable_cpus() == 8
+
+
+class _Hung(Exception):
+    """Raised by SIGALRM; not an OSError, which multiprocessing's waits
+    swallow."""
+
+
+def _hung(signum, frame):
+    raise _Hung("run_replicates did not return in time")
+
+
+def _fail_in_children(how, blocks):
+    """Three shares, first blocks 0, 1 and 2: the caller's and the first
+    child's return their replicates, the last child's fails the way
+    ``how`` names; with "caller" the caller's fails and both children
+    sleep for a minute."""
+    if how == "caller":
+        if blocks[0].start == 0:
+            raise ValueError("the caller's share failed")
+        time.sleep(60)
+    elif blocks[0].start == 2:
+        if how == "raise":
+            raise ValueError("share at block 2 failed")
+        os._exit(3)
+    return [r for b in blocks for r in b]
+
+
+@pytest.mark.parametrize(
+    "how, error, match",
+    [
+        pytest.param("raise", ValueError, "share at block 2 failed", id="child-raises"),
+        pytest.param("exit", RuntimeError, "exited with code 3", id="child-exits"),
+        pytest.param("caller", ValueError, "the caller's share failed", id="caller-raises"),
+    ],
+)
+def test_run_replicates_failures_reach_the_caller_and_end_every_child(
+    monkeypatch, recorded_starts, how, error, match
+):
+    # three shares: the caller's and two children; a child that sleeps
+    # for a minute is ended, not waited for, and a hang raises _Hung
+    monkeypatch.setattr(genealogy, "_usable_cpus", lambda: 3)
+    previous = signal.signal(signal.SIGALRM, _hung)
+    signal.alarm(20)
+    try:
+        with pytest.raises(error, match=match):
+            run_replicates(_fail_in_children, (how,), 6, 3, 1)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert len(recorded_starts) == 2
 
 
 def test_mrca_same_leaf():

@@ -446,7 +446,7 @@ MULTI_BLOCK_CONFIGS = {
 @pytest.mark.parametrize("kind", list(MULTI_BLOCK_CONFIGS))
 def test_artifacts_of_several_blocks_do_not_depend_on_workers(tmp_path, monkeypatch, kind):
     # enough CPUs for three shares on any machine
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(genealogy, "_usable_cpus", lambda: 3)
     keys, block = MULTI_BLOCK_CONFIGS[kind]
     sections = "[profile]\nkind = power\nexponent = 2\n" if kind in ("simulate", "compare") else ""
     text = _kind_config(kind, keys, sections)
@@ -532,8 +532,8 @@ MC_PINNED = {
 
 @pytest.mark.parametrize("case,workers", [(case, 1) for case in MC_PINNED] + [("simulate", 2)])
 def test_monte_carlo_artifacts_are_pinned(tmp_path, monkeypatch, case, workers):
-    # a pool of two workers on any machine
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    # two shares on any machine
+    monkeypatch.setattr(genealogy, "_usable_cpus", lambda: 2)
     kind, keys, sections, digests = MC_PINNED[case]
     path, out = write_config(tmp_path, _kind_config(kind, keys, sections))
     run(load_config(path, overrides={"workers": workers}))
