@@ -15,13 +15,8 @@ from vsbbm.speed import (
     piecewise_linear,
     two_speed,
 )
-from vsbbm.sampler import ParticleConfiguration, covariance_oracle
-from vsbbm.extremal import (
-    centering,
-    count_exceedances,
-    empirical_laplace,
-    mckean_martingale,
-)
+from vsbbm.sampler import covariance_oracle
+from vsbbm.extremal import centering, count_exceedances
 from vsbbm.tube import bridge_violation_bound, empirical_bridge_violation
 from vsbbm.fkpp import FkppState, front_position, solve_heaviside, tail_constant
 from vsbbm.compare import sandwich_report
@@ -38,12 +33,9 @@ __all__ = [
     "delta_thresholds",
     "piecewise_linear",
     "build_envelopes",
-    "ParticleConfiguration",
     "covariance_oracle",
     "centering",
     "count_exceedances",
-    "empirical_laplace",
-    "mckean_martingale",
     "bridge_violation_bound",
     "empirical_bridge_violation",
     "FkppState",

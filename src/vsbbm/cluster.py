@@ -129,11 +129,13 @@ def spine_sample(
     spine position; only the points with at least one immigrant are drawn,
     so ``branch_times`` holds those.  All immigrants grow as one forest,
     rooted at their branch times, and take their positions from one
-    Gaussian draw, all on the generator ``rng``, or ``tree_rng(seed)`` when
-    ``rng`` is not given.
+    Gaussian draw, all on the generator ``rng``, or ``tree_rng(seed)``;
+    exactly one of ``seed`` and ``rng`` is given, else TypeError.
     It is the block of one spine of ``decoration_collapse_study``, and
     draws as such a block does.
     """
+    if (seed is None) == (rng is None):
+        raise TypeError("spine_sample takes exactly one of seed and rng")
     if rng is None:
         rng = tree_rng(seed)
     _, branch_times, spine_values, counts = _spine_skeletons([sigma_e], [y], t, offspring, rng)

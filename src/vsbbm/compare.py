@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from vsbbm.extremal import empirical_laplace, forest_exceedances, mean_and_se
+from vsbbm.extremal import forest_exceedances, mean_and_se
 from vsbbm.genealogy import OffspringDistribution, run_replicates
 from vsbbm.sampler import block_size, forest_batches
 from vsbbm.speed import SpeedProfile
@@ -65,6 +65,8 @@ def sandwich_report(
     """Per-cell sandwich check L_lower - N_SE*SE <= L_A <= L_upper + N_SE*SE.
 
     The SE in each one-sided check combines both estimators in quadrature.
+    Each estimate L = E exp(-c N_u) is the sample mean of exp(-c N_u) over
+    the replicates, with its standard error (``extremal.mean_and_se``).
     Returns a JSON-ready report with per-cell estimates, gaps, and
     PASS/FAIL flags plus an aggregate count.  Each cell also reports
     ``SE_gap_upper`` and ``SE_gap_lower``, the SE of the per-replicate
@@ -75,15 +77,18 @@ def sandwich_report(
     c_grid = list(np.asarray(c_grid, dtype=np.float64))
     if not (counts_a.shape == counts_upper.shape == counts_lower.shape):
         raise ValueError("mismatched replicate count matrices")
+    if len(counts_a) == 0:
+        raise ValueError("no replicates")
+    if min(c_grid, default=0.0) < 0:
+        raise ValueError("Laplace weights c must be nonnegative")
     cells = []
     n_pass = 0
     for i, u in enumerate(u_grid):
         for c in c_grid:
-            la, se_a = empirical_laplace(counts_a[:, [i]], [c])
-            lu, se_u = empirical_laplace(counts_upper[:, [i]], [c])
-            ll, se_l = empirical_laplace(counts_lower[:, [i]], [c])
-            # exp(-c N_u) per replicate, for the paired SE of each gap
+            # exp(-c N_u) per replicate: each L and its SE, and the paired
+            # SE of each gap
             e_a, e_up, e_low = (np.exp(-c * m[:, i]) for m in (counts_a, counts_upper, counts_lower))
+            (la, se_a), (lu, se_u), (ll, se_l) = map(mean_and_se, (e_a, e_up, e_low))
             se_up = math.hypot(se_a, se_u)
             se_lo = math.hypot(se_a, se_l)
             pass_upper = la <= lu + N_SE * se_up

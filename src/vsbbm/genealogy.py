@@ -380,13 +380,15 @@ def sample_tree(
 ) -> GenealogyTree:
     """Sample a Galton-Watson tree of real branchings up to horizon t
     (Exp(1 - p_1) lifetimes, k >= 2 children): ``sample_forest``'s forest
-    of one on the generator ``rng``, or ``tree_rng(seed)`` when ``rng`` is
-    not given.
+    of one on the generator ``rng``, or ``tree_rng(seed)``; exactly one of
+    ``seed`` and ``rng`` is given, else TypeError.
 
     Deterministic given the seed: lifetimes and offspring counts are drawn
     wave by wave in node-index order.  Raises PopulationCapError instead of
     silently truncating when ``NODE_CAP`` is exceeded.
     """
+    if (seed is None) == (rng is None):
+        raise TypeError("sample_tree takes exactly one of seed and rng")
     return sample_forest(offspring, t, tree_rng(seed) if rng is None else rng)
 
 

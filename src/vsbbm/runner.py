@@ -16,12 +16,13 @@ some tree of the run would likely exceed ``genealogy.NODE_CAP`` raise
 ``--seed``, ``--workers`` and ``--out`` are the only overrides of the
 file.  ``run`` writes every artifact to a temp path that is atomically
 renamed, so an interrupted run never leaves corrupt artifacts; the
-manifest carries the config hash, the master seed, the seed scheme and the
-versions and CPU count of the environment.  Every Monte Carlo kind
-runs its replicates through ``genealogy.run_replicates``, which splits
-them into whole blocks of consecutive replicates and runs one strided
-share of the blocks in the caller and each other share in one child
-process.  A block draws from its own named streams, each
+manifest carries the config hash, the master seed, the worker count
+after ``--workers``, the seed scheme and the environment: versions, the
+host's CPU count and the CPUs this process may run on.  Every Monte
+Carlo kind runs its replicates through ``genealogy.run_replicates``,
+which splits them into whole blocks of consecutive replicates and runs
+one strided share of the blocks in the caller and each other share in
+one child process.  A block draws from its own named streams, each
 ``tree_rng(seed_stream(seed, first, name))`` of the block's first
 replicate.  ``simulate``, ``martingale`` and ``compare``
 pass the forest block ``sampler.block_size(t)`` and grow and place each
@@ -483,7 +484,9 @@ def run(cfg: ExperimentConfig) -> dict:
     """Run the configured experiment; writes its CSV tables, its
     ``report.json`` and a manifest listing every artifact plus the config
     hash, the seed scheme, the stream block and the environment, and
-    returns the report."""
+    returns the report.  ``workers`` is the config's after any override;
+    a run uses at most min(``workers``, ``environment.usable_cpus``)
+    processes (``genealogy.run_replicates``)."""
     report, tables = EXPERIMENTS[cfg.kind][0](cfg, **cfg.params)
     os.makedirs(cfg.out_dir, exist_ok=True)
     for name, (header, rows) in tables.items():
@@ -492,6 +495,7 @@ def run(cfg: ExperimentConfig) -> dict:
     manifest = {
         "kind": cfg.kind,
         "seed": cfg.seed,
+        "workers": cfg.workers,
         "config_hash": cfg.config_hash,
         "files": sorted([*tables, "report.json"]),
         "version": "0.1.0",
@@ -502,6 +506,7 @@ def run(cfg: ExperimentConfig) -> dict:
             "numpy": np.__version__,
             "scipy": _scipy_version(),
             "cpu_count": os.cpu_count(),
+            "usable_cpus": genealogy._usable_cpus(),
         },
     }
     _write_json(os.path.join(cfg.out_dir, "manifest.json"), manifest)

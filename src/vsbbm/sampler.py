@@ -12,33 +12,21 @@ positions from one generator.  ``simulate``, ``martingale`` and
 trees grown on one generator, whose leaves ``forest_leaf_positions``
 places under a tuple of profiles from one Gaussian draw per block;
 ``cluster`` places the immigrant trees of each block of spines with
-``forest_leaf_positions`` too.  ``sample_leaf_positions`` places leaves
-under one profile, with independent redraws on the same tree, for the
-demos and as the tests' oracle.
+``forest_leaf_positions`` too.  Positions are plain arrays, reduced per
+tree by the ``extremal.forest_*`` functions with ``tree.leaf_tree``.
+``sample_leaf_positions`` places leaves under one profile, with
+independent redraws on the same tree, for the covariance checks and as
+the tests' oracle.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from vsbbm.genealogy import GenealogyTree, mrca, sample_forest, seed_stream, tree_rng
 from vsbbm.speed import SpeedProfile, sigma2
-
-
-@dataclass(frozen=True, eq=False)
-class ParticleConfiguration:
-    """Leaf positions at the horizon for one tree and one speed profile."""
-
-    profile: SpeedProfile
-    horizon: float
-    leaf_positions: np.ndarray
-
-    @property
-    def n_leaves(self) -> int:
-        return len(self.leaf_positions)
 
 
 def _edge_std(tree: GenealogyTree, profiles: tuple, t: float) -> np.ndarray:

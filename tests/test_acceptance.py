@@ -16,11 +16,11 @@ from scipy.stats import kstest
 
 from vsbbm.compare import collect_exceedances, sandwich_report
 from vsbbm.cluster import decoration_collapse_study
-from vsbbm.extremal import mckean_martingale
+from vsbbm.extremal import forest_mckean
 from vsbbm.fkpp import front_position, solve_heaviside, tail_constant
-from vsbbm.genealogy import OffspringDistribution, sample_tree, tree_rng
+from vsbbm.genealogy import OffspringDistribution, run_replicates, sample_tree, tree_rng
 from vsbbm.runner import load_config, run
-from vsbbm.sampler import ParticleConfiguration, covariance_oracle, sample_leaf_positions
+from vsbbm.sampler import block_size, covariance_oracle, forest_batches, sample_leaf_positions
 from vsbbm.speed import build_envelopes, identity_profile, power_profile, two_speed
 from vsbbm.tube import bridge_violation_bound, empirical_bridge_violation
 
@@ -37,7 +37,7 @@ def test_01_population_mean():
     t, reps = 5.0, 2 * 10**4
     start = time.time()
     rng = tree_rng(1)
-    n = np.array([sample_tree(BINARY, t, seed=0, rng=rng).n_leaves for _ in range(reps)])
+    n = np.array([sample_tree(BINARY, t, rng=rng).n_leaves for _ in range(reps)])
     elapsed = time.time() - start
     se = n.std(ddof=1) / math.sqrt(reps)
     dev = abs(n.mean() - math.exp(t))
@@ -76,22 +76,23 @@ def test_02_covariance_law():
     )
 
 
-def test_03_mckean_martingale_mean():
-    reps = 10**4
-    start = time.time()
+def _mckean_replicates(s, sigma_bs, blocks):
+    """Y of every sigma_b per replicate, all from the same positions."""
     prof = identity_profile()
+    rows = []
+    for leaf_tree, (pos,), n in forest_batches(int(s), s, BINARY, (prof,), blocks):
+        rows += np.stack([forest_mckean(leaf_tree, pos, n, prof, s, sb) for sb in sigma_bs], axis=1).tolist()
+    return rows
+
+
+def test_03_mckean_martingale_mean():
+    reps, sigma_bs = 10**4, (0.0, 0.3, 0.6)
+    start = time.time()
     ok = True
     details = []
     for s in (4.0, 6.0, 8.0):
-        rng = tree_rng(int(s))
-        vals = {sb: np.empty(reps) for sb in (0.0, 0.3, 0.6)}
-        for i in range(reps):
-            tree = sample_tree(BINARY, s, seed=0, rng=rng)
-            pos = sample_leaf_positions(tree, prof, s, rng)
-            cfg = ParticleConfiguration(profile=prof, horizon=s, leaf_positions=pos)
-            for sb in vals:
-                vals[sb][i] = mckean_martingale(cfg, sb)
-        for sb, v in vals.items():
+        rows = np.array(run_replicates(_mckean_replicates, (s, sigma_bs), reps, block=block_size(s)))
+        for sb, v in zip(sigma_bs, rows.T):
             se = v.std(ddof=1) / math.sqrt(reps)
             z = abs(v.mean() - 1.0) / se
             ok = ok and z < 3.0
@@ -104,7 +105,7 @@ def test_03_mckean_martingale_mean():
 def test_04_yule_limit_ks():
     s, reps = 10.0, 10**4
     rng = tree_rng(44)
-    n = np.array([sample_tree(BINARY, s, seed=0, rng=rng).n_leaves for _ in range(reps)])
+    n = np.array([sample_tree(BINARY, s, rng=rng).n_leaves for _ in range(reps)])
     stat = kstest(n * math.exp(-s), "expon").statistic
     ok = stat <= 0.02
     assert report(4, ok, f"KS(n(10)e^-10, Exp(1)) = {stat:.4f} (<= 0.02)")

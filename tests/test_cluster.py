@@ -140,6 +140,13 @@ def test_spine_deterministic():
     b = spine_sample(1.5, 0.0, 2.0, BINARY, seed=9)
     assert np.array_equal(a.atoms, b.atoms)
     assert np.array_equal(a.branch_times, b.branch_times)
+    c = spine_sample(1.5, 0.0, 2.0, BINARY, rng=tree_rng(9))
+    assert np.array_equal(a.atoms, c.atoms)
+    # a seed beside a generator is ambiguous, not ignored
+    with pytest.raises(TypeError, match="exactly one"):
+        spine_sample(1.5, 0.0, 2.0, BINARY, seed=9, rng=tree_rng(9))
+    with pytest.raises(TypeError):
+        spine_sample(1.5, 0.0, 2.0, BINARY)
 
 
 def test_collapse_bound_properties():
@@ -367,7 +374,7 @@ def test_plain_bbm_window_first_moment():
     prof = identity_profile()
     counts = np.empty(reps)
     for i in range(reps):
-        tree = sample_tree(BINARY, t, seed=0, rng=rng)
+        tree = sample_tree(BINARY, t, rng=rng)
         pos = sample_leaf_positions(tree, prof, t, rng)
         counts[i] = ((pos >= a) & (pos <= b)).sum()
     expected = math.exp(t) * (norm.cdf(b / math.sqrt(t)) - norm.cdf(a / math.sqrt(t)))

@@ -107,7 +107,34 @@ def test_sandwich_report_zero_weights():
     report = sandwich_report(counts, counts, counts, u, [0.0])
     cell = report["cells"][0]
     assert cell["L_A"] == 1.0 and cell["L_up"] == 1.0 and cell["L_low"] == 1.0
+    assert cell["SE_A"] == cell["SE_up"] == cell["SE_low"] == 0.0
     assert cell["pass_upper"] and cell["pass_lower"]
+
+
+def test_sandwich_report_large_c_is_indicator():
+    # exp(-50 N) is 1 at N = 0 and below e^-50 otherwise: L is P(N_u = 0)
+    u = [-1.0]
+    counts = collect_exceedances(BINARY, {"a": identity_profile()}, 4.0, u, 60, seed=3)["a"]
+    assert 0 < np.count_nonzero(counts[:, 0]) < 60
+    cell = sandwich_report(counts, counts, counts, u, [50.0])["cells"][0]
+    assert abs(cell["L_A"] - np.mean(counts[:, 0] == 0)) < 1e-6
+
+
+def test_sandwich_report_scalar_recomputation():
+    # each L and SE is the exact-sum mean and SE of exp(-c N_u), one
+    # replicate at a time
+    u, c = [0.5], [1.0]
+    x, y, z = (
+        collect_exceedances(BINARY, {"a": identity_profile()}, 4.0, u, 100, seed=seed)["a"]
+        for seed in (5, 6, 7)
+    )
+    cell = sandwich_report(x, y, z, u, c)["cells"][0]
+    for m, key in ((x, "A"), (y, "up"), (z, "low")):
+        vals = [float(np.exp(-float(n))) for n in m[:, 0]]
+        mean = math.fsum(vals) / 100
+        var = math.fsum((v - mean) ** 2 for v in vals) / 99
+        assert cell[f"L_{key}"] == mean
+        assert cell[f"SE_{key}"] == math.sqrt(var / 100)
 
 
 def test_sandwich_report_same_law_triple():
@@ -127,3 +154,7 @@ def test_sandwich_report_validation():
     counts = collect_exceedances(BINARY, {"a": identity_profile()}, 4.0, u, 50, seed=3)["a"]
     with pytest.raises(ValueError):
         sandwich_report(counts, counts[:20], counts, u, [1.0])
+    with pytest.raises(ValueError, match="no replicates"):
+        sandwich_report(counts[:0], counts[:0], counts[:0], u, [1.0])
+    with pytest.raises(ValueError, match="nonnegative"):
+        sandwich_report(counts, counts, counts, u, [1.0, -1.0])

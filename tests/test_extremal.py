@@ -5,28 +5,26 @@ import numpy as np
 import pytest
 
 from vsbbm.extremal import (
-    ReplicateSummary,
     centering,
     count_exceedances,
-    empirical_laplace,
     forest_mckean,
     forest_summaries,
-    mckean_martingale,
-    summarize,
+    mean_and_se,
 )
-from vsbbm.genealogy import OffspringDistribution, sample_forest, sample_tree, tree_rng
-from vsbbm.sampler import ParticleConfiguration, forest_leaf_positions, sample_leaf_positions
+from vsbbm.genealogy import OffspringDistribution, run_replicates, sample_forest, sample_tree, tree_rng
+from vsbbm.runner import _martingale_replicates
+from vsbbm.sampler import block_size, forest_leaf_positions
 from vsbbm.speed import identity_profile, piecewise_linear, two_speed
 
 BINARY = OffspringDistribution.binary()
 SQRT2 = math.sqrt(2.0)
 
 
-def make_config(t=4.0, seed=1, profile=None):
-    profile = profile or identity_profile()
+def make_tree(t=4.0, seed=1, profile=None):
+    """The leaf tree ids (all zeros) and leaf positions of one tree."""
     tree = sample_tree(BINARY, t, seed=seed)
-    pos = sample_leaf_positions(tree, profile, t, tree_rng(seed + 1000))
-    return ParticleConfiguration(profile=profile, horizon=t, leaf_positions=pos)
+    (pos,) = forest_leaf_positions(tree, (profile or identity_profile(),), t, tree_rng(seed + 1000))
+    return tree.leaf_tree, pos
 
 
 def test_centering_values():
@@ -42,147 +40,87 @@ def test_centering_values():
 
 
 def test_count_exceedances_extremes():
-    cfg = make_config()
-    m = centering(cfg.horizon, "tilde")
-    lo = float(cfg.leaf_positions.min() - m) - 1.0
-    hi = float(cfg.leaf_positions.max() - m) + 1.0
-    counts = count_exceedances(cfg, np.array([lo, hi]))
-    assert counts[0] == cfg.n_leaves
+    _, pos = make_tree()
+    m = centering(4.0, "tilde")
+    lo = float(pos.min() - m) - 1.0
+    hi = float(pos.max() - m) + 1.0
+    counts = count_exceedances(pos, 4.0, np.array([lo, hi]))
+    assert counts[0] == len(pos)
     assert counts[1] == 0
 
 
 def test_count_exceedances_bruteforce():
-    cfg = make_config(seed=7)
-    m = centering(cfg.horizon, "tilde")
+    _, pos = make_tree(seed=7)
+    m = centering(4.0, "tilde")
     u_grid = np.linspace(-8, 4, 25)
-    counts = count_exceedances(cfg, u_grid)
-    brute = [sum(1 for x in cfg.leaf_positions if x - m > u) for u in u_grid]
+    counts = count_exceedances(pos, 4.0, u_grid)
+    brute = [sum(1 for x in pos if x - m > u) for u in u_grid]
     assert counts.tolist() == brute
     assert np.all(np.diff(counts) <= 0)
     # max > u iff N_u >= 1
-    mx = cfg.leaf_positions.max() - m
+    mx = pos.max() - m
     assert all((mx > u) == (c >= 1) for u, c in zip(u_grid, counts))
     with pytest.raises(ValueError):
-        count_exceedances(cfg, np.array([1.0, 0.0]))
+        count_exceedances(pos, 4.0, np.array([1.0, 0.0]))
 
 
 def test_monotone_coupling_under_shift():
-    cfg = make_config(seed=13)
+    _, pos = make_tree(seed=13)
     shift = 1.7
-    shifted = ParticleConfiguration(
-        profile=cfg.profile,
-        horizon=cfg.horizon,
-        leaf_positions=cfg.leaf_positions + shift,
-    )
     u = np.array([-1.0, 0.0, 1.0])
     assert np.array_equal(
-        count_exceedances(shifted, u), count_exceedances(cfg, u - shift)
+        count_exceedances(pos + shift, 4.0, u), count_exceedances(pos, 4.0, u - shift)
     )
-
-
-def count_matrix(u, seeds):
-    """Exceedance counts of one configuration per seed, replicates x len(u)."""
-    return np.array([count_exceedances(make_config(seed=s), u) for s in seeds])
-
-
-def test_empirical_laplace_zero_weights():
-    counts = count_matrix(np.array([0.0]), range(5))
-    est, se = empirical_laplace(counts, np.array([0.0]))
-    assert est == 1.0 and se == 0.0
-
-
-def test_empirical_laplace_large_c_is_indicator():
-    counts = count_matrix(np.array([-1.0]), range(60))
-    est, _ = empirical_laplace(counts, np.array([50.0]))
-    indicator = np.mean(counts[:, 0] == 0)
-    assert abs(est - indicator) < 1e-6
-
-
-def test_empirical_laplace_scalar_recomputation():
-    counts = count_matrix(np.array([0.5]), range(100))
-    est, se = empirical_laplace(counts, np.array([1.0]))
-    vals = [float(np.exp(-float(n))) for n in counts[:, 0]]
-    mean = math.fsum(vals) / 100
-    var = math.fsum((v - mean) ** 2 for v in vals) / 99
-    assert est == mean
-    assert se == math.sqrt(var / 100)
-
-
-def test_empirical_laplace_zero_weight_column_drops_out():
-    counts = count_matrix(np.array([0.0, 1.0]), range(30))
-    assert empirical_laplace(counts, np.array([0.7, 0.0])) == empirical_laplace(
-        counts[:, [0]], np.array([0.7])
-    )
-
-
-def test_empirical_laplace_validation():
-    counts = count_matrix(np.array([0.0]), [1])
-    with pytest.raises(ValueError):
-        empirical_laplace(np.empty((0, 1), dtype=np.int64), np.array([1.0]))
-    with pytest.raises(ValueError):
-        empirical_laplace(counts, np.array([-1.0]))
-    with pytest.raises(ValueError):
-        empirical_laplace(counts, np.array([1.0, 2.0]))
-    with pytest.raises(ValueError):
-        empirical_laplace(counts[:, 0], np.array([1.0]))
 
 
 def test_laplace_order_independence():
-    counts = count_matrix(np.array([0.0]), range(40))
-    a = empirical_laplace(counts, np.array([0.7]))
-    b = empirical_laplace(counts[::-1], np.array([0.7]))
+    counts = np.array([count_exceedances(make_tree(seed=s)[1], 4.0, [0.0])[0] for s in range(40)])
+    a = mean_and_se(np.exp(-0.7 * counts))
+    b = mean_and_se(np.exp(-0.7 * counts[::-1]))
     assert abs(a[0] - b[0]) < 1e-12
 
 
 def test_mckean_sigma0_counts_particles():
-    cfg = make_config(t=5.0, seed=21)
-    val = mckean_martingale(cfg, 0.0)
-    assert val == pytest.approx(cfg.n_leaves * math.exp(-5.0), rel=1e-12)
+    leaf_tree, pos = make_tree(t=5.0, seed=21)
+    val = forest_mckean(leaf_tree, pos, 1, identity_profile(), 5.0, 0.0)
+    assert val[0] == pytest.approx(len(pos) * math.exp(-5.0), rel=1e-12)
 
 
 def test_mckean_single_particle_formula():
     s, x = 3.0, 1.234
-    cfg = ParticleConfiguration(profile=identity_profile(), horizon=s, leaf_positions=np.array([x]))
     sb = 0.4
     expected = math.exp(-s * (1 + sb**2) + SQRT2 * sb * x)
-    assert mckean_martingale(cfg, sb) == pytest.approx(expected, rel=1e-12)
+    val = forest_mckean(np.zeros(1, dtype=np.intp), np.array([x]), 1, identity_profile(), s, sb)
+    assert val[0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_mckean_mean_one():
+    # the martingale kind's replicates: forest blocks, forest_mckean
     s, reps, sb = 4.0, 3000, 0.3
-    rng = tree_rng(77)
-    prof = identity_profile()
-    vals = np.empty(reps)
-    for i in range(reps):
-        tree = sample_tree(BINARY, s, seed=0, rng=rng)
-        pos = sample_leaf_positions(tree, prof, s, rng)
-        cfg = ParticleConfiguration(profile=prof, horizon=s, leaf_positions=pos)
-        vals[i] = mckean_martingale(cfg, sb)
+    vals = np.array(run_replicates(_martingale_replicates, (77, s, sb, BINARY), reps, block=block_size(s)))
     se = vals.std(ddof=1) / math.sqrt(reps)
     assert abs(vals.mean() - 1.0) < 3 * se
 
 
 def test_mckean_requires_identity_profile():
-    cfg = make_config(profile=two_speed(0.5, 2.0, 2.0 / 3.0))
+    profile = two_speed(0.5, 2.0, 2.0 / 3.0)
+    leaf_tree, pos = make_tree(profile=profile)
     with pytest.raises(ValueError):
-        mckean_martingale(cfg, 0.3)
+        forest_mckean(leaf_tree, pos, 1, profile, 4.0, 0.3)
 
 
 def test_mckean_checks_profile_values_not_label():
-    cfg = make_config(seed=5)
-    same = ParticleConfiguration(
-        profile=piecewise_linear([0.0, 1.0], [0.0, 1.0]),
-        horizon=cfg.horizon,
-        leaf_positions=cfg.leaf_positions,
+    leaf_tree, pos = make_tree(seed=5)
+    same = piecewise_linear([0.0, 1.0], [0.0, 1.0])
+    assert same.label != "identity"
+    assert np.array_equal(
+        forest_mckean(leaf_tree, pos, 1, same, 4.0, 0.3),
+        forest_mckean(leaf_tree, pos, 1, identity_profile(), 4.0, 0.3),
     )
-    assert same.profile.label != "identity"
-    assert mckean_martingale(same, 0.3) == mckean_martingale(cfg, 0.3)
-    relabelled = make_config(profile=replace(two_speed(0.5, 2.0, 2.0 / 3.0), label="identity"))
+    relabelled = replace(two_speed(0.5, 2.0, 2.0 / 3.0), label="identity")
+    leaf_tree, pos = make_tree(profile=relabelled)
     with pytest.raises(ValueError, match="identity"):
-        mckean_martingale(relabelled, 0.3)
-    n = relabelled.n_leaves
-    with pytest.raises(ValueError, match="identity"):
-        forest_mckean(np.zeros(n, dtype=int), relabelled.leaf_positions, 1, relabelled.profile, 4.0, 0.3)
+        forest_mckean(leaf_tree, pos, 1, relabelled, 4.0, 0.3)
 
 
 def test_forest_reductions_match_trees_alone():
@@ -202,14 +140,21 @@ def test_forest_reductions_match_trees_alone():
     n_leaves, top, counts = forest_summaries(leaf_tree, pos, n, t, u)
     mart = forest_mckean(leaf_tree, pos, n, prof, t, 0.4)
     for r in range(n):
-        cfg = ParticleConfiguration(profile=prof, horizon=t, leaf_positions=pos[leaf_tree == r])
-        assert n_leaves[r] == cfg.n_leaves >= 1
-        assert top[r] == cfg.leaf_positions.max() - m
-        assert np.array_equal(counts[r], count_exceedances(cfg, u))
-        direct = math.fsum(np.exp(-t * (1 + 0.4**2) + math.sqrt(2) * 0.4 * cfg.leaf_positions))
+        x = pos[leaf_tree == r]
+        assert n_leaves[r] == len(x) >= 1
+        assert top[r] == x.max() - m
+        assert np.array_equal(counts[r], count_exceedances(x, t, u))
+        direct = math.fsum(np.exp(-t * (1 + 0.4**2) + math.sqrt(2) * 0.4 * x))
         assert mart[r] == pytest.approx(direct, rel=1e-13)
     with pytest.raises(ValueError, match="sorted"):
         forest_summaries(leaf_tree, pos, n, t, u[::-1])
+    # one tree alone is a forest of one, its leaf_tree all zeros
+    one_tree, x = make_tree(t=t, seed=33)
+    assert not one_tree.any()
+    n_leaves, top, counts = forest_summaries(one_tree, x, 1, t, u)
+    assert n_leaves.tolist() == [len(x)]
+    assert top.tolist() == [x.max() - m]
+    assert np.array_equal(counts, [count_exceedances(x, t, u)])
 
 
 @pytest.mark.parametrize("n_trees", [1, 2, 55])
@@ -245,18 +190,8 @@ def test_forest_summaries_match_leaf_by_leaf_oracle(n_trees):
 
 
 def test_mckean_domain_checks():
-    cfg = make_config()
+    leaf_tree, pos = make_tree()
     with pytest.raises(ValueError):
-        mckean_martingale(cfg, -0.1)
+        forest_mckean(leaf_tree, pos, 1, identity_profile(), 4.0, -0.1)
     with pytest.warns(UserWarning):
-        mckean_martingale(cfg, 1.2)
-
-
-def test_summarize_fields():
-    u = np.array([-1.0, 0.0])
-    cfg = make_config(seed=33)
-    s = summarize(cfg, u)
-    m = centering(cfg.horizon, "tilde")
-    assert s.max_centered == pytest.approx(float(cfg.leaf_positions.max() - m))
-    assert s.n_leaves == cfg.n_leaves
-    assert np.array_equal(s.exceedance_counts, count_exceedances(cfg, u))
+        forest_mckean(leaf_tree, pos, 1, identity_profile(), 4.0, 1.2)

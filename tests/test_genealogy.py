@@ -86,7 +86,7 @@ def test_sample_is_choice_over_real_branchings(ks, ps):
 def test_population_mean_binary():
     rng = tree_rng(42)
     reps = 2000
-    n = np.array([sample_tree(BINARY, 5.0, seed=0, rng=rng).n_leaves for _ in range(reps)])
+    n = np.array([sample_tree(BINARY, 5.0, rng=rng).n_leaves for _ in range(reps)])
     se = n.std(ddof=1) / math.sqrt(reps)
     assert abs(n.mean() - math.exp(5.0)) < 3 * se
 
@@ -208,7 +208,7 @@ def test_shared_generator_forest_of_one_is_sample_tree(law):
     for s in range(10):
         shared = sample_forest(offspring, t, tree_rng(s), starts=[0.0])
         default = sample_forest(offspring, t, tree_rng(s))
-        alone = sample_tree(offspring, t, seed=0, rng=tree_rng(s))
+        alone = sample_tree(offspring, t, rng=tree_rng(s))
         assert alone.n_trees == 1 and not alone.leaf_tree.any()
         for field in ("birth", "death", "parent", "n_offspring", "wave_starts", "wave_sizes", "leaf_ids", "leaf_tree"):
             assert np.array_equal(getattr(shared, field), getattr(alone, field))
@@ -539,12 +539,20 @@ def test_mrca_invalid_leaf():
         mrca(tree, -1, int(tree.leaf_ids[0]))
 
 
+def test_sample_tree_takes_exactly_one_of_seed_and_rng():
+    assert np.array_equal(sample_tree(BINARY, 3.0, seed=5).death, sample_tree(BINARY, 3.0, rng=tree_rng(5)).death)
+    with pytest.raises(TypeError, match="exactly one"):
+        sample_tree(BINARY, 3.0, seed=5, rng=tree_rng(5))
+    with pytest.raises(TypeError):
+        sample_tree(BINARY, 3.0)
+
+
 def test_leaves_at_mean_population():
     rng = tree_rng(31)
     reps = 3000
     counts = np.empty(reps)
     for i in range(reps):
-        tree = sample_tree(BINARY, 4.0, seed=0, rng=rng)
+        tree = sample_tree(BINARY, 4.0, rng=rng)
         counts[i] = np.count_nonzero((tree.birth <= 3.0) & (tree.death > 3.0))
     se = counts.std(ddof=1) / math.sqrt(reps)
     assert abs(counts.mean() - math.exp(3.0)) < 3 * se
@@ -554,7 +562,7 @@ def test_yule_law_chisquare():
     # binary offspring: n(s) is geometric with success prob e^{-s}
     s, reps = 2.0, 10**4
     rng = tree_rng(1001)
-    trees = [sample_tree(BINARY, 3.0, seed=0, rng=rng) for _ in range(reps)]
+    trees = [sample_tree(BINARY, 3.0, rng=rng) for _ in range(reps)]
     n = np.array([np.count_nonzero((tree.birth <= s) & (tree.death > s)) for tree in trees])
     p = math.exp(-s)
     edges = list(range(1, 16))

@@ -14,7 +14,7 @@ from vsbbm import fkpp as fkpp_mod
 from vsbbm import genealogy
 from vsbbm import sampler as sampler_mod
 from vsbbm.compare import collect_exceedances, sandwich_report
-from vsbbm.extremal import centering, count_exceedances, mckean_martingale
+from vsbbm.extremal import centering, count_exceedances, forest_mckean
 from vsbbm.genealogy import OffspringDistribution, sample_forest, sample_tree, seed_stream, tree_rng
 from vsbbm.runner import (
     EXPERIMENTS,
@@ -23,7 +23,7 @@ from vsbbm.runner import (
     main,
     run,
 )
-from vsbbm.sampler import ParticleConfiguration, sample_leaf_positions
+from vsbbm.sampler import sample_leaf_positions
 from vsbbm.speed import build_envelopes, identity_profile
 
 SIM_CONFIG = """\
@@ -217,12 +217,15 @@ ps = 0.5 0.5
     assert cfg.offspring.K == pytest.approx(3.0)
 
 
-def test_run_simulate_artifacts_and_determinism(tmp_path):
+def test_run_simulate_artifacts_and_determinism(tmp_path, monkeypatch):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
     path_a, _ = write_config(tmp_path, SIM_CONFIG, name="a.ini", out=out_a)
     path_b, _ = write_config(tmp_path, SIM_CONFIG, name="b.ini", out=out_b)
-    run(load_config(path_a))
+    # a process pinned to one CPU: the manifest records the --workers
+    # override and the one usable CPU beside the host's count
+    monkeypatch.setattr(genealogy, "_usable_cpus", lambda: 1)
+    run(load_config(path_a, overrides={"workers": 2}))
     run(load_config(path_b))
     for name in ("summaries.csv", "report.json", "manifest.json"):
         assert (out_a / name).exists()
@@ -232,6 +235,8 @@ def test_run_simulate_artifacts_and_determinism(tmp_path):
     manifest = json.loads((out_a / "manifest.json").read_text())
     assert manifest["kind"] == "simulate"
     assert manifest["seed"] == 7
+    assert manifest["workers"] == 2
+    assert json.loads((out_b / "manifest.json").read_text())["workers"] == 1
     assert set(manifest["files"]) == {"report.json", "summaries.csv"}
     assert manifest["seed_scheme"] == "blake2b-sfc64-v4"
     # t = 3: blocks of floor(2**14 / (2 e^3)) = 407 replicates
@@ -243,6 +248,7 @@ def test_run_simulate_artifacts_and_determinism(tmp_path):
     assert env["python"] == "%d.%d.%d" % sys.version_info[:3]
     assert env["numpy"] == np.__version__
     assert env["cpu_count"] == os.cpu_count()
+    assert env["usable_cpus"] == 1
     assert env["scipy"] is None or env["scipy"][0].isdigit()
 
 
@@ -353,12 +359,11 @@ def _oracle_artifact(cfg, leaves, t, replicates):
     if cfg.kind == "martingale":
         profile = identity_profile()
         sigma_b = cfg.params["sigma_b"]
-        vals = [mckean_martingale(ParticleConfiguration(profile, t, x), sigma_b) for (x,) in leaves]
+        # each replicate's leaves alone, as a forest of one
+        vals = [float(forest_mckean(np.zeros(len(x), dtype=int), x, 1, profile, t, sigma_b)[0]) for (x,) in leaves]
         return [["replicate", "Y"]] + [[str(r), repr(v)] for r, v in enumerate(vals)]
     u_grid, c_grid = cfg.params["u_grid"], cfg.params["c_grid"]
-    counts = np.array(
-        [[count_exceedances(ParticleConfiguration(None, t, x), u_grid) for x in pos] for pos in leaves]
-    )
+    counts = np.array([[count_exceedances(x, t, u_grid) for x in pos] for pos in leaves])
     report = sandwich_report(counts[:, 0], counts[:, 1], counts[:, 2], u_grid, c_grid)
     return {**json.loads(json.dumps(report)), "t": t, "replicates": replicates}
 

@@ -5,7 +5,6 @@ import pytest
 
 from vsbbm.genealogy import GenealogyTree, OffspringDistribution, sample_forest, sample_tree, tree_rng
 from vsbbm.sampler import (
-    ParticleConfiguration,
     _edge_std,
     covariance_oracle,
     forest_leaf_positions,
@@ -225,7 +224,7 @@ def test_mean_max_standard_bbm_and_tightness():
     counts = np.empty(reps)
     level = centering(t, "tilde")
     for i in range(reps):
-        tree = sample_tree(BINARY, t, seed=0, rng=rng)
+        tree = sample_tree(BINARY, t, rng=rng)
         pos = sample_leaf_positions(tree, identity_profile(), t, rng)
         maxima[i] = pos.max()
         counts[i] = (pos > level).sum()
