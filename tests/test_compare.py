@@ -107,8 +107,21 @@ def test_sandwich_report_zero_weights():
     report = sandwich_report(counts, counts, counts, u, [0.0])
     cell = report["cells"][0]
     assert cell["L_A"] == 1.0 and cell["L_up"] == 1.0 and cell["L_low"] == 1.0
-    assert cell["SE_A"] == cell["SE_up"] == cell["SE_low"] == 0.0
     assert cell["pass_upper"] and cell["pass_lower"]
+
+
+def test_sandwich_report_zero_c_is_exact():
+    # at c = 0 every exp(-c N_u) is 1, whatever the counts: each estimator
+    # reads L = 1 with SE = 0, on three different count columns
+    u = [0.0]
+    x, y, z = (
+        collect_exceedances(BINARY, {"a": identity_profile()}, 4.0, u, 5, seed=seed)["a"]
+        for seed in (3, 4, 5)
+    )
+    cell = sandwich_report(x, y, z, u, [0.0])["cells"][0]
+    for key in ("A", "up", "low"):
+        assert cell[f"L_{key}"] == 1.0
+        assert cell[f"SE_{key}"] == 0.0
 
 
 def test_sandwich_report_large_c_is_indicator():
@@ -154,6 +167,11 @@ def test_sandwich_report_validation():
     counts = collect_exceedances(BINARY, {"a": identity_profile()}, 4.0, u, 50, seed=3)["a"]
     with pytest.raises(ValueError):
         sandwich_report(counts, counts[:20], counts, u, [1.0])
+
+
+def test_sandwich_report_rejects_empty_and_negative_c():
+    u = [0.0]
+    counts = collect_exceedances(BINARY, {"a": identity_profile()}, 4.0, u, 5, seed=3)["a"]
     with pytest.raises(ValueError, match="no replicates"):
         sandwich_report(counts[:0], counts[:0], counts[:0], u, [1.0])
     with pytest.raises(ValueError, match="nonnegative"):

@@ -148,12 +148,16 @@ def test_forest_reductions_match_trees_alone():
         assert mart[r] == pytest.approx(direct, rel=1e-13)
     with pytest.raises(ValueError, match="sorted"):
         forest_summaries(leaf_tree, pos, n, t, u[::-1])
+
+
+def test_summarize_fields():
     # one tree alone is a forest of one, its leaf_tree all zeros
+    t, u = 4.0, np.array([-1.0, 0.0])
     one_tree, x = make_tree(t=t, seed=33)
     assert not one_tree.any()
     n_leaves, top, counts = forest_summaries(one_tree, x, 1, t, u)
     assert n_leaves.tolist() == [len(x)]
-    assert top.tolist() == [x.max() - m]
+    assert top.tolist() == [x.max() - centering(t, "tilde")]
     assert np.array_equal(counts, [count_exceedances(x, t, u)])
 
 
