@@ -24,9 +24,7 @@ def main():
 
     offspring = OffspringDistribution.binary()
     sqrt2 = math.sqrt(2.0)
-    _, track, _ = solve_heaviside(
-        offspring, args.t_end, dx=args.dx, track_front=True
-    )
+    track = solve_heaviside(offspring, args.t_end, dx=args.dx).track
     print("t      front   front-sqrt2*t   vs tilde     vs standard")
     stride = max(1, len(track) // 10)
     for t, x in track[stride - 1 :: stride]:

@@ -7,9 +7,10 @@ For standard branching Brownian motion the statistic
 has mean one for every horizon s and every tilt sigma_b < 1; at sigma_b = 0
 it reduces to n(s) e^{-s}, whose law converges to Exp(1).  This script
 estimates the mean across horizons and tilts and prints the Exp(1)
-goodness of fit for the untilted case.  The replicates grow in forest
-blocks (``sampler.forest_batches``), and every tilt is evaluated on the
-same positions.
+goodness of fit for the untilted case.  The replicates are those of the
+``martingale`` kind: forest blocks of ``sampler.block_size(s)``, each
+placed by ``sampler.forest_block``, every tilt evaluated on the same
+positions (``runner._martingale_replicates``).
 
     python3 demos/martingale_convergence.py --replicates 2000
 
@@ -23,21 +24,11 @@ import math
 import numpy as np
 from scipy.stats import kstest
 
-from vsbbm.extremal import forest_mckean
 from vsbbm.genealogy import OffspringDistribution, run_replicates, seed_stream
-from vsbbm.sampler import block_size, forest_batches
-from vsbbm.speed import identity_profile
+from vsbbm.runner import _martingale_replicates
+from vsbbm.sampler import block_size
 
 TILTS = (0.0, 0.3, 0.6)
-
-
-def tilted_sums(seed, s, blocks):
-    """Y(s) at every tilt of ``TILTS`` per replicate of ``blocks``."""
-    prof = identity_profile()
-    rows = []
-    for leaf_tree, (pos,), n in forest_batches(seed, s, OffspringDistribution.binary(), (prof,), blocks):
-        rows += np.stack([forest_mckean(leaf_tree, pos, n, prof, s, sb) for sb in TILTS], axis=1).tolist()
-    return rows
 
 
 def main():
@@ -50,7 +41,8 @@ def main():
     for s in (4.0, 6.0, 8.0):
         # one master seed per horizon, so that horizons draw apart
         master = seed_stream(args.seed, 0, f"horizon:{s:g}")
-        vals = np.array(run_replicates(tilted_sums, (master, s), args.replicates, block=block_size(s)))
+        common = (master, s, TILTS, OffspringDistribution.binary())
+        vals = np.array(run_replicates(_martingale_replicates, common, args.replicates, block=block_size(s)))
         for sb, v in zip(TILTS, vals.T):
             se = v.std(ddof=1) / math.sqrt(args.replicates)
             print(f"{s:7.1f}  {sb:7.1f}  {v.mean():7.4f}  {se:7.4f}")

@@ -5,9 +5,9 @@ The spine description (a bridge to the high point with rate-2
 immigration) conditions on a particle AT the level sqrt2 sigma_e t + y,
 so it scales to levels where conditioning standard BBM on its maximum by
 rejection would almost never accept (``acceptance_estimate``).
-``decoration_collapse_study`` runs its replicates in forest blocks, one
-``spine`` generator per block: the block draws the skeletons of all its
-spines, then grows their immigrants as one forest on that generator.
+``decoration_collapse_study`` runs ``_collapse`` once per forest block,
+one ``spine`` generator per block: the block draws the skeletons of all
+its spines, then grows their immigrants as one forest on that generator.
 ``spine_sample`` is the block of one spine.  ``collapse_bound``, the
 analytic bound reported beside each estimate, integrates with a numpy
 exp-sinh rule, so a run needs numpy alone.
@@ -238,34 +238,29 @@ def collapse_block(t: float, offspring: OffspringDistribution, n_sigma: int) -> 
     return max(1, int(sampler.FOREST_NODE_BUDGET / max(nodes, 1.0)))
 
 
-def _collapse(sigma_e_list, R, t, offspring, y_mode, seed, blocks):
-    """Per replicate of the forest blocks ``blocks`` (``range``s, as
-    ``run_replicates`` hands them), per sigma_e: 1 if its spine puts more
+def _collapse(sigma_e_list, R, t, offspring, y_mode, seed, block):
+    """Per replicate of the forest block ``block`` (a ``range``, as
+    ``run_replicates`` hands it), per sigma_e: 1 if its spine puts more
     than one atom in [-R, inf), else 0.
 
-    A block whose first replicate is ``first`` draws from
-    ``tree_rng(seed_stream(seed, first, "spine"))``: the skeletons of all
-    its spines, replicate-major, in one set of draws, then their
-    immigrants as one forest.  With ``y_mode`` "exponential"
-    ``tree_rng(seed_stream(seed, first, "overshoot"))`` draws every
-    spine's overshoot in one call."""
-    hits = []
-    for b in blocks:
-        n = len(b)
-        sigma_e = np.tile(sigma_e_list, n)
-        y = np.zeros(len(sigma_e))
-        if y_mode == "exponential":
-            y = tree_rng(seed_stream(seed, b.start, "overshoot")).exponential(1.0 / (SQRT2 * sigma_e))
-        rng = tree_rng(seed_stream(seed, b.start, "spine"))
-        spine, times, values, counts = _spine_skeletons(sigma_e, y, t, offspring, rng)
-        # the endpoint atom y, then every immigrant leaf at or above -R
-        atoms = (y >= -R).astype(np.int64)
-        if counts.sum():
-            leaf_pos, leaf_tree = _immigrant_leaves(times, values, counts, t, offspring, rng)
-            spine = spine.repeat(counts)[leaf_tree]
-            atoms += np.bincount(spine[leaf_pos - SQRT2 * sigma_e[spine] * t >= -R], minlength=len(sigma_e))
-        hits += (atoms > 1).astype(int).reshape(n, -1).tolist()
-    return hits
+    The block draws from ``tree_rng(seed_stream(seed, block.start,
+    "spine"))``: the skeletons of all its spines, replicate-major, in one
+    set of draws, then their immigrants as one forest.  With ``y_mode``
+    "exponential" ``tree_rng(seed_stream(seed, block.start,
+    "overshoot"))`` draws every spine's overshoot in one call."""
+    sigma_e = np.tile(sigma_e_list, len(block))
+    y = np.zeros(len(sigma_e))
+    if y_mode == "exponential":
+        y = tree_rng(seed_stream(seed, block.start, "overshoot")).exponential(1.0 / (SQRT2 * sigma_e))
+    rng = tree_rng(seed_stream(seed, block.start, "spine"))
+    spine, times, values, counts = _spine_skeletons(sigma_e, y, t, offspring, rng)
+    # the endpoint atom y, then every immigrant leaf at or above -R
+    atoms = (y >= -R).astype(np.int64)
+    if counts.sum():
+        leaf_pos, leaf_tree = _immigrant_leaves(times, values, counts, t, offspring, rng)
+        spine = spine.repeat(counts)[leaf_tree]
+        atoms += np.bincount(spine[leaf_pos - SQRT2 * sigma_e[spine] * t >= -R], minlength=len(sigma_e))
+    return (atoms > 1).astype(int).reshape(len(block), -1).tolist()
 
 
 def decoration_collapse_study(

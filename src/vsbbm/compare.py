@@ -1,6 +1,6 @@
 """Gaussian-comparison experiment: couple a profile with its envelopes on a
 shared genealogy and test the Laplace-transform sandwich empirically.
-``collect_exceedances`` runs on ``sampler.forest_batches``, as ``simulate``
+``collect_exceedances`` runs on ``sampler.forest_block``, as ``simulate``
 does: every profile is placed on the replicate's tree from one draw of
 its block's ``gauss`` stream, so the sandwich differences are paired, and
 ``sandwich_report`` checks and reports them.
@@ -18,20 +18,18 @@ import numpy as np
 
 from vsbbm.extremal import forest_exceedances, mean_and_se
 from vsbbm.genealogy import OffspringDistribution, run_replicates
-from vsbbm.sampler import block_size, forest_batches
+from vsbbm.sampler import block_size, forest_block
 from vsbbm.speed import SpeedProfile
 
 N_SE = 3.0
 
-def _exceedances(offspring, profiles, t, u_grid, seed, blocks):
-    """Per replicate of the forest blocks ``blocks``: the exceedance counts
-    of every profile on its tree, grown in its block's ``tree`` run and
+def _exceedances(offspring, profiles, t, u_grid, seed, block):
+    """Per replicate of the forest block ``block``: the exceedance counts
+    of every profile on its tree, grown in the block's ``tree`` run and
     placed from one draw of the block's ``gauss`` stream."""
-    rows = []
-    for leaf_tree, stacked, n in forest_batches(seed, t, offspring, tuple(profiles.values()), blocks):
-        counts = [forest_exceedances(leaf_tree, pos, n, t, u_grid) for pos in stacked]
-        rows += np.stack(counts, axis=1).tolist()
-    return rows
+    leaf_tree, stacked = forest_block(seed, t, offspring, tuple(profiles.values()), block)
+    counts = [forest_exceedances(leaf_tree, pos, len(block), t, u_grid) for pos in stacked]
+    return np.stack(counts, axis=1).tolist()
 
 
 def collect_exceedances(

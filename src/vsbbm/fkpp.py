@@ -42,7 +42,7 @@ re-derivation, a range check, a snapshot.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -64,11 +64,14 @@ class FrontTooCloseError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class FkppState:
-    """Discretized solution u(t, x_i) on a uniform grid."""
+    """Discretized solution u(t, x_i) on a uniform grid; a solve's state
+    also holds its front ``track``, (t, front) pairs, and ``snapshots``."""
 
     x: np.ndarray
     u: np.ndarray
     t: float
+    track: list = field(default_factory=list)
+    snapshots: dict = field(default_factory=dict)
 
 
 def reaction(u: np.ndarray, offspring: OffspringDistribution) -> np.ndarray:
@@ -216,9 +219,8 @@ def solve_heaviside(
     t_end: float,
     x_max: float | None = None,
     dx: float = 0.05,
-    track_front: bool = False,
     snapshot_times=(),
-):
+) -> FkppState:
     """Integrate from u(0, x) = 1_{x <= 0} on the grid from ``X_MIN`` to
     x_max to t_end by explicit Euler steps of dx^2/4, shrunk to land on
     t_end (so c = dt / (2 dx^2) <= 3/16, inside the stability limit 1/4).
@@ -235,9 +237,8 @@ def solve_heaviside(
     data when t_end = 0.
 
     Fails loudly (FrontTooCloseError) if the u=1/2 front comes within
-    ``FRONT_BUFFER`` of the right edge.  Returns the final state, or
-    (state, front_track, snapshots) when tracking is requested; the front
-    track is a list of (t, front position) pairs.
+    ``FRONT_BUFFER`` of the right edge.  Returns the final state with its
+    snapshots and the front at each of the about 200 range checks.
     """
     if t_end < 0:
         raise ValueError(f"t_end={t_end} is negative")
@@ -287,17 +288,13 @@ def solve_heaviside(
                 raise FrontTooCloseError(
                     f"front within {FRONT_BUFFER} of x_max={x_max} at t={t:.3f}; widen the grid"
                 )
-            if track_front:
-                front_track.append((t, front_position(FkppState(x=x, u=u, t=t))))
+            front_track.append((t, front_position(FkppState(x=x, u=u, t=t))))
         while next_snap < len(snapshot_times) and t >= snapshot_times[next_snap] - dt / 2:
             snapshots[snapshot_times[next_snap]] = FkppState(x=x, u=u.copy(), t=t)
             next_snap += 1
 
     _check_range(u)
-    state = FkppState(x=x, u=u, t=t_end)
-    if track_front or snapshot_times:
-        return state, front_track, snapshots
-    return state
+    return FkppState(x=x, u=u, t=t_end, track=front_track, snapshots=snapshots)
 
 
 def _tail_value(state: FkppState, sigma_e: float, t: float) -> float:
@@ -334,19 +331,17 @@ def _tail_x_max(sigma_e: float, t: float) -> float:
 def solve_with_tails(offspring: OffspringDistribution, t_end: float, dx: float, sigma_e_list):
     """The front and every tail constant from one solve, on the grid the
     widest tail needs (which leaves the front unmoved), snapshotted at
-    t_end/2.  Returns (state, front_track, {sigma_e: (estimate,
-    diagnostic)}): each estimate is the tail value at t_end, and its
-    diagnostic holds the value at t_end/2 and the change between them."""
+    t_end/2.  Returns (state, {sigma_e: (estimate, diagnostic)}): each
+    estimate is the tail value at t_end, and its diagnostic holds the
+    value at t_end/2 and the change between them."""
     x_max = max((_tail_x_max(s, t_end) for s in sigma_e_list), default=None)
-    state, track, snaps = solve_heaviside(
-        offspring, t_end, x_max=x_max, dx=dx, track_front=True, snapshot_times=(t_end / 2.0,)
-    )
+    state = solve_heaviside(offspring, t_end, x_max=x_max, dx=dx, snapshot_times=(t_end / 2.0,))
     tails = {}
     for sigma_e in sigma_e_list:
         estimate = _tail_value(state, sigma_e, t_end)
-        at_half = _tail_value(snaps[t_end / 2.0], sigma_e, t_end / 2.0)
+        at_half = _tail_value(state.snapshots[t_end / 2.0], sigma_e, t_end / 2.0)
         tails[sigma_e] = estimate, {"value_at_half_horizon": at_half, "abs_change": abs(estimate - at_half)}
-    return state, track, tails
+    return state, tails
 
 
 def tail_constant(offspring: OffspringDistribution, sigma_e: float, t: float, dx: float = 0.05):
@@ -356,4 +351,4 @@ def tail_constant(offspring: OffspringDistribution, sigma_e: float, t: float, dx
     diagnostic compares against the value at t/2 (Richardson-style) rather
     than claiming convergence.
     """
-    return solve_with_tails(offspring, t, dx, (sigma_e,))[2][sigma_e]
+    return solve_with_tails(offspring, t, dx, (sigma_e,))[1][sigma_e]

@@ -4,7 +4,7 @@ Trees are sampled generation by generation into flat numpy arrays so that
 populations of ~1e7 nodes stay cheap to build and to query.  One
 ``GenealogyTree`` records every tree grown together, in one wave loop,
 each from its own start time, on one generator: the trees of one
-replicate block in ``sampler.forest_batches``, the immigrant trees of one
+replicate block in ``sampler.forest_block``, the immigrant trees of one
 block of spines in ``cluster``.  A single tree is a forest of one.
 
 The model branches at rate 1 with an offspring law p_k of mean 2, so the
@@ -15,9 +15,10 @@ offspring counts follow the law of k given k >= 2, the same process in
 law.  No node has exactly one child; over an edge the Gaussian increment of
 the unsplit edge is the sum of those of its k = 1 pieces.
 
-``run_replicates`` is the one replicate executor.  It splits a run's
-blocks into strided shares: the caller runs share 0, and each other share
-runs in one child process that sends its results back through a pipe.
+``run_replicates`` is the one replicate executor.  It calls a function
+once per block of replicates, in strided shares of the blocks: the caller
+runs share 0, and each other share runs in one child process that sends
+its results back through a pipe.
 """
 
 from __future__ import annotations
@@ -199,14 +200,13 @@ def _usable_cpus() -> int | None:
 
 
 def run_replicates(fn, common: tuple, replicates: int, workers: int = 1, block: int = 1) -> list:
-    """One result per replicate, in replicate order, of
-    ``fn(*common, blocks)``.
+    """One result per replicate, in replicate order, of ``fn(*common, b)``
+    called once per block ``b``.
 
-    ``blocks`` are ``range``s of whole blocks of ``block`` consecutive
-    replicates: block k is [k*block, (k+1)*block), the last one possibly
-    shorter.  ``fn`` returns a list with one result per replicate of the
-    blocks it is handed, in order, and draws each block only from streams
-    keyed by the block's first index.  The work splits into w = min(
+    A block is a ``range`` of ``block`` consecutive replicates: block k is
+    [k*block, (k+1)*block), the last one possibly shorter.  ``fn`` returns
+    one result per replicate of ``b``, in order, and draws only from
+    streams keyed by ``b.start``.  The blocks split into w = min(
     ``workers``, blocks, usable CPUs) shares, share s holding blocks s,
     s + w, ...: the caller runs share 0 and child process s, started by
     ``multiprocessing``'s default method, runs share s and sends its
@@ -221,7 +221,7 @@ def run_replicates(fn, common: tuple, replicates: int, workers: int = 1, block: 
     blocks = [range(k, min(k + block, replicates)) for k in range(0, replicates, block)]
     workers = min(workers, len(blocks), _usable_cpus() or 1)
     if workers <= 1:
-        return fn(*common, blocks)
+        return _run_blocks(fn, common, blocks)
     import multiprocessing
 
     shares = [blocks[w::workers] for w in range(workers)]
@@ -234,7 +234,7 @@ def run_replicates(fn, common: tuple, replicates: int, workers: int = 1, block: 
             children.append((child, receiver))
             # the child holds the only write end, so its death reads as EOF
             sender.close()
-        parts = [fn(*common, shares[0])]
+        parts = [_run_blocks(fn, common, shares[0])]
         for child, receiver in children:
             try:
                 ok, part = receiver.recv()
@@ -259,11 +259,16 @@ def run_replicates(fn, common: tuple, replicates: int, workers: int = 1, block: 
     return out
 
 
+def _run_blocks(fn, common, share) -> list:
+    """The results of ``fn(*common, b)`` for the blocks b of ``share``, concatenated."""
+    return [value for b in share for value in fn(*common, b)]
+
+
 def _run_share(sender, fn, common, share) -> None:
     """A child's share of ``run_replicates``: sends ``(True, results)`` or
     ``(False, exception)`` through ``sender``."""
     try:
-        message = (True, fn(*common, share))
+        message = (True, _run_blocks(fn, common, share))
     except Exception as exc:  # the caller raises it
         message = (False, exc)
     sender.send(message)

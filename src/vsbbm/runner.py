@@ -20,14 +20,14 @@ manifest carries the config hash, the master seed, the worker count
 after ``--workers``, the seed scheme and the environment: versions, the
 host's CPU count and the CPUs this process may run on.  Every Monte
 Carlo kind runs its replicates through ``genealogy.run_replicates``,
-which splits them into whole blocks of consecutive replicates and runs
-one strided share of the blocks in the caller and each other share in
-one child process.  A block draws from its own named streams, each
-``tree_rng(seed_stream(seed, first, name))`` of the block's first
-replicate.  ``simulate``, ``martingale`` and ``compare``
-pass the forest block ``sampler.block_size(t)`` and grow and place each
-block's trees in ``sampler.forest_batches``, ``compare`` placing its
-profile and both envelopes from one draw of the ``gauss`` stream;
+which calls the kind's replicate function once per block of consecutive
+replicates and runs one strided share of the blocks in the caller and
+each other share in one child process.  A block draws from its own named
+streams, each ``tree_rng(seed_stream(seed, first, name))`` of the block's
+first replicate.  ``simulate``, ``martingale`` and ``compare`` pass the
+forest block ``sampler.block_size(t)`` and grow and place each block's
+trees in ``sampler.forest_block``, ``compare`` placing its profile and
+both envelopes from one draw of the ``gauss`` stream;
 ``cluster`` passes ``cluster.collapse_block`` and grows each block's
 spines and their immigrants on the block's one ``spine`` generator.  Every
 forest draws from one generator.  ``tube`` draws its bridges in row
@@ -64,7 +64,7 @@ from vsbbm.extremal import centering, forest_mckean, forest_summaries
 # sample_tree is not called here; the benchmark's trace (perfbench/) patches
 # and calls it as ``vsbbm.runner.sample_tree``
 from vsbbm.genealogy import OffspringDistribution, run_replicates, sample_tree  # noqa: F401
-from vsbbm.sampler import block_size, forest_batches
+from vsbbm.sampler import block_size, forest_block
 from vsbbm.speed import (
     SpeedProfile,
     build_envelopes,
@@ -170,20 +170,18 @@ def _write_csv(path, header, rows) -> None:
 # ---------------------------------------------------------------------------
 # replicate workers (top-level so they pickle)
 
-def _simulate_replicates(seed, t, profile, offspring, u_grid, blocks):
-    rows = []
-    for leaf_tree, (pos,), n in forest_batches(seed, t, offspring, (profile,), blocks):
-        n_leaves, top, counts = forest_summaries(leaf_tree, pos, n, t, u_grid)
-        rows += zip(n_leaves.tolist(), top.tolist(), counts.tolist())
-    return rows
+def _simulate_replicates(seed, t, profile, offspring, u_grid, block):
+    leaf_tree, (pos,) = forest_block(seed, t, offspring, (profile,), block)
+    n_leaves, top, counts = forest_summaries(leaf_tree, pos, len(block), t, u_grid)
+    return list(zip(n_leaves.tolist(), top.tolist(), counts.tolist()))
 
 
-def _martingale_replicates(seed, s_horizon, sigma_b, offspring, blocks):
+def _martingale_replicates(seed, s, sigma_bs, offspring, block):
+    """Y_{sigma_b} at s for every sigma_b of ``sigma_bs``, one row per
+    replicate of ``block``, all from the same positions."""
     profile = identity_profile()
-    vals = []
-    for leaf_tree, (pos,), n in forest_batches(seed, s_horizon, offspring, (profile,), blocks):
-        vals += forest_mckean(leaf_tree, pos, n, profile, s_horizon, sigma_b).tolist()
-    return vals
+    leaf_tree, (pos,) = forest_block(seed, s, offspring, (profile,), block)
+    return np.stack([forest_mckean(leaf_tree, pos, len(block), profile, s, sb) for sb in sigma_bs], axis=1).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -207,8 +205,8 @@ def _run_simulate(cfg: ExperimentConfig, t, replicates, u_grid):
 
 
 def _run_martingale(cfg: ExperimentConfig, t, sigma_b, replicates):
-    common = (cfg.seed, t, sigma_b, cfg.offspring)
-    vals = run_replicates(_martingale_replicates, common, replicates, cfg.workers, block_size(t))
+    common = (cfg.seed, t, (sigma_b,), cfg.offspring)
+    vals = [row[0] for row in run_replicates(_martingale_replicates, common, replicates, cfg.workers, block_size(t))]
     mean = math.fsum(vals) / replicates
     var = math.fsum((v - mean) ** 2 for v in vals) / (replicates - 1)
     se = math.sqrt(var / replicates)
@@ -218,13 +216,14 @@ def _run_martingale(cfg: ExperimentConfig, t, sigma_b, replicates):
         "replicates": replicates,
         "mean": mean,
         "std_error": se,
-        "deviation_in_se": abs(mean - 1.0) / se if se > 0 else 0.0,
+        # a mean off 1 with no spread is infinitely many SE from it
+        "deviation_in_se": abs(mean - 1.0) / se if se > 0 else (0.0 if mean == 1.0 else math.inf),
     }
     return report, {"martingale.csv": (["replicate", "Y"], [[r, repr(v)] for r, v in enumerate(vals)])}
 
 
 def _run_fkpp(cfg: ExperimentConfig, t_end, dx, sigma_e_list):
-    state, track, tails = fkpp_mod.solve_with_tails(cfg.offspring, t_end, dx, sigma_e_list)
+    state, tails = fkpp_mod.solve_with_tails(cfg.offspring, t_end, dx, sigma_e_list)
     report = {
         "t_end": t_end,
         "dx": dx,
@@ -234,7 +233,7 @@ def _run_fkpp(cfg: ExperimentConfig, t_end, dx, sigma_e_list):
     if sigma_e_list:
         report["tail_constants"] = {str(s): {"estimate": est, **diag} for s, (est, diag) in tails.items()}
     return report, {
-        "front.csv": (["t", "front"], [[repr(t), repr(f)] for t, f in track]),
+        "front.csv": (["t", "front"], [[repr(t), repr(f)] for t, f in state.track]),
         "snapshot.csv": (["x", "u"], ([repr(float(x)), repr(float(u))] for x, u in zip(state.x, state.u))),
     }
 
@@ -441,6 +440,9 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
             build_envelopes(profile, params["t"])
     except (ValueError, OSError) as exc:  # OSError: a table profile's file cannot be read
         raise ConfigError(str(exc)) from None
+    # Y has mean one only where E n(s) = e^s: not on the chain p_1 = 1
+    if kind == "martingale" and abs(float(offspring.ks @ offspring.ps) - 2.0) > 1e-12:
+        raise ConfigError("martingale needs an offspring law of mean 2; Y is not a mean-one martingale otherwise")
     if kind in ("simulate", "martingale", "compare", "cluster"):
         _check_population(params["t"], params["replicates"], offspring)
     if kind == "tube":

@@ -8,9 +8,9 @@ branch times and the roots' births: every leaf dies at the horizon t and
 reads the one value Sigma^2(t).
 Every ``GenealogyTree``, one tree or many grown together, takes its
 positions from one generator.  ``simulate``, ``martingale`` and
-``compare`` place their trees in ``forest_batches``, a block of replicate
-trees grown on one generator, whose leaves ``forest_leaf_positions``
-places under a tuple of profiles from one Gaussian draw per block;
+``compare`` place the trees of each replicate block in ``forest_block``:
+the block's trees grow on one generator, and ``forest_leaf_positions``
+places their leaves under a tuple of profiles from one Gaussian draw;
 ``cluster`` places the immigrant trees of each block of spines with
 ``forest_leaf_positions`` too.  Positions are plain arrays, reduced per
 tree by the ``extremal.forest_*`` functions with ``tree.leaf_tree``.
@@ -96,21 +96,19 @@ def block_size(t: float) -> int:
     return max(1, int(FOREST_NODE_BUDGET / (2.0 * math.exp(t))))
 
 
-def forest_batches(seed, t, offspring, profiles, blocks):
-    """Per forest block of ``blocks`` (``range``s of replicates, as
-    ``run_replicates`` hands them): the tree of each leaf, the
-    (len(profiles), n_leaves) leaf positions under ``profiles`` and the
-    block size.  The block's trees grow as one forest on
-    ``tree_rng(seed_stream(seed, first, "tree"))``, first being the
-    block's first replicate, and its leaves are placed under every profile
-    by one draw from ``tree_rng(seed_stream(seed, first, "gauss"))``, so
-    blocks of one give every replicate the streams of its own index.  The
-    trees stay independent across replicates."""
-    for b in blocks:
-        n = len(b)
-        tree = sample_forest(offspring, t, tree_rng(seed_stream(seed, b.start, "tree")), starts=np.zeros(n))
-        positions = forest_leaf_positions(tree, profiles, t, tree_rng(seed_stream(seed, b.start, "gauss")))
-        yield tree.leaf_tree, positions, n
+def forest_block(seed, t, offspring, profiles, block):
+    """The replicates of one forest block ``block`` (a ``range``, as
+    ``run_replicates`` hands it): the tree of each leaf and the
+    (len(profiles), n_leaves) leaf positions under ``profiles``.  The
+    block's trees grow as one forest on
+    ``tree_rng(seed_stream(seed, block.start, "tree"))``, and its leaves
+    are placed under every profile by one draw from
+    ``tree_rng(seed_stream(seed, block.start, "gauss"))``, so blocks of
+    one give every replicate the streams of its own index.  The trees stay
+    independent across replicates."""
+    tree = sample_forest(offspring, t, tree_rng(seed_stream(seed, block.start, "tree")), starts=np.zeros(len(block)))
+    positions = forest_leaf_positions(tree, profiles, t, tree_rng(seed_stream(seed, block.start, "gauss")))
+    return tree.leaf_tree, positions
 
 
 def sample_leaf_positions(

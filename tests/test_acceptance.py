@@ -16,11 +16,10 @@ from scipy.stats import kstest
 
 from vsbbm.compare import collect_exceedances, sandwich_report
 from vsbbm.cluster import decoration_collapse_study
-from vsbbm.extremal import forest_mckean
 from vsbbm.fkpp import front_position, solve_heaviside, tail_constant
-from vsbbm.genealogy import OffspringDistribution, run_replicates, sample_tree, tree_rng
-from vsbbm.runner import load_config, run
-from vsbbm.sampler import block_size, covariance_oracle, forest_batches, sample_leaf_positions
+from vsbbm.genealogy import OffspringDistribution, run_replicates, sample_forest, sample_tree, seed_stream, tree_rng
+from vsbbm.runner import _martingale_replicates, load_config, run
+from vsbbm.sampler import block_size, covariance_oracle, sample_leaf_positions
 from vsbbm.speed import build_envelopes, identity_profile, power_profile, two_speed
 from vsbbm.tube import bridge_violation_bound, empirical_bridge_violation
 
@@ -33,11 +32,17 @@ def report(number, ok, detail):
     return ok
 
 
+def _leaf_counts(seed, t, block):
+    """n(t) of every replicate of a forest block: its trees grown as one
+    forest on the block's ``tree`` stream, their leaves counted by tree."""
+    tree = sample_forest(BINARY, t, tree_rng(seed_stream(seed, block.start, "tree")), starts=np.zeros(len(block)))
+    return np.bincount(tree.leaf_tree, minlength=len(block)).tolist()
+
+
 def test_01_population_mean():
     t, reps = 5.0, 2 * 10**4
     start = time.time()
-    rng = tree_rng(1)
-    n = np.array([sample_tree(BINARY, t, rng=rng).n_leaves for _ in range(reps)])
+    n = np.array(run_replicates(_leaf_counts, (1, t), reps, block=block_size(t)))
     elapsed = time.time() - start
     se = n.std(ddof=1) / math.sqrt(reps)
     dev = abs(n.mean() - math.exp(t))
@@ -76,22 +81,15 @@ def test_02_covariance_law():
     )
 
 
-def _mckean_replicates(s, sigma_bs, blocks):
-    """Y of every sigma_b per replicate, all from the same positions."""
-    prof = identity_profile()
-    rows = []
-    for leaf_tree, (pos,), n in forest_batches(int(s), s, BINARY, (prof,), blocks):
-        rows += np.stack([forest_mckean(leaf_tree, pos, n, prof, s, sb) for sb in sigma_bs], axis=1).tolist()
-    return rows
-
-
 def test_03_mckean_martingale_mean():
     reps, sigma_bs = 10**4, (0.0, 0.3, 0.6)
     start = time.time()
     ok = True
     details = []
     for s in (4.0, 6.0, 8.0):
-        rows = np.array(run_replicates(_mckean_replicates, (s, sigma_bs), reps, block=block_size(s)))
+        # the martingale kind's replicates, every sigma_b from the same positions
+        common = (int(s), s, sigma_bs, BINARY)
+        rows = np.array(run_replicates(_martingale_replicates, common, reps, block=block_size(s)))
         for sb, v in zip(sigma_bs, rows.T):
             se = v.std(ddof=1) / math.sqrt(reps)
             z = abs(v.mean() - 1.0) / se
@@ -104,8 +102,7 @@ def test_03_mckean_martingale_mean():
 
 def test_04_yule_limit_ks():
     s, reps = 10.0, 10**4
-    rng = tree_rng(44)
-    n = np.array([sample_tree(BINARY, s, rng=rng).n_leaves for _ in range(reps)])
+    n = np.array(run_replicates(_leaf_counts, (44, s), reps, block=block_size(s)))
     stat = kstest(n * math.exp(-s), "expon").statistic
     ok = stat <= 0.02
     assert report(4, ok, f"KS(n(10)e^-10, Exp(1)) = {stat:.4f} (<= 0.02)")

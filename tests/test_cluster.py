@@ -317,7 +317,7 @@ def test_collapse_equals_spine_sample_loop(monkeypatch, law, y_mode):
     reps = range(3, 90, 2)
     total = 0
     for sig in SIGMAS:
-        hits = cluster_mod._collapse([sig], R, t, offspring, y_mode, seed, [range(r, r + 1) for r in reps])
+        hits = [h for r in reps for h in cluster_mod._collapse([sig], R, t, offspring, y_mode, seed, range(r, r + 1))]
         want = []
         for r in reps:
             y = 0.0

@@ -97,7 +97,8 @@ def test_mckean_single_particle_formula():
 def test_mckean_mean_one():
     # the martingale kind's replicates: forest blocks, forest_mckean
     s, reps, sb = 4.0, 3000, 0.3
-    vals = np.array(run_replicates(_martingale_replicates, (77, s, sb, BINARY), reps, block=block_size(s)))
+    rows = run_replicates(_martingale_replicates, (77, s, (sb,), BINARY), reps, block=block_size(s))
+    vals = np.array(rows)[:, 0]
     se = vals.std(ddof=1) / math.sqrt(reps)
     assert abs(vals.mean() - 1.0) < 3 * se
 

@@ -171,13 +171,11 @@ def _assert_window_is_exact(off, t_end, kw, between=lambda: None, snapshot_times
         snapshot_times = (t_end / 3.0, t_end / 2.0) if t_end > 0 else ()
     u, track, snaps = _full_grid_solve(off, t_end, snapshot_times=snapshot_times, **kw)
     between()
-    state, got_track, got_snaps = solve_heaviside(
-        off, t_end, track_front=True, snapshot_times=snapshot_times, **kw
-    )
+    state = solve_heaviside(off, t_end, snapshot_times=snapshot_times, **kw)
     assert np.array_equal(state.u, u)
-    assert got_track == track
-    assert got_snaps.keys() == snaps.keys() == set(snapshot_times)
-    assert all(np.array_equal(got_snaps[s].u, snaps[s]) for s in snaps)
+    assert state.track == track
+    assert state.snapshots.keys() == snaps.keys() == set(snapshot_times)
+    assert all(np.array_equal(state.snapshots[s].u, snaps[s]) for s in snaps)
 
 
 @pytest.mark.parametrize(
@@ -238,8 +236,9 @@ def test_snapshot_outside_the_horizon_rejected(snapshot_times):
 
 
 def test_snapshot_at_t0_is_the_initial_data():
-    state, _, snaps = solve_heaviside(BINARY, 0.0, dx=0.1, snapshot_times=(0.0,))
-    assert snaps[0.0].t == 0.0 and np.array_equal(snaps[0.0].u, state.u)
+    state = solve_heaviside(BINARY, 0.0, dx=0.1, snapshot_times=(0.0,))
+    snap = state.snapshots[0.0]
+    assert snap.t == 0.0 and np.array_equal(snap.u, state.u)
 
 
 def test_window_resets_after_a_clip(monkeypatch):
@@ -296,15 +295,13 @@ def test_front_position_interpolation():
 
 
 def test_front_speed_sqrt2():
-    state, track, snaps = solve_heaviside(
-        BINARY, 60.0, dx=0.05, track_front=True, snapshot_times=(30.0,)
-    )
-    f30 = front_position(snaps[30.0])
+    state = solve_heaviside(BINARY, 60.0, dx=0.05, snapshot_times=(30.0,))
+    f30 = front_position(state.snapshots[30.0])
     f60 = front_position(state)
     speed = (f60 - f30) / 30.0
     assert abs(speed - SQRT2) < 0.05
-    assert len(track) > 100
-    ts, fs = zip(*track)
+    assert len(state.track) > 100
+    ts, fs = zip(*state.track)
     assert all(b > a for a, b in zip(fs[50:], fs[51:]))  # front advances
 
 

@@ -362,10 +362,10 @@ def test_seed_scheme_is_pinned():
         assert tree_rng(seed).exponential() == exponential
 
 
-def _share_of(tag, blocks):
-    """The replicates one call is handed, each beside its block and the
-    call's first replicate."""
-    return [(tag, b, r, blocks[0].start) for b in blocks for r in b]
+def _share_of(tag, b):
+    """The replicates of the one block a call is handed, each beside that
+    block and the process that ran the call."""
+    return [(tag, b, r, os.getpid()) for r in b]
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -375,13 +375,16 @@ def test_run_replicates_hands_workers_whole_blocks(monkeypatch, workers, block):
     monkeypatch.setattr(genealogy, "_usable_cpus", lambda: 3)
     out = run_replicates(_share_of, ("x",), 10, workers, block)
     assert [r for _, _, r, _ in out] == list(range(10))
-    # every call gets ranges of whole blocks, starting at multiples of block
+    # every call gets exactly one whole block, starting at a multiple of block
     for _, b, r, _ in out:
-        assert isinstance(b, range) and b.start % block == 0
+        assert isinstance(b, range) and b.start % block == 0 and r in b
         assert b == range(b.start, min(b.start + block, 10))
-    # block k runs on worker k mod w, whose share starts at block w
+    # block k runs in the process of share k mod w, the caller's share 0
     w = min(workers, -(-10 // block))
-    assert [first for _, _, _, first in out] == [(r // block) % w * block for r in range(10)]
+    pids = [pid for _, _, _, pid in out]
+    share_pid = {(r // block) % w: pid for r, pid in enumerate(pids)}
+    assert [share_pid[(r // block) % w] for r in range(10)] == pids
+    assert share_pid[0] == os.getpid() and len(set(share_pid.values())) == w
 
 
 class _RecordingProcess(multiprocessing.Process):
@@ -434,20 +437,20 @@ def _hung(signum, frame):
     raise _Hung("run_replicates did not return in time")
 
 
-def _fail_in_children(how, blocks):
+def _fail_in_children(how, b):
     """Three shares, first blocks 0, 1 and 2: the caller's and the first
-    child's return their replicates, the last child's fails the way
-    ``how`` names; with "caller" the caller's fails and both children
-    sleep for a minute."""
+    child's return their replicates, the last child's fails at block 2 the
+    way ``how`` names; with "caller" the caller's fails at block 0 and
+    both children sleep for a minute."""
     if how == "caller":
-        if blocks[0].start == 0:
+        if b.start == 0:
             raise ValueError("the caller's share failed")
         time.sleep(60)
-    elif blocks[0].start == 2:
+    elif b.start == 2:
         if how == "raise":
             raise ValueError("share at block 2 failed")
         os._exit(3)
-    return [r for b in blocks for r in b]
+    return list(b)
 
 
 @pytest.mark.parametrize(

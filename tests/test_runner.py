@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -667,6 +668,15 @@ def test_run_martingale_mean_near_one(tmp_path):
     assert len(rows) == 301
 
 
+def test_martingale_mean_off_one_with_no_spread_reads_inf(tmp_path):
+    # at t = 0.001 both trees are a single leaf, so Y = e^-0.001 twice: a
+    # standard error of 0, and the mean is not 0 SE from 1
+    path, _ = write_config(tmp_path, _kind_config("martingale", "t = 0.001\nsigma_b = 0\nreplicates = 2"))
+    report = run(load_config(path))
+    assert report["mean"] == math.exp(-0.001) and report["std_error"] == 0.0
+    assert report["deviation_in_se"] == math.inf
+
+
 def test_run_fkpp(tmp_path):
     text = """\
 [experiment]
@@ -882,6 +892,8 @@ def _bad_configs():
         ("simulate", "t = 3\nreplicates = 4", "[profile]\nkind = table\npath = nan_x.csv\n", "monotone"),
         ("simulate", "t = 3\nreplicates = 4", "[profile]\nkind = piecewise\nxs = 0 0.5 1\nys = 0 1\n",
          "xs has 3 entries and ys 2"),
+        # the chain p_1 = 1 has mean 1, where E Y = e^-s, not 1; it ran to exit 0
+        ("martingale", "sigma_b = 0\nt = 3\nreplicates = 4", "[offspring]\nks = 1\nps = 1\n", "mean 2"),
     ]
     for i, (kind, lines, sections, word) in enumerate(extra):
         yield pytest.param(kind, _kind_config(kind, lines, sections), [], word, id=f"{kind}-value-{i}")
