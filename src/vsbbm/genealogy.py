@@ -217,6 +217,14 @@ def run_replicates(fn, common: tuple, replicates: int, workers: int = 1, block: 
     a job of one block, or one CPU, starts no child.  A child's exception
     is raised here, a child that dies without a result raises
     RuntimeError, and no child outlives the call.
+
+    Each share first allocates and frees one untouched 2 MiB array
+    (``_run_blocks``).  Under glibc's malloc that leaves the heap that one
+    block frees mapped for the next, where glibc would otherwise trim it
+    and the next block fault it back in; it relies only on the documented
+    dynamic thresholds of mallopt(3), sets none of them and needs no
+    MALLOC_* environment variable.  Under another allocator it only
+    allocates and frees the array.
     """
     blocks = [range(k, min(k + block, replicates)) for k in range(0, replicates, block)]
     workers = min(workers, len(blocks), _usable_cpus() or 1)
@@ -259,8 +267,23 @@ def run_replicates(fn, common: tuple, replicates: int, workers: int = 1, block: 
     return out
 
 
+# Bytes of the untouched array ``_run_blocks`` frees before its first block.
+# glibc maps it and, on freeing it, raises its dynamic mmap threshold to its
+# size and its heap trim threshold to twice that, 4 MiB (mallopt(3),
+# M_MMAP_THRESHOLD), and keeps both dynamic.  A forest block of
+# sampler.FOREST_NODE_BUDGET = 2**14 nodes peaks at under 180 B a node grown
+# and placed (the NODE_CAP measurement above), about 3 MiB, so its arrays
+# go on the heap and what it frees at the heap top stays mapped for the next
+# block instead of being trimmed and faulted back in.  Raise it with the
+# budget; a 4 MiB array removed the faults too, but raised peak RSS by
+# about 1.4 MB.
+_HEAP_WARMUP_BYTES = 2 << 20
+
+
 def _run_blocks(fn, common, share) -> list:
-    """The results of ``fn(*common, b)`` for the blocks b of ``share``, concatenated."""
+    """The results of ``fn(*common, b)`` for the blocks b of ``share``,
+    concatenated, after freeing one untouched _HEAP_WARMUP_BYTES array."""
+    np.empty(_HEAP_WARMUP_BYTES, np.uint8)
     return [value for b in share for value in fn(*common, b)]
 
 

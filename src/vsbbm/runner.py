@@ -103,10 +103,16 @@ def _checked(parse, ok, need: str):
     return parser
 
 
+def _finite(ok, need: str):
+    """A float parser needing a finite value for which ``ok`` holds: inf
+    passes every lower bound, and report.json, which echoes the value,
+    is strict JSON, so inf and NaN are ruled out by name."""
+    return _checked(float, lambda v: math.isfinite(v) and ok(v), f"a finite {need}")
+
+
 def _finite_above(name: str, low: int):
-    """A float parser needing a finite value above ``low``: inf passes
-    every lower bound, so it is ruled out by name."""
-    return _checked(float, lambda v: math.isfinite(v) and v > low, f"a finite {name} > {low}")
+    """A float parser needing a finite value above ``low``."""
+    return _finite(lambda v: v > low, f"{name} > {low}")
 
 
 def _non_empty(parse):
@@ -160,7 +166,9 @@ def _atomic_write(path, writer) -> None:
 
 
 def _write_json(path, obj) -> None:
-    _atomic_write(path, lambda fh: (json.dump(obj, fh, indent=2, sort_keys=True), fh.write("\n")))
+    """Strict JSON: a non-finite float raises ValueError, not a bare
+    ``Infinity`` or ``NaN`` token that strict readers reject."""
+    _atomic_write(path, lambda fh: (json.dump(obj, fh, indent=2, sort_keys=True, allow_nan=False), fh.write("\n")))
 
 
 def _write_csv(path, header, rows) -> None:
@@ -216,9 +224,11 @@ def _run_martingale(cfg: ExperimentConfig, t, sigma_b, replicates):
         "replicates": replicates,
         "mean": mean,
         "std_error": se,
-        # a mean off 1 with no spread is infinitely many SE from it
-        "deviation_in_se": abs(mean - 1.0) / se if se > 0 else (0.0 if mean == 1.0 else math.inf),
+        "deviation_in_se": abs(mean - 1.0) / se if se > 0 else (0.0 if mean == 1.0 else None),
     }
+    if report["deviation_in_se"] is None:
+        # a mean off 1 with no spread is infinitely many SE from it
+        report["deviation_note"] = "standard error 0 and mean not 1: the deviation is infinite"
     return report, {"martingale.csv": (["replicate", "Y"], [[r, repr(v)] for r, v in enumerate(vals)])}
 
 
@@ -303,9 +313,11 @@ _T_ABOVE_ONE = (_finite_above("t", 1), REQUIRED)
 # cluster, tube and martingale run to any finite horizon t > 0; with an
 # infinite one no lifetime ends and a tree grows until it fills memory
 _T_POSITIVE = (_finite_above("t", 0), REQUIRED)
-_U_GRID = _checked(_floats, lambda v: v == sorted(v), "an ascending u_grid")
+# report.json is strict JSON, so no list a report echoes may hold inf or NaN
+_FINITE_FLOATS = _checked(_floats, lambda v: all(map(math.isfinite, v)), "finite entries")
+_U_GRID = _checked(_FINITE_FLOATS, lambda v: v == sorted(v), "an ascending u_grid")
 # a tail constant exists for an end slope sigma_e > 1 only
-_SIGMA_ES = _checked(_floats, lambda v: all(s > 1 for s in v), "every entry > 1")
+_SIGMA_ES = _checked(_FINITE_FLOATS, lambda v: all(s > 1 for s in v), "every entry > 1")
 _IDENTITY, _BINARY = {"kind": "identity"}, {"ks": "2", "ps": "1"}
 
 EXPERIMENTS = {
@@ -319,7 +331,7 @@ EXPERIMENTS = {
     "compare": (_run_compare, {"profile": REQUIRED, "offspring": _BINARY}, {
         "t": _T_ABOVE_ONE, "replicates": _REPLICATES,
         "u_grid": (_non_empty(_U_GRID), "-1 0 1 2 3"),
-        "c_grid": (_non_empty(_checked(_floats, lambda v: all(c >= 0 for c in v), "every entry >= 0")), "0.1 0.5 2"),
+        "c_grid": (_non_empty(_checked(_FINITE_FLOATS, lambda v: all(c >= 0 for c in v), "every entry >= 0")), "0.1 0.5 2"),
     }),
     "cluster": (_run_cluster, {"offspring": _BINARY}, {
         "t": _T_POSITIVE, "replicates": _REPLICATES,
@@ -330,12 +342,12 @@ EXPERIMENTS = {
     # the series bound of tube needs r >= 1 and gamma > 1/2; load_config
     # also rejects a window [r, t - r] that holds no grid point
     "tube": (_run_tube, {}, {
-        "t": _T_POSITIVE, "r": (_checked(float, lambda v: v >= 1, "r >= 1"), REQUIRED),
-        "gamma": (_checked(float, lambda v: v > 0.5, "gamma > 1/2"), REQUIRED),
+        "t": _T_POSITIVE, "r": (_finite(lambda v: v >= 1, "r >= 1"), REQUIRED),
+        "gamma": (_finite(lambda v: v > 0.5, "gamma > 1/2"), REQUIRED),
         "replicates": _REPLICATES, "n_steps": (_checked(int, lambda v: v >= 1, "n_steps >= 1"), "512"),
     }),
     "martingale": (_run_martingale, {"offspring": _BINARY}, {
-        "t": _T_POSITIVE, "sigma_b": (_checked(float, lambda v: v >= 0, "sigma_b >= 0"), REQUIRED),
+        "t": _T_POSITIVE, "sigma_b": (_finite(lambda v: v >= 0, "sigma_b >= 0"), REQUIRED),
         "replicates": _REPLICATES,
     }),
 }
@@ -472,6 +484,16 @@ def _scipy_version() -> str | None:
         return None
 
 
+def _libc_version() -> str | None:
+    """The C library, such as "glibc 2.36", whose allocator the replicate
+    executor's memory behaviour depends on (``genealogy._run_blocks``);
+    None where the platform does not say."""
+    try:
+        return os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
 def _stream_block(cfg: ExperimentConfig) -> int | None:
     """The consecutive replicates that share one set of streams, a forest
     block: ``block_size(t)`` in ``simulate``, ``martingale`` and
@@ -509,6 +531,7 @@ def run(cfg: ExperimentConfig) -> dict:
             "scipy": _scipy_version(),
             "cpu_count": os.cpu_count(),
             "usable_cpus": genealogy._usable_cpus(),
+            "libc": _libc_version(),
         },
     }
     _write_json(os.path.join(cfg.out_dir, "manifest.json"), manifest)

@@ -2,6 +2,8 @@ import math
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -476,6 +478,29 @@ def test_run_replicates_failures_reach_the_caller_and_end_every_child(
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
     assert len(recorded_starts) == 2
+
+
+@pytest.mark.skipif(
+    "CS_GNU_LIBC_VERSION" not in getattr(os, "confstr_names", {}), reason="the heap warm-up relies on glibc's malloc"
+)
+def test_run_replicates_blocks_reuse_the_freed_heap():
+    # a fresh interpreter, so that no earlier test has moved glibc's
+    # thresholds: after a first call, a call of 2000 t = 5 replicates (37
+    # blocks) at one worker should fault in next to no new pages; when
+    # glibc trims each block's freed heap top it faults in about 200 per block
+    code = (
+        "import resource; import numpy as np\n"
+        "from vsbbm import runner; from vsbbm.genealogy import OffspringDistribution, run_replicates\n"
+        "from vsbbm.sampler import block_size; from vsbbm.speed import two_speed\n"
+        "common = (7, 5.0, two_speed(0.5, 2.0, 2 / 3), OffspringDistribution.binary(), np.array([-1.0, 0.0]))\n"
+        "run_replicates(runner._simulate_replicates, common, 200, 1, block_size(5.0))\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "run_replicates(runner._simulate_replicates, common, 2000, 1, block_size(5.0))\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(genealogy.__file__)))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert int(done.stdout) < 1500
 
 
 def test_mrca_same_leaf():

@@ -13,6 +13,7 @@ import pytest
 import vsbbm
 from vsbbm import fkpp as fkpp_mod
 from vsbbm import genealogy
+from vsbbm import runner as runner_mod
 from vsbbm import sampler as sampler_mod
 from vsbbm.compare import collect_exceedances, sandwich_report
 from vsbbm.extremal import centering, count_exceedances, forest_mckean
@@ -251,6 +252,12 @@ def test_run_simulate_artifacts_and_determinism(tmp_path, monkeypatch):
     assert env["cpu_count"] == os.cpu_count()
     assert env["usable_cpus"] == 1
     assert env["scipy"] is None or env["scipy"][0].isdigit()
+    # the allocator the executor's memory behaviour depends on, where the
+    # platform names it
+    if "CS_GNU_LIBC_VERSION" in getattr(os, "confstr_names", {}):
+        assert env["libc"] == os.confstr("CS_GNU_LIBC_VERSION")
+    else:
+        assert env["libc"] is None
 
 
 @pytest.mark.parametrize(
@@ -668,13 +675,31 @@ def test_run_martingale_mean_near_one(tmp_path):
     assert len(rows) == 301
 
 
-def test_martingale_mean_off_one_with_no_spread_reads_inf(tmp_path):
+def _no_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def test_martingale_mean_off_one_with_no_spread_reads_null(tmp_path):
     # at t = 0.001 both trees are a single leaf, so Y = e^-0.001 twice: a
-    # standard error of 0, and the mean is not 0 SE from 1
-    path, _ = write_config(tmp_path, _kind_config("martingale", "t = 0.001\nsigma_b = 0\nreplicates = 2"))
+    # standard error of 0, and the mean is infinitely many SE from 1,
+    # which strict JSON writes as null with a note
+    path, out = write_config(tmp_path, _kind_config("martingale", "t = 0.001\nsigma_b = 0\nreplicates = 2"))
     report = run(load_config(path))
     assert report["mean"] == math.exp(-0.001) and report["std_error"] == 0.0
-    assert report["deviation_in_se"] == math.inf
+    assert report["deviation_in_se"] is None and "infinite" in report["deviation_note"]
+    assert json.loads((out / "report.json").read_text(), parse_constant=_no_constant) == report
+    # a run with spread carries no note
+    path, _ = write_config(tmp_path, MART_CONFIG)
+    assert "deviation_note" not in run(load_config(path))
+
+
+def test_write_json_rejects_non_finite_floats(tmp_path):
+    # a non-finite value raises instead of writing a bare token, and the
+    # atomic write leaves no file behind
+    for value in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="JSON compliant"):
+            runner_mod._write_json(str(tmp_path / "report.json"), {"x": value})
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_run_fkpp(tmp_path):
@@ -932,6 +957,18 @@ def _bad_configs():
         ("compare", "u_grid", "", "at least one entry"),
         ("compare", "c_grid", "", "at least one entry"),
         ("cluster", "sigma_e_list", "", "at least one entry"),
+        # sigma_b, u_grid and c_grid at inf ran to a report.json with a
+        # bare Infinity or NaN token, gamma = inf to a series bound that
+        # never ended, a sigma_e of inf to a late error, and u_grid = nan
+        # counted nothing
+        ("martingale", "sigma_b", "inf", "a finite sigma_b >= 0"),
+        ("tube", "gamma", "inf", "a finite gamma > 1/2"),
+        ("tube", "r", "inf", "a finite r >= 1"),
+        ("compare", "u_grid", "0 inf", "finite entries"),
+        ("compare", "c_grid", "0.1 inf", "finite entries"),
+        ("simulate", "u_grid", "nan", "finite entries"),
+        ("cluster", "sigma_e_list", "1.5 inf", "finite entries"),
+        ("fkpp", "sigma_e_list", "inf", "finite entries"),
     ],
 )
 def test_main_rejects_out_of_range_value_before_any_output(tmp_path, capsys, kind, key, value, need):
