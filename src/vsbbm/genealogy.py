@@ -31,10 +31,10 @@ from functools import cached_property
 import numpy as np
 
 # Nodes of the largest tree sample_forest grows.  Measured with tracemalloc
-# on binary and (1,3) trees at t = 11-12, growing a tree peaks at 60-76 B
-# per node and placing it under three profiles at 80-103 B, so a tree at
-# the cap takes about 1.7 GB; 10**8 nodes would take 6-10 GB and exhaust a
-# 7 GB machine before the cap fired.  ``runner.load_config`` rejects every
+# on binary and (1,3) trees at t = 11-12, growing a tree peaks at 33-44 B
+# per node and placing it under three profiles at 68-74 B, so a tree at
+# the cap takes about 1.2 GB; 10**8 nodes would take about 7 GB and
+# exhaust a 7 GB machine before the cap fired.  ``runner.load_config`` rejects every
 # horizon where the run expects more than 1e-3 of its trees past the cap,
 # replicates * exp(-NODE_CAP / (k e^t)) > 1e-3, k the law's largest
 # offspring count: the Yule tail of the tree size, not its mean 2e^t.
@@ -126,15 +126,35 @@ class GenealogyTree:
     order are the breadth-first order of the tree grown alone.
     ``wave_sizes[w, r]`` counts the nodes of tree r in wave w.
     ``internal_ids`` are the nodes with children, ascending.
+
+    The record keeps only the times placement reads: ``starts``, the
+    roots' births, and ``split``, the internal nodes' deaths in
+    ``internal_ids`` order.  Every leaf dies at the horizon and every
+    child is born when its parent dies, so ``birth`` and ``death`` of all
+    nodes follow from these and are derived on first use (``mrca``).
     """
 
     horizon: float
-    birth: np.ndarray
-    death: np.ndarray
+    starts: np.ndarray  # (n_trees,)
+    split: np.ndarray  # (len(internal_ids),)
     parent: np.ndarray
     wave_sizes: np.ndarray  # (waves, n_trees)
     leaf_ids: np.ndarray
     internal_ids: np.ndarray
+
+    @cached_property
+    def death(self) -> np.ndarray:
+        """The death time of every node: its split, or the horizon."""
+        death = np.full(self.n_nodes, float(self.horizon))
+        death[self.internal_ids] = self.split
+        return death
+
+    @cached_property
+    def birth(self) -> np.ndarray:
+        """The birth time of every node: its start, or its parent's death."""
+        birth = self.death.take(self.parent)
+        birth[: self.n_trees] = self.starts
+        return birth
 
     @cached_property
     def wave_starts(self) -> np.ndarray:
@@ -165,7 +185,7 @@ class GenealogyTree:
 
     @property
     def n_nodes(self) -> int:
-        return len(self.birth)
+        return len(self.parent)
 
     @property
     def n_leaves(self) -> int:
@@ -328,12 +348,12 @@ def sample_forest(
         raise ValueError("a forest needs at least one tree")
     if birth.min() < 0 or birth.max() >= t:
         raise ValueError(f"start times must lie in [0, {t})")
+    starts = birth
     # one real offspring count fixes every count and draws none
     fixed_k = int(offspring.branch_ks[0]) if len(offspring.branch_ks) == 1 else 0
     scale = 1.0 / offspring.rate if offspring.rate else None
 
-    births: list[np.ndarray] = []
-    deaths: list[np.ndarray] = []
+    splits: list[np.ndarray] = []
     parents: list[np.ndarray] = []
     internal_ids: list[np.ndarray] = []
     wave_bounds: list[np.ndarray] = []  # bounds of each wave
@@ -361,7 +381,6 @@ def sample_forest(
             death = rng.exponential(scale, len(birth))
             death += birth
         idx = (death < t).nonzero()[0]
-        np.minimum(death, t, out=death)
         int_bounds = idx.searchsorted(bounds)
         if fixed_k:
             k = fixed_k
@@ -372,12 +391,12 @@ def sample_forest(
             csum = np.zeros(len(k) + 1, dtype=np.int64)
             k.cumsum(out=csum[1:])
             bounds = csum[int_bounds]
-        births.append(birth)
-        deaths.append(death)
         parents.append(parent)
+        split = death[idx]
+        splits.append(split)
 
         # spawn the next wave
-        birth = death[idx].repeat(k)
+        birth = split.repeat(k)
         idx += offset
         parent = idx.repeat(k)
         internal_ids.append(idx)
@@ -387,8 +406,8 @@ def sample_forest(
     is_leaf[internal] = False
     return GenealogyTree(
         horizon=t,
-        birth=_join(births),
-        death=_join(deaths),
+        starts=starts,
+        split=_join(splits),
         parent=_join(parents),
         wave_sizes=np.diff(wave_bounds, axis=1),
         leaf_ids=is_leaf.nonzero()[0],

@@ -10,7 +10,8 @@ builder in ``vsbbm.speed`` and its keys.
 reads, a missing section or key, a value its parser rejects, a
 ``compare`` profile with no envelopes (one that fails (A1), or has an
 infinite end slope or curvature, as ``power`` below exponent 2 has), a
-``tube`` window [r, t - r] with no grid point and a tree horizon where
+``tube`` window [r, t - r] with no grid point or a series bound of more
+than ``tube.MAX_SERIES_TERMS`` terms, and a tree horizon where
 some tree of the run would likely exceed ``genealogy.NODE_CAP`` raise
 ``ConfigError`` before anything is written.
 ``--seed``, ``--workers`` and ``--out`` are the only overrides of the
@@ -33,7 +34,7 @@ spines and their immigrants on the block's one ``spine`` generator.  Every
 forest draws from one generator.  ``tube`` draws its bridges in row
 chunks and ``fkpp`` is deterministic.  Every generator is SFC64, seeded
 through numpy's SeedSequence from its stream key.  The manifest records
-the seed scheme ``blake2b-sfc64-v4`` and the run's stream block.
+the seed scheme ``SEED_SCHEME`` and the run's stream block.
 Aggregation is order-fixed (by replicate index, exact summation), so
 results do not depend on the worker count.
 """
@@ -78,6 +79,12 @@ from vsbbm.speed import (
 
 class ConfigError(ValueError):
     pass
+
+
+# The stream keys and block split every Monte Carlo draw follows, named in
+# each manifest; a change that gives any replicate other draws names a new
+# version.
+SEED_SCHEME = "blake2b-sfc64-v4"
 
 
 # value parsers take the raw string and raise ValueError on a value they
@@ -340,7 +347,8 @@ EXPERIMENTS = {
         "y_mode": (_checked(str, lambda v: v in ("zero", "exponential"), "zero or exponential"), "zero"),
     }),
     # the series bound of tube needs r >= 1 and gamma > 1/2; load_config
-    # also rejects a window [r, t - r] that holds no grid point
+    # also rejects a window [r, t - r] that holds no grid point and a
+    # series bound of too many terms
     "tube": (_run_tube, {}, {
         "t": _T_POSITIVE, "r": (_finite(lambda v: v >= 1, "r >= 1"), REQUIRED),
         "gamma": (_finite(lambda v: v > 0.5, "gamma > 1/2"), REQUIRED),
@@ -375,14 +383,20 @@ def _check_population(t, replicates, offspring) -> None:
         )
 
 
-def _check_tube_window(t, r, n_steps) -> None:
+def _check_tube(t, r, gamma, n_steps) -> None:
     """A tube run measures only the grid points in [r, t - r]; with none
-    there it would report a rate of 0 having measured nothing."""
+    there it would report a rate of 0 having measured nothing.  Its series
+    bound must be summable in ``tube.MAX_SERIES_TERMS`` terms, checked
+    before any bridge is drawn."""
     window = tube_mod.grid_window(t, r, n_steps)
     if window.start == window.stop:
         raise ConfigError(
             f"the window [r, t - r] = [{r}, {t - r}] holds no point of the {n_steps}-step grid on [0, {t}]"
         )
+    try:
+        tube_mod.series_terms(r, gamma)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _parse_keys(section: str, raw: dict, keys: dict) -> dict:
@@ -458,7 +472,7 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
     if kind in ("simulate", "martingale", "compare", "cluster"):
         _check_population(params["t"], params["replicates"], offspring)
     if kind == "tube":
-        _check_tube_window(params["t"], params["r"], params["n_steps"])
+        _check_tube(params["t"], params["r"], params["gamma"], params["n_steps"])
     return ExperimentConfig(
         kind=kind,
         seed=params.pop("seed"),
@@ -523,7 +537,7 @@ def run(cfg: ExperimentConfig) -> dict:
         "config_hash": cfg.config_hash,
         "files": sorted([*tables, "report.json"]),
         "version": "0.1.0",
-        "seed_scheme": "blake2b-sfc64-v4",
+        "seed_scheme": SEED_SCHEME,
         "stream_block": _stream_block(cfg),
         "environment": {
             "python": "%d.%d.%d" % sys.version_info[:3],

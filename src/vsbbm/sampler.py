@@ -29,26 +29,22 @@ from vsbbm.genealogy import GenealogyTree, mrca, sample_forest, seed_stream, tre
 from vsbbm.speed import SpeedProfile, sigma2
 
 
-def _edge_std(tree: GenealogyTree, profiles: tuple, t: float) -> np.ndarray:
-    """Edge deviations sqrt(S(death) - S(birth)) under each of ``profiles``,
-    S = Sigma^2, shape (len(profiles), n_nodes).  Every leaf dies at the
-    horizon, so S(death) of a leaf is the one value S(horizon), and only
-    the internal nodes' deaths need S of their own.  A child is born when
-    its parent dies (``birth`` copies the parent's ``death``), so S(birth)
-    is S(death) of the parent; only the roots, the first wave, need S at
-    their own birth times.  One ``sigma2`` call per profile evaluates all
-    three: internal deaths, root births, horizon."""
-    internal = tree.internal_ids
-    n_roots = tree.n_trees
-    at = np.concatenate([tree.death[internal], tree.birth[:n_roots], [tree.horizon]])
-    var = np.empty((len(profiles), tree.n_nodes))
-    for row, profile in zip(var, profiles):
-        s = sigma2(profile, at, t)
-        row.fill(s[-1])
-        row[internal] = s[: len(internal)]
-        s_birth = row.take(tree.parent)
-        s_birth[:n_roots] = s[len(internal) : -1]
-        row -= s_birth
+def _edge_std(tree: GenealogyTree, profile: SpeedProfile, t: float) -> np.ndarray:
+    """Edge deviations sqrt(S(death) - S(birth)) under ``profile``,
+    S = Sigma^2, one per node.  Every leaf dies at the horizon, so
+    S(death) of a leaf is the one value S(horizon), and only the internal
+    nodes' deaths, ``tree.split``, need S of their own.  A child is born
+    when its parent dies, so S(birth) is S(death) of the parent; only the
+    roots, the first wave, need S at their own birth times,
+    ``tree.starts``.  One ``sigma2`` call evaluates all three: internal
+    deaths, root births, horizon."""
+    n_split, n_roots = len(tree.split), tree.n_trees
+    s = sigma2(profile, np.concatenate([tree.split, tree.starts, [tree.horizon]]), t)
+    var = np.full(tree.n_nodes, s[-1])
+    var[tree.internal_ids] = s[:n_split]
+    s_birth = var.take(tree.parent)
+    s_birth[:n_roots] = s[n_split:-1]
+    var -= s_birth
     if var.min() < -1e-12:
         raise ValueError("negative edge variance; speed function is not monotone")
     return np.sqrt(np.maximum(var, 0.0, out=var), out=var)
@@ -75,10 +71,16 @@ def forest_leaf_positions(
     (len(profiles), n_leaves), leaves in ``tree.leaf_ids`` order.  ``rng``
     makes one ``standard_normal`` draw over the nodes in index order and
     every profile scales that one draw, so each profile's row is what
-    ``sample_leaf_positions`` gives on the same generator."""
-    std = _edge_std(tree, profiles, t)
-    std *= rng.standard_normal(tree.n_nodes)
-    return _descend(tree, std)[:, tree.leaf_ids]
+    ``sample_leaf_positions`` gives on the same generator.  The profiles
+    are placed one at a time, so only one row of edge deviations is held
+    over all nodes."""
+    z = rng.standard_normal(tree.n_nodes)
+    out = np.empty((len(profiles), tree.n_leaves))
+    for row, profile in zip(out, profiles):
+        std = _edge_std(tree, profile, t)
+        std *= z
+        _descend(tree, std).take(tree.leaf_ids, out=row)
+    return out
 
 
 # Nodes per forest block.  A tree of real branchings has
@@ -123,7 +125,7 @@ def sample_leaf_positions(
     node's position is its parent's plus an independent Gaussian edge
     increment, added wave by wave."""
     shape = (tree.n_nodes,) if n_draws is None else (n_draws, tree.n_nodes)
-    pos = _edge_std(tree, (profile,), t)[0] * rng.standard_normal(shape)
+    pos = _edge_std(tree, profile, t) * rng.standard_normal(shape)
     return _descend(tree, pos)[..., tree.leaf_ids]
 
 

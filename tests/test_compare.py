@@ -24,8 +24,8 @@ def test_coupled_fields_cross_covariance():
     while leaf >= 0:
         lineage.append(leaf)
         leaf = int(tree.parent[leaf])
-    std = _edge_std(tree, (prof, env.upper), t)
-    want = float(np.sum(std[0, lineage] * std[1, lineage]))
+    std = [_edge_std(tree, p, t) for p in (prof, env.upper)]
+    want = float(np.sum(std[0][lineage] * std[1][lineage]))
     n = 2000
     prod = np.empty(n)
     for s in range(n):

@@ -5,6 +5,7 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,8 @@ from vsbbm.genealogy import (
     seed_stream,
     tree_rng,
 )
-from vsbbm.sampler import sample_leaf_positions
+from vsbbm.runner import SEED_SCHEME
+from vsbbm.sampler import forest_leaf_positions, sample_leaf_positions
 from vsbbm.speed import two_speed
 
 BINARY = OffspringDistribution.binary()
@@ -104,6 +106,44 @@ def test_tree_structure_invariants():
     assert np.all(tree.birth[1:] == tree.death[kids])
     # parents precede children, as the samplers assume
     assert np.all(kids < np.arange(1, tree.n_nodes))
+
+
+@pytest.mark.parametrize("law", list(LAWS), ids=list(LAWS))
+def test_derived_birth_and_death(law):
+    # the record keeps the roots' births and the internal nodes' deaths;
+    # birth and death of every node follow from them
+    t, starts = 4.0, np.array([0.0, 0.5, 2.0, 3.9, 2.0])
+    for forest in (sample_forest(LAWS[law], t, tree_rng(4), starts=starts), sample_tree(LAWS[law], t, seed=4)):
+        n = forest.n_trees
+        assert np.array_equal(forest.death[forest.internal_ids], forest.split)
+        assert np.all(forest.death[forest.leaf_ids] == t)
+        assert np.array_equal(forest.birth[:n], forest.starts)
+        assert np.array_equal(forest.birth[n:], forest.death[forest.parent[n:]])
+        assert np.all(forest.split < t) and len(forest.split) == len(forest.internal_ids)
+
+
+def _traced(fn):
+    """(fn(), bytes allocated at the peak, bytes still held after)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        value = fn()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return value, peak - base, held - base
+
+
+def test_tree_record_memory_per_node():
+    # one law (1,3) tree grown to t = 10: growing it peaks at 33 B a node
+    # and the record keeps 19, against 60 and 32 when the record also kept
+    # every node's birth and death.  A small tree first, so that what the
+    # first call of a process allocates once is not counted
+    sample_tree(LAWS["1,3"], 3.0, rng=tree_rng(0))
+    tree, peak, held = _traced(lambda: sample_tree(LAWS["1,3"], 10.0, rng=tree_rng(22)))
+    assert tree.n_nodes == 110_155
+    assert peak / tree.n_nodes <= 48.0
+    assert held / tree.n_nodes <= 30.0
 
 
 def test_sample_tree_deterministic():
@@ -277,7 +317,8 @@ def test_real_branchings_match_rate_one_sampler_in_law(law):
             else:
                 birth, death, parent, kids, starts, _ = _reference_tree(offspring, t, rng, real_only=False)
                 sizes = np.diff(starts)[:, None]
-                tree = GenealogyTree(t, birth, death, parent, sizes, np.flatnonzero(kids == 0), np.flatnonzero(kids))
+                internal = np.flatnonzero(kids)
+                tree = GenealogyTree(t, birth[:1], death[internal], parent, sizes, np.flatnonzero(kids == 0), internal)
             pos = sample_leaf_positions(tree, profile, t, tree_rng(seed_stream(29, r, f"gauss:{real_only}")))
             leaves.append(tree.n_leaves)
             maxima.append(pos.max() - centering(t))
@@ -331,11 +372,13 @@ def _mrca_oracle(tree, k, l):
 
 
 def test_seed_scheme_is_pinned():
-    # blake2b-sfc64-v4: every stream is tree_rng(seed_stream(master,
-    # first, name)); a change to the derivation or to numpy's SFC64
-    # seeding would change every artifact.  Each stream pins its first
-    # normals and, from a fresh generator, its first exponential: the
-    # lifetimes draw on that path
+    # the one place the scheme's name is pinned; every manifest test reads
+    # runner.SEED_SCHEME
+    assert SEED_SCHEME == "blake2b-sfc64-v4"
+    # every stream is tree_rng(seed_stream(master, first, name)); a change
+    # to the derivation or to numpy's SFC64 seeding would change every
+    # artifact.  Each stream pins its first normals and, from a fresh
+    # generator, its first exponential: the lifetimes draw on that path
     pinned = {
         (0, 0, "tree"): (
             1718889147194537667,
@@ -514,8 +557,8 @@ def test_mrca_first_branch_point():
     tau, t = 1.25, 3.0
     tree = GenealogyTree(
         horizon=t,
-        birth=np.array([0.0, tau, tau]),
-        death=np.array([tau, t, t]),
+        starts=np.array([0.0]),
+        split=np.array([tau]),
         parent=np.array([-1, 0, 0]),
         wave_sizes=np.array([[1], [2]]),
         leaf_ids=np.array([1, 2]),

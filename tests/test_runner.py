@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from vsbbm.extremal import centering, count_exceedances, forest_mckean
 from vsbbm.genealogy import OffspringDistribution, sample_forest, sample_tree, seed_stream, tree_rng
 from vsbbm.runner import (
     EXPERIMENTS,
+    SEED_SCHEME,
     ConfigError,
     load_config,
     main,
@@ -240,7 +242,7 @@ def test_run_simulate_artifacts_and_determinism(tmp_path, monkeypatch):
     assert manifest["workers"] == 2
     assert json.loads((out_b / "manifest.json").read_text())["workers"] == 1
     assert set(manifest["files"]) == {"report.json", "summaries.csv"}
-    assert manifest["seed_scheme"] == "blake2b-sfc64-v4"
+    assert manifest["seed_scheme"] == SEED_SCHEME
     # t = 3: blocks of floor(2**14 / (2 e^3)) = 407 replicates
     assert manifest["stream_block"] == 407
     for name in ("summaries.csv", "report.json"):
@@ -811,7 +813,7 @@ dir = {out}
     assert (out / "collapse.csv").exists()
     # two sigma_e at t = 3: blocks of floor(2**14 / (2 * 2 (2(e^3 - 1) - 3))) = 116
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["seed_scheme"] == "blake2b-sfc64-v4"
+    assert manifest["seed_scheme"] == SEED_SCHEME
     assert manifest["stream_block"] == 116
 
 
@@ -1032,6 +1034,21 @@ def test_main_rejects_tube_window_without_grid_point(tmp_path, capsys, lines):
     assert err["error"] == "ConfigError"
     assert "holds no point" in err["message"]
     assert not out.exists()
+
+
+def test_load_config_rejects_a_tube_series_of_too_many_terms(tmp_path, capsys):
+    # at r = 10 the series bound needs about 2.4e9 terms for gamma = 0.6:
+    # the load says so at once, before any bridge is drawn
+    path, out = write_config(tmp_path, _kind_config("tube", "t = 30\nr = 10\ngamma = 0.6\nreplicates = 20"))
+    start = time.perf_counter()
+    with pytest.raises(ConfigError, match="terms"):
+        load_config(path)
+    assert time.perf_counter() - start < 1.0
+    assert main(["tube", "--config", str(path)]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+    assert not out.exists()
+    path, _ = write_config(tmp_path, _kind_config("tube", "t = 30\nr = 10\ngamma = 0.65\nreplicates = 20"))
+    assert load_config(path).params["gamma"] == 0.65
 
 
 def test_tube_window_of_one_grid_point_runs(tmp_path):

@@ -29,8 +29,8 @@ def two_leaf_tree(tau, t):
     """Root splits at tau into two leaves living to t."""
     return GenealogyTree(
         horizon=t,
-        birth=np.array([0.0, tau, tau]),
-        death=np.array([tau, t, t]),
+        starts=np.array([0.0]),
+        split=np.array([tau]),
         parent=np.array([-1, 0, 0]),
         wave_sizes=np.array([[1], [2]]),
         leaf_ids=np.array([1, 2]),
@@ -69,8 +69,8 @@ def _tree_of(forest, r):
     parent = forest.parent[sel]
     tree = GenealogyTree(
         horizon=forest.horizon,
-        birth=forest.birth[sel],
-        death=forest.death[sel],
+        starts=forest.starts[r : r + 1],
+        split=forest.death[np.intersect1d(sel, forest.internal_ids)],
         parent=np.where(parent < 0, -1, local[parent]),
         wave_sizes=forest.wave_sizes[:, r : r + 1],
         leaf_ids=local[np.intersect1d(sel, forest.leaf_ids)],
@@ -128,11 +128,9 @@ def test_edge_std_equals_two_evaluation_formula():
         for starts in (np.zeros(6), [0.0, 0.7, 2.5]):
             forest = sample_forest(law, t, tree_rng(3), starts=starts)
             assert 0 < forest.n_leaves < forest.n_nodes
-            stacked = _edge_std(forest, profiles, t)
-            assert stacked.shape == (len(profiles), forest.n_nodes)
-            for row, prof in zip(stacked, profiles):
+            for prof in profiles:
                 var = sigma2(prof, forest.death, t) - sigma2(prof, forest.birth, t)
-                assert np.array_equal(row, np.sqrt(np.maximum(var, 0.0)))
+                assert np.array_equal(_edge_std(forest, prof, t), np.sqrt(np.maximum(var, 0.0)))
 
 
 def test_edge_std_rejects_a_fall_that_only_leaf_edges_see():
@@ -145,12 +143,14 @@ def test_edge_std_rejects_a_fall_that_only_leaf_edges_see():
         func=lambda x: np.interp(x, [0.0, 0.95, 1.0], [0.0, 1.2, 1.0]), slope_at_0=1.2 / 0.95, slope_at_1=-4.0
     )
     tree = two_leaf_tree(0.95 * t, t)
-    assert _edge_std(tree, (identity_profile(),), t).min() > 0.0
+    assert _edge_std(tree, identity_profile(), t).min() > 0.0
     with pytest.raises(ValueError, match="not monotone"):
-        _edge_std(tree, (identity_profile(), overshoot), t)
+        _edge_std(tree, overshoot, t)
+    with pytest.raises(ValueError, match="not monotone"):
+        forest_leaf_positions(tree, (identity_profile(), overshoot), t, tree_rng(0))
     forest = sample_forest(BINARY, t, tree_rng(10), starts=[0.5] * 10)
     with pytest.raises(ValueError, match="not monotone"):
-        _edge_std(forest, (overshoot,), t)
+        _edge_std(forest, overshoot, t)
 
 
 def test_flat_speed_segment_freezes_particles():

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from vsbbm.tube import (
     first_moment_constant,
     grid_window,
     sample_bridge,
+    series_terms,
 )
 
 
@@ -40,6 +42,33 @@ def test_bridge_violation_bound_validation():
         bridge_violation_bound(10.0, 0.5)
     with pytest.raises(ValueError):
         bridge_violation_bound(0.5, 0.75)
+
+
+def _summed_terms(r, g):
+    """The terms the plain loop sums: until one falls below 1e-16 of the
+    partial sum."""
+    k, total, n = math.floor(r), 0.0, 0
+    while True:
+        term = 8.0 * k ** (0.5 - g) * math.exp(-(k ** (2 * g - 1)) / 2.0)
+        total, k, n = total + term, k + 1, n + 1
+        if term < 1e-16 * total:
+            return n
+
+
+def test_bridge_violation_bound_counts_its_terms():
+    # near gamma = 1/2 the series takes billions of terms: the bound raises
+    # at once instead of summing them, and the values it admits are those
+    # of the plain loop, bit for bit
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="terms"):
+        bridge_violation_bound(10.0, 0.6)
+    assert time.perf_counter() - start < 1.0
+    assert bridge_violation_bound(10.0, 0.75) == 15.200777644582942
+    assert bridge_violation_bound(10.0, 0.65) == 296.2668937334755
+    for r, g in ((10.0, 0.75), (10.0, 0.7), (1.0, 0.75), (16.0, 1.0), (5.0, 0.9), (40.0, 0.8)):
+        assert _summed_terms(r, g) <= series_terms(r, g) < 2 * _summed_terms(r, g)
+    # a first term that underflows to 0 no longer keeps the sum going
+    assert bridge_violation_bound(1e6, 1.0) == 0.0
 
 
 def test_sample_bridge_pinned_and_variance():
