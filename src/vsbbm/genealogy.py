@@ -34,10 +34,11 @@ import numpy as np
 # on binary and (1,3) trees at t = 11-12, growing a tree peaks at 33-44 B
 # per node and placing it under three profiles at 68-74 B, so a tree at
 # the cap takes about 1.2 GB; 10**8 nodes would take about 7 GB and
-# exhaust a 7 GB machine before the cap fired.  ``runner.load_config`` rejects every
-# horizon where the run expects more than 1e-3 of its trees past the cap,
-# replicates * exp(-NODE_CAP / (k e^t)) > 1e-3, k the law's largest
-# offspring count: the Yule tail of the tree size, not its mean 2e^t.
+# exhaust a 7 GB machine before the cap fired.  ``runner.load_config``
+# rejects every horizon where the run expects more than 1e-3 of its trees
+# past the cap, replicates * exp(-NODE_CAP / (k e^t)) > 1e-3, k the law's
+# largest offspring count: the Yule tail of the tree size, not its mean
+# 2e^t.
 NODE_CAP = 2**24
 
 
@@ -291,12 +292,14 @@ def run_replicates(fn, common: tuple, replicates: int, workers: int = 1, block: 
 # glibc maps it and, on freeing it, raises its dynamic mmap threshold to its
 # size and its heap trim threshold to twice that, 4 MiB (mallopt(3),
 # M_MMAP_THRESHOLD), and keeps both dynamic.  A forest block of
-# sampler.FOREST_NODE_BUDGET = 2**14 nodes peaks at under 180 B a node grown
-# and placed (the NODE_CAP measurement above), about 3 MiB, so its arrays
-# go on the heap and what it frees at the heap top stays mapped for the next
-# block instead of being trimmed and faulted back in.  Raise it with the
-# budget; a 4 MiB array removed the faults too, but raised peak RSS by
-# about 1.4 MB.
+# sampler.FOREST_NODE_BUDGET = 2**15 nodes, 110 binary trees at t = 5,
+# peaks at 1.5 MiB grown, placed and reduced under one profile and at
+# 2.4 MiB grown and placed under compare's three (tracemalloc), and none of
+# its arrays reaches 2 MiB, so they go on the heap and what it frees at the
+# heap top stays mapped for the next block instead of being trimmed and
+# faulted back in: 2000 such replicates at one worker fault in under 300
+# pages.  Raise it with the budget; a 4 MiB array removed the faults too,
+# but raised peak RSS by about 1.4 MB.
 _HEAP_WARMUP_BYTES = 2 << 20
 
 

@@ -84,7 +84,7 @@ class ConfigError(ValueError):
 # The stream keys and block split every Monte Carlo draw follows, named in
 # each manifest; a change that gives any replicate other draws names a new
 # version.
-SEED_SCHEME = "blake2b-sfc64-v4"
+SEED_SCHEME = "blake2b-sfc64-v5"
 
 
 # value parsers take the raw string and raise ValueError on a value they

@@ -86,10 +86,12 @@ def forest_leaf_positions(
 # Nodes per forest block.  A tree of real branchings has
 # e^t + (e^t - 1)/(E[k | k >= 2] - 1) nodes on average, 2e^t - 1 for binary
 # offspring and fewer for any other law, so sized at 2e^t per tree a block
-# holds about 55 trees at t = 5 and one from t = ln 4096 = 8.32 on.  The
+# holds about 110 trees at t = 5 and one from t = ln 8192 = 9.01 on.  The
 # block is the unit of randomness, so the budget fixes which draws a
-# replicate gets: changing it changes the results up to t = 8.32.
-FOREST_NODE_BUDGET = 2**14
+# replicate gets: changing it changes the results up to t = 9.01.  2**15
+# halves the blocks, and so the per-block and per-wave calls, of 2**14;
+# 2**16 cut mc-small's time further but raised its peak RSS by 12-15%.
+FOREST_NODE_BUDGET = 2**15
 
 
 def block_size(t: float) -> int:

@@ -345,11 +345,11 @@ def test_collapse_agrees_in_law_with_per_spine_streams(law):
 
 def test_collapse_hits_do_not_depend_on_workers(monkeypatch):
     # (1,3) at t = 3 with 3 sigma_e: 700 nodes give 75 blocks of 2
-    # replicates, the default budget blocks of 51, 51 and 48.  The budget
+    # replicates, the default budget blocks of 103 and 47.  The budget
     # sets the block, so it changes the draws; the workers do not.  The
     # shares are capped at the CPU count, so three shares need three CPUs.
     monkeypatch.setattr(genealogy, "_usable_cpus", lambda: 3)
-    for budget, want in ((700, 2), (sampler_mod.FOREST_NODE_BUDGET, 51)):
+    for budget, want in ((700, 2), (sampler_mod.FOREST_NODE_BUDGET, 103)):
         monkeypatch.setattr(sampler_mod, "FOREST_NODE_BUDGET", budget)
         block = cluster_mod.collapse_block(3.0, LAW_13, 3)
         assert block == want

@@ -374,7 +374,7 @@ def _mrca_oracle(tree, k, l):
 def test_seed_scheme_is_pinned():
     # the one place the scheme's name is pinned; every manifest test reads
     # runner.SEED_SCHEME
-    assert SEED_SCHEME == "blake2b-sfc64-v4"
+    assert SEED_SCHEME == "blake2b-sfc64-v5"
     # every stream is tree_rng(seed_stream(master, first, name)); a change
     # to the derivation or to numpy's SFC64 seeding would change every
     # artifact.  Each stream pins its first normals and, from a fresh
@@ -528,7 +528,7 @@ def test_run_replicates_failures_reach_the_caller_and_end_every_child(
 )
 def test_run_replicates_blocks_reuse_the_freed_heap():
     # a fresh interpreter, so that no earlier test has moved glibc's
-    # thresholds: after a first call, a call of 2000 t = 5 replicates (37
+    # thresholds: after a first call, a call of 2000 t = 5 replicates (19
     # blocks) at one worker should fault in next to no new pages; when
     # glibc trims each block's freed heap top it faults in about 200 per block
     code = (

@@ -243,8 +243,8 @@ def test_run_simulate_artifacts_and_determinism(tmp_path, monkeypatch):
     assert json.loads((out_b / "manifest.json").read_text())["workers"] == 1
     assert set(manifest["files"]) == {"report.json", "summaries.csv"}
     assert manifest["seed_scheme"] == SEED_SCHEME
-    # t = 3: blocks of floor(2**14 / (2 e^3)) = 407 replicates
-    assert manifest["stream_block"] == 407
+    # t = 3: blocks of floor(2**15 / (2 e^3)) = 815 replicates
+    assert manifest["stream_block"] == 815
     for name in ("summaries.csv", "report.json"):
         text = (out_a / name).read_text()
         assert "stream_block" not in text and "seed_scheme" not in text
@@ -339,7 +339,7 @@ def _summary_rows(leaves, t, u_grid):
 
 
 def test_run_simulate_matches_trees_alone(tmp_path):
-    # t = 4 gives blocks of 150 replicates: the 60 replicates are one block
+    # t = 4 gives blocks of 300 replicates: the 60 replicates are one block
     # of 60 trees grown as one run, each tree's summary taken leaf by leaf
     path, out = write_config(tmp_path, FOREST_SIM_CONFIG)
     cfg = load_config(path)
@@ -347,8 +347,8 @@ def test_run_simulate_matches_trees_alone(tmp_path):
     t, u_grid = 4.0, [-2.0, -0.5, 0.0, 1.0]
     with open(out / "summaries.csv", newline="") as fh:
         rows = list(csv.reader(fh))[1:]
-    assert len(rows) == 60 and sampler_mod.block_size(t) == 150
-    leaves = _block_leaves(13, t, cfg.offspring, (cfg.profile,), 60, 150)
+    assert len(rows) == 60 and sampler_mod.block_size(t) == 300
+    leaves = _block_leaves(13, t, cfg.offspring, (cfg.profile,), 60, 300)
     assert rows == _summary_rows(leaves, t, u_grid)
 
 
@@ -448,13 +448,13 @@ def test_law_1_3_artifacts_do_not_depend_on_workers(tmp_path, text):
 # kind -> (its keys, its forest block): each config is three blocks, which
 # 2 workers split 2 + 1 and 3 workers 1 + 1 + 1
 MULTI_BLOCK_CONFIGS = {
-    # t = 5: blocks of 55, so 120 replicates are blocks of 55, 55 and 10
-    "simulate": ("t = 5\nreplicates = 120\nseed = 21", 55),
-    "martingale": ("t = 5\nsigma_b = 0.3\nreplicates = 120\nseed = 22", 55),
-    "compare": ("t = 5\nreplicates = 120\nu_grid = -2 0 2\nc_grid = 0.5 2\nseed = 23", 55),
-    # t = 3 with three sigma_e: blocks of 77, so 200 replicates are blocks
-    # of 77, 77 and 46
-    "cluster": ("t = 3\nreplicates = 200\ny_mode = exponential\nseed = 24", 77),
+    # t = 5: blocks of 110, so 240 replicates are blocks of 110, 110 and 20
+    "simulate": ("t = 5\nreplicates = 240\nseed = 21", 110),
+    "martingale": ("t = 5\nsigma_b = 0.3\nreplicates = 240\nseed = 22", 110),
+    "compare": ("t = 5\nreplicates = 240\nu_grid = -2 0 2\nc_grid = 0.5 2\nseed = 23", 110),
+    # t = 3 with three sigma_e: blocks of 155, so 400 replicates are blocks
+    # of 155, 155 and 90
+    "cluster": ("t = 3\nreplicates = 400\ny_mode = exponential\nseed = 24", 155),
 }
 
 
@@ -477,25 +477,25 @@ def test_artifacts_of_several_blocks_do_not_depend_on_workers(tmp_path, monkeypa
 
 # id -> (kind, keys, sections, sha256 of every artifact but the
 # manifest): three forest blocks of the (1,3) law, blocks of one tree
-# (t > 8.32), and one small run of every other drawing kind.  A change to
+# (t > 9.01), and one small run of every other drawing kind.  A change to
 # any draw, block split or reduction changes them.
 MC_PINNED = {
     "simulate": (
         "simulate",
-        "t = 5\nreplicates = 120\nseed = 21",
+        "t = 5\nreplicates = 240\nseed = 21",
         "[profile]\nkind = power\nexponent = 2\n\n[offspring]\nks = 1 3\nps = 0.5 0.5\n",
         {
-            "report.json": "5160e8e48004a9ded1f00216cb8f79e8a4b2ddadc9eb74173d2f54de6dc291ea",
-            "summaries.csv": "ce801ccc3c07174a3aa3cca8996f0cefc519e1369a534cc8e85dc42e8ce03ec5",
+            "report.json": "c5677f8d93af9819489d477600507f3d3d9a7f04c72ac6cdb8070d4ba8f45092",
+            "summaries.csv": "f112977591471abbeda67a718796d6225bef03edc8670d10d4b4947819ded5b6",
         },
     ),
     "simulate-one-tree-blocks": (
         "simulate",
-        "t = 9\nreplicates = 3\nseed = 5",
+        "t = 9.5\nreplicates = 3\nseed = 5",
         "[profile]\nkind = identity\n",
         {
-            "report.json": "8f6146dee10cf73084d374a624438b2c15b8c1960a7bd12a592dc7467e53be75",
-            "summaries.csv": "0d6e010ce5819e34420785854ed323ece03c895998e77c674176f9f8c1a4ca47",
+            "report.json": "63809bad459f327f38ad39092300e242bb68a231c1b0917bb6fa7eeff1dcc0f7",
+            "summaries.csv": "ff3aea49a0268bf22929fcf8357f8ee79949c6b2915c9acc02fe90ea2d4d7494",
         },
     ),
     "martingale": (
@@ -503,8 +503,8 @@ MC_PINNED = {
         "t = 5\nsigma_b = 0.3\nreplicates = 120\nseed = 22",
         "",
         {
-            "martingale.csv": "b1586f300ad6071fb1d39e50ca51d2e776cf90b599c675fb4f86bc298d4689d7",
-            "report.json": "07288f03a59809ddf883e100e2f9204a8d7c828a5fe852e44896288f2a537bce",
+            "martingale.csv": "21c5031ce39b3ded3503d830cc529a81f40fc0dbc000d5e8a3a3630da3875408",
+            "report.json": "fca6ccb63988fb282481e52a38748bc089d7496ae88efe18a0501b5bbee52130",
         },
     ),
     "compare": (
@@ -512,7 +512,7 @@ MC_PINNED = {
         "t = 5\nreplicates = 120\nu_grid = -2 0 2\nc_grid = 0.5 2\nseed = 23",
         "[profile]\nkind = power\nexponent = 2\n",
         {
-            "report.json": "b3e125fc0b3481c3aed5e68b57aefd974d73691c89b29637d94f08f1c2183db9",
+            "report.json": "187430dffe944a5540b020cd1ad3aa5da8112641f771d86f6117a857b60db273",
         },
     ),
     # the universality ladder's profile b: the one pinned compare on exact
@@ -522,7 +522,7 @@ MC_PINNED = {
         "t = 5\nreplicates = 120\nu_grid = -2 0 2\nc_grid = 0.5 2\nseed = 25",
         "[profile]\nkind = piecewise\nxs = 0 0.4 0.8 1\nys = 0 0.2 0.6 1\n",
         {
-            "report.json": "b1640ed1825aec30a3886fe91a36699e550d987ff5f81a64440c541620773258",
+            "report.json": "6027f1e3ec6fc22646857ee2deb842714f9297e65a303a1e2ce8b7c21fce3ff3",
         },
     ),
     "cluster": (
@@ -530,8 +530,8 @@ MC_PINNED = {
         "t = 3\nreplicates = 200\ny_mode = exponential\nseed = 24",
         "",
         {
-            "collapse.csv": "9255ce76b8f138ec5f821d448f0687e4532bac3d2402d1b3cf845a9465651970",
-            "report.json": "89a8bdec09739b03aecadda18e8185d0da3c5c789d870eec7dc3806133ace781",
+            "collapse.csv": "0efc3b6b8b4bcb470bcdb9647cdf4dd89eff12dd327e48343deefc2af6be587d",
+            "report.json": "f871132410de7cfa63197cde1685ed83c544efae21344e2bface21b0f758c5b1",
         },
     ),
     "tube": (
@@ -811,10 +811,10 @@ dir = {out}
     report = run(load_config(path))
     assert len(report["rows"]) == 2
     assert (out / "collapse.csv").exists()
-    # two sigma_e at t = 3: blocks of floor(2**14 / (2 * 2 (2(e^3 - 1) - 3))) = 116
+    # two sigma_e at t = 3: blocks of floor(2**15 / (2 * 2 (2(e^3 - 1) - 3))) = 232
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["seed_scheme"] == SEED_SCHEME
-    assert manifest["stream_block"] == 116
+    assert manifest["stream_block"] == 232
 
 
 def test_main_success_and_kind_mismatch(tmp_path, capsys):
