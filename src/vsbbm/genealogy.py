@@ -24,6 +24,7 @@ its results back through a pipe.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -75,16 +76,17 @@ class OffspringDistribution:
             raise ValueError("ks and ps must be 1-d arrays of equal length")
         if np.any(ks < 1):
             raise ValueError("offspring counts must be >= 1")
-        if np.any(ps < 0):
-            raise ValueError("probabilities must be nonnegative")
-        if abs(ps.sum() - 1.0) > 1e-12:
+        # each check is written so that NaN fails it
+        if not np.all(ps >= 0):
+            raise ValueError(f"probabilities must be nonnegative numbers, got {ps.tolist()}")
+        if not abs(ps.sum() - 1.0) <= 1e-12:
             raise ValueError(f"probabilities sum to {ps.sum()}, not 1")
         mean = float(ks @ ps)
         # the degenerate chain p_1 = 1 is allowed as a diagnostic case
         # (single lineage, plain Brownian motion); everything else must
         # carry the mean-2 normalization that makes E n(t) = e^t
         degenerate = len(ks) == 1 and ks[0] == 1
-        if not degenerate and abs(mean - 2.0) > 1e-12:
+        if not (degenerate or abs(mean - 2.0) <= 1e-12):
             raise ValueError(f"offspring mean is {mean}, must be 2")
         object.__setattr__(self, "ks", ks)
         object.__setattr__(self, "ps", ps)
@@ -239,13 +241,16 @@ def run_replicates(fn, common: tuple, replicates: int, workers: int = 1, block: 
     is raised here, a child that dies without a result raises
     RuntimeError, and no child outlives the call.
 
-    Each share first allocates and frees one untouched 2 MiB array
-    (``_run_blocks``).  Under glibc's malloc that leaves the heap that one
-    block frees mapped for the next, where glibc would otherwise trim it
-    and the next block fault it back in; it relies only on the documented
-    dynamic thresholds of mallopt(3), sets none of them and needs no
-    MALLOC_* environment variable.  Under another allocator it only
-    allocates and frees the array.
+    Each share first allocates and frees one untouched 31 MiB array
+    (``_run_blocks``).  Under 64-bit glibc's malloc that leaves the heap
+    that one block frees, up to 62 MiB, mapped for the next, where glibc
+    would otherwise trim it and the next block fault it back in: every
+    forest block of 2**15 nodes, and one-tree blocks up to about 900k
+    nodes.  The process keeps that freed heap resident until it exits.
+    The warm-up relies only on the documented dynamic thresholds of
+    mallopt(3), sets none of them and needs no MALLOC_* environment
+    variable.  Under another allocator it only allocates and frees the
+    array.
     """
     blocks = [range(k, min(k + block, replicates)) for k in range(0, replicates, block)]
     workers = min(workers, len(blocks), _usable_cpus() or 1)
@@ -289,18 +294,22 @@ def run_replicates(fn, common: tuple, replicates: int, workers: int = 1, block: 
 
 
 # Bytes of the untouched array ``_run_blocks`` frees before its first block.
-# glibc maps it and, on freeing it, raises its dynamic mmap threshold to its
-# size and its heap trim threshold to twice that, 4 MiB (mallopt(3),
-# M_MMAP_THRESHOLD), and keeps both dynamic.  A forest block of
-# sampler.FOREST_NODE_BUDGET = 2**15 nodes, 110 binary trees at t = 5,
-# peaks at 1.5 MiB grown, placed and reduced under one profile and at
-# 2.4 MiB grown and placed under compare's three (tracemalloc), and none of
-# its arrays reaches 2 MiB, so they go on the heap and what it frees at the
-# heap top stays mapped for the next block instead of being trimmed and
-# faulted back in: 2000 such replicates at one worker fault in under 300
-# pages.  Raise it with the budget; a 4 MiB array removed the faults too,
-# but raised peak RSS by about 1.4 MB.
-_HEAP_WARMUP_BYTES = 2 << 20
+# 64-bit glibc maps it and, on freeing it, raises its dynamic mmap threshold
+# to its size, 31 MiB, and its heap trim threshold to twice that, 62 MiB,
+# and keeps both dynamic (mallopt(3), M_MMAP_THRESHOLD).  31 MiB, not 32:
+# a freed mapping moves the thresholds only up to DEFAULT_MMAP_THRESHOLD_MAX,
+# 32 MiB, and the chunk of a 32 MiB request, header included, is over it
+# and moves nothing.  Arrays under 31 MiB then go on the heap, and what a
+# block frees at the heap top stays mapped for the next block, up to
+# 62 MiB, instead of being trimmed and faulted back in.  That covers a
+# forest block of sampler.FOREST_NODE_BUDGET = 2**15 nodes, which peaks at
+# 1.5 MiB grown, placed and reduced under one profile and at 2.4 MiB under
+# compare's three (tracemalloc), and the one-tree blocks of t > ln 8192,
+# about 9.01, up to about 900k nodes at about 70 B per node: 100 law (1,3)
+# replicates at t = 10 and one worker fault in under 300 pages, not about
+# 26,000.  The cost: a process keeps up to 62 MiB of freed heap resident
+# until it exits.
+_HEAP_WARMUP_BYTES = 31 << 20
 
 
 def _run_blocks(fn, common, share) -> list:
@@ -327,13 +336,13 @@ def sample_forest(
     rng: np.random.Generator,
     starts: np.ndarray | None = None,
 ) -> GenealogyTree:
-    """Grow Galton-Watson trees up to the shared horizon t, all in one wave
-    loop on the generator ``rng``, branching only for real: lifetimes are
-    Exp(``offspring.rate``), rate 1 - p_1, and every node that dies before
-    t has k >= 2 children.  The chain p_1 = 1 grows one node per tree,
-    alive to t, and draws nothing.  The root of tree r is born at
-    ``starts[r]``, which must lie in [0, t); the default is one tree rooted
-    at 0.
+    """Grow Galton-Watson trees up to the shared finite horizon t > 0, all
+    in one wave loop on the generator ``rng``, branching only for real:
+    lifetimes are Exp(``offspring.rate``), rate 1 - p_1, and every node
+    that dies before t has k >= 2 children.  The chain p_1 = 1 grows one
+    node per tree, alive to t, and draws nothing.  The root of tree r is
+    born at ``starts[r]``, which must lie in [0, t); the default is one
+    tree rooted at 0.
 
     Per wave, ``rng`` draws the lifetimes of all the wave's nodes in one
     call, then, for a law with more than one real offspring count, the
@@ -341,15 +350,16 @@ def sample_forest(
     PopulationCapError instead of silently truncating when any one tree
     would exceed ``NODE_CAP`` nodes, read at call time.
     """
-    if t <= 0:
-        raise ValueError("horizon t must be positive")
+    # written so that NaN fails each check
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError(f"horizon t must be finite and positive, got {t}")
     birth = np.zeros(1) if starts is None else np.array(starts, dtype=np.float64)
     if birth.ndim != 1:
         raise ValueError("starts must be 1-d with one entry per tree")
     n_trees = len(birth)
     if n_trees == 0:
         raise ValueError("a forest needs at least one tree")
-    if birth.min() < 0 or birth.max() >= t:
+    if not (birth.min() >= 0 and birth.max() < t):
         raise ValueError(f"start times must lie in [0, {t})")
     starts = birth
     # one real offspring count fixes every count and draws none

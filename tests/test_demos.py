@@ -1,11 +1,6 @@
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
-
-import vsbbm
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
@@ -25,10 +20,5 @@ def test_every_demo_is_listed():
 
 
 @pytest.mark.parametrize("name", list(DEMO_ARGS))
-def test_demo_runs(name):
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(vsbbm.__file__)))
-    done = subprocess.run(
-        [sys.executable, str(DEMOS / f"{name}.py"), *DEMO_ARGS[name]], env=env, capture_output=True, text=True
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout
+def test_demo_runs(fresh_python, name):
+    assert fresh_python(str(DEMOS / f"{name}.py"), *DEMO_ARGS[name])

@@ -2,8 +2,6 @@ import math
 import multiprocessing
 import os
 import signal
-import subprocess
-import sys
 import time
 import tracemalloc
 
@@ -44,6 +42,11 @@ def test_offspring_validation():
         OffspringDistribution(np.array([1, 2]), np.array([0.5, 0.5]))  # mean 1.5
     with pytest.raises(ValueError):
         OffspringDistribution(np.array([0, 4]), np.array([0.5, 0.5]))  # k=0
+    # NaN fails no > test: p = (0.5, nan) used to load, and every root of
+    # its trees ended up a leaf
+    for ps in ([0.5, np.nan], [np.nan, 0.5], [np.nan, np.nan]):
+        with pytest.raises(ValueError, match="nonnegative numbers"):
+            OffspringDistribution(np.array([1, 3]), np.array(ps))
     d = OffspringDistribution(np.array([1, 3]), np.array([0.5, 0.5]))
     assert abs(d.ks @ d.ps - 2.0) < 1e-12
     assert abs(d.K - 3.0) < 1e-12  # 0.5 * 3 * 2
@@ -269,6 +272,14 @@ def test_forest_roots_start_at_their_birth_times():
     for bad in ([-0.5, 1.0], [], [[1.0, 2.0]]):
         with pytest.raises(ValueError):
             sample_forest(BINARY, t, tree_rng(8), starts=bad)
+
+
+@pytest.mark.parametrize("t, starts", [(np.nan, None), (np.inf, None), (4.0, [0.0, np.nan]), (4.0, [np.inf])])
+def test_sample_forest_rejects_a_non_finite_horizon_or_start(t, starts):
+    # NaN fails no <= test: t = nan used to grow one node per tree, and a
+    # nan start gave its leaves nan positions
+    with pytest.raises(ValueError, match="finite and positive" if starts is None else "must lie in"):
+        sample_forest(BINARY, t, tree_rng(8), starts=starts)
 
 
 @pytest.mark.parametrize("law", ["binary", "1,3"])
@@ -526,24 +537,34 @@ def test_run_replicates_failures_reach_the_caller_and_end_every_child(
 @pytest.mark.skipif(
     "CS_GNU_LIBC_VERSION" not in getattr(os, "confstr_names", {}), reason="the heap warm-up relies on glibc's malloc"
 )
-def test_run_replicates_blocks_reuse_the_freed_heap():
+@pytest.mark.parametrize(
+    "t, law, first, second",
+    [
+        # 19 forest blocks of 2**15 nodes; a trimmed heap top faults in
+        # about 200 pages a block
+        pytest.param(5.0, "OffspringDistribution.binary()", 200, 2000, id="t5-forest-blocks"),
+        # 100 one-tree blocks of 3.3e4 nodes on average, some far larger;
+        # a trimmed heap top faults in about 26,000 pages in all
+        pytest.param(
+            10.0, "OffspringDistribution(np.array([1, 3]), np.array([0.5, 0.5]))", 10, 100, id="t10-one-tree-blocks"
+        ),
+    ],
+)
+def test_run_replicates_blocks_reuse_the_freed_heap(fresh_python, t, law, first, second):
     # a fresh interpreter, so that no earlier test has moved glibc's
-    # thresholds: after a first call, a call of 2000 t = 5 replicates (19
-    # blocks) at one worker should fault in next to no new pages; when
-    # glibc trims each block's freed heap top it faults in about 200 per block
+    # thresholds: after a first call, a second call at one worker should
+    # fault in next to no new pages
     code = (
         "import resource; import numpy as np\n"
         "from vsbbm import runner; from vsbbm.genealogy import OffspringDistribution, run_replicates\n"
         "from vsbbm.sampler import block_size; from vsbbm.speed import two_speed\n"
-        "common = (7, 5.0, two_speed(0.5, 2.0, 2 / 3), OffspringDistribution.binary(), np.array([-1.0, 0.0]))\n"
-        "run_replicates(runner._simulate_replicates, common, 200, 1, block_size(5.0))\n"
+        f"common = (7, {t}, two_speed(0.5, 2.0, 2 / 3), {law}, np.array([-1.0, 0.0]))\n"
+        f"run_replicates(runner._simulate_replicates, common, {first}, 1, block_size({t}))\n"
         "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
-        "run_replicates(runner._simulate_replicates, common, 2000, 1, block_size(5.0))\n"
+        f"run_replicates(runner._simulate_replicates, common, {second}, 1, block_size({t}))\n"
         "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)"
     )
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(genealogy.__file__)))
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert int(done.stdout) < 1500
+    assert int(fresh_python("-c", code)) < 1500
 
 
 def test_mrca_same_leaf():

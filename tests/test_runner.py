@@ -4,14 +4,12 @@ import json
 import math
 import os
 import re
-import subprocess
 import sys
 import time
 
 import numpy as np
 import pytest
 
-import vsbbm
 from vsbbm import fkpp as fkpp_mod
 from vsbbm import genealogy
 from vsbbm import runner as runner_mod
@@ -637,18 +635,16 @@ def test_load_config_rejects_a_profile_off_by_1e9_at_slope_two(tmp_path, section
         load_config(path)
 
 
-def test_import_loads_no_scipy():
+def test_import_loads_no_scipy(fresh_python):
     # neither scipy nor numpy.random is needed until a run draws or fits
     code = (
         "import sys, vsbbm.runner; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m.startswith('numpy.random')))"
     )
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(vsbbm.__file__)))
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "[]"
+    assert fresh_python("-c", code).strip() == "[]"
 
 
-def test_runs_of_every_kind_load_no_scipy(tmp_path):
+def test_runs_of_every_kind_load_no_scipy(tmp_path, fresh_python):
     # a fresh interpreter runs each kind at a tiny size on one worker; the
     # draws need numpy.random, but nothing a run does needs scipy
     paths = []
@@ -663,9 +659,7 @@ def test_runs_of_every_kind_load_no_scipy(tmp_path):
         "    run(cfg)\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), 'numpy.random' in sys.modules)"
     )
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(vsbbm.__file__)))
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "[] True"
+    assert fresh_python("-c", code).strip() == "[] True"
     assert all((tmp_path / kind / "report.json").exists() for kind in KIND_CASES)
 
 
@@ -921,6 +915,10 @@ def _bad_configs():
          "xs has 3 entries and ys 2"),
         # the chain p_1 = 1 has mean 1, where E Y = e^-s, not 1; it ran to exit 0
         ("martingale", "sigma_b = 0\nt = 3\nreplicates = 4", "[offspring]\nks = 1\nps = 1\n", "mean 2"),
+        # a NaN probability fails no > test: simulate ran to a mean of one
+        # leaf a tree, and fkpp solved before failing at its JSON write
+        ("simulate", "t = 3\nreplicates = 4", "[offspring]\nks = 1 3\nps = 0.5 nan\n", "nonnegative numbers"),
+        ("fkpp", "t_end = 2\ndx = 0.1", "[offspring]\nks = 1 3\nps = 0.5 nan\n", "nonnegative numbers"),
     ]
     for i, (kind, lines, sections, word) in enumerate(extra):
         yield pytest.param(kind, _kind_config(kind, lines, sections), [], word, id=f"{kind}-value-{i}")
