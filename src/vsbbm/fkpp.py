@@ -26,17 +26,30 @@ front, early on, u underflows to exactly 0.  So the window skips only
 about 30% of the cell updates of a long solve (binary law, dx = 0.05: 28%
 to t = 50, 35% to t = 100).
 
+Within the window, P is evaluated only where it can differ from its
+constant term p_0.  Ahead of the front, where u is below about 1e-14,
+Horner's P(u) rounds to exactly p_0.  Each re-derivation finds the first
+cell past which no u that the next run can reach rises above that level,
+fills P's buffer with p_0 from there on once, and the run evaluates P only
+on the cells before it.  Every cell still sees the same operations in the
+same order, so this too is exact.  It skips 44% of the window's P
+evaluations of a binary solve to t = 50 (dx = 0.05) and 55% of a law (1,3)
+solve to t = 20 on the grid of its sigma_e = 2 tail.
+
 The cost of a step is numpy's fixed cost per ufunc call plus the work per
-cell.  A step is seven ufunc calls over the window for the binary law, two
-more per further coefficient of P.  On a 2-vCPU Xeon VM (numpy 2.4) a
-binary step costs about 2.0 us on 10 cells and 6.0 us on 2,300, the mean
-window of the benchmark's solves, so call overhead is still about a third
-of a step there.  Two rules keep it down.  The step holds P's coefficients
-and c as 0-d float64 arrays, which a ufunc takes faster than a Python
-float (0.40 against 0.61 us a call).  And one call ``step(n)`` runs a counted
-run of n steps with every operand bound once, so ``solve_heaviside`` pays
-its own bookkeeping only at the steps where something else happens: a
-re-derivation, a range check, a snapshot.
+cell.  A step is four ufunc calls over the whole window (the neighbour
+sum, its scaling by c, u times P and the sum of the two) plus Horner's
+rule on the part of the window where P is not p_0: two calls for the
+binary law, two more per further coefficient of P, so six in all for the
+binary law.  On a 2-vCPU Xeon VM (numpy 2.4) a binary step with P over
+the whole window cost about 2.0 us on 10 cells and 6.0 us on 2,300, the
+mean window of the benchmark's solves, so call overhead is still about a
+third of a step there.  Two rules keep it down.  The step holds P's
+coefficients and c as 0-d float64 arrays, which a ufunc takes faster than
+a Python float (0.40 against 0.61 us a call).  And one call ``step(n)``
+runs a counted run of n steps with every operand bound once, so
+``solve_heaviside`` pays its own bookkeeping only at the steps where
+something else happens: a re-derivation, a range check, a snapshot.
 """
 
 from __future__ import annotations
@@ -123,15 +136,24 @@ class _ExplicitStep:
     stencil did not change on the last step, because a change spreads at
     most one cell per step.  That holds only while c and P stay fixed.
 
-    A step is seven ufunc calls over the window (binary law), and at a
-    few thousand cells their fixed cost is still a third of the step's,
-    the rest being work per cell.  So c and P's coefficients are 0-d
-    float64 arrays, which a ufunc takes faster than Python floats, and
-    ``step(n)`` advances the window by n steps in one call: the window,
-    the buffers, the coefficients and ``np.multiply``/``np.add`` are
-    bound once, and each step is the same ufunc calls in the same order,
-    so a run of n is bit for bit n single steps.  A run holds c, P and
-    the window fixed; whatever changes them ends it.
+    ``rederive`` also cuts Horner's rule to u[lo:k], the cells left of the
+    first cell k past which P(u) rounds to p_0 for the whole next run, and
+    sets P to p_0 on u[k:hi] once.  The run's values of u there are bounded
+    by the cells' values now, within its light cone, times the growth of
+    at most 1 + 2 dt a step.  ``reset`` and the step of ``rederive`` itself
+    evaluate P on the whole window.
+
+    A step is four ufunc calls over the window plus Horner's rule over
+    u[lo:k], two calls for the binary law and two more per further
+    coefficient of P.  At a few thousand cells their fixed cost is still
+    a third of the step's, the rest being work per cell.  So c and P's
+    coefficients are 0-d float64 arrays, which a ufunc takes faster than
+    Python floats, and ``step(n)`` advances the window by n steps in one
+    call: the window, the buffers, the coefficients and
+    ``np.multiply``/``np.add`` are bound once, and each step is the same
+    ufunc calls in the same order, so a run of n is bit for bit n single
+    steps.  A run holds c, P and the window fixed; whatever changes them
+    ends it.
     """
 
     def __init__(self, u: np.ndarray, offspring: OffspringDistribution, dx: float, dt: float):
@@ -144,17 +166,33 @@ class _ExplicitStep:
         # 0-d arrays: a ufunc takes one faster than a Python float
         self.c = np.array(c)
         self.p = [np.array(pk) for pk in p]
+        # at u <= U* = ulp(p_0) / (8 sum_{k>=1} |p_k|), Horner's P(u) rounds
+        # to exactly p_0 (half an ulp below p_0 is at least ulp(p_0) / 4);
+        # ``flat`` is U* shrunk by the growth of u over a run and its
+        # margin, and the chain law, whose P is p_0, has no bound
+        slope = math.fsum(abs(pk) for pk in p[1:])
+        self.flat = (math.ulp(p[0]) / (8.0 * slope) / (1.0 + 2.0 * dt) ** (WINDOW_EVERY + 1)
+                     if slope else math.inf)
         self.u = u
         self.buffers = np.empty(len(u) - 2), np.empty(len(u) - 2)
         self.reset()
 
     def _window(self, lo: int, hi: int) -> None:
-        """Step u[lo:hi], clipped to the interior, from now on."""
+        """Step u[lo:hi], clipped to the interior, from now on, with P
+        evaluated on all of it."""
         u = self.u
         self.lo, self.hi = max(lo, 1), min(hi, len(u) - 1)
         lo, hi = self.lo, self.hi
         self.inner, self.left, self.right = u[lo:hi], u[lo - 1:hi - 1], u[lo + 1:hi + 1]
         self.r, self.w = (b[:hi - lo] for b in self.buffers)
+        self._horner_to(hi)
+
+    def _horner_to(self, k: int) -> None:
+        """Evaluate P on u[lo:k] only; r holds p_0 on u[k:hi] until the
+        window changes."""
+        n = k - self.lo
+        self.r[n:] = self.p[0]
+        self.head, self.r_head = self.inner[:n], self.r[:n]
 
     def reset(self) -> None:
         """Step the whole interior again."""
@@ -164,7 +202,8 @@ class _ExplicitStep:
         """One step over the window widened by a cell (this step's share of
         the light cone), then the window of the next ``WINDOW_EVERY - 1``
         steps: the span of the cells this step changed, bit for bit,
-        widened by ``WINDOW_EVERY - 1`` cells on each side."""
+        widened by ``WINDOW_EVERY - 1`` cells on each side, with P
+        evaluated up to the first cell k past which it stays p_0."""
         self._window(self.lo - 1, self.hi + 1)
         lo, hi = self.lo, self.hi
         before = self.inner.copy()
@@ -175,18 +214,26 @@ class _ExplicitStep:
             self._window(lo + changed[0] - margin, lo + changed[-1] + 1 + margin)
         else:
             self._window(lo, lo)
+        # in a run, cell i reads cells within WINDOW_EVERY of it, whose sup
+        # grows by at most 1 + 2 dt a step: past the last cell above
+        # ``flat`` and that reach, P(u) is p_0 throughout the run
+        a = max(self.lo - WINDOW_EVERY, 0)
+        above = np.flatnonzero(self.u[a:self.hi + WINDOW_EVERY] > self.flat)
+        k = a + above[-1] + 1 + WINDOW_EVERY if above.size else self.lo
+        self._horner_to(min(max(k, self.lo), self.hi))
 
     def __call__(self, n: int = 1) -> None:
         """Advance the window by n steps."""
         mul, add = np.multiply, np.add
         inner, left, right, r, w, c = self.inner, self.left, self.right, self.r, self.w, self.c
+        head, r_head = self.head, self.r_head
         top, *middle, bottom = self.p[::-1]
         for _ in range(n):
-            mul(inner, top, r)
+            mul(head, top, r_head)
             for a in middle:
-                add(r, a, r)
-                mul(r, inner, r)
-            add(r, bottom, r)
+                add(r_head, a, r_head)
+                mul(r_head, head, r_head)
+            add(r_head, bottom, r_head)
             add(left, right, w)
             mul(w, c, w)
             mul(inner, r, inner)
@@ -240,13 +287,20 @@ def solve_heaviside(
     ``FRONT_BUFFER`` of the right edge.  Returns the final state with its
     snapshots and the front at each of the about 200 range checks.
     """
-    if t_end < 0:
-        raise ValueError(f"t_end={t_end} is negative")
+    # each check is written so that NaN fails it
+    if not 0.0 <= t_end < math.inf:
+        raise ValueError(f"t_end={t_end} must be a finite number >= 0")
+    if not 0.0 < dx < math.inf:
+        raise ValueError(f"dx={dx} must be a finite number > 0")
     if not all(0.0 <= ts <= t_end for ts in snapshot_times):
         raise ValueError(f"snapshot times {tuple(snapshot_times)} must lie in [0, t_end={t_end}]")
     if x_max is None:
         x_max = SQRT2 * t_end + 40.0
+    if not 0.0 < x_max < math.inf:
+        raise ValueError(f"x_max={x_max} must be a finite number > 0")
     x = np.arange(X_MIN, x_max + dx / 2, dx)
+    if x[-1] <= 0.0:
+        raise ValueError(f"x_max={x_max} leaves no grid point right of 0 at dx={dx}")
     u = (x <= 0.0).astype(np.float64)
     u[0], u[-1] = 1.0, 0.0
     dt = dx * dx / 4.0

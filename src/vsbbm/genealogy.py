@@ -70,7 +70,14 @@ class OffspringDistribution:
     cdf: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        ks = np.asarray(self.ks, dtype=np.int64)
+        ks = np.asarray(self.ks)
+        # integral floats such as 2.0 load; 1.9 is not cut down to 1
+        integral = ks.dtype.kind in "iu" or (
+            ks.dtype.kind == "f" and bool(np.all(np.isfinite(ks) & (ks == np.floor(ks))))
+        )
+        if not integral:
+            raise ValueError(f"offspring counts must be integers, got {ks.tolist()}")
+        ks = ks.astype(np.int64)
         ps = np.asarray(self.ps, dtype=np.float64)
         if ks.ndim != 1 or ps.shape != ks.shape:
             raise ValueError("ks and ps must be 1-d arrays of equal length")

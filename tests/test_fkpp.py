@@ -229,6 +229,77 @@ def test_window_exact_at_every_stop(law, t_end, snapshot_times):
                             snapshot_times=snapshot_times)
 
 
+CHAIN = OffspringDistribution(np.array([1]), np.array([1.0]))
+
+
+@pytest.mark.parametrize(
+    "off, t_end, x_max",
+    [
+        (LAWS["1,3"], 8.0, fkpp._tail_x_max(2.0, 8.0)),  # a wide tail grid
+        (BINARY, 5.0, 100.0),  # u underflows to 0 near x = 88, inside the grid
+        (CHAIN, 5.0, 40.0),  # P is p_0 everywhere: no cell needs Horner's rule
+    ],
+    ids=["1,3-tail-grid", "binary-underflow-edge", "chain"],
+)
+def test_window_exact_where_reaction_is_constant(off, t_end, x_max):
+    # P evaluated only left of the cells where it rounds to p_0, on grids
+    # whose far right holds u of every size down to exact zeros
+    _assert_window_is_exact(off, t_end, dict(x_max=x_max, dx=0.1))
+
+
+def test_reaction_is_evaluated_on_part_of_the_window(monkeypatch):
+    # binary t = 10 on the sigma_e = 2 tail grid: P rounds to p_0 on about
+    # 55% of the window's cell updates, and the runs skip it there
+    horner, window = [0], [0]
+    call = _ExplicitStep.__call__
+
+    def counted(s, n=1):
+        horner[0] += n * len(s.head)
+        window[0] += n * (s.hi - s.lo)
+        call(s, n)
+
+    monkeypatch.setattr(_ExplicitStep, "__call__", counted)
+    solve_heaviside(BINARY, 10.0, x_max=fkpp._tail_x_max(2.0, 10.0), dx=0.1)
+    assert 0 < horner[0] < 0.7 * window[0]
+
+
+@pytest.mark.parametrize("off", [*LAWS.values(), CHAIN], ids=[*LAWS, "chain"])
+def test_reaction_below_the_flat_level_is_its_constant(off):
+    # one step over u from 1 down to 0 leaves Horner's P(u) in the buffer:
+    # exactly p_0 for every u up to U*, the bound that ``flat`` shrinks by
+    # a run's growth (1 + 2 dt)^(WINDOW_EVERY + 1)
+    dx, dt = 0.05, 0.05**2 / 4.0
+    u = np.concatenate([[1.0], np.geomspace(1.0, 1e-320, 2000), [0.0, 0.0]])
+    step = _ExplicitStep(u.copy(), off, dx, dt)
+    u_star = step.flat * (1.0 + 2.0 * dt) ** (fkpp.WINDOW_EVERY + 1)
+    step()
+    flat = u[1:-1] <= u_star
+    assert flat.any() and np.all(step.r[flat] == step.p[0])
+    if off is not CHAIN:
+        assert 1e-16 < step.flat < 1e-13 and not np.all(step.r == step.p[0])
+
+
+@pytest.mark.parametrize(
+    "kw, name",
+    [
+        (dict(t_end=-1.0), "t_end"),
+        (dict(t_end=math.nan), "t_end"),
+        (dict(t_end=math.inf), "t_end"),
+        (dict(dx=0.0), "dx"),
+        (dict(dx=-0.1), "dx"),
+        (dict(dx=math.nan), "dx"),
+        (dict(dx=math.inf), "dx"),
+        (dict(x_max=-60.0), "x_max"),
+        (dict(x_max=math.nan), "x_max"),
+        (dict(x_max=0.01), "x_max"),  # the last grid point, at dx = 0.05, is 0
+    ],
+)
+def test_bad_grid_arguments_rejected(kw, name):
+    args = dict(t_end=1.0, dx=0.05) | kw
+    with pytest.raises(ValueError, match=f"^{name}="):
+        solve_heaviside(BINARY, **args)
+
+
 @pytest.mark.parametrize("snapshot_times", [(11.0,), (-0.5,), (2.0, 10.0 + 1e-9), (1.0, math.nan, 2.0)])
 def test_snapshot_outside_the_horizon_rejected(snapshot_times):
     with pytest.raises(ValueError, match=r"snapshot times .* must lie in \[0, t_end=10.0\]"):

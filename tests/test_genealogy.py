@@ -52,6 +52,17 @@ def test_offspring_validation():
     assert abs(d.K - 3.0) < 1e-12  # 0.5 * 3 * 2
 
 
+def test_offspring_counts_must_be_integers():
+    # (1.9, 3.9) used to be cut down to the law (1,3) without a word
+    for ks in ([1.9, 3.9], [1.0, 3.5], [1.0, np.nan], [1.0, np.inf]):
+        with pytest.raises(ValueError, match="offspring counts must be integers"):
+            OffspringDistribution(np.array(ks), np.array([0.5, 0.5]))
+    # integral floats still load, as the same law
+    d = OffspringDistribution(np.array([1.0, 3.0]), np.array([0.5, 0.5]))
+    assert d.ks.dtype == np.int64 and d.ks.tolist() == [1, 3]
+    assert np.array_equal(d.reaction_coefficients, [0.5, 0.5])
+
+
 def test_binary_K_is_two():
     assert BINARY.K == 2.0
 
